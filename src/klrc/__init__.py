@@ -9,7 +9,8 @@ counts), and the finite/tame/wild representation type of a block.
 from .cartan import (CartanDatum, DominantWeight, GuardError, RootVector,
                      cartan, fold_residue, hub, pairing)
 from .classifier import RepType, Verdict, classify, wildness_criteria
-from .fock import FockVector, apply_divided_f, apply_f, expand, hom_dim, parse_word
+from .fock import (FockVector, Multipartition, apply_divided_f, apply_f, expand, hom_dim,
+                   parse_word, residue)
 from .laurent import LaurentPolynomial, quantum_factorial, quantum_integer
 from .maxweights import (MaximalWeightDatum, NotEquivalentError, beta_of,
                          class_members, defect, delta_decompose, dominantify,
@@ -17,9 +18,8 @@ from .maxweights import (MaximalWeightDatum, NotEquivalentError, beta_of,
 from .multiplicity import weight_multiplicity
 from .quiver import (Arrow, MaxWeightQuiver, MoveLabel, apply_move, arrow_test,
                      build_quiver, delta_vector, export, witness_sequence)
-from .tableaux import (Multipartition, StdTableau, degree, graded_hom_dim,
-                       graded_hom_dim_block, kostka_q, multipartitions, residue,
-                       standard_tableaux)
+from .tableaux import (StdTableau, degree, graded_hom_dim, graded_hom_dim_block,
+                       kostka_q, multipartitions, standard_tableaux)
 
 __all__ = [
     "Arrow", "CartanDatum", "DominantWeight", "FockVector", "GuardError",

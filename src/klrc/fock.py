@@ -3,11 +3,16 @@
 A word of divided powers applied to the vacuum yields a finite combination
 of multipartitions with Laurent coefficients; matching coefficients of two
 such expansions computes graded Hom dimensions between the corresponding
-projectives.
+projectives, and so every graded dimension the package reports.  A
+multipartition is a bare tuple of partition shapes; the charge sequence that
+pins down residues travels separately with each computation.
 
-A single residue-i step sends a multipartition to the sum over its addable
-i-nodes, each weighted by q to the node-degree of the grown shape; the
-divided power applies the step repeatedly and divides by the symmetric
+The one convention everything hinges on: a node q counts as *below* a node p
+when q sits in a strictly lower row of the same component or in any later
+component.  A single residue-i step sends a multipartition to the sum over its
+addable i-nodes p, each weighted by q^(d_i * (#addable - #removable i-nodes
+below p in the grown shape)); regression tests pin this against exact values.
+The divided power applies the step repeatedly and divides by the symmetric
 quantum factorial in q^(d_i).  That division is exact on every expansion
 reachable from the vacuum; a remainder would mean a convention drift, so it
 is asserted on every call.
@@ -16,11 +21,140 @@ is asserted on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cartan import DominantWeight, RootVector, cartan
+from .cartan import DominantWeight, RootVector, cartan, fold_residue
 from .laurent import ZERO, LaurentPolynomial, quantum_factorial
-from .tableaux import Multipartition, node_degree, residue
+
+Shape = tuple[tuple[int, ...], ...]
+Node = tuple[int, int, int]  # (component, row, column), all 1-based
+
+
+@dataclass(frozen=True)
+class Multipartition:
+    """An ordered tuple of partitions."""
+
+    components: Shape
+
+    def __post_init__(self) -> None:
+        comps = []
+        for part in self.components:
+            part = tuple(int(r) for r in part if r)
+            if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
+                raise ValueError(f"rows of {part} are not weakly decreasing")
+            comps.append(part)
+        object.__setattr__(self, "components", tuple(comps))
+
+    @classmethod
+    def empty(cls, k: int) -> "Multipartition":
+        return cls(((),) * k)
+
+    @property
+    def size(self) -> int:
+        return sum(sum(part) for part in self.components)
+
+    @property
+    def k(self) -> int:
+        return len(self.components)
+
+    def nodes(self) -> Iterator[Node]:
+        for s, part in enumerate(self.components, start=1):
+            for a, row in enumerate(part, start=1):
+                for b in range(1, row + 1):
+                    yield (s, a, b)
+
+    def addable_nodes(self) -> list[Node]:
+        out = []
+        for s, part in enumerate(self.components, start=1):
+            for a in range(1, len(part) + 2):
+                row = part[a - 1] if a <= len(part) else 0
+                above = part[a - 2] if a >= 2 else None
+                if above is None or row < above:
+                    out.append((s, a, row + 1))
+        return out
+
+    def removable_nodes(self) -> list[Node]:
+        out = []
+        for s, part in enumerate(self.components, start=1):
+            for a, row in enumerate(part, start=1):
+                below = part[a] if a < len(part) else 0
+                if row > below:
+                    out.append((s, a, row))
+        return out
+
+    def add_node(self, node: Node) -> "Multipartition":
+        s, a, b = node
+        part = list(self.components[s - 1])
+        if a == len(part) + 1:
+            part.append(1)
+        else:
+            part[a - 1] += 1
+        assert part[a - 1] == b
+        comps = list(self.components)
+        comps[s - 1] = tuple(part)
+        return Multipartition(tuple(comps))
+
+    def remove_node(self, node: Node) -> "Multipartition":
+        s, a, b = node
+        part = list(self.components[s - 1])
+        assert part[a - 1] == b
+        part[a - 1] -= 1
+        comps = list(self.components)
+        comps[s - 1] = tuple(part)
+        return Multipartition(tuple(comps))
+
+    def sort_key(self) -> tuple:
+        return (tuple(sum(p) for p in self.components), self.components)
+
+    def __str__(self) -> str:
+        return "(" + ",".join(_render_partition(p) for p in self.components) + ")"
+
+
+def _render_partition(part: tuple[int, ...]) -> str:
+    if not part:
+        return "(0)"
+    groups = []
+    run_val, run_len = part[0], 0
+    for r in part:
+        if r == run_val:
+            run_len += 1
+        else:
+            groups.append((run_val, run_len))
+            run_val, run_len = r, 1
+    groups.append((run_val, run_len))
+    return "(" + ",".join(f"{v}^{n}" if n > 1 else str(v) for v, n in groups) + ")"
+
+
+def residue(charges: Sequence[int], node: Node, ell: int) -> int:
+    """Folded content of a node: column - row + component charge."""
+    s, a, b = node
+    return fold_residue(b - a + charges[s - 1], ell)
+
+
+def content_vector(charges: Sequence[int], shape: Multipartition, ell: int) -> RootVector:
+    counts = [0] * (ell + 1)
+    for node in shape.nodes():
+        counts[residue(charges, node, ell)] += 1
+    return RootVector(tuple(counts))
+
+
+def _is_below(node: Node, p: Node) -> bool:
+    """Below = strictly lower row of the same component, or any later component."""
+    s, a, _ = node
+    ps, pa, _ = p
+    return s > ps or (s == ps and a > pa)
+
+
+def node_degree(charges: Sequence[int], shape: Multipartition, p: Node, ell: int) -> int:
+    """d_p of a removable node: d_res(p) * (#addable - #removable) of the same residue below p."""
+    res = residue(charges, p, ell)
+    d = cartan(ell).d[res]
+    add = sum(1 for n in shape.addable_nodes()
+              if _is_below(n, p) and residue(charges, n, ell) == res)
+    rem = sum(1 for n in shape.removable_nodes()
+              if _is_below(n, p) and residue(charges, n, ell) == res)
+    return d * (add - rem)
+
 
 FWord = tuple[tuple[int, int], ...]
 """A sequence of (residue, power) operator factors; the leftmost acts last."""
@@ -65,11 +199,8 @@ class FockVector:
         return self.terms[0][0].size if self.terms else 0
 
     def content(self) -> RootVector:
-        counts = [0] * (self.ell + 1)
-        if self.terms:
-            for node in self.terms[0][0].nodes():
-                counts[residue(self.charges, node, self.ell)] += 1
-        return RootVector(tuple(counts))
+        shape = self.terms[0][0] if self.terms else Multipartition.empty(len(self.charges))
+        return content_vector(self.charges, shape, self.ell)
 
     def __str__(self) -> str:
         if not self.terms:

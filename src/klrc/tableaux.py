@@ -1,15 +1,12 @@
-"""Multipartition combinatorics and graded dimensions of idempotent truncations.
+"""Graded dimensions of idempotent truncations, and their tableau reference.
 
-A multipartition is a bare tuple of partition shapes; the charge sequence that
-pins down residues travels separately with each computation, mirroring how the
-weight realizes itself as an ordered sum of fundamental weights.
-
-The one convention everything hinges on: a node q counts as *below* a node p
-when q sits in a strictly lower row of the same component or in any later
-component.  The degree statistic of a standard filling peels boxes from the
-largest entry down, adding d_res(p) * (#addable - #removable) below-p nodes of
-matching residue at each step.  This convention is pinned by regression tests
-against exact reference values.
+dim_q e(nu) A e(nu') for the block at beta is the sum over multipartitions of
+K(nu, shape) * K(nu', shape), K the degree generating function of standard
+fillings.  ``graded_hom_dim`` computes it with the Fock engine, where K(nu,
+shape) is the coefficient of the shape in the expansion of nu as single steps.
+The tableau route (``multipartitions``, ``kostka_q``, ``standard_tableaux``,
+``degree``) enumerates every shape and peels each one; it is kept only as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -18,140 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .cartan import DominantWeight, GuardError, RootVector, cartan, fold_residue
+from .cartan import DominantWeight, GuardError, RootVector
+from .fock import (FockVector, FWord, Multipartition, Node, Shape, expand, hom_dim,
+                   node_degree, residue, word_content)
 from .laurent import ZERO, LaurentPolynomial
 
 DEFAULT_MAX_BOXES = 12
 DEFAULT_MAX_COMPONENTS = 5
-
-Shape = tuple[tuple[int, ...], ...]
-Node = tuple[int, int, int]  # (component, row, column), all 1-based
-
-
-@dataclass(frozen=True)
-class Multipartition:
-    """An ordered tuple of partitions."""
-
-    components: Shape
-
-    def __post_init__(self) -> None:
-        comps = []
-        for part in self.components:
-            part = tuple(int(r) for r in part if r)
-            if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
-                raise ValueError(f"rows of {part} are not weakly decreasing")
-            comps.append(part)
-        object.__setattr__(self, "components", tuple(comps))
-
-    @classmethod
-    def empty(cls, k: int) -> "Multipartition":
-        return cls(((),) * k)
-
-    @property
-    def size(self) -> int:
-        return sum(sum(part) for part in self.components)
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-    def nodes(self) -> Iterator[Node]:
-        for s, part in enumerate(self.components, start=1):
-            for a, row in enumerate(part, start=1):
-                for b in range(1, row + 1):
-                    yield (s, a, b)
-
-    def addable_nodes(self) -> list[Node]:
-        out = []
-        for s, part in enumerate(self.components, start=1):
-            for a in range(1, len(part) + 2):
-                row = part[a - 1] if a <= len(part) else 0
-                above = part[a - 2] if a >= 2 else None
-                if above is None or row < above:
-                    out.append((s, a, row + 1))
-        return out
-
-    def removable_nodes(self) -> list[Node]:
-        out = []
-        for s, part in enumerate(self.components, start=1):
-            for a, row in enumerate(part, start=1):
-                below = part[a] if a < len(part) else 0
-                if row > below:
-                    out.append((s, a, row))
-        return out
-
-    def add_node(self, node: Node) -> "Multipartition":
-        s, a, b = node
-        part = list(self.components[s - 1])
-        if a == len(part) + 1:
-            part.append(1)
-        else:
-            part[a - 1] += 1
-        assert part[a - 1] == b
-        comps = list(self.components)
-        comps[s - 1] = tuple(part)
-        return Multipartition(tuple(comps))
-
-    def remove_node(self, node: Node) -> "Multipartition":
-        s, a, b = node
-        part = list(self.components[s - 1])
-        assert part[a - 1] == b
-        part[a - 1] -= 1
-        comps = list(self.components)
-        comps[s - 1] = tuple(part)
-        return Multipartition(tuple(comps))
-
-    def sort_key(self) -> tuple:
-        return (tuple(sum(p) for p in self.components), self.components)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(_render_partition(p) for p in self.components) + ")"
-
-
-def _render_partition(part: tuple[int, ...]) -> str:
-    if not part:
-        return "(0)"
-    groups = []
-    run_val, run_len = part[0], 0
-    for r in part:
-        if r == run_val:
-            run_len += 1
-        else:
-            groups.append((run_val, run_len))
-            run_val, run_len = r, 1
-    groups.append((run_val, run_len))
-    return "(" + ",".join(f"{v}^{n}" if n > 1 else str(v) for v, n in groups) + ")"
-
-
-def residue(charges: Sequence[int], node: Node, ell: int) -> int:
-    """Folded content of a node: column - row + component charge."""
-    s, a, b = node
-    return fold_residue(b - a + charges[s - 1], ell)
-
-
-def content_vector(charges: Sequence[int], shape: Multipartition, ell: int) -> RootVector:
-    counts = [0] * (ell + 1)
-    for node in shape.nodes():
-        counts[residue(charges, node, ell)] += 1
-    return RootVector(tuple(counts))
-
-
-def _is_below(node: Node, p: Node) -> bool:
-    """Below = strictly lower row of the same component, or any later component."""
-    s, a, _ = node
-    ps, pa, _ = p
-    return s > ps or (s == ps and a > pa)
-
-
-def node_degree(charges: Sequence[int], shape: Multipartition, p: Node, ell: int) -> int:
-    """d_p of a removable node: d_res(p) * (#addable - #removable) of the same residue below p."""
-    res = residue(charges, p, ell)
-    d = cartan(ell).d[res]
-    add = sum(1 for n in shape.addable_nodes()
-              if _is_below(n, p) and residue(charges, n, ell) == res)
-    rem = sum(1 for n in shape.removable_nodes()
-              if _is_below(n, p) and residue(charges, n, ell) == res)
-    return d * (add - rem)
 
 
 @dataclass(frozen=True)
@@ -225,19 +95,14 @@ def _kostka_peel(charges: tuple[int, ...], nu: tuple[int, ...], shape: Shape,
     return acc
 
 
-def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    return _partitions_cached(n, n)
-
-
-@lru_cache(maxsize=None)
-def _partitions_cached(n: int, largest: int) -> tuple[tuple[int, ...], ...]:
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with no part above ``largest``, largest first part first."""
     if n == 0:
-        return ((),)
-    out = []
+        yield ()
+        return
     for first in range(min(n, largest), 0, -1):
-        for rest in _partitions_cached(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
 def multipartitions(n: int, k: int) -> Iterator[Multipartition]:
@@ -245,11 +110,11 @@ def multipartitions(n: int, k: int) -> Iterator[Multipartition]:
 
     def split(remaining: int, comps: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if comps == 1:
-            for part in _partitions(remaining):
+            for part in _partitions(remaining, remaining):
                 yield (part,)
             return
         for first in range(remaining + 1):
-            for part in _partitions(first):
+            for part in _partitions(first, first):
                 for rest in split(remaining - first, comps - 1):
                     yield (part,) + rest
 
@@ -257,11 +122,26 @@ def multipartitions(n: int, k: int) -> Iterator[Multipartition]:
         yield Multipartition(comps)
 
 
-def _check_guards(n: int, k: int, max_n: int, max_k: int) -> None:
-    if n > max_n:
-        raise GuardError(f"{n} boxes exceeds the cap of {max_n}")
-    if k > max_k:
-        raise GuardError(f"{k} components exceeds the cap of {max_k}")
+def _single_steps(ell: int, beta: RootVector, nus: Sequence[Sequence[int]],
+                  name: str) -> list[FWord]:
+    """Each residue sequence as a word of single steps, checked to have content beta."""
+    words = []
+    for nu in nus:
+        word = tuple((r, 1) for r in reversed(nu))
+        content = word_content(word, ell)
+        if content != beta:
+            raise ValueError(f"{name} {tuple(nu)} has content {content.coeffs}, "
+                             f"expected {beta.coeffs}")
+        words.append(word)
+    return words
+
+
+def _summed_expansion(weight: DominantWeight, words: Sequence[FWord]) -> FockVector:
+    acc: dict[Multipartition, LaurentPolynomial] = {}
+    for word in words:
+        for shape, coeff in expand(weight, word).terms:
+            acc[shape] = acc.get(shape, ZERO) + coeff
+    return FockVector.from_dict(weight.charges, weight.ell, acc)
 
 
 def graded_hom_dim(weight: DominantWeight, beta: RootVector,
@@ -271,33 +151,10 @@ def graded_hom_dim(weight: DominantWeight, beta: RootVector,
     """Graded dimension of the (nu, nu') idempotent truncation of the block at beta.
 
     Sums K(nu, shape) * K(nu', shape) over all multipartitions of |beta| with
-    one component per charge.
+    one component per charge, as the Hom dimension of two Fock expansions.
     """
-    if nu_prime is None:
-        nu_prime = nu
-    nu, nu_prime = tuple(nu), tuple(nu_prime)
-    ell = weight.ell
-    if not beta.in_positive_cone():
-        raise ValueError("beta must lie in the positive cone")
-    n, k = beta.height, weight.level
-    _check_guards(n, k, max_n, max_k)
-    for name, seq in (("nu", nu), ("nu'", nu_prime)):
-        counts = [0] * (ell + 1)
-        for r in seq:
-            if not 0 <= r <= ell:
-                raise ValueError(f"residue {r} out of range in {name}")
-            counts[r] += 1
-        if tuple(counts) != beta.coeffs:
-            raise ValueError(f"{name} has content {tuple(counts)}, expected {beta.coeffs}")
-    charges = weight.charges
-    total = ZERO
-    for shape in multipartitions(n, k):
-        first = kostka_q(charges, nu, shape, ell)
-        if first.is_zero():
-            continue
-        second = first if nu_prime == nu else kostka_q(charges, nu_prime, shape, ell)
-        total = total + first * second
-    return total
+    return graded_hom_dim_block(weight, beta, [nu], None if nu_prime is None else [nu_prime],
+                                max_n=max_n, max_k=max_k)
 
 
 def graded_hom_dim_block(weight: DominantWeight, beta: RootVector,
@@ -305,12 +162,20 @@ def graded_hom_dim_block(weight: DominantWeight, beta: RootVector,
                          nus_prime: Sequence[Sequence[int]] | None = None, *,
                          max_n: int = DEFAULT_MAX_BOXES,
                          max_k: int = DEFAULT_MAX_COMPONENTS) -> LaurentPolynomial:
-    """Graded dimension of a block truncation by sums of idempotents."""
-    if nus_prime is None:
-        nus_prime = nus
-    total = ZERO
-    for nu in nus:
-        for nu_prime in nus_prime:
-            total = total + graded_hom_dim(weight, beta, nu, nu_prime,
-                                           max_n=max_n, max_k=max_k)
-    return total
+    """Graded dimension of a block truncation by sums of idempotents.
+
+    By bilinearity, the Hom dimension of the summed expansions of ``nus`` and
+    of ``nus_prime`` (``nus`` when omitted); equal sides are expanded once.
+    """
+    if not beta.in_positive_cone():
+        raise ValueError("beta must lie in the positive cone")
+    if beta.height > max_n:
+        raise GuardError(f"{beta.height} boxes exceeds the cap of {max_n}")
+    if weight.level > max_k:
+        raise GuardError(f"{weight.level} components exceeds the cap of {max_k}")
+    words = _single_steps(weight.ell, beta, nus, "nu")
+    words_prime = (words if nus_prime is None
+                   else _single_steps(weight.ell, beta, nus_prime, "nu'"))
+    left = _summed_expansion(weight, words)
+    right = left if words_prime == words else _summed_expansion(weight, words_prime)
+    return hom_dim(left, right)

@@ -4,9 +4,10 @@ import pytest
 
 from klrc.cartan import DominantWeight, GuardError, RootVector
 from klrc.laurent import LaurentPolynomial
-from klrc.tableaux import (Multipartition, StdTableau, content_vector, degree,
-                           graded_hom_dim, graded_hom_dim_block, kostka_q,
-                           multipartitions, residue, standard_tableaux)
+from klrc.fock import content_vector
+from klrc.tableaux import (Multipartition, StdTableau, degree, graded_hom_dim,
+                           graded_hom_dim_block, kostka_q, multipartitions, residue,
+                           standard_tableaux)
 
 
 def poly(*pairs):
@@ -100,6 +101,15 @@ def test_graded_hom_dim_golden(m, beta, nu, nu2, value):
     assert graded_hom_dim(DominantWeight(m), RootVector(beta), nu, nu2) == value
 
 
+def _tableau_dim(weight, beta, nu, nu2):
+    """The reference route: sum of K(nu, shape) K(nu2, shape) over every multipartition."""
+    total = LaurentPolynomial.zero()
+    for shape in multipartitions(beta.height, weight.level):
+        total = total + (kostka_q(weight.charges, nu, shape, weight.ell)
+                         * kostka_q(weight.charges, nu2, shape, weight.ell))
+    return total
+
+
 def test_block_sum():
     w, beta = W(0, 2, 0), R(1, 2, 1)
     nus = [(1, 2, 1, 0), (1, 2, 0, 1)]
@@ -107,6 +117,29 @@ def test_block_sum():
     expected = sum((graded_hom_dim(w, beta, a, b) for a in nus for b in nus),
                    LaurentPolynomial.zero())
     assert total == expected
+    # two different lists of different lengths, against the pairwise reference sum
+    w, beta = W(1, 1, 0), R(1, 2, 1)
+    nus, nus2 = [(0, 1, 2, 1), (1, 2, 0, 1)], [(1, 0, 1, 2), (0, 1, 2, 1), (1, 2, 1, 0)]
+    expected = sum((_tableau_dim(w, beta, a, b) for a in nus for b in nus2),
+                   LaurentPolynomial.zero())
+    assert not expected.is_zero()
+    assert graded_hom_dim_block(w, beta, nus, nus2) == expected
+
+
+# The guard edge (12 boxes, 5 components) at rank 4, charges 0,0,1,2,3.  The
+# coefficients of q^-26, q^-24, ..., q^42 were computed once, outside the
+# suite, by the tableau reference route (_tableau_dim: kostka_q over all
+# 5-component multipartitions of 12, about 10 s).
+GUARD_EDGE_COEFFS = (
+    2, 11, 39, 107, 247, 503, 926, 1570, 2478, 3672, 5140, 6828, 8640, 10441, 12075, 13383,
+    14229, 14522, 14229, 13383, 12075, 10441, 8640, 6828, 5140, 3672, 2478, 1570, 926, 503,
+    247, 107, 39, 11, 2)
+
+
+def test_guard_edge_value():
+    value = graded_hom_dim(W(2, 1, 1, 1, 0), R(4, 3, 3, 1, 1),
+                           (2, 1, 1, 3, 2, 0, 0, 0, 0, 1, 2, 4))
+    assert value == LaurentPolynomial(dict(zip(range(-26, 43, 2), GUARD_EDGE_COEFFS)))
 
 
 def test_content_mismatch_rejected():
@@ -164,11 +197,13 @@ def test_sigma_invariance():
 
 
 def test_q_one_counting_oracle():
-    """Evaluation at q = 1 agrees with plain filling counts, shape by shape."""
+    """The value is the tableau reference sum, and at q = 1 the plain filling count."""
     rng = random.Random(3)
     for _ in range(60):
         weight, beta, nu, nu2 = _random_instance(rng, max_n=5)
-        value = graded_hom_dim(weight, beta, nu, nu2).evaluate(1)
+        dim = graded_hom_dim(weight, beta, nu, nu2)
+        assert dim == _tableau_dim(weight, beta, nu, nu2)
+        value = dim.evaluate(1)
         count = 0
         for shape in multipartitions(beta.height, weight.level):
             left = sum(1 for t in standard_tableaux(shape)
