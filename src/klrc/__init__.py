@@ -13,8 +13,8 @@ from .fock import (FockVector, Multipartition, apply_divided_f, apply_f, expand,
                    parse_word, residue)
 from .laurent import LaurentPolynomial, quantum_factorial, quantum_integer
 from .maxweights import (MaximalWeightDatum, NotEquivalentError, beta_of,
-                         class_members, defect, delta_decompose, dominantify,
-                         ev, minimal_solution, sigma_flip)
+                         class_members, class_size, defect, delta_decompose,
+                         dominantify, ev, minimal_solution, sigma_flip)
 from .multiplicity import weight_multiplicity
 from .quiver import (Arrow, MaxWeightQuiver, MoveLabel, apply_move, arrow_test,
                      build_quiver, delta_vector, export, witness_sequence)
@@ -27,7 +27,7 @@ __all__ = [
     "Multipartition", "NotEquivalentError", "RepType", "RootVector",
     "StdTableau", "Verdict", "apply_divided_f", "apply_f", "apply_move",
     "arrow_test", "beta_of", "build_quiver", "cartan", "class_members",
-    "classify", "defect", "degree", "delta_decompose", "delta_vector",
+    "class_size", "classify", "defect", "degree", "delta_decompose", "delta_vector",
     "dominantify", "ev", "expand", "export", "fold_residue", "graded_hom_dim",
     "graded_hom_dim_block", "hom_dim", "hub", "kostka_q", "minimal_solution",
     "multipartitions", "pairing", "parse_word", "quantum_factorial",

@@ -16,7 +16,7 @@ from .classifier import classify
 from .fock import expand, hom_dim, parse_word
 from .maxweights import beta_of, class_members, defect
 from .multiplicity import weight_multiplicity
-from .quiver import build_quiver, export
+from .quiver import arrow_rows, build_quiver, export
 from .tableaux import graded_hom_dim
 
 EXIT_VALIDATION = 2
@@ -71,8 +71,8 @@ def _cmd_quiver(args) -> str:
     quiver = build_quiver(weight, max_vertices=args.max_vertices)
     if args.format == "text":
         lines = [f"root {weight}  vertices {len(quiver.vertices)}  arrows {len(quiver.arrows)}"]
-        for arrow in quiver.arrows:
-            lines.append(f"{arrow.source} -> {arrow.target}  {arrow.label}  {arrow.delta}")
+        lines.extend(f"{source} -> {target}  {label}  {delta}"
+                     for source, target, label, delta in arrow_rows(quiver))
         return "\n".join(lines)
     return export(quiver, args.format).rstrip("\n")
 

@@ -23,15 +23,19 @@ def ev(weight: DominantWeight) -> int:
     return sum(weight.m[i] for i in range(1, weight.ell + 1, 2))
 
 
+def _check_level(weight: DominantWeight) -> None:
+    if weight.level < 1:
+        raise ValueError("level must be at least 1")
+
+
 def class_members(weight: DominantWeight) -> list[DominantWeight]:
     """All level-k dominant weights equivalent to ``weight``.
 
     Membership is the parity condition: ev agrees modulo 2.  The result is
     sorted lexicographically on the multiplicity vector.
     """
+    _check_level(weight)
     k, ell = weight.level, weight.ell
-    if k < 1:
-        raise ValueError("level must be at least 1")
     parity = ev(weight) % 2
     members = []
     # weak compositions of k into ell+1 parts, by stars and bars
@@ -42,11 +46,31 @@ def class_members(weight: DominantWeight) -> list[DominantWeight]:
             m.append(b - prev - 1)
             prev = b
         m.append(k + ell - 1 - prev)
-        candidate = DominantWeight(tuple(m))
-        if ev(candidate) % 2 == parity:
-            members.append(candidate)
+        if sum(m[1::2]) % 2 == parity:
+            members.append(DominantWeight(tuple(m)))
     members.sort(key=lambda w: w.m)
     return members
+
+
+def class_size(weight: DominantWeight) -> int:
+    """``len(class_members(weight))``, counted without enumerating the class.
+
+    A dynamic program over the ell+1 parts: ``ways[s][p]`` counts the
+    multiplicities placed so far with total s and ev of parity p.
+    """
+    _check_level(weight)
+    k = weight.level
+    ways = [[0, 0] for _ in range(k + 1)]
+    ways[0][0] = 1
+    for i in range(weight.ell + 1):
+        placed = [[0, 0] for _ in range(k + 1)]
+        for s, (even, odd) in enumerate(ways):
+            for v in range(k - s + 1):
+                flip = i % 2 and v % 2
+                placed[s + v][flip] += even
+                placed[s + v][1 - flip] += odd
+        ways = placed
+    return ways[k][ev(weight) % 2]
 
 
 @dataclass(frozen=True)
@@ -74,12 +98,17 @@ def minimal_solution(y: tuple[int, ...], ell: int) -> RootVector:
     minimality conditions.
     """
     datum = cartan(ell)
-    if sum(y) != 0 or sum(i * y[i] for i in range(ell + 1)) % 2:
+    moment = sum(t * y[t] for t in range(ell + 1))
+    if sum(y) != 0 or moment % 2:
         raise NotEquivalentError(f"no equivalence-class solution for y={y}")
+    # xhat[j] = -sum_{t<j} (j - t) y[t], from the running sums of y[t] and t*y[t]
     xhat = [0] * (ell + 1)
+    total = weighted = 0
     for j in range(1, ell):
-        xhat[j] = -sum((j - t) * y[t] for t in range(j))
-    xhat[ell] = sum(t * y[t] for t in range(ell + 1)) // 2
+        total += y[j - 1]
+        weighted += (j - 1) * y[j - 1]
+        xhat[j] = weighted - j * total
+    xhat[ell] = moment // 2
     delta = datum.delta_coeffs
     shift = -min(xj // dj for xj, dj in zip(xhat, delta))
     x = tuple(xj + shift * dj for xj, dj in zip(xhat, delta))

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add, itemgetter, lt
+from typing import Iterator
 
 from .cartan import DominantWeight, GuardError, RootVector, cartan
-from .maxweights import MaximalWeightDatum, beta_of, class_members
+from .maxweights import MaximalWeightDatum, beta_of, class_members, class_size
 
 KIND_UP = "+"              # one index raised by 2
 KIND_DOWN = "-"            # one index lowered by 2
@@ -79,29 +81,37 @@ def delta_vector(label: MoveLabel, ell: int) -> RootVector:
     return RootVector(coeffs)
 
 
-def apply_move(weight: DominantWeight, label: MoveLabel) -> DominantWeight:
-    """Re-index fundamental weights according to the move."""
-    ell = weight.ell
-    label.validate(ell)
-    m = list(weight.m)
+def _shift(m: tuple[int, ...], label: MoveLabel) -> tuple[int, ...] | None:
+    """The multiplicities ``m`` re-indexed by the move, or None when ``m`` lacks
+    the multiplicity the move removes.  The label is not validated."""
     i, j = label.i, label.j
     if label.kind == KIND_UP:
-        removals, additions = [i], [i + 2]
+        removals, additions = (i,), (i + 2,)
     elif label.kind == KIND_DOWN:
-        removals, additions = [i], [i - 2]
+        removals, additions = (i,), (i - 2,)
     elif label.kind == KIND_UP_UP:
-        removals, additions = [i, j], [i + 1, j + 1]
+        removals, additions = (i, j), (i + 1, j + 1)
     elif label.kind == KIND_DOWN_DOWN:
-        removals, additions = [i, j], [i - 1, j - 1]
+        removals, additions = (i, j), (i - 1, j - 1)
     else:
-        removals, additions = [i, j], [i - 1, j + 1]
+        removals, additions = (i, j), (i - 1, j + 1)
+    shifted = list(m)
     for r in removals:
-        m[r] -= 1
-        if m[r] < 0:
-            raise ValueError(f"{weight} lacks the multiplicity for move {label}")
+        shifted[r] -= 1
+        if shifted[r] < 0:
+            return None
     for a in additions:
-        m[a] += 1
-    return DominantWeight(tuple(m))
+        shifted[a] += 1
+    return tuple(shifted)
+
+
+def apply_move(weight: DominantWeight, label: MoveLabel) -> DominantWeight:
+    """Re-index fundamental weights according to the move."""
+    label.validate(weight.ell)
+    m = _shift(weight.m, label)
+    if m is None:
+        raise ValueError(f"{weight} lacks the multiplicity for move {label}")
+    return DominantWeight(m)
 
 
 def candidate_moves(weight: DominantWeight) -> list[MoveLabel]:
@@ -112,35 +122,23 @@ def candidate_moves(weight: DominantWeight) -> list[MoveLabel]:
     so only the canonical single labels are produced.
     """
     ell, m = weight.ell, weight.m
-    labels = []
-    for i in range(ell - 1):
-        if m[i] >= 1:
-            labels.append(MoveLabel(KIND_UP, i))
-    for i in range(2, ell + 1):
-        if m[i] >= 1:
-            labels.append(MoveLabel(KIND_DOWN, i))
-    for i in range(ell):
-        for j in range(i, ell):
-            if j == i + 1:
-                continue
-            need = 2 if i == j else 1
-            if m[i] >= need and m[j] >= 1:
-                labels.append(MoveLabel(KIND_UP_UP, i, j))
-    for i in range(1, ell + 1):
-        for j in range(i, ell + 1):
-            if j == i + 1:
-                continue
-            need = 2 if i == j else 1
-            if m[i] >= need and m[j] >= 1:
-                labels.append(MoveLabel(KIND_DOWN_DOWN, i, j))
-    for i in range(1, ell + 1):
-        for j in range(ell):
-            if i - 1 == j:
-                continue
-            need = 2 if i == j else 1
-            if m[i] >= need and (i == j or m[j] >= 1):
-                labels.append(MoveLabel(KIND_DOWN_UP, i, j))
-    return labels
+    support = [i for i, v in enumerate(m) if v]
+    # index pairs (i, j) the weight can lose one multiplicity at each, in
+    # lexicographic order
+    pairs = [(i, j) for i in support for j in support if i != j or m[i] >= 2]
+    return ([MoveLabel(KIND_UP, i) for i in support if i <= ell - 2]
+            + [MoveLabel(KIND_DOWN, i) for i in support if i >= 2]
+            + [MoveLabel(KIND_UP_UP, i, j) for i, j in pairs if i <= j < ell and j != i + 1]
+            + [MoveLabel(KIND_DOWN_DOWN, i, j) for i, j in pairs if 1 <= i <= j and j != i + 1]
+            + [MoveLabel(KIND_DOWN_UP, i, j) for i, j in pairs
+               if i >= 1 and j < ell and j != i - 1])
+
+
+def _raised(x: tuple[int, ...], delta: tuple[int, ...],
+            null: tuple[int, ...]) -> tuple[int, ...] | None:
+    """``x + delta`` when it still drops below ``null`` somewhere, else None."""
+    raised = tuple(map(add, x, delta))
+    return raised if any(map(lt, raised, null)) else None
 
 
 def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDatum | None:
@@ -152,12 +150,10 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
     """
     ell = source.weight.ell
     target_weight = apply_move(source.weight, label)
-    delta = delta_vector(label, ell)
-    x = source.x + delta
-    null = cartan(ell).delta_coeffs
-    if min(c - d for c, d in zip(x.coeffs, null)) < 0:
-        return MaximalWeightDatum(target_weight, x)
-    return None
+    x = _raised(source.x.coeffs, delta_vector(label, ell).coeffs, cartan(ell).delta_coeffs)
+    if x is None:
+        return None
+    return MaximalWeightDatum(target_weight, RootVector(x))
 
 
 def witness_sequence(label: MoveLabel, ell: int) -> tuple[int, ...]:
@@ -232,24 +228,31 @@ class MaxWeightQuiver:
 
 def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICES) -> MaxWeightQuiver:
     """The full directed quiver on the equivalence class of ``weight``."""
-    members = class_members(weight)
-    if len(members) > max_vertices:
-        raise GuardError(f"class has {len(members)} vertices, cap is {max_vertices}")
-    data = {member.m: beta_of(weight, member) for member in members}
-    arrows = []
-    for member in members:
-        source = data[member.m]
-        for label in candidate_moves(member):
-            target = arrow_test(source, label)
-            if target is None:
+    size = class_size(weight)
+    if size > max_vertices:
+        raise GuardError(f"class has {size} vertices, cap is {max_vertices}")
+    ell = weight.ell
+    data = {member.m: beta_of(weight, member) for member in class_members(weight)}
+    null = cartan(ell).delta_coeffs
+    per_label = {}      # label -> (delta, witness, rendered label), filled on first use
+    found = []
+    for source in data.values():
+        m, x = source.weight.m, source.x.coeffs
+        for label in candidate_moves(source.weight):
+            shared = per_label.get(label)
+            if shared is None:
+                shared = per_label[label] = (delta_vector(label, ell),
+                                             witness_sequence(label, ell), str(label))
+            raised = _raised(x, shared[0].coeffs, null)
+            if raised is None:
                 continue
+            target = data[_shift(m, label)]
             # the raised vector must agree with the target's own minimal solution
-            assert target.x == data[target.weight.m].x, (member, label)
-            arrows.append(Arrow(member, target.weight, label,
-                                delta_vector(label, weight.ell),
-                                witness_sequence(label, weight.ell)))
-    arrows.sort(key=lambda a: (a.source.m, a.target.m, str(a.label)))
-    return MaxWeightQuiver(weight, tuple(data[m.m] for m in members), tuple(arrows))
+            assert raised == target.x.coeffs, (source.weight, label)
+            found.append(((m, target.weight.m, shared[2]),
+                          Arrow(source.weight, target.weight, label, shared[0], shared[1])))
+    found.sort(key=itemgetter(0))
+    return MaxWeightQuiver(weight, tuple(data.values()), tuple(a for _, a in found))
 
 
 # -- export ------------------------------------------------------------
@@ -300,8 +303,21 @@ def to_json(quiver: MaxWeightQuiver) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
+def arrow_rows(quiver: MaxWeightQuiver) -> Iterator[tuple[str, str, str, str]]:
+    """Source, target, label and delta of each arrow, as text.
+
+    Each vertex and each label (with its delta) is rendered once per quiver.
+    """
+    names = {v.weight.m: str(v.weight) for v in quiver.vertices}
+    labels: dict[MoveLabel, tuple[str, str]] = {}
+    for a in quiver.arrows:
+        label = labels.get(a.label)
+        if label is None:
+            label = labels[a.label] = (str(a.label), str(a.delta))
+        yield names[a.source.m], names[a.target.m], *label
+
+
 def to_tsv(quiver: MaxWeightQuiver) -> str:
     lines = ["#source\ttarget\tlabel\tdelta"]
-    for a in quiver.arrows:
-        lines.append(f"{a.source}\t{a.target}\t{a.label}\t{a.delta}")
+    lines.extend("\t".join(row) for row in arrow_rows(quiver))
     return "\n".join(lines) + "\n"

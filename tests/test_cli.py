@@ -1,4 +1,6 @@
 import json
+import signal
+import time
 
 from klrc.cli import main
 
@@ -102,6 +104,27 @@ def test_guard_exit_code(capsys):
     code, _, err = run(["quiver", "--ell", "4", "--weight", "0,0,0",
                         "--max-vertices", "3"], capsys)
     assert code == 3
+
+
+def test_vertex_guard_runs_before_the_class_is_enumerated(capsys):
+    """The level-20 class at rank 16 has 3.65e9 members: the cap must trip on
+    the count, not after enumerating them."""
+    def overran(signum, frame):
+        raise TimeoutError("the vertex guard overran its 2 s budget")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        start = time.perf_counter()
+        code, out, err = run(["quiver", "--ell", "16", "--weight", ",".join(["0"] * 20)],
+                             capsys)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 2
+    assert code == 3 and out == ""
+    assert "class has 3653957934 vertices, cap is 5000" in err
 
 
 def test_determinism(capsys):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from klrc.cartan import DominantWeight, RootVector, cartan, hub
-from klrc.maxweights import (NotEquivalentError, beta_of, class_members, defect,
-                             delta_decompose, dominantify, ev, minimal_solution,
+from klrc.maxweights import (NotEquivalentError, beta_of, class_members, class_size,
+                             defect, delta_decompose, dominantify, ev, minimal_solution,
                              reflection_word, sigma_flip)
 
 
@@ -41,6 +41,16 @@ def test_class_contains_self():
     for m in [(2, 0, 0), (1, 1, 1, 0), (0, 0, 3, 0, 1)]:
         w = DominantWeight(m)
         assert any(v.m == m for v in class_members(w))
+
+
+@pytest.mark.parametrize("ell", range(2, 9))
+def test_class_size_counts_the_members(ell):
+    for level in range(1, 6):
+        for parity in (0, 1):
+            weight = DominantWeight((level - parity, parity) + (0,) * (ell - 1))
+            assert class_size(weight) == len(class_members(weight))
+    with pytest.raises(ValueError):
+        class_size(DominantWeight((0,) * (ell + 1)))
 
 
 # the two worked level-two classes at rank 4, with the two vectors the

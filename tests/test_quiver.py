@@ -4,11 +4,12 @@ from itertools import combinations
 import pytest
 
 from klrc.cartan import DominantWeight, RootVector, hub
-from klrc.maxweights import beta_of
+from klrc.maxweights import beta_of, class_members
 from klrc.multiplicity import first_layer_roots
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP,
-                         KIND_UP_UP, MoveLabel, apply_move, arrow_test,
-                         build_quiver, delta_vector, export, witness_sequence)
+                         KIND_UP_UP, Arrow, MoveLabel, apply_move, arrow_test,
+                         build_quiver, candidate_moves, delta_vector, export,
+                         witness_sequence)
 
 
 def W(*m):
@@ -229,6 +230,56 @@ def _inverse(label: MoveLabel) -> MoveLabel:
     if label.kind == KIND_DOWN_DOWN:
         return upup(label.i - 1, label.j - 1)
     return downup(label.j + 1, label.i - 1)
+
+
+def test_candidate_moves_are_the_applicable_labels():
+    """candidate_moves lists, once each, every in-range label that apply_move
+    accepts."""
+    for ell in range(2, 6):
+        labels = [MoveLabel(kind, i) for kind in (KIND_UP, KIND_DOWN) for i in range(ell + 1)]
+        labels += [MoveLabel(kind, i, j)
+                   for kind in (KIND_UP_UP, KIND_DOWN_DOWN, KIND_DOWN_UP)
+                   for i in range(ell + 1) for j in range(ell + 1)]
+        in_range = []
+        for label in labels:
+            try:
+                label.validate(ell)
+            except ValueError:
+                continue
+            in_range.append(label)
+        for k in range(1, 4):
+            for weight in all_weights(k, ell):
+                applicable = set()
+                for label in in_range:
+                    try:
+                        apply_move(weight, label)
+                    except ValueError:
+                        continue
+                    applicable.add(label)
+                moves = candidate_moves(weight)
+                assert len(moves) == len(set(moves))
+                assert set(moves) == applicable
+
+
+@pytest.mark.parametrize("ell", range(2, 7))
+@pytest.mark.parametrize("level", range(1, 4))
+@pytest.mark.parametrize("parity", [0, 1])
+def test_build_quiver_matches_value_object_route(ell, level, parity):
+    """build_quiver against the arrows rebuilt from the public value-object
+    functions, one arrow_test per candidate move."""
+    weight = DominantWeight((level - parity, parity) + (0,) * (ell - 1))
+    data = {member.m: beta_of(weight, member) for member in class_members(weight)}
+    arrows = []
+    for member in class_members(weight):
+        for label in candidate_moves(member):
+            target = arrow_test(data[member.m], label)
+            if target is not None:
+                arrows.append(Arrow(member, target.weight, label, delta_vector(label, ell),
+                                    witness_sequence(label, ell)))
+    arrows.sort(key=lambda a: (a.source.m, a.target.m, str(a.label)))
+    quiver = build_quiver(weight)
+    assert quiver.vertices == tuple(data.values())
+    assert quiver.arrows == tuple(arrows)
 
 
 def test_export_dot():
