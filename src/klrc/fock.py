@@ -16,6 +16,15 @@ The divided power applies the step repeatedly and divides by the symmetric
 quantum factorial in q^(d_i).  That division is exact on every expansion
 reachable from the vacuum; a remainder would mean a convention drift, so it
 is asserted on every call.
+
+The step runs on bare shapes and reads every degree off one upward scan of
+the ungrown shape, from the last component's bottom row to the first row,
+keeping a running count of addable minus removable i-nodes below the current
+row.  The grown shape gives the same count: adding p creates or destroys
+only nodes of content c(p) +- 1, and fold(c) = fold(c - 1) would need
+2c = 1 (mod 2*ell).  For the same reason a row holds at most one i-node, so
+the count at p's row is exactly the count below p.  ``node_degree`` is the
+per-node form of the rule, kept for the tableau reference route.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cartan import DominantWeight, RootVector, cartan, fold_residue
-from .laurent import ZERO, LaurentPolynomial, quantum_factorial
+from .laurent import ONE, ZERO, LaurentPolynomial, quantum_factorial
 
 Shape = tuple[tuple[int, ...], ...]
 Node = tuple[int, int, int]  # (component, row, column), all 1-based
@@ -212,7 +221,7 @@ class FockVector:
 
 
 def _coeff_prefix(c: LaurentPolynomial) -> str:
-    if c == LaurentPolynomial.one():
+    if c == ONE:
         return ""
     items = list(c.items())
     if len(items) == 1:
@@ -222,41 +231,83 @@ def _coeff_prefix(c: LaurentPolynomial) -> str:
     return f"({c})"
 
 
+Terms = dict[Shape, LaurentPolynomial]
+
+
+def _check_factor(i: int, power: int, ell: int) -> None:
+    if power < 1:
+        raise ValueError("power must be at least 1")
+    if not 0 <= i <= ell:
+        raise ValueError(f"residue {i} out of range for rank {ell}")
+
+
+def _step(charges: Sequence[int], ell: int, terms: Terms, i: int) -> Terms:
+    """One residue-i step on bare shapes, each degree read off one upward scan."""
+    period = 2 * ell
+    hit = [fold_residue(c, ell) == i for c in range(period)]
+    d = cartan(ell).d[i]
+    acc: Terms = {}
+    for shape, coeff in terms.items():
+        count = 0  # addable minus removable i-nodes below the current row
+        for s in range(len(shape) - 1, -1, -1):
+            part, charge = shape[s], charges[s]
+            below = 0
+            for a in range(len(part), -1, -1):  # 0-based rows, the empty row first
+                row = part[a] if a < len(part) else 0
+                if (a == 0 or row < part[a - 1]) and hit[(row - a + charge) % period]:
+                    grown = shape[:s] + (part[:a] + (row + 1,) + part[a + 1:],) + shape[s + 1:]
+                    weight = coeff.shift(d * count)
+                    prev = acc.get(grown)
+                    acc[grown] = weight if prev is None else prev + weight
+                    count += 1
+                elif row > below and hit[(row - 1 - a + charge) % period]:
+                    count -= 1
+                below = row
+    return acc
+
+
+def _divided(charges: Sequence[int], ell: int, terms: Terms, i: int, power: int) -> Terms:
+    """``power`` steps, then exact division of every coefficient by [power]!."""
+    for _ in range(power):
+        terms = _step(charges, ell, terms, i)
+    if power == 1 or not terms:
+        return terms
+    factorial = quantum_factorial(power, cartan(ell).d[i])
+    return {shape: c.exact_div(factorial) for shape, c in terms.items()}
+
+
+def _vector(charges: tuple[int, ...], ell: int, terms: Terms) -> FockVector:
+    return FockVector.from_dict(charges, ell,
+                                {Multipartition(shape): c for shape, c in terms.items()})
+
+
 def apply_f(vector: FockVector, i: int) -> FockVector:
     """One residue-i box-adding step."""
-    if not 0 <= i <= vector.ell:
-        raise ValueError(f"residue {i} out of range for rank {vector.ell}")
-    acc: dict[Multipartition, LaurentPolynomial] = {}
-    for shape, coeff in vector.terms:
-        for node in shape.addable_nodes():
-            if residue(vector.charges, node, vector.ell) != i:
-                continue
-            grown = shape.add_node(node)
-            weight = LaurentPolynomial.q(node_degree(vector.charges, grown, node, vector.ell))
-            acc[grown] = acc.get(grown, ZERO) + coeff * weight
-    return FockVector.from_dict(vector.charges, vector.ell, acc)
+    _check_factor(i, 1, vector.ell)
+    terms = {mp.components: c for mp, c in vector.terms}
+    return _vector(vector.charges, vector.ell, _step(vector.charges, vector.ell, terms, i))
 
 
 def apply_divided_f(vector: FockVector, i: int, power: int) -> FockVector:
     """The divided power: ``power`` single steps, then exact division by [power]!."""
-    if power < 1:
-        raise ValueError("power must be at least 1")
-    result = vector
-    for _ in range(power):
-        result = apply_f(result, i)
-    if power == 1 or result.is_zero():
-        return result
-    factorial = quantum_factorial(power, cartan(vector.ell).d[i])
-    divided = {mp: c.exact_div(factorial) for mp, c in result.terms}
-    return FockVector.from_dict(vector.charges, vector.ell, divided)
+    _check_factor(i, power, vector.ell)
+    terms = {mp.components: c for mp, c in vector.terms}
+    return _vector(vector.charges, vector.ell,
+                   _divided(vector.charges, vector.ell, terms, i, power))
 
 
 def expand(weight: DominantWeight, word: Iterable[tuple[int, int]]) -> FockVector:
-    """Apply a divided-power word to the vacuum, rightmost factor first."""
-    vector = FockVector.vacuum(weight)
-    for i, power in reversed(tuple(word)):
-        vector = apply_divided_f(vector, i, power)
-    return vector
+    """Apply a divided-power word to the vacuum, rightmost factor first.
+
+    Every factor is checked, in application order, before the first step.
+    """
+    factors = tuple(word)[::-1]
+    for i, power in factors:
+        _check_factor(i, power, weight.ell)
+    terms: Terms = {((),) * weight.level: ONE}
+    for i, power in factors:
+        terms = _divided(weight.charges, weight.ell, terms, i, power)
+    return _vector(weight.charges, weight.ell, terms)
 
 
 def word_content(word: Iterable[tuple[int, int]], ell: int) -> RootVector:

@@ -135,7 +135,8 @@ class LaurentPolynomial:
         """Divide by ``other``, requiring a zero remainder.
 
         Division proceeds from the lowest exponent; the divisor's lowest
-        coefficient must divide exactly at every step.
+        coefficient must divide exactly at every step, and no quotient term
+        may exceed the degree an exact quotient can have.
         """
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -144,10 +145,13 @@ class LaurentPolynomial:
         rem = dict(self._coeffs)
         low = other.min_exponent
         lead = other._coeffs[low]
+        top = self.max_exponent - other.max_exponent + low
         quot: dict[int, int] = {}
         while rem:
             e = min(rem)
             c = rem[e]
+            if e > top:
+                raise ValueError(f"inexact division: residual {c}*q^{e} beyond the quotient's degree")
             if c % lead:
                 raise ValueError(f"inexact division: residual {c}*q^{e} not divisible by {lead}*q^{low}")
             f = c // lead

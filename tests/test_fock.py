@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 
 from klrc.cartan import DominantWeight, RootVector
-from klrc.fock import (FockVector, apply_f, expand, hom_dim, parse_word,
-                       residue_word, word_content)
+from klrc.fock import (FockVector, apply_divided_f, apply_f, expand, hom_dim, node_degree,
+                       parse_word, residue, residue_word, word_content)
 from klrc.laurent import LaurentPolynomial, quantum_factorial
 from klrc.tableaux import Multipartition, kostka_q, multipartitions, graded_hom_dim
 
@@ -281,3 +281,90 @@ def test_render():
     assert text.startswith("((0),(1^2),(1))")
     assert "q^2((1^2),(0),(1))" in text
     assert "q^4((2,1),(0),(0))" in text
+
+
+def reference_step(vector, i):
+    """One step by the value-object route: every addable i-node, weighted by
+    q to the ``node_degree`` of that node in the grown shape."""
+    acc = {}
+    for shape, coeff in vector.terms:
+        for node in shape.addable_nodes():
+            if residue(vector.charges, node, vector.ell) != i:
+                continue
+            grown = shape.add_node(node)
+            weight = coeff * LaurentPolynomial.q(node_degree(vector.charges, grown, node,
+                                                             vector.ell))
+            acc[grown] = acc.get(grown, LaurentPolynomial.zero()) + weight
+    return FockVector.from_dict(vector.charges, vector.ell, acc)
+
+
+def reference_divided(vector, i, power):
+    for _ in range(power):
+        vector = reference_step(vector, i)
+    factorial = quantum_factorial(power, 2 if i in (0, vector.ell) else 1)
+    return FockVector.from_dict(vector.charges, vector.ell,
+                                {mp: c.exact_div(factorial) for mp, c in vector.terms})
+
+
+def grown_word(rng, charges, ell, boxes):
+    """A word of powers 1..3 that keeps one tracked multipartition growing, so
+    its expansion is nonzero; factors listed leftmost first."""
+    shape = Multipartition.empty(len(charges))
+    factors = []
+    while boxes:
+        by_residue = {}
+        for node in shape.addable_nodes():
+            by_residue.setdefault(residue(charges, node, ell), []).append(node)
+        i = rng.choice(sorted(by_residue))
+        r = rng.randint(1, min(3, len(by_residue[i]), boxes))
+        for node in rng.sample(by_residue[i], r):
+            shape = shape.add_node(node)
+        factors.append((i, r))
+        boxes -= r
+    return factors[::-1]
+
+
+def test_step_matches_value_object_route():
+    """apply_f, apply_divided_f and expand against the value-object route, for
+    every order of each charge sequence, repeated charges included."""
+    from itertools import permutations
+
+    rng = random.Random(8128)
+    repeated = 0
+    for ell in range(2, 7):
+        for level in range(1, 5):
+            charges = sorted(rng.randint(0, ell) for _ in range(level))
+            if level >= 2 and ell % 2:
+                charges[1] = charges[0]
+            repeated += len(set(charges)) < level
+            words = [grown_word(rng, charges, ell, rng.randint(6, 10)),
+                     [(rng.randint(0, ell), rng.randint(1, 3)) for _ in range(3)]]
+            for order in sorted(set(permutations(charges))):
+                weight = DominantWeight.from_charges(list(order), ell)
+                for n, word in enumerate(words):
+                    vector = FockVector.vacuum(weight)
+                    for i, power in reversed(word):
+                        assert apply_f(vector, i) == reference_step(vector, i)
+                        divided = apply_divided_f(vector, i, power)
+                        assert divided == reference_divided(vector, i, power)
+                        vector = divided
+                    assert expand(weight, word) == vector
+                    assert n or not vector.is_zero()   # the grown word
+    assert repeated >= 6
+
+
+def test_word_checked_before_any_step(monkeypatch):
+    """Every factor is checked, rightmost first, before the first step runs."""
+    import klrc.fock
+
+    def no_step(*args):
+        raise AssertionError("a step ran before the word was checked")
+
+    monkeypatch.setattr(klrc.fock, "_step", no_step)
+    weight = W(2, 1, 0)
+    for word, message in [([(5, 1), (0, 1), (1, 2)], "residue 5 out of range for rank 2"),
+                          ([(0, 0), (0, 1)], "power must be at least 1"),
+                          ([(-1, 1), (0, 0)], "power must be at least 1"),
+                          ([(0, 1), (7, 0)], "power must be at least 1")]:
+        with pytest.raises(ValueError, match=message):
+            expand(weight, word)

@@ -1,0 +1,44 @@
+"""Replay recorded benchmark queries through the CLI and compare their digests.
+
+``bench/golden/<workload>.json`` records, for every query of a workload's
+pool, its exit status and the first 16 hex digits of the SHA-256 of its
+stdout.  Replaying the first variant of every slot and the fixed queries of
+the ``fock`` and ``dims`` pools in-process makes any drift in their output
+fail here, not only in a benchmark run.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from klrc import cli
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
+
+
+def replayed_queries(workload):
+    golden = json.loads((GOLDEN / f"{workload}.json").read_text(encoding="utf-8"))
+    queries = [query for slot in golden["slots"] for query in slot["variants"][0]]
+    return queries + golden["fixed"]
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("workload", ["fock", "dims"])
+def test_replay_golden_digests(workload):
+    queries = replayed_queries(workload)
+    assert len(queries) > 20
+    for text, status, digest in queries:
+        assert run(text.split()) == (status, digest), text

@@ -41,6 +41,22 @@ def test_exact_division():
         poly((0, 1), (1, 1)).exact_div(poly((0, 2)))
 
 
+def test_inexact_division_by_unit_lead_raises():
+    """A divisor with lowest coefficient 1 never fails the coefficient test, so
+    an inexact division must stop at the quotient's degree bound."""
+    with pytest.raises(ValueError):
+        poly((0, 1)).exact_div(quantum_factorial(2))
+    with pytest.raises(ValueError):
+        (quantum_factorial(3, 2) * poly((0, 1), (3, 1)) + poly((5, 1))).exact_div(
+            quantum_factorial(3, 2))
+    rng = random.Random(31)
+    for _ in range(100):
+        a = poly(*((rng.randint(-4, 4), rng.randint(-3, 3)) for _ in range(4)))
+        b = poly((0, 1), *((rng.randint(1, 5), rng.randint(-3, 3)) for _ in range(2)))
+        if not a.is_zero():
+            assert (a * b).exact_div(b) == a
+
+
 def test_quantum_integers():
     assert quantum_integer(2, 1) == poly((1, 1), (-1, 1))
     assert quantum_integer(3, 1) == poly((2, 1), (0, 1), (-2, 1))

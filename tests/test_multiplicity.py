@@ -1,9 +1,11 @@
 import random
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
 from klrc.cartan import DominantWeight, GuardError, RootVector, hub
+from klrc.fock import Multipartition, expand, residue
 from klrc.maxweights import beta_of, class_members, dominantify
 from klrc.multiplicity import (finite_positive_roots, first_layer_roots,
                                weight_multiplicity)
@@ -112,3 +114,51 @@ def test_guard():
         weight_multiplicity(W(1, 0, 0), R(5, 10, 5))
     with pytest.raises(ValueError):
         weight_multiplicity(W(1, 0, 0), R(-1, 0, 0))
+
+
+def exact_rank(rows):
+    """Rank of an integer matrix by Gaussian elimination over the rationals."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_counts_match_fock_rank():
+    """The number of simples at beta is dim V(Lambda)_{Lambda-beta}, which is the
+    rank at q=1 of the expansions f_nu of the vacuum over all residue
+    sequences nu of content beta (categorification with the type C Fock space)."""
+    rng = random.Random(1)
+    cases = multiple = 0
+    for ell in (2, 3):
+        for level in (1, 2, 3):
+            for _ in range(12):
+                charges = sorted(rng.randint(0, ell) for _ in range(level))
+                weight = DominantWeight.from_charges(charges, ell)
+                shape = Multipartition.empty(level)
+                counts = [0] * (ell + 1)
+                for _ in range(rng.randint(2, 6)):
+                    node = rng.choice(shape.addable_nodes())
+                    counts[residue(charges, node, ell)] += 1
+                    shape = shape.add_node(node)
+                letters = [i for i, c in enumerate(counts) for _ in range(c)]
+                vectors = [dict(expand(weight, [(r, 1) for r in reversed(nu)]).terms)
+                           for nu in sorted(set(permutations(letters)))]
+                shapes = sorted({mp for v in vectors for mp in v}, key=Multipartition.sort_key)
+                rank = exact_rank([[v[mp].evaluate(1) if mp in v else 0 for mp in shapes]
+                                   for v in vectors])
+                count = weight_multiplicity(weight, RootVector(tuple(counts)))
+                assert rank == count, (ell, charges, counts)
+                cases += 1
+                multiple += count >= 2
+    assert cases == 72
+    assert multiple >= 40
