@@ -54,16 +54,9 @@ class CartanDatum:
         self.d: tuple[int, ...] = (2,) + (1,) * (ell - 1) + (2,)
         self.delta_coeffs: tuple[int, ...] = (1,) + (2,) * (ell - 1) + (1,)
 
-    @property
-    def index_set(self) -> range:
-        return range(self.ell + 1)
-
     def apply_matrix(self, x: Sequence[int]) -> tuple[int, ...]:
         """The product A . x as a coefficient vector."""
         return tuple(sum(row[j] * x[j] for j in range(self.ell + 1)) for row in self.matrix)
-
-    def fold(self, m: int) -> int:
-        return fold_residue(m, self.ell)
 
     def __repr__(self) -> str:
         return f"CartanDatum(ell={self.ell})"

@@ -195,17 +195,8 @@ class FockVector:
         empty = Multipartition.empty(weight.level)
         return cls(weight.charges, weight.ell, ((empty, LaurentPolynomial.one()),))
 
-    def coefficient(self, shape: Multipartition) -> LaurentPolynomial:
-        for mp, c in self.terms:
-            if mp == shape:
-                return c
-        return ZERO
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def size(self) -> int:
-        return self.terms[0][0].size if self.terms else 0
 
     def content(self) -> RootVector:
         shape = self.terms[0][0] if self.terms else Multipartition.empty(len(self.charges))
@@ -313,10 +304,7 @@ def expand(weight: DominantWeight, word: Iterable[tuple[int, int]]) -> FockVecto
 def word_content(word: Iterable[tuple[int, int]], ell: int) -> RootVector:
     counts = [0] * (ell + 1)
     for i, power in word:
-        if not 0 <= i <= ell:
-            raise ValueError(f"residue {i} out of range for rank {ell}")
-        if power < 1:
-            raise ValueError("power must be at least 1")
+        _check_factor(i, power, ell)
         counts[i] += power
     return RootVector(tuple(counts))
 

@@ -38,10 +38,6 @@ class LaurentPolynomial:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, coeff: int, exp: int) -> "LaurentPolynomial":
-        return cls({exp: coeff})
-
-    @classmethod
     def q(cls, exp: int = 1) -> "LaurentPolynomial":
         return cls({exp: 1})
 

@@ -87,7 +87,7 @@ def weight_multiplicity(weight: DominantWeight, beta: RootVector, *,
     return _mult(weight.m, beta.coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _mult(m: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
     weight = DominantWeight(m)
     straightened = dominantify(weight, RootVector(coeffs))

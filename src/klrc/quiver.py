@@ -1,6 +1,8 @@
 """The connected directed quiver on the dominant maximal weights of a class.
 
-Vertices are the class members with their minimal solution vectors; an arrow
+Vertices are the class members with their minimal solution vectors.  A move
+takes one fundamental multiplicity off each of its indices (one or two) and
+puts it back the step ``STEPS`` lists for that index; an arrow is a move that
 raises the solution vector by one of five explicit root-lattice increments.
 Arrows always point toward the larger vector, the fixed root has in-degree
 zero, and every vertex is reachable from it by a directed path.
@@ -22,6 +24,10 @@ KIND_UP_UP = "++"          # two indices raised by 1
 KIND_DOWN_DOWN = "--"      # two indices lowered by 1
 KIND_DOWN_UP = "-+"        # one lowered, one raised by 1
 
+# the step each index of a move takes; the signs spell the kind
+STEPS = {KIND_UP: (2,), KIND_DOWN: (-2,), KIND_UP_UP: (1, 1),
+         KIND_DOWN_DOWN: (-1, -1), KIND_DOWN_UP: (-1, 1)}
+
 DEFAULT_MAX_VERTICES = 5000
 
 
@@ -33,33 +39,28 @@ class MoveLabel:
     i: int
     j: int | None = None
 
+    @property
+    def index(self) -> tuple[int, ...]:
+        return (self.i,) if self.j is None else (self.i, self.j)
+
     def validate(self, ell: int) -> None:
-        i, j = self.i, self.j
-        if self.kind == KIND_UP:
-            ok = j is None and 0 <= i <= ell - 2
-        elif self.kind == KIND_DOWN:
-            ok = j is None and 2 <= i <= ell
-        elif self.kind == KIND_UP_UP:
-            ok = j is not None and 0 <= i <= j <= ell - 1 and j != i + 1
-        elif self.kind == KIND_DOWN_DOWN:
-            ok = j is not None and 1 <= i <= j <= ell and j != i + 1
-        elif self.kind == KIND_DOWN_UP:
-            ok = j is not None and 1 <= i <= ell and 0 <= j <= ell - 1 and i - 1 != j
-        else:
+        """Each index and its target lie in 0..ell, a same-sign pair is ordered,
+        and no step lands on the other index (that pair is one move or none)."""
+        steps = STEPS.get(self.kind)
+        if steps is None:
             raise ValueError(f"unknown move kind {self.kind!r}")
+        index = self.index
+        ok = (len(index) == len(steps)
+              and all(0 <= n <= ell and 0 <= n + s <= ell for n, s in zip(index, steps)))
+        if ok and len(index) == 2:
+            (i, j), (s, t) = index, steps
+            ok = (s != t or i <= j) and i + s != j and j + t != i
         if not ok:
             raise ValueError(f"move {self} is out of range for rank {ell}")
 
     def __str__(self) -> str:
-        if self.kind == KIND_UP:
-            return f"Δ_{{{self.i}^+}}"
-        if self.kind == KIND_DOWN:
-            return f"Δ_{{{self.i}^-}}"
-        if self.kind == KIND_UP_UP:
-            return f"Δ_{{{self.i}^+,{self.j}^+}}"
-        if self.kind == KIND_DOWN_DOWN:
-            return f"Δ_{{{self.i}^-,{self.j}^-}}"
-        return f"Δ_{{{self.i}^-,{self.j}^+}}"
+        parts = ",".join(f"{n}^{sign}" for sign, n in zip(self.kind, (self.i, self.j)))
+        return f"Δ_{{{parts}}}"
 
 
 def delta_vector(label: MoveLabel, ell: int) -> RootVector:
@@ -84,24 +85,14 @@ def delta_vector(label: MoveLabel, ell: int) -> RootVector:
 def _shift(m: tuple[int, ...], label: MoveLabel) -> tuple[int, ...] | None:
     """The multiplicities ``m`` re-indexed by the move, or None when ``m`` lacks
     the multiplicity the move removes.  The label is not validated."""
-    i, j = label.i, label.j
-    if label.kind == KIND_UP:
-        removals, additions = (i,), (i + 2,)
-    elif label.kind == KIND_DOWN:
-        removals, additions = (i,), (i - 2,)
-    elif label.kind == KIND_UP_UP:
-        removals, additions = (i, j), (i + 1, j + 1)
-    elif label.kind == KIND_DOWN_DOWN:
-        removals, additions = (i, j), (i - 1, j - 1)
-    else:
-        removals, additions = (i, j), (i - 1, j + 1)
+    index = label.index
     shifted = list(m)
-    for r in removals:
-        shifted[r] -= 1
-        if shifted[r] < 0:
+    for n in index:
+        shifted[n] -= 1
+        if shifted[n] < 0:
             return None
-    for a in additions:
-        shifted[a] += 1
+    for n, step in zip(index, STEPS[label.kind]):
+        shifted[n + step] += 1
     return tuple(shifted)
 
 
@@ -175,23 +166,16 @@ def witness_sequence(label: MoveLabel, ell: int) -> tuple[int, ...]:
     if label.kind == KIND_DOWN_UP:
         if i <= j:
             return tuple(range(i, j + 1))
-        if j == 0:
-            if i == ell:
-                return tuple(range(ell + 1))
-            return tuple(range(ell + 1)) + tuple(range(ell - 1, i - 1, -1))
-        return (tuple(range(j, -1, -1)) + tuple(range(1, j)) + (j + 1, j)
+        # j <= i - 2: raise j by 2, then run up to ell and back down to i
+        return (witness_sequence(MoveLabel(KIND_UP, j), ell)
                 + tuple(range(j + 2, ell + 1)) + tuple(range(ell - 1, i - 1, -1)))
     if label.kind == KIND_UP_UP:
         if i == j:
-            if i == 0:
-                return (0,)
             return tuple(range(i, -1, -1)) + tuple(range(1, i + 1))
         # j >= i + 2: raise i by 2, then trade down at i+2 and up at j
         return witness_sequence(MoveLabel(KIND_UP, i), ell) + tuple(range(i + 2, j + 1))
     # KIND_DOWN_DOWN
     if i == j:
-        if j == ell:
-            return (ell,)
         return tuple(range(j, ell + 1)) + tuple(range(ell - 1, j - 1, -1))
     # i <= j - 2: lower j by 2, then trade down at i and up at j-2
     return witness_sequence(MoveLabel(KIND_DOWN, j), ell) + tuple(range(i, j - 1))
@@ -221,9 +205,6 @@ class MaxWeightQuiver:
             if v.weight.m == weight.m:
                 return v
         raise KeyError(f"{weight} is not a vertex")
-
-    def arrows_from(self, weight: DominantWeight) -> list[Arrow]:
-        return [a for a in self.arrows if a.source.m == weight.m]
 
 
 def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICES) -> MaxWeightQuiver:

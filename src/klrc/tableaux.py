@@ -146,22 +146,20 @@ def _summed_expansion(weight: DominantWeight, words: Sequence[FWord]) -> FockVec
 
 def graded_hom_dim(weight: DominantWeight, beta: RootVector,
                    nu: Sequence[int], nu_prime: Sequence[int] | None = None, *,
-                   max_n: int = DEFAULT_MAX_BOXES,
-                   max_k: int = DEFAULT_MAX_COMPONENTS) -> LaurentPolynomial:
+                   max_n: int = DEFAULT_MAX_BOXES) -> LaurentPolynomial:
     """Graded dimension of the (nu, nu') idempotent truncation of the block at beta.
 
     Sums K(nu, shape) * K(nu', shape) over all multipartitions of |beta| with
     one component per charge, as the Hom dimension of two Fock expansions.
     """
     return graded_hom_dim_block(weight, beta, [nu], None if nu_prime is None else [nu_prime],
-                                max_n=max_n, max_k=max_k)
+                                max_n=max_n)
 
 
 def graded_hom_dim_block(weight: DominantWeight, beta: RootVector,
                          nus: Sequence[Sequence[int]],
                          nus_prime: Sequence[Sequence[int]] | None = None, *,
-                         max_n: int = DEFAULT_MAX_BOXES,
-                         max_k: int = DEFAULT_MAX_COMPONENTS) -> LaurentPolynomial:
+                         max_n: int = DEFAULT_MAX_BOXES) -> LaurentPolynomial:
     """Graded dimension of a block truncation by sums of idempotents.
 
     By bilinearity, the Hom dimension of the summed expansions of ``nus`` and
@@ -171,8 +169,8 @@ def graded_hom_dim_block(weight: DominantWeight, beta: RootVector,
         raise ValueError("beta must lie in the positive cone")
     if beta.height > max_n:
         raise GuardError(f"{beta.height} boxes exceeds the cap of {max_n}")
-    if weight.level > max_k:
-        raise GuardError(f"{weight.level} components exceeds the cap of {max_k}")
+    if weight.level > DEFAULT_MAX_COMPONENTS:
+        raise GuardError(f"{weight.level} components exceeds the cap of {DEFAULT_MAX_COMPONENTS}")
     words = _single_steps(weight.ell, beta, nus, "nu")
     words_prime = (words if nus_prime is None
                    else _single_steps(weight.ell, beta, nus_prime, "nu'"))

@@ -3,8 +3,8 @@
 ``bench/golden/<workload>.json`` records, for every query of a workload's
 pool, its exit status and the first 16 hex digits of the SHA-256 of its
 stdout.  Replaying the first variant of every slot and the fixed queries of
-the ``fock`` and ``dims`` pools in-process makes any drift in their output
-fail here, not only in a benchmark run.
+every pool in-process makes any drift in their output fail here, not only in
+a benchmark run.
 """
 
 import contextlib
@@ -36,7 +36,7 @@ def run(argv):
     return status, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("workload", ["fock", "dims"])
+@pytest.mark.parametrize("workload", ["fock", "dims", "quiver", "blocks"])
 def test_replay_golden_digests(workload):
     queries = replayed_queries(workload)
     assert len(queries) > 20

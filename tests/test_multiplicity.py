@@ -7,7 +7,7 @@ import pytest
 from klrc.cartan import DominantWeight, GuardError, RootVector, hub
 from klrc.fock import Multipartition, expand, residue
 from klrc.maxweights import beta_of, class_members, dominantify
-from klrc.multiplicity import (finite_positive_roots, first_layer_roots,
+from klrc.multiplicity import (_mult, finite_positive_roots, first_layer_roots,
                                weight_multiplicity)
 
 
@@ -114,6 +114,11 @@ def test_guard():
         weight_multiplicity(W(1, 0, 0), R(5, 10, 5))
     with pytest.raises(ValueError):
         weight_multiplicity(W(1, 0, 0), R(-1, 0, 0))
+
+
+def test_multiplicity_cache_is_bounded():
+    """The Freudenthal cache cannot grow without bound in a long-lived process."""
+    assert _mult.cache_info().maxsize is not None
 
 
 def exact_rank(rows):

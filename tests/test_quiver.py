@@ -4,12 +4,12 @@ from itertools import combinations
 import pytest
 
 from klrc.cartan import DominantWeight, RootVector, hub
-from klrc.maxweights import beta_of, class_members
+from klrc.maxweights import beta_of, class_members, minimal_solution
 from klrc.multiplicity import first_layer_roots
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP,
-                         KIND_UP_UP, Arrow, MoveLabel, apply_move, arrow_test,
-                         build_quiver, candidate_moves, delta_vector, export,
-                         witness_sequence)
+                         KIND_UP_UP, STEPS, Arrow, MoveLabel, apply_move,
+                         arrow_test, build_quiver, candidate_moves, delta_vector,
+                         export, witness_sequence)
 
 
 def W(*m):
@@ -51,6 +51,37 @@ def test_delta_vector_complements():
     assert delta_vector(up(1), 4) + delta_vector(down(3), 4) == delta
     assert delta_vector(upup(1, 3), 4) + delta_vector(downdown(2, 4), 4) == delta
     assert delta_vector(downup(1, 3), 4) + delta_vector(downup(4, 0), 4) == delta
+
+
+def in_range_labels(ell):
+    """Every label that validates at rank ell."""
+    labels = [MoveLabel(kind, i) for kind in (KIND_UP, KIND_DOWN) for i in range(ell + 1)]
+    labels += [MoveLabel(kind, i, j)
+               for kind in (KIND_UP_UP, KIND_DOWN_DOWN, KIND_DOWN_UP)
+               for i in range(ell + 1) for j in range(ell + 1)]
+    in_range = []
+    for label in labels:
+        try:
+            label.validate(ell)
+        except ValueError:
+            continue
+        in_range.append(label)
+    return in_range
+
+
+def test_delta_vectors_are_minimal_solutions():
+    """Each closed-form increment is the minimal solution for the hub change
+    of its move: +1 at each index the move leaves, -1 at each target."""
+    checked = 0
+    for ell in range(2, 11):
+        for label in in_range_labels(ell):
+            y = [0] * (ell + 1)
+            for n, step in zip(label.index, STEPS[label.kind]):
+                y[n] += 1
+                y[n + step] -= 1
+            assert delta_vector(label, ell) == minimal_solution(tuple(y), ell), (label, ell)
+            checked += 1
+    assert checked == 768
 
 
 def test_delta_vector_range_errors():
@@ -236,17 +267,7 @@ def test_candidate_moves_are_the_applicable_labels():
     """candidate_moves lists, once each, every in-range label that apply_move
     accepts."""
     for ell in range(2, 6):
-        labels = [MoveLabel(kind, i) for kind in (KIND_UP, KIND_DOWN) for i in range(ell + 1)]
-        labels += [MoveLabel(kind, i, j)
-                   for kind in (KIND_UP_UP, KIND_DOWN_DOWN, KIND_DOWN_UP)
-                   for i in range(ell + 1) for j in range(ell + 1)]
-        in_range = []
-        for label in labels:
-            try:
-                label.validate(ell)
-            except ValueError:
-                continue
-            in_range.append(label)
+        in_range = in_range_labels(ell)
         for k in range(1, 4):
             for weight in all_weights(k, ell):
                 applicable = set()

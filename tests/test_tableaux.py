@@ -153,7 +153,7 @@ def test_guards():
     with pytest.raises(GuardError):
         graded_hom_dim(W(2, 0, 0), R(5, 10, 5), (0,) * 20, max_n=12)
     with pytest.raises(GuardError):
-        graded_hom_dim(W(6, 0, 0), R(1, 1, 0), (0, 1), max_k=5)
+        graded_hom_dim(W(6, 0, 0), R(1, 1, 0), (0, 1))
 
 
 def _random_instance(rng, max_k=3, max_n=6):
