@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 DEFAULT_MAX_RANK = 16
+# Bound of every cache keyed by rank alone: room for each rank up to twice the
+# command line's default cap.
+RANK_CACHE_SIZE = 2 * DEFAULT_MAX_RANK
 
 
 class GuardError(Exception):
@@ -27,7 +30,7 @@ def fold_residue(m: int, ell: int) -> int:
     return r if r <= ell else 2 * ell - r
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RANK_CACHE_SIZE)
 def cartan(ell: int) -> "CartanDatum":
     return CartanDatum(ell)
 
@@ -101,9 +104,6 @@ class RootVector:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def support(self) -> list[int]:
-        return [i for i, c in enumerate(self.coeffs) if c]
-
     def sigma(self) -> "RootVector":
         """Index reversal i -> ell - i."""
         return RootVector(self.coeffs[::-1])
@@ -118,15 +118,6 @@ class RootVector:
         return RootVector(tuple(n * a for a in self.coeffs))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "RootVector":
-        return RootVector(tuple(-a for a in self.coeffs))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i]
 
     def __str__(self) -> str:
         terms = []
@@ -217,18 +208,15 @@ def pairing(lhs: "DominantWeight | RootVector", rhs: RootVector) -> int:
     """
     if not isinstance(rhs, RootVector):
         raise TypeError("right argument must be a root-lattice vector")
+    if not isinstance(lhs, (DominantWeight, RootVector)):
+        raise TypeError(f"unsupported left argument {type(lhs).__name__}")
+    if lhs.ell != rhs.ell:
+        raise ValueError("rank mismatch")
+    datum = cartan(lhs.ell)
     if isinstance(lhs, DominantWeight):
-        datum = cartan(lhs.ell)
-        if lhs.ell != rhs.ell:
-            raise ValueError("rank mismatch")
         return sum(mi * di * xi for mi, di, xi in zip(lhs.m, datum.d, rhs.coeffs))
-    if isinstance(lhs, RootVector):
-        datum = cartan(lhs.ell)
-        if lhs.ell != rhs.ell:
-            raise ValueError("rank mismatch")
-        ax = datum.apply_matrix(rhs.coeffs)
-        return sum(xi * di * v for xi, di, v in zip(lhs.coeffs, datum.d, ax))
-    raise TypeError(f"unsupported left argument {type(lhs).__name__}")
+    ax = datum.apply_matrix(rhs.coeffs)
+    return sum(xi * di * v for xi, di, v in zip(lhs.coeffs, datum.d, ax))
 
 
 def hub(weight: DominantWeight, beta: RootVector | None = None) -> tuple[int, ...]:

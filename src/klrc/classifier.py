@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .cartan import DominantWeight, RootVector, hub
+from .cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, hub
 from .laurent import LaurentPolynomial
 from .maxweights import delta_decompose, dominantify
 
@@ -98,7 +98,7 @@ def _interval(a: int, b: int, coeff: int = 1) -> dict[int, int]:
     return {i: coeff for i in range(a, b + 1)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RANK_CACHE_SIZE)
 def case_table(ell: int) -> tuple[CaseInstance, ...]:
     """All finite and tame case instances at the given rank, finite cases first."""
     return tuple(_generate_cases(ell))

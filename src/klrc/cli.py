@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .cartan import DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector
 from .classifier import classify
@@ -159,7 +160,9 @@ def _add_common(sub, *, weight=True, beta=False, fmt=("text", "json")) -> None:
     sub.add_argument("--format", choices=fmt, default=fmt[0])
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="klrc",
         description="Exact computations for cyclotomic KLR algebras in affine type C.")
@@ -206,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         output = args.func(args)
     except GuardError as exc:

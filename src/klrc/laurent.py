@@ -49,9 +49,6 @@ class LaurentPolynomial:
     def coefficient(self, exp: int) -> int:
         return self._coeffs.get(exp, 0)
 
-    def __getitem__(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -69,9 +66,6 @@ class LaurentPolynomial:
         if not self._coeffs:
             raise ValueError("zero polynomial has no exponents")
         return max(self._coeffs)
-
-    def support(self) -> list[int]:
-        return sorted(self._coeffs)
 
     # -- arithmetic ----------------------------------------------------
 

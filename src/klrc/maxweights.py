@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .cartan import DominantWeight, RootVector, cartan, hub, pairing
 
@@ -84,10 +85,6 @@ class MaximalWeightDatum:
     def size(self) -> int:
         return self.x.height
 
-    @property
-    def beta(self) -> RootVector:
-        return self.x
-
 
 def minimal_solution(y: tuple[int, ...], ell: int) -> RootVector:
     """The unique X with A.X^t = y^t, min X >= 0 and min(X - delta) < 0.
@@ -144,25 +141,33 @@ def delta_decompose(x: RootVector) -> tuple[RootVector, int]:
     return x0, m
 
 
-def _straighten(weight: DominantWeight, beta: RootVector) -> tuple[RootVector | None, list[int]]:
-    if weight.ell != beta.ell:
+def _straighten(m: tuple[int, ...],
+                coeffs: tuple[int, ...]) -> tuple[tuple[int, ...] | None, list[int]]:
+    """``dominantify`` and its reflection word, on plain tuples.
+
+    The hub h = m - A.x is kept up to date: reflecting at i adds h_i to x_i,
+    which subtracts h_i times column i of A from h.
+    """
+    if len(m) != len(coeffs):
         raise ValueError("rank mismatch")
-    if weight.level < 1:
+    if sum(m) < 1:
         raise ValueError("level must be at least 1")
-    coeffs = list(beta.coeffs)
-    datum = cartan(weight.ell)
+    x = list(coeffs)
+    matrix = cartan(len(m) - 1).matrix
+    h = [mi - sum(map(mul, row, x)) for mi, row in zip(m, matrix)]
     word: list[int] = []
-    bound = 8 * (weight.level + sum(abs(c) for c in coeffs) + 2) ** 2
+    bound = 8 * (sum(m) + sum(map(abs, x)) + 2) ** 2
     for _ in range(bound):
-        h = [mi - sum(row[j] * coeffs[j] for j in range(len(coeffs)))
-             for mi, row in zip(weight.m, datum.matrix)]
         i = next((j for j, v in enumerate(h) if v < 0), None)
         if i is None:
-            return RootVector(tuple(coeffs)), word
+            return tuple(x), word
         word.append(i)
-        coeffs[i] += h[i]
-        if coeffs[i] < 0:
+        step = h[i]
+        x[i] += step
+        if x[i] < 0:
             return None, word
+        for j in range(max(i - 1, 0), min(i + 2, len(h))):  # A is tridiagonal
+            h[j] -= matrix[j][i] * step
     raise AssertionError("straightening failed to terminate within bound")
 
 
@@ -174,13 +179,14 @@ def dominantify(weight: DominantWeight, beta: RootVector) -> RootVector | None:
     nonnegative, or None as soon as a coefficient of beta goes negative
     (the weight then lies outside the weight system and the algebra is zero).
     """
-    return _straighten(weight, beta)[0]
+    straightened = _straighten(weight.m, beta.coeffs)[0]
+    return None if straightened is None else RootVector(straightened)
 
 
 def reflection_word(weight: DominantWeight, beta: RootVector) -> list[int] | None:
     """The sequence of reflection indices applied by ``dominantify``, or None."""
-    result, word = _straighten(weight, beta)
-    return word if result is not None else None
+    straightened, word = _straighten(weight.m, beta.coeffs)
+    return word if straightened is not None else None
 
 
 def sigma_flip(weight: DominantWeight, beta: RootVector) -> tuple[DominantWeight, RootVector]:

@@ -9,44 +9,40 @@ asserted to divide exactly.
 Positive roots of the affine system are the finite-type positive roots and
 their null-root complements, shifted by multiples of the null root; imaginary
 multiples of the null root carry multiplicity equal to the finite rank.
+
+``weight_multiplicity`` validates its value objects, and the recursion
+``_mult`` runs on plain tuples, with every pairing a dot product: (Lambda, x)
+= sum m_i d_i x_i and (x, alpha) = x . (d.A.alpha).  Because A.delta = 0,
+(x, alpha + t*delta) = (x, alpha) for every root-lattice x, so one d.A.alpha
+serves a whole delta-string (``_root_table``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, mul, sub
 
-from .cartan import DominantWeight, GuardError, RootVector, cartan, hub, pairing
-from .maxweights import dominantify
+from .cartan import RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, cartan
+from .maxweights import _straighten
 
 DEFAULT_MAX_HEIGHT = 14
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RANK_CACHE_SIZE)
 def finite_positive_roots(ell: int) -> tuple[RootVector, ...]:
-    """Positive roots of the rank-ell finite type C system, in affine coordinates."""
-    roots = []
-    # eps_i - eps_j = alpha_i + ... + alpha_{j-1}, 1 <= i < j <= ell
-    for i in range(1, ell + 1):
-        for j in range(i + 1, ell + 1):
-            coeffs = [0] * (ell + 1)
-            for t in range(i, j):
-                coeffs[t] = 1
-            roots.append(RootVector(tuple(coeffs)))
-    # eps_i + eps_j = (alpha_i + ... + alpha_{j-1}) + 2(alpha_j + ... + alpha_{ell-1}) + alpha_ell
-    # including 2 eps_i at i = j
-    for i in range(1, ell + 1):
-        for j in range(i, ell + 1):
-            coeffs = [0] * (ell + 1)
-            for t in range(i, j):
-                coeffs[t] = 1
-            for t in range(j, ell):
-                coeffs[t] += 2
-            coeffs[ell] += 1
-            roots.append(RootVector(tuple(coeffs)))
-    return tuple(roots)
+    """Positive roots of the rank-ell finite type C system, in affine coordinates.
+
+    eps_i - eps_j = alpha_i + ... + alpha_{j-1} for 1 <= i < j <= ell, then
+    eps_i + eps_j = (alpha_i + ... + alpha_{j-1}) + 2(alpha_j + ... + alpha_{ell-1})
+    + alpha_ell for 1 <= i <= j <= ell (2 eps_i at i = j).
+    """
+    pairs = [(i, j) for i in range(1, ell + 1) for j in range(i, ell + 1)]
+    minus = [(0,) * i + (1,) * (j - i) + (0,) * (ell + 1 - j) for i, j in pairs if i < j]
+    plus = [(0,) * i + (1,) * (j - i) + (2,) * (ell - j) + (1,) for i, j in pairs]
+    return tuple(RootVector(coeffs) for coeffs in minus + plus)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RANK_CACHE_SIZE)
 def first_layer_roots(ell: int) -> tuple[RootVector, ...]:
     """The positive real roots not exceeding the null root: gamma and delta - gamma."""
     delta = RootVector.null_root(ell)
@@ -55,23 +51,23 @@ def first_layer_roots(ell: int) -> tuple[RootVector, ...]:
     return tuple(sorted(set(layer), key=lambda r: r.coeffs))
 
 
+@lru_cache(maxsize=RANK_CACHE_SIZE)
+def _root_table(ell: int) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
+    """(first-layer root or delta, root multiplicity, d.A.alpha), one row per delta-string."""
+    datum = cartan(ell)
+    real = tuple((gamma.coeffs, 1, tuple(map(mul, datum.d, datum.apply_matrix(gamma.coeffs))))
+                 for gamma in first_layer_roots(ell))
+    return real + ((datum.delta_coeffs, ell, (0,) * (ell + 1)),)
+
+
 def positive_roots_within(ell: int, bound: tuple[int, ...]) -> list[tuple[RootVector, int]]:
     """All positive roots componentwise at most ``bound``, with multiplicities."""
     out = []
-    delta = RootVector.null_root(ell)
-
-    def fits(r: RootVector) -> bool:
-        return all(c <= b for c, b in zip(r.coeffs, bound))
-
-    for gamma in first_layer_roots(ell):
-        root = gamma
-        while fits(root):
-            out.append((root, 1))
-            root = root + delta
-    imaginary = delta
-    while fits(imaginary):
-        out.append((imaginary, ell))
-        imaginary = imaginary + delta
+    delta = cartan(ell).delta_coeffs
+    for root, root_mult, _ in _root_table(ell):
+        while all(c <= b for c, b in zip(root, bound)):
+            out.append((RootVector(root), root_mult))
+            root = tuple(map(add, root, delta))
     return out
 
 
@@ -89,32 +85,36 @@ def weight_multiplicity(weight: DominantWeight, beta: RootVector, *,
 
 @lru_cache(maxsize=4096)
 def _mult(m: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
-    weight = DominantWeight(m)
-    straightened = dominantify(weight, RootVector(coeffs))
-    if straightened is None:
+    beta = _straighten(m, coeffs)[0]
+    if beta is None:
         return 0
-    beta = straightened
-    if beta.is_zero():
+    if not any(beta):
         return 1
-    ell = weight.ell
-    assert min(hub(weight, beta)) >= 0
-    d = cartan(ell).d
-    # denominator 2(Lambda + rho, beta) - (beta, beta); rho pairs with roots like sum(Lambda_i)
-    rho_beta = sum(di * xi for di, xi in zip(d, beta.coeffs))
-    denom = 2 * (pairing(weight, beta) + rho_beta) - pairing(beta, beta)
+    ell = len(m) - 1
+    datum = cartan(ell)
+    ax = datum.apply_matrix(beta)
+    assert min(mi - v for mi, v in zip(m, ax)) >= 0
+    md = tuple(map(mul, m, datum.d))
+    # 2(Lambda + rho, beta) - (beta, beta); rho pairs with roots like sum(Lambda_i)
+    denom = sum(xi * di * (2 * mi + 2 - v) for xi, di, mi, v in zip(beta, datum.d, m, ax))
     assert denom > 0
+    delta = datum.delta_coeffs
+    md_delta = sum(map(mul, md, delta))
     numer = 0
-    for alpha, root_mult in positive_roots_within(ell, beta.coeffs):
-        j = 1
-        while True:
-            rest = beta - alpha * j
-            if not rest.in_positive_cone():
-                break
-            inner = _mult(m, rest.coeffs)
-            if inner:
-                # (Lambda - beta + j*alpha, alpha)
-                value = pairing(weight, alpha) - pairing(rest, alpha)
-                numer += root_mult * value * inner
-            j += 1
+    for gamma, root_mult, dag in _root_table(ell):
+        # alpha runs over the delta-string gamma, gamma + delta, ... while it fits below beta
+        alpha, md_alpha = gamma, sum(map(mul, md, gamma))
+        below = tuple(map(sub, beta, gamma))
+        while min(below) >= 0:
+            rest = below
+            while min(rest) >= 0:
+                inner = _mult(m, rest)
+                if inner:
+                    # (Lambda - beta + j*alpha, alpha) with rest = beta - j*alpha
+                    numer += root_mult * (md_alpha - sum(map(mul, rest, dag))) * inner
+                rest = tuple(map(sub, rest, alpha))
+            alpha = tuple(map(add, alpha, delta))
+            md_alpha += md_delta
+            below = tuple(map(sub, below, delta))
     assert (2 * numer) % denom == 0
     return (2 * numer) // denom

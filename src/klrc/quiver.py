@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from operator import add, itemgetter, lt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .cartan import DominantWeight, GuardError, RootVector, cartan
 from .maxweights import MaximalWeightDatum, beta_of, class_members, class_size
@@ -240,13 +240,10 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
 
 
 def export(quiver: MaxWeightQuiver, fmt: str) -> str:
-    if fmt == "dot":
-        return to_dot(quiver)
-    if fmt == "json":
-        return to_json(quiver)
-    if fmt == "tsv":
-        return to_tsv(quiver)
-    raise ValueError(f"unknown format {fmt!r}")
+    writers = {"dot": to_dot, "json": to_json, "tsv": to_tsv}
+    if fmt not in writers:
+        raise ValueError(f"unknown format {fmt!r}")
+    return writers[fmt](quiver)
 
 
 def to_dot(quiver: MaxWeightQuiver) -> str:
@@ -260,28 +257,40 @@ def to_dot(quiver: MaxWeightQuiver) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_block(items: Iterable[str], indent: str, brackets: str = "[]") -> str:
+    """Rendered items as ``json.dumps(..., indent=2)`` lays out a list at ``indent``,
+    or with ``brackets="{}"`` an object of rendered ``"key": value`` items."""
+    body = f",\n{indent}  ".join(items)
+    return f"{brackets[0]}\n{indent}  {body}\n{indent}{brackets[1]}" if body else brackets
+
+
 def to_json(quiver: MaxWeightQuiver) -> str:
+    """``json.dumps(payload, indent=2, ensure_ascii=False)`` of the quiver, laid out
+    here so that the encoder sees only strings; each label with its delta and
+    witness is rendered once per quiver."""
+    def ints(values: Iterable[int], indent: str = "      ") -> str:
+        return _json_block(map(str, values), indent)
+
+    def text(value: object) -> str:
+        return json.dumps(str(value), ensure_ascii=False)
+
     index = {v.weight.m: n for n, v in enumerate(quiver.vertices)}
-    payload = {
-        "ell": quiver.ell,
-        "level": quiver.root.level,
-        "root": list(quiver.root.m),
-        "vertices": [
-            {"m": list(v.weight.m), "X": list(v.x.coeffs), "beta": str(v.x)}
-            for v in quiver.vertices
-        ],
-        "arrows": [
-            {
-                "src": index[a.source.m],
-                "dst": index[a.target.m],
-                "label": str(a.label),
-                "delta": list(a.delta.coeffs),
-                "witness": list(a.witness),
-            }
-            for a in quiver.arrows
-        ],
-    }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    vertices = [_json_block([f'"m": {ints(v.weight.m)}', f'"X": {ints(v.x.coeffs)}',
+                             f'"beta": {text(v.x)}'], "    ", "{}") for v in quiver.vertices]
+    tails: dict[MoveLabel, list[str]] = {}
+    arrows = []
+    for a in quiver.arrows:
+        tail = tails.get(a.label)
+        if tail is None:
+            tail = tails[a.label] = [f'"label": {text(a.label)}',
+                                     f'"delta": {ints(a.delta.coeffs)}',
+                                     f'"witness": {ints(a.witness)}']
+        arrows.append(_json_block([f'"src": {index[a.source.m]}',
+                                   f'"dst": {index[a.target.m]}', *tail], "    ", "{}"))
+    return _json_block([f'"ell": {quiver.ell}', f'"level": {quiver.root.level}',
+                        f'"root": {ints(quiver.root.m, "  ")}',
+                        f'"vertices": {_json_block(vertices, "  ")}',
+                        f'"arrows": {_json_block(arrows, "  ")}'], "", "{}") + "\n"
 
 
 def arrow_rows(quiver: MaxWeightQuiver) -> Iterator[tuple[str, str, str, str]]:

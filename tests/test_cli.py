@@ -1,7 +1,12 @@
 import json
+import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+from klrc import cli
 from klrc.cli import main
 
 
@@ -132,3 +137,50 @@ def test_determinism(capsys):
     _, first, _ = run(args, capsys)
     _, second, _ = run(args, capsys)
     assert first == second
+
+
+# an argparse error, a guard error, a validation error, then every subcommand
+REUSE_QUERIES = [
+    (["classify", "--ell", "3", "--bogus"], 2),
+    (["quiver", "--ell", "4", "--weight", "0,0,0", "--max-vertices", "3"], 3),
+    (["classify", "--ell", "3", "--weight", "0,0", "--beta", "1,2"], 2),
+    (["classify", "--ell", "3", "--weight", "0,0", "--beta", "2,2,0,0", "--char", "2"], 0),
+    (["quiver", "--ell", "3", "--weight", "1,2", "--format", "json"], 0),
+    (["maxweights", "--ell", "3", "--weight", "0,2"], 0),
+    (["dims", "--ell", "2", "--weight", "0,1", "--beta", "1,2,1", "--nu", "0-1-2-1"], 0),
+    (["fock", "--ell", "2", "--weight", "0,0,1", "--word", "0,1^2,0"], 0),
+    (["simples", "--ell", "3", "--weight", "2,2", "--beta", "0,0,2,1"], 0),
+    (["defect", "--ell", "3", "--weight", "2,2", "--beta", "0,0,2,1", "--format", "json"], 0),
+]
+
+
+def outcomes(capsys):
+    results = []
+    for argv, _ in REUSE_QUERIES:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    reused = outcomes(capsys)
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser.cache_info().currsize == 1
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = outcomes(capsys)
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [code for _, code in REUSE_QUERIES]
+
+
+def test_import_builds_no_parser():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    probe = "import klrc.cli as c; print(c.build_parser.cache_info().misses)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "0\n"

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
 
-from klrc.cartan import DominantWeight, GuardError, RootVector, hub
+from klrc.cartan import (RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, cartan,
+                         hub, pairing)
+from klrc.classifier import case_table
 from klrc.fock import Multipartition, expand, residue
-from klrc.maxweights import beta_of, class_members, dominantify
-from klrc.multiplicity import (_mult, finite_positive_roots, first_layer_roots,
-                               weight_multiplicity)
+from klrc.maxweights import beta_of, class_members, dominantify, reflection_word
+from klrc.multiplicity import (_mult, _root_table, finite_positive_roots, first_layer_roots,
+                               positive_roots_within, weight_multiplicity)
 
 
 def W(*m):
@@ -117,8 +120,137 @@ def test_guard():
 
 
 def test_multiplicity_cache_is_bounded():
-    """The Freudenthal cache cannot grow without bound in a long-lived process."""
+    """No cache can grow without bound in a long-lived process; the caches
+    keyed by rank alone share one bound."""
     assert _mult.cache_info().maxsize is not None
+    for cached in (cartan, finite_positive_roots, first_layer_roots, case_table, _root_table):
+        assert cached.cache_info().maxsize == RANK_CACHE_SIZE, cached.__name__
+    assert RANK_CACHE_SIZE >= 15  # every rank 2..16 the command line allows by default
+
+
+# Reference routes on value objects, which the tuple kernel must match: the
+# straightening loop, the root enumeration and the Freudenthal recursion.
+
+def reference_straighten(weight, beta):
+    if weight.ell != beta.ell:
+        raise ValueError("rank mismatch")
+    if weight.level < 1:
+        raise ValueError("level must be at least 1")
+    coeffs = list(beta.coeffs)
+    datum = cartan(weight.ell)
+    word = []
+    bound = 8 * (weight.level + sum(abs(c) for c in coeffs) + 2) ** 2
+    for _ in range(bound):
+        h = [mi - sum(row[j] * coeffs[j] for j in range(len(coeffs)))
+             for mi, row in zip(weight.m, datum.matrix)]
+        i = next((j for j, v in enumerate(h) if v < 0), None)
+        if i is None:
+            return RootVector(tuple(coeffs)), word
+        word.append(i)
+        coeffs[i] += h[i]
+        if coeffs[i] < 0:
+            return None, word
+    raise AssertionError("straightening failed to terminate within bound")
+
+
+def reference_roots_within(ell, bound):
+    out = []
+    delta = RootVector.null_root(ell)
+
+    def fits(r):
+        return all(c <= b for c, b in zip(r.coeffs, bound))
+
+    for gamma in first_layer_roots(ell):
+        root = gamma
+        while fits(root):
+            out.append((root, 1))
+            root = root + delta
+    imaginary = delta
+    while fits(imaginary):
+        out.append((imaginary, ell))
+        imaginary = imaginary + delta
+    return out
+
+
+@lru_cache(maxsize=None)
+def reference_mult(m, coeffs):
+    weight = DominantWeight(m)
+    straightened = reference_straighten(weight, RootVector(coeffs))[0]
+    if straightened is None:
+        return 0
+    beta = straightened
+    if beta.is_zero():
+        return 1
+    ell = weight.ell
+    assert min(hub(weight, beta)) >= 0
+    d = cartan(ell).d
+    # denominator 2(Lambda + rho, beta) - (beta, beta); rho pairs with roots like sum(Lambda_i)
+    rho_beta = sum(di * xi for di, xi in zip(d, beta.coeffs))
+    denom = 2 * (pairing(weight, beta) + rho_beta) - pairing(beta, beta)
+    assert denom > 0
+    numer = 0
+    for alpha, root_mult in reference_roots_within(ell, beta.coeffs):
+        j = 1
+        while True:
+            rest = beta - alpha * j
+            if not rest.in_positive_cone():
+                break
+            inner = reference_mult(m, rest.coeffs)
+            if inner:
+                # (Lambda - beta + j*alpha, alpha)
+                value = pairing(weight, alpha) - pairing(rest, alpha)
+                numer += root_mult * value * inner
+            j += 1
+    assert (2 * numer) % denom == 0
+    return (2 * numer) // denom
+
+
+def test_mult_matches_value_object_route():
+    """A cold tuple kernel against the value-object recursion: ell 2..5,
+    level 1..4, two weights each, every beta of height at most 7."""
+    rng = random.Random(7)
+    _mult.cache_clear()
+    straightened = {"none": 0, "zero": 0}
+    for ell in range(2, 6):
+        betas = [coeffs for coeffs in product(range(8), repeat=ell + 1) if sum(coeffs) <= 7]
+        for level in range(1, 5):
+            charges = (sorted(rng.randint(0, ell) for _ in range(level)), [ell] * level)
+            for weight in (DominantWeight.from_charges(c, ell) for c in charges):
+                for coeffs in betas:
+                    assert _mult(weight.m, coeffs) == reference_mult(weight.m, coeffs), (
+                        weight.m, coeffs)
+                    result = reference_straighten(weight, RootVector(coeffs))[0]
+                    if result is None:
+                        straightened["none"] += 1
+                    elif result.is_zero():
+                        straightened["zero"] += 1
+    assert straightened["none"] > 0 and straightened["zero"] > 0
+
+
+def test_positive_roots_within_matches_value_object_route():
+    rng = random.Random(3)
+    for ell in range(2, 7):
+        delta = cartan(ell).delta_coeffs
+        bounds = [tuple(t * c for c in delta) for t in range(4)]
+        bounds += [tuple(rng.randint(0, 6) for _ in range(ell + 1)) for _ in range(40)]
+        for bound in bounds:
+            assert positive_roots_within(ell, bound) == reference_roots_within(ell, bound)
+
+
+def test_straightening_matches_value_object_route():
+    rng = random.Random(17)
+    for _ in range(600):
+        ell = rng.randint(2, 6)
+        level = rng.randint(1, 4)
+        weight = DominantWeight.from_charges([rng.randint(0, ell) for _ in range(level)], ell)
+        beta = RootVector(tuple(rng.randint(0, 5) for _ in range(ell + 1)))
+        result, word = reference_straighten(weight, beta)
+        assert dominantify(weight, beta) == result
+        assert reflection_word(weight, beta) == (word if result is not None else None)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        dominantify(W(1, 0, 0), R(0, 0, 0, 0))
+    with pytest.raises(ValueError, match="level must be at least 1"):
+        dominantify(W(0, 0, 0), R(1, 0, 0))
 
 
 def exact_rank(rows):

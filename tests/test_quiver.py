@@ -327,6 +327,39 @@ def test_export_json_round_trip():
     assert json.loads(export(quiver, "json")) == payload
 
 
+def json_payload(quiver):
+    """The export payload, for the standard library's own indent=2 layout."""
+    index = {v.weight.m: n for n, v in enumerate(quiver.vertices)}
+    return {
+        "ell": quiver.ell,
+        "level": quiver.root.level,
+        "root": list(quiver.root.m),
+        "vertices": [{"m": list(v.weight.m), "X": list(v.x.coeffs), "beta": str(v.x)}
+                     for v in quiver.vertices],
+        "arrows": [{"src": index[a.source.m], "dst": index[a.target.m],
+                    "label": str(a.label), "delta": list(a.delta.coeffs),
+                    "witness": list(a.witness)} for a in quiver.arrows],
+    }
+
+
+@pytest.mark.parametrize("ell", range(2, 7))
+@pytest.mark.parametrize("level", range(1, 4))
+@pytest.mark.parametrize("parity", [0, 1])
+def test_export_json_layout_matches_json_dumps(ell, level, parity):
+    weight = DominantWeight((level - parity, parity) + (0,) * (ell - 1))
+    quiver = build_quiver(weight)
+    expected = json.dumps(json_payload(quiver), indent=2, ensure_ascii=False) + "\n"
+    assert export(quiver, "json") == expected
+
+
+def test_export_json_layout_without_arrows():
+    quiver = build_quiver(DominantWeight.fundamental(1, 2))
+    assert not quiver.arrows
+    expected = json.dumps(json_payload(quiver), indent=2, ensure_ascii=False) + "\n"
+    assert export(quiver, "json") == expected
+    assert '"arrows": []' in expected
+
+
 def test_export_tsv():
     quiver = build_quiver(DominantWeight((0, 1, 1, 0, 0)))
     lines = export(quiver, "tsv").strip().split("\n")
