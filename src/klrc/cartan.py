@@ -74,7 +74,9 @@ class RootVector:
     def __post_init__(self) -> None:
         if len(self.coeffs) < 3:
             raise ValueError("rank must be at least 2")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        # tuples built from lists, not generators, are allocated at their final
+        # size, so freeing them does not pile up CPython's tuple free lists
+        object.__setattr__(self, "coeffs", tuple([int(c) for c in self.coeffs]))
 
     @classmethod
     def zero(cls, ell: int) -> "RootVector":
@@ -142,17 +144,17 @@ class DominantWeight:
     charges: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        m = tuple(int(v) for v in self.m)
+        m = tuple([int(v) for v in self.m])
         if len(m) < 3:
             raise ValueError("rank must be at least 2")
         if any(v < 0 for v in m):
             raise ValueError("fundamental multiplicities must be nonnegative")
         object.__setattr__(self, "m", m)
         if not self.charges:
-            canonical = tuple(i for i, v in enumerate(m) for _ in range(v))
+            canonical = tuple([i for i, v in enumerate(m) for _ in range(v)])
             object.__setattr__(self, "charges", canonical)
         else:
-            charges = tuple(int(c) for c in self.charges)
+            charges = tuple([int(c) for c in self.charges])
             counts = [0] * len(m)
             for c in charges:
                 if not 0 <= c < len(m):

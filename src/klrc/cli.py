@@ -15,10 +15,10 @@ from functools import lru_cache
 from .cartan import DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector
 from .classifier import classify
 from .fock import expand, hom_dim, parse_word
-from .maxweights import beta_of, class_members, defect
+from .maxweights import beta_of, class_members, class_size, defect
 from .multiplicity import weight_multiplicity
-from .quiver import arrow_rows, build_quiver, export
-from .tableaux import graded_hom_dim
+from .quiver import DEFAULT_MAX_VERTICES, arrow_rows, build_quiver, export
+from .tableaux import DEFAULT_MAX_COMPONENTS, graded_hom_dim
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -52,7 +52,7 @@ def _parse_beta(args) -> RootVector:
 
 
 def _parse_nu(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split("-"))
+    return tuple([int(v) for v in text.split("-")])
 
 
 def _cmd_classify(args) -> str:
@@ -80,6 +80,9 @@ def _cmd_quiver(args) -> str:
 
 def _cmd_maxweights(args) -> str:
     weight = _parse_weight(args)
+    size = class_size(weight)
+    if size > DEFAULT_MAX_VERTICES:
+        raise GuardError(f"class has {size} members, cap is {DEFAULT_MAX_VERTICES}")
     members = class_members(weight)
     rows = []
     for member in members:
@@ -120,6 +123,8 @@ def _cmd_fock(args) -> str:
     word = parse_word(args.word)
     if sum(r for _, r in word) > args.max_n:
         raise GuardError(f"word adds {sum(r for _, r in word)} boxes, cap is {args.max_n}")
+    if weight.level > DEFAULT_MAX_COMPONENTS:
+        raise GuardError(f"{weight.level} components exceeds the cap of {DEFAULT_MAX_COMPONENTS}")
     vector = expand(weight, word)
     end = hom_dim(vector, vector)
     if args.format == "json":

@@ -23,147 +23,37 @@ keeping a running count of addable minus removable i-nodes below the current
 row.  The grown shape gives the same count: adding p creates or destroys
 only nodes of content c(p) +- 1, and fold(c) = fold(c - 1) would need
 2c = 1 (mod 2*ell).  For the same reason a row holds at most one i-node, so
-the count at p's row is exactly the count below p.  ``node_degree`` is the
+the count at p's row is exactly the count below p.  ``node_degree`` (in
+``klrc._shapes`` with ``Multipartition``, both re-exported here) is the
 per-node form of the rule, kept for the tableau reference route.
+
+Coefficients are packed integers (Kronecker substitution): a vector carries
+one digit width w and one base exponent b, and the int P stands for the
+polynomial whose coefficient of q^(b + j) is digit j of P in base 2^w.  A
+degree shift is then a left shift and a sum an int add; every shift is
+offset so that none is negative, and the base exponent absorbs the offsets.
+Every coefficient met while expanding a word of n boxes is nonnegative and
+at most n! at q=1, before division too, so with w = bits(n!) + bits(r!) + 1,
+r the largest power, no digit ever carries.  Dividing by [r]! divides P by
+the packed factorial F; the quotient is accepted only when the remainder is
+0 and every digit is below 2^(w - bits(r!)), which leaves the product of
+the quotient and F without carries and so equal to P as polynomials (see
+``_divide``).  Coefficients are decoded to Laurent polynomials once, at the
+boundary; ``hom_dim`` multiplies packed ints at a width set by the exact
+values at q=1.  Vectors built by hand are packed by sign, as a positive part
+and a negated negative part, so the engine only ever sees nonnegative ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from math import factorial
+from typing import Iterable, Mapping, Sequence
 
+from ._shapes import (Multipartition, Node, Shape, _multipartition, _render_partition,
+                      _shape_key, content_vector, node_degree, residue)
 from .cartan import DominantWeight, RootVector, cartan, fold_residue
-from .laurent import ONE, ZERO, LaurentPolynomial, quantum_factorial
-
-Shape = tuple[tuple[int, ...], ...]
-Node = tuple[int, int, int]  # (component, row, column), all 1-based
-
-
-@dataclass(frozen=True)
-class Multipartition:
-    """An ordered tuple of partitions."""
-
-    components: Shape
-
-    def __post_init__(self) -> None:
-        comps = []
-        for part in self.components:
-            part = tuple(int(r) for r in part if r)
-            if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
-                raise ValueError(f"rows of {part} are not weakly decreasing")
-            comps.append(part)
-        object.__setattr__(self, "components", tuple(comps))
-
-    @classmethod
-    def empty(cls, k: int) -> "Multipartition":
-        return cls(((),) * k)
-
-    @property
-    def size(self) -> int:
-        return sum(sum(part) for part in self.components)
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-    def nodes(self) -> Iterator[Node]:
-        for s, part in enumerate(self.components, start=1):
-            for a, row in enumerate(part, start=1):
-                for b in range(1, row + 1):
-                    yield (s, a, b)
-
-    def addable_nodes(self) -> list[Node]:
-        out = []
-        for s, part in enumerate(self.components, start=1):
-            for a in range(1, len(part) + 2):
-                row = part[a - 1] if a <= len(part) else 0
-                above = part[a - 2] if a >= 2 else None
-                if above is None or row < above:
-                    out.append((s, a, row + 1))
-        return out
-
-    def removable_nodes(self) -> list[Node]:
-        out = []
-        for s, part in enumerate(self.components, start=1):
-            for a, row in enumerate(part, start=1):
-                below = part[a] if a < len(part) else 0
-                if row > below:
-                    out.append((s, a, row))
-        return out
-
-    def add_node(self, node: Node) -> "Multipartition":
-        s, a, b = node
-        part = list(self.components[s - 1])
-        if a == len(part) + 1:
-            part.append(1)
-        else:
-            part[a - 1] += 1
-        assert part[a - 1] == b
-        comps = list(self.components)
-        comps[s - 1] = tuple(part)
-        return Multipartition(tuple(comps))
-
-    def remove_node(self, node: Node) -> "Multipartition":
-        s, a, b = node
-        part = list(self.components[s - 1])
-        assert part[a - 1] == b
-        part[a - 1] -= 1
-        comps = list(self.components)
-        comps[s - 1] = tuple(part)
-        return Multipartition(tuple(comps))
-
-    def sort_key(self) -> tuple:
-        return (tuple(sum(p) for p in self.components), self.components)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(_render_partition(p) for p in self.components) + ")"
-
-
-def _render_partition(part: tuple[int, ...]) -> str:
-    if not part:
-        return "(0)"
-    groups = []
-    run_val, run_len = part[0], 0
-    for r in part:
-        if r == run_val:
-            run_len += 1
-        else:
-            groups.append((run_val, run_len))
-            run_val, run_len = r, 1
-    groups.append((run_val, run_len))
-    return "(" + ",".join(f"{v}^{n}" if n > 1 else str(v) for v, n in groups) + ")"
-
-
-def residue(charges: Sequence[int], node: Node, ell: int) -> int:
-    """Folded content of a node: column - row + component charge."""
-    s, a, b = node
-    return fold_residue(b - a + charges[s - 1], ell)
-
-
-def content_vector(charges: Sequence[int], shape: Multipartition, ell: int) -> RootVector:
-    counts = [0] * (ell + 1)
-    for node in shape.nodes():
-        counts[residue(charges, node, ell)] += 1
-    return RootVector(tuple(counts))
-
-
-def _is_below(node: Node, p: Node) -> bool:
-    """Below = strictly lower row of the same component, or any later component."""
-    s, a, _ = node
-    ps, pa, _ = p
-    return s > ps or (s == ps and a > pa)
-
-
-def node_degree(charges: Sequence[int], shape: Multipartition, p: Node, ell: int) -> int:
-    """d_p of a removable node: d_res(p) * (#addable - #removable) of the same residue below p."""
-    res = residue(charges, p, ell)
-    d = cartan(ell).d[res]
-    add = sum(1 for n in shape.addable_nodes()
-              if _is_below(n, p) and residue(charges, n, ell) == res)
-    rem = sum(1 for n in shape.removable_nodes()
-              if _is_below(n, p) and residue(charges, n, ell) == res)
-    return d * (add - rem)
-
+from .laurent import ZERO, LaurentPolynomial, _wrap
 
 FWord = tuple[tuple[int, int], ...]
 """A sequence of (residue, power) operator factors; the leftmost acts last."""
@@ -176,6 +66,7 @@ class FockVector:
     charges: tuple[int, ...]
     ell: int
     terms: tuple[tuple[Multipartition, LaurentPolynomial], ...]
+    _packed: "_Packed | None" = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, charges: tuple[int, ...], ell: int,
@@ -205,24 +96,33 @@ class FockVector:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        rendered: dict[tuple[int, ...], str] = {}  # each distinct partition once
         parts = []
         for mp, c in self.terms:
-            parts.append(f"{_coeff_prefix(c)}{mp}")
+            comps = []
+            for part in mp.components:
+                text = rendered.get(part)
+                if text is None:
+                    text = rendered[part] = _render_partition(part)
+                comps.append(text)
+            parts.append(f"{_coeff_prefix(c)}({','.join(comps)})")
         return " + ".join(parts)
 
 
 def _coeff_prefix(c: LaurentPolynomial) -> str:
-    if c == ONE:
-        return ""
     items = list(c.items())
     if len(items) == 1:
         e, v = items[0]
-        if v == 1 and e != 0:
-            return "q" if e == 1 else f"q^{e}"
+        if v == 1:
+            return "" if e == 0 else "q" if e == 1 else f"q^{e}"
     return f"({c})"
 
 
-Terms = dict[Shape, LaurentPolynomial]
+Terms = dict[Shape, int]
+"""Packed coefficients: the digits of each int in base 2^width are q-coefficients."""
+
+_Packed = tuple[int, int, Terms]
+"""(width, base exponent, terms): digit j of a term is its coefficient of q^(base + j)."""
 
 
 def _check_factor(i: int, power: int, ell: int) -> None:
@@ -232,73 +132,227 @@ def _check_factor(i: int, power: int, ell: int) -> None:
         raise ValueError(f"residue {i} out of range for rank {ell}")
 
 
-def _step(charges: Sequence[int], ell: int, terms: Terms, i: int) -> Terms:
-    """One residue-i step on bare shapes, each degree read off one upward scan."""
+def _width(bound: int, power: int) -> int:
+    """Digit width for coefficients that stay at most ``bound`` at q=1, with
+    room for the quotient check of divisions by [r]!, r <= ``power``."""
+    return bound.bit_length() + factorial(power).bit_length() + 1
+
+
+def _step(charges: Sequence[int], ell: int, terms: Terms, i: int, width: int,
+          boxes: int) -> Terms:
+    """One residue-i step on packed shapes of at most ``boxes`` boxes.
+
+    Each degree is a shift of ``width * d`` bits per unit of the running
+    count, read off the i-nodes of each component, last component first.  A
+    step meets each distinct component many times, so its i-nodes are listed
+    once per step.  The count never drops below minus the number of boxes, so
+    every shift is offset by ``d * boxes`` units, and the caller lowers the
+    base exponent by as much.
+    """
     period = 2 * ell
     hit = [fold_residue(c, ell) == i for c in range(period)]
-    d = cartan(ell).d[i]
+    unit = width * cartan(ell).d[i]
+    offset = unit * boxes
+    known: list[dict] = [{} for _ in charges]
     acc: Terms = {}
     for shape, coeff in terms.items():
-        count = 0  # addable minus removable i-nodes below the current row
+        shift = offset  # offset plus unit times (addable minus removable i-nodes below)
         for s in range(len(shape) - 1, -1, -1):
-            part, charge = shape[s], charges[s]
-            below = 0
-            for a in range(len(part), -1, -1):  # 0-based rows, the empty row first
-                row = part[a] if a < len(part) else 0
-                if (a == 0 or row < part[a - 1]) and hit[(row - a + charge) % period]:
-                    grown = shape[:s] + (part[:a] + (row + 1,) + part[a + 1:],) + shape[s + 1:]
-                    weight = coeff.shift(d * count)
-                    prev = acc.get(grown)
-                    acc[grown] = weight if prev is None else prev + weight
-                    count += 1
-                elif row > below and hit[(row - 1 - a + charge) % period]:
-                    count -= 1
-                below = row
+            part = shape[s]
+            nodes = known[s].get(part)
+            if nodes is None:
+                nodes = known[s][part] = _i_nodes(part, charges[s], hit, period)
+            for grown_part in nodes:
+                if grown_part is None:
+                    shift -= unit
+                else:
+                    grown = shape[:s] + (grown_part,) + shape[s + 1:]
+                    acc[grown] = acc.get(grown, 0) + (coeff << shift)
+                    shift += unit
     return acc
 
 
-def _divided(charges: Sequence[int], ell: int, terms: Terms, i: int, power: int) -> Terms:
-    """``power`` steps, then exact division of every coefficient by [power]!."""
-    for _ in range(power):
-        terms = _step(charges, ell, terms, i)
-    if power == 1 or not terms:
-        return terms
-    factorial = quantum_factorial(power, cartan(ell).d[i])
-    return {shape: c.exact_div(factorial) for shape, c in terms.items()}
+def _i_nodes(part: tuple[int, ...], charge: int, hit: list[bool],
+             period: int) -> list[tuple[int, ...] | None]:
+    """The i-nodes of one partition, bottom row first, from one upward scan:
+    the grown partition for an addable node, None for a removable one."""
+    nodes: list[tuple[int, ...] | None] = []
+    below = 0
+    for a in range(len(part), -1, -1):  # 0-based rows, the empty row first
+        row = part[a] if a < len(part) else 0
+        if (a == 0 or row < part[a - 1]) and hit[(row - a + charge) % period]:
+            nodes.append(part[:a] + (row + 1,) + part[a + 1:])
+        elif row > below and hit[(row - 1 - a + charge) % period]:
+            nodes.append(None)
+        below = row
+    return nodes
 
 
-def _vector(charges: tuple[int, ...], ell: int, terms: Terms) -> FockVector:
-    return FockVector.from_dict(charges, ell,
-                                {Multipartition(shape): c for shape, c in terms.items()})
+def _divided(charges: Sequence[int], ell: int, terms: Terms, low: int, boxes: int,
+             i: int, power: int, width: int) -> tuple[Terms, int]:
+    """``power`` steps, exact division by [power]!, then the digits every term
+    has as trailing zeros dropped; returns the terms and their base exponent."""
+    d = cartan(ell).d[i]
+    for added in range(power):
+        terms = _step(charges, ell, terms, i, width, boxes + added)
+        low -= d * (boxes + added)
+    if power > 1 and terms:
+        terms = _divide(terms, power, d, width)
+        low += d * power * (power - 1) // 2
+    used = 0
+    for coeff in terms.values():
+        used |= coeff
+    drop = ((used & -used).bit_length() - 1) // width if used else 0
+    if drop:
+        terms = {shape: coeff >> drop * width for shape, coeff in terms.items()}
+    return terms, low + drop
+
+
+def _divide(terms: Terms, power: int, d: int, width: int) -> Terms:
+    """Divide every term by f(2^width), f = q^(d*power*(power-1)/2) * [power]!.
+
+    f has nonnegative coefficients summing to power!, which is below
+    2^b, b = bits(power!).  A quotient is accepted only when the remainder
+    is 0 and every digit is below 2^(width - b): then every digit of f times
+    the quotient is below 2^width, so that product has no carries and equals
+    the dividend as a polynomial, whose digits the width keeps below
+    2^width.  An exact quotient always passes, its digits being at most the
+    width's q=1 bound.  Anything else raises ``ValueError``.
+    """
+    spacing = 1 << 2 * d * width   # [s] shifted is 1 + q^(2d) + ... + q^(2d(s-1))
+    divisor = 1
+    for s in range(2, power + 1):
+        divisor *= (spacing ** s - 1) // (spacing - 1)
+    digits = max(coeff.bit_length() for coeff in terms.values()) // width + 1
+    top = (1 << width) - (1 << width - factorial(power).bit_length())
+    mask = top * (((1 << width * digits) - 1) // ((1 << width) - 1))
+    out: Terms = {}
+    for shape, coeff in terms.items():
+        quotient, remainder = divmod(coeff, divisor)
+        if remainder or quotient & mask:
+            raise ValueError(f"inexact division by [{power}]! at shape {shape}")
+        out[shape] = quotient
+    return out
+
+
+def _expand(weight: DominantWeight, factors: Sequence[tuple[int, int]],
+            width: int) -> tuple[Terms, int]:
+    """The factors, in application order, on the vacuum at one width."""
+    terms: Terms = {((),) * weight.level: 1}
+    low = boxes = 0
+    for i, power in factors:
+        terms, low = _divided(weight.charges, weight.ell, terms, low, boxes, i, power, width)
+        boxes += power
+    return terms, low
+
+
+def _summed_expansion(weight: DominantWeight, words: Sequence[FWord]) -> _Packed:
+    """The expansions of single-step words of one length n, summed packed.
+
+    Each coefficient is at most n! at q=1, so the width covers the sum of
+    ``len(words)`` of them.
+    """
+    width = _width(len(words) * factorial(max(map(len, words), default=0)), 1)
+    expansions = [_expand(weight, word[::-1], width) for word in words]
+    low = min((base for terms, base in expansions if terms), default=0)
+    acc: Terms = {}
+    for terms, base in expansions:
+        shift = width * (base - low)
+        for shape, coeff in terms.items():
+            acc[shape] = acc.get(shape, 0) + (coeff << shift)
+    return width, low, acc
+
+
+def _decode(packed: int, width: int, low: int) -> LaurentPolynomial:
+    mask = (1 << width) - 1
+    coeffs: dict[int, int] = {}
+    while packed:
+        digit = packed & mask
+        if digit:
+            coeffs[low] = digit
+        packed >>= width
+        low += 1
+    return _wrap(coeffs)
+
+
+def _widen(packed: int, width: int, wider: int) -> int:
+    """The same digits, re-spaced from ``width`` to ``wider`` bits."""
+    if wider == width:
+        return packed
+    mask = (1 << width) - 1
+    out = shift = 0
+    while packed:
+        out |= (packed & mask) << shift
+        packed >>= width
+        shift += wider
+    return out
+
+
+def _vector(charges: tuple[int, ...], ell: int, packed: _Packed) -> FockVector:
+    """Decode at the boundary: one Laurent polynomial per term, in sort order."""
+    width, low, terms = packed
+    return FockVector(charges, ell,
+                      tuple((_multipartition(shape), _decode(terms[shape], width, low))
+                            for shape in sorted(terms, key=_shape_key)),
+                      packed)
+
+
+def _encode(vector: FockVector, power: int) -> tuple[_Packed, _Packed]:
+    """The positive part and the negated negative part of the coefficients,
+    each packed at a width that holds ``power`` steps and a division."""
+    low = min((c.min_exponent for _, c in vector.terms if c), default=0)
+    parts: tuple[dict, dict] = ({}, {})
+    totals = [0, 0]
+    for mp, c in vector.terms:
+        for e, v in c.items():
+            negative = v < 0
+            parts[negative].setdefault(mp.components, []).append((e - low, abs(v)))
+            totals[negative] += abs(v)
+    out = []
+    for part, total in zip(parts, totals):
+        width = _width(total * factorial(power), power)
+        out.append((width, low, {shape: sum(v << width * e for e, v in items)
+                                 for shape, items in part.items()}))
+    return out[0], out[1]
+
+
+def _apply(vector: FockVector, i: int, power: int) -> FockVector:
+    """Encode by sign, run the divided power on each part, decode the difference."""
+    _check_factor(i, power, vector.ell)
+    boxes = max((mp.size for mp, _ in vector.terms), default=0)
+    acc: dict[Multipartition, LaurentPolynomial] = {}
+    for sign, (width, low, terms) in zip((1, -1), _encode(vector, power)):
+        terms, low = _divided(vector.charges, vector.ell, terms, low, boxes, i, power, width)
+        for shape, coeff in terms.items():
+            mp = _multipartition(shape)
+            acc[mp] = acc.get(mp, ZERO) + _decode(coeff, width, low) * sign
+    return FockVector.from_dict(vector.charges, vector.ell, acc)
 
 
 def apply_f(vector: FockVector, i: int) -> FockVector:
     """One residue-i box-adding step."""
-    _check_factor(i, 1, vector.ell)
-    terms = {mp.components: c for mp, c in vector.terms}
-    return _vector(vector.charges, vector.ell, _step(vector.charges, vector.ell, terms, i))
+    return _apply(vector, i, 1)
 
 
 def apply_divided_f(vector: FockVector, i: int, power: int) -> FockVector:
     """The divided power: ``power`` single steps, then exact division by [power]!."""
-    _check_factor(i, power, vector.ell)
-    terms = {mp.components: c for mp, c in vector.terms}
-    return _vector(vector.charges, vector.ell,
-                   _divided(vector.charges, vector.ell, terms, i, power))
+    return _apply(vector, i, power)
 
 
 def expand(weight: DominantWeight, word: Iterable[tuple[int, int]]) -> FockVector:
     """Apply a divided-power word to the vacuum, rightmost factor first.
 
     Every factor is checked, in application order, before the first step.
+    Every coefficient met on the way is nonnegative and at most n! at q=1,
+    n the number of boxes the word adds, so one width serves the whole word.
     """
     factors = tuple(word)[::-1]
     for i, power in factors:
         _check_factor(i, power, weight.ell)
-    terms: Terms = {((),) * weight.level: ONE}
-    for i, power in factors:
-        terms = _divided(weight.charges, weight.ell, terms, i, power)
-    return _vector(weight.charges, weight.ell, terms)
+    width = _width(factorial(sum(power for _, power in factors)),
+                   max((power for _, power in factors), default=1))
+    terms, low = _expand(weight, factors, width)
+    return _vector(weight.charges, weight.ell, (width, low, terms))
 
 
 def word_content(word: Iterable[tuple[int, int]], ell: int) -> RootVector:
@@ -323,13 +377,36 @@ def hom_dim(left: FockVector, right: FockVector) -> LaurentPolynomial:
         raise ValueError("expansions carry different charge sequences")
     if not left.is_zero() and not right.is_zero() and left.content() != right.content():
         raise ValueError("expansions have different contents")
-    table = dict(right.terms)
-    total = ZERO
-    for mp, c in left.terms:
-        other = table.get(mp)
-        if other is not None:
-            total = total + c * other
-    return total
+    plus, minus = _signed(left)
+    plus_r, minus_r = _signed(right)
+    same = _hom(plus, plus_r) + _hom(minus, minus_r)
+    return same - (_hom(plus, minus_r) + _hom(minus, plus_r))
+
+
+def _signed(vector: FockVector) -> tuple[_Packed, _Packed]:
+    """The engine's packed terms, or the sign parts of a vector built by hand."""
+    if vector._packed is not None:
+        return vector._packed, (1, 0, {})
+    return _encode(vector, 0)
+
+
+def _hom(left: _Packed, right: _Packed) -> LaurentPolynomial:
+    """Sum of coefficient products over the shared shapes, decoded once.
+
+    A term's value at q=1 is its digit sum, which the width keeps below
+    2^width - 1, so it is the term mod 2^width - 1.  Every digit of the sum of
+    products is at most the sum of the products of those values, so a width
+    of that sum's bit length leaves the sum free of carries.
+    """
+    (wl, ll, tl), (wr, lr, tr) = left, right
+    pairs = [(coeff, tr[shape]) for shape, coeff in tl.items() if shape in tr]
+    if not pairs:
+        return ZERO
+    ml, mr = (1 << wl) - 1, (1 << wr) - 1
+    bound = sum((a % ml) * (b % mr) for a, b in pairs)
+    width = max(wl, wr, bound.bit_length())
+    total = sum(_widen(a, wl, width) * _widen(b, wr, width) for a, b in pairs)
+    return _decode(total, width, ll + lr)
 
 
 def parse_word(text: str) -> FWord:

@@ -16,8 +16,8 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .cartan import DominantWeight, GuardError, RootVector
-from .fock import (FockVector, FWord, Multipartition, Node, Shape, expand, hom_dim,
-                   node_degree, residue, word_content)
+from .fock import (FWord, Multipartition, Node, Shape, _hom, _summed_expansion, node_degree,
+                   residue, word_content)
 from .laurent import ZERO, LaurentPolynomial
 
 DEFAULT_MAX_BOXES = 12
@@ -127,21 +127,13 @@ def _single_steps(ell: int, beta: RootVector, nus: Sequence[Sequence[int]],
     """Each residue sequence as a word of single steps, checked to have content beta."""
     words = []
     for nu in nus:
-        word = tuple((r, 1) for r in reversed(nu))
+        word = tuple([(r, 1) for r in reversed(nu)])
         content = word_content(word, ell)
         if content != beta:
             raise ValueError(f"{name} {tuple(nu)} has content {content.coeffs}, "
                              f"expected {beta.coeffs}")
         words.append(word)
     return words
-
-
-def _summed_expansion(weight: DominantWeight, words: Sequence[FWord]) -> FockVector:
-    acc: dict[Multipartition, LaurentPolynomial] = {}
-    for word in words:
-        for shape, coeff in expand(weight, word).terms:
-            acc[shape] = acc.get(shape, ZERO) + coeff
-    return FockVector.from_dict(weight.charges, weight.ell, acc)
 
 
 def graded_hom_dim(weight: DominantWeight, beta: RootVector,
@@ -176,4 +168,4 @@ def graded_hom_dim_block(weight: DominantWeight, beta: RootVector,
                    else _single_steps(weight.ell, beta, nus_prime, "nu'"))
     left = _summed_expansion(weight, words)
     right = left if words_prime == words else _summed_expansion(weight, words_prime)
-    return hom_dim(left, right)
+    return _hom(left, right)

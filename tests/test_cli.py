@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from klrc import cli
 from klrc.cli import main
 
@@ -130,6 +132,32 @@ def test_vertex_guard_runs_before_the_class_is_enumerated(capsys):
     assert elapsed < 2
     assert code == 3 and out == ""
     assert "class has 3653957934 vertices, cap is 5000" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fock", "--ell", "2", "--weight", ",".join(["0"] * 12), "--word", "2,1^2,0^4,1^2,0^3"],
+     "12 components exceeds the cap of 5"),
+    (["maxweights", "--ell", "16", "--weight", ",".join(["0"] * 12)],
+     "class has 15212379 members, cap is 5000"),
+])
+def test_guards_run_before_the_work(argv, message, capsys):
+    """A 12-component expansion and a class of 15.2 million members exit 3
+    at once, on the component count and on ``class_size``."""
+    def overran(signum, frame):
+        raise TimeoutError("the guard overran its 2 s budget")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 2
+    assert code == 3 and out == ""
+    assert message in err
 
 
 def test_determinism(capsys):

@@ -2,7 +2,9 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fock_reference as reference
 from klrc.cartan import DominantWeight, RootVector
 from klrc.fock import (FockVector, apply_divided_f, apply_f, expand, hom_dim, node_degree,
                        parse_word, residue, residue_word, word_content)
@@ -306,9 +308,10 @@ def reference_divided(vector, i, power):
                                 {mp: c.exact_div(factorial) for mp, c in vector.terms})
 
 
-def grown_word(rng, charges, ell, boxes):
-    """A word of powers 1..3 that keeps one tracked multipartition growing, so
-    its expansion is nonzero; factors listed leftmost first."""
+def grown_word(rng, charges, ell, boxes, top=3, greedy=False):
+    """A word of powers 1..top that keeps one tracked multipartition growing,
+    so its expansion is nonzero; factors listed leftmost first.  A greedy
+    word adds as many nodes as it may at each factor."""
     shape = Multipartition.empty(len(charges))
     factors = []
     while boxes:
@@ -316,7 +319,9 @@ def grown_word(rng, charges, ell, boxes):
         for node in shape.addable_nodes():
             by_residue.setdefault(residue(charges, node, ell), []).append(node)
         i = rng.choice(sorted(by_residue))
-        r = rng.randint(1, min(3, len(by_residue[i]), boxes))
+        r = min(top, len(by_residue[i]), boxes)
+        if not greedy:
+            r = rng.randint(1, r)
         for node in rng.sample(by_residue[i], r):
             shape = shape.add_node(node)
         factors.append((i, r))
@@ -324,13 +329,21 @@ def grown_word(rng, charges, ell, boxes):
     return factors[::-1]
 
 
+def signed(vector, rng):
+    """The vector with a mix of signs: each coefficient c becomes c, -c or c - 2q*c."""
+    return FockVector.from_dict(vector.charges, vector.ell, {
+        mp: rng.choice([c, -c, c - 2 * c.shift(1)]) for mp, c in vector.terms})
+
+
 def test_step_matches_value_object_route():
     """apply_f, apply_divided_f and expand against the value-object route, for
-    every order of each charge sequence, repeated charges included."""
+    every order of each charge sequence, repeated charges included; words of
+    up to 14 boxes with powers up to 4, and vectors with negative
+    coefficients for the two wrappers."""
     from itertools import permutations
 
     rng = random.Random(8128)
-    repeated = 0
+    repeated = fourth_powers = 0
     for ell in range(2, 7):
         for level in range(1, 5):
             charges = sorted(rng.randint(0, ell) for _ in range(level))
@@ -338,19 +351,25 @@ def test_step_matches_value_object_route():
                 charges[1] = charges[0]
             repeated += len(set(charges)) < level
             words = [grown_word(rng, charges, ell, rng.randint(6, 10)),
-                     [(rng.randint(0, ell), rng.randint(1, 3)) for _ in range(3)]]
+                     [(rng.randint(0, ell), rng.randint(1, 3)) for _ in range(3)],
+                     grown_word(rng, charges, ell, 14 if level < 3 else 12, top=4, greedy=True)]
+            fourth_powers += any(power == 4 for _, power in words[2])
             for order in sorted(set(permutations(charges))):
                 weight = DominantWeight.from_charges(list(order), ell)
                 for n, word in enumerate(words):
                     vector = FockVector.vacuum(weight)
                     for i, power in reversed(word):
                         assert apply_f(vector, i) == reference_step(vector, i)
+                        mixed = signed(vector, rng)
+                        assert apply_divided_f(mixed, i, power) == reference_divided(
+                            mixed, i, power)
                         divided = apply_divided_f(vector, i, power)
                         assert divided == reference_divided(vector, i, power)
                         vector = divided
                     assert expand(weight, word) == vector
-                    assert n or not vector.is_zero()   # the grown word
+                    assert n == 1 or not vector.is_zero()   # the grown words
     assert repeated >= 6
+    assert fourth_powers >= 4
 
 
 def test_word_checked_before_any_step(monkeypatch):
@@ -368,3 +387,109 @@ def test_word_checked_before_any_step(monkeypatch):
                           ([(0, 1), (7, 0)], "power must be at least 1")]:
         with pytest.raises(ValueError, match=message):
             expand(weight, word)
+
+
+def test_packed_hom_dim_matches_reference_on_signed_vectors():
+    rng = random.Random(31)
+    weight = W(2, 0, 1, 0)
+    left = expand(weight, [(2, 1), (1, 2), (0, 2)])
+    right = expand(weight, [(1, 2), (2, 1), (0, 2)])
+    for _ in range(20):
+        a, b = signed(left, rng), signed(right, rng)
+        for x, y in [(a, b), (a, a), (left, b), (a, right)]:
+            assert hom_dim(x, y) == reference.hom_dim(x, y)
+
+
+@st.composite
+def fock_case(draw):
+    """A rank, a charge sequence and a word of up to 9 boxes."""
+    ell = draw(st.integers(2, 5))
+    charges = draw(st.lists(st.integers(0, ell), min_size=1, max_size=4))
+    factors = draw(st.lists(st.tuples(st.integers(0, ell), st.integers(1, 3)),
+                            max_size=5).filter(lambda f: sum(r for _, r in f) <= 9))
+    return DominantWeight.from_charges(charges, ell), factors
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(fock_case(), st.randoms(use_true_random=False))
+def test_packed_engine_matches_laurent_reference(case, rng):
+    weight, word = case
+    vector = expand(weight, word)
+    assert vector == reference.expand(weight, word)
+    assert hom_dim(vector, vector) == reference.hom_dim(vector, vector)
+    twin = expand(weight, rng.sample(word, len(word)))   # same content, other order
+    assert hom_dim(vector, twin) == reference.hom_dim(vector, twin)
+    i = rng.randint(0, weight.ell)
+    assert apply_f(vector, i) == reference.apply_f(vector, i)
+    mixed = signed(vector, rng)
+    for power in (1, 2, 3):
+        assert apply_divided_f(mixed, i, power) == reference.apply_divided_f(mixed, i, power)
+
+
+def test_wrong_degree_rule_never_returns_a_wrong_vector(monkeypatch):
+    """With removable i-nodes left out of the degree count, a divided power
+    either raises ValueError or returns exactly what Laurent division of the
+    same single steps returns: the packed quotient check accepts exactly the
+    exact divisions."""
+    import klrc.fock
+
+    counted = klrc.fock._i_nodes
+    monkeypatch.setattr(klrc.fock, "_i_nodes",
+                        lambda *args: [node for node in counted(*args) if node is not None])
+    rng = random.Random(1729)
+    raised = agreed = 0
+    for _ in range(40):
+        ell = rng.randint(2, 5)
+        charges = sorted(rng.randint(0, ell) for _ in range(rng.randint(1, 4)))
+        weight = DominantWeight.from_charges(charges, ell)
+        word = grown_word(rng, charges, ell, rng.randint(4, 9), top=4)
+        vector = FockVector.vacuum(weight)
+        for i, power in reversed(word):
+            stepped = vector
+            for _ in range(power):
+                stepped = apply_f(stepped, i)
+            factorial = quantum_factorial(power, 2 if i in (0, ell) else 1)
+            try:
+                quotient = FockVector.from_dict(weight.charges, ell, {
+                    mp: c.exact_div(factorial) for mp, c in stepped.terms})
+            except ValueError:
+                with pytest.raises(ValueError, match="inexact division"):
+                    apply_divided_f(vector, i, power)
+                with pytest.raises(ValueError, match="inexact division"):
+                    expand(weight, word)
+                raised += 1
+                break
+            assert apply_divided_f(vector, i, power) == quotient
+            agreed += power > 1
+            vector = quotient
+    assert raised >= 25 and agreed >= 1
+
+
+def test_quotient_check_rejects_carries():
+    """A zero remainder alone is not enough: X^4 - 1 = (1 + X^2)(X^2 - 1) at
+    X = 2^w, but the quotient's digits are 2^w - 1, and the polynomial they
+    spell times 1 + q^2 is not the dividend's."""
+    from klrc.fock import _divide
+
+    width = 8
+    x = 1 << width
+    with pytest.raises(ValueError, match="inexact division"):
+        _divide({((1,),): x ** 4 - 1}, 2, 1, width)
+    assert _divide({((1,),): (1 + x ** 2) * (3 + x)}, 2, 1, width) == {((1,),): 3 + x}
+
+
+def test_equal_charges_at_level_five_reach_the_width_bound():
+    """Five equal charges give many standard fillings per shape, which pushes
+    the coefficients toward the n! bound the width is set by."""
+    weight = DominantWeight.from_charges([0] * 5, 2)
+    runs = [[0] * 5 + [1] * 5 + [2] * 2, [0] * 5 + [1] * 5 + [0] * 2 + [2] * 2,
+            [0] * 5 + [1] * 5 + [2] * 4]
+    words = [[(i, 1) for i in reversed(run)] for run in runs]
+    words.append([(2, 4), (1, 1), (1, 4), (0, 1), (0, 4)])
+    biggest = 0
+    for word in words:
+        vector = expand(weight, word)
+        assert vector == reference.expand(weight, word)
+        assert hom_dim(vector, vector) == reference.hom_dim(vector, vector)
+        biggest = max(biggest, max(c.evaluate(1) for _, c in vector.terms))
+    assert biggest >= 300_000
