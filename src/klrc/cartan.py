@@ -38,7 +38,7 @@ def cartan(ell: int) -> "CartanDatum":
 class CartanDatum:
     """The rank-ell affine Cartan matrix of type C together with its d-vector."""
 
-    __slots__ = ("ell", "matrix", "d", "delta_coeffs")
+    __slots__ = ("ell", "matrix", "_band", "d", "delta_coeffs")
 
     def __init__(self, ell: int):
         if ell < 2:
@@ -54,12 +54,21 @@ class CartanDatum:
                 row[i + 1] = -2 if i == ell - 1 else -1
             rows.append(tuple(row))
         self.matrix: tuple[tuple[int, ...], ...] = tuple(rows)
+        # row i's entries at columns i-1, i, i+1, with 0 past either end: A is
+        # tridiagonal, so these are all its nonzero entries
+        padded = [(0, *row, 0) for row in rows]
+        self._band: tuple[tuple[int, int, int], ...] = tuple(
+            (row[i], row[i + 1], row[i + 2]) for i, row in enumerate(padded))
         self.d: tuple[int, ...] = (2,) + (1,) * (ell - 1) + (2,)
         self.delta_coeffs: tuple[int, ...] = (1,) + (2,) * (ell - 1) + (1,)
 
     def apply_matrix(self, x: Sequence[int]) -> tuple[int, ...]:
-        """The product A . x as a coefficient vector."""
-        return tuple(sum(row[j] * x[j] for j in range(self.ell + 1)) for row in self.matrix)
+        """The product A . x as a coefficient vector, from the band of A."""
+        if len(x) != self.ell + 1:
+            raise ValueError("rank mismatch")
+        p = (0, *x, 0)
+        return tuple([a * p[i] + b * p[i + 1] + c * p[i + 2]
+                      for i, (a, b, c) in enumerate(self._band)])
 
     def __repr__(self) -> str:
         return f"CartanDatum(ell={self.ell})"

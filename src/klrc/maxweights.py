@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from operator import mul
 
 from .cartan import DominantWeight, RootVector, cartan, hub, pairing
@@ -56,22 +57,23 @@ def class_members(weight: DominantWeight) -> list[DominantWeight]:
 def class_size(weight: DominantWeight) -> int:
     """``len(class_members(weight))``, counted without enumerating the class.
 
-    A dynamic program over the ell+1 parts: ``ways[s][p]`` counts the
-    multiplicities placed so far with total s and ev of parity p.
+    Of the C(k+ell, ell) weak compositions of k into ell+1 parts, those with
+    even ev outnumber the others by D = [t^k] (1-t)^-a (1+t)^-b, where a and b
+    count the even and the odd indices.  For even ell, a = b + 1 and
+    D = C(b + k//2, b); for odd ell, a = b and D = C(b - 1 + k/2, b - 1) when
+    k is even, else 0.  That is two binomials at any level, so the size
+    guards that call this stay cheap however large k is.
     """
     _check_level(weight)
-    k = weight.level
-    ways = [[0, 0] for _ in range(k + 1)]
-    ways[0][0] = 1
-    for i in range(weight.ell + 1):
-        placed = [[0, 0] for _ in range(k + 1)]
-        for s, (even, odd) in enumerate(ways):
-            for v in range(k - s + 1):
-                flip = i % 2 and v % 2
-                placed[s + v][flip] += even
-                placed[s + v][1 - flip] += odd
-        ways = placed
-    return ways[k][ev(weight) % 2]
+    k, ell = weight.level, weight.ell
+    odd = (ell + 1) // 2
+    if ell % 2 == 0:
+        surplus = comb(odd + k // 2, odd)
+    else:
+        surplus = 0 if k % 2 else comb(odd - 1 + k // 2, odd - 1)
+    if ev(weight) % 2:
+        surplus = -surplus
+    return (comb(k + ell, ell) + surplus) // 2
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,31 @@ puts it back the step ``STEPS`` lists for that index; an arrow is a move that
 raises the solution vector by one of five explicit root-lattice increments.
 Arrows always point toward the larger vector, the fixed root has in-degree
 zero, and every vertex is reachable from it by a directed path.
+
+``build_quiver`` decides arrows from a per-rank move table (``_move_table``):
+each move is stored once with its label, increment d, witness and rendered
+label, the indices it takes a multiplicity off and puts one on, and two
+bitmasks over the coordinates, ``zero = {j : d_j = 0}`` and
+``low = {j : d_j <= 1}``.  For a source x with null-root coefficients n, the
+move is an arrow when x + d drops below n somewhere, and that holds exactly
+when ``one & zero or two & low`` is nonzero, with ``one = {j : x_j < n_j}``
+and ``two = {j : x_j + 1 < n_j}``.  The test is exact because x >= 0 and
+n_j <= 2 leave n_j - x_j <= 2 and every d_j lies in {0, 1, 2}:
+x_j + d_j < n_j needs n_j - x_j = 1 and d_j = 0 (j in ``one``), or
+n_j - x_j = 2 and d_j <= 1 (j in ``two``).  Only accepted moves build the
+raised vector, and it is checked against the target's own minimal solution.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import product
 from operator import add, itemgetter, lt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .cartan import DominantWeight, GuardError, RootVector, cartan
+from .cartan import RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, cartan
 from .maxweights import MaximalWeightDatum, beta_of, class_members, class_size
 
 KIND_UP = "+"              # one index raised by 2
@@ -105,6 +120,21 @@ def apply_move(weight: DominantWeight, label: MoveLabel) -> DominantWeight:
     return DominantWeight(m)
 
 
+def _candidate_keys(m: tuple[int, ...]) -> list[tuple[str, int, int | None]]:
+    """The ``(kind, i, j)`` keys of ``candidate_moves`` for multiplicities ``m``,
+    in the same order, with ``j`` None for a single-index move."""
+    ell = len(m) - 1
+    support = [i for i, v in enumerate(m) if v]
+    # index pairs (i, j) the weight can lose one multiplicity at each, in
+    # lexicographic order
+    pairs = [(i, j) for i in support for j in support if i != j or m[i] >= 2]
+    return ([(KIND_UP, i, None) for i in support if i <= ell - 2]
+            + [(KIND_DOWN, i, None) for i in support if i >= 2]
+            + [(KIND_UP_UP, i, j) for i, j in pairs if i <= j < ell and j != i + 1]
+            + [(KIND_DOWN_DOWN, i, j) for i, j in pairs if 1 <= i <= j and j != i + 1]
+            + [(KIND_DOWN_UP, i, j) for i, j in pairs if i >= 1 and j < ell and j != i - 1])
+
+
 def candidate_moves(weight: DominantWeight) -> list[MoveLabel]:
     """All moves applicable to ``weight``, with coincident pair moves dropped.
 
@@ -112,17 +142,42 @@ def candidate_moves(weight: DominantWeight) -> list[MoveLabel]:
     (the raised pair at (i, i+1) equals the single raise at i, and dually),
     so only the canonical single labels are produced.
     """
-    ell, m = weight.ell, weight.m
-    support = [i for i, v in enumerate(m) if v]
-    # index pairs (i, j) the weight can lose one multiplicity at each, in
-    # lexicographic order
-    pairs = [(i, j) for i in support for j in support if i != j or m[i] >= 2]
-    return ([MoveLabel(KIND_UP, i) for i in support if i <= ell - 2]
-            + [MoveLabel(KIND_DOWN, i) for i in support if i >= 2]
-            + [MoveLabel(KIND_UP_UP, i, j) for i, j in pairs if i <= j < ell and j != i + 1]
-            + [MoveLabel(KIND_DOWN_DOWN, i, j) for i, j in pairs if 1 <= i <= j and j != i + 1]
-            + [MoveLabel(KIND_DOWN_UP, i, j) for i, j in pairs
-               if i >= 1 and j < ell and j != i - 1])
+    return [MoveLabel(*key) for key in _candidate_keys(weight.m)]
+
+
+class _Move(NamedTuple):
+    """A move's entry in the per-rank move table."""
+
+    label: MoveLabel
+    delta: RootVector
+    witness: tuple[int, ...]
+    text: str           # str(label)
+    removed: tuple[int, ...]
+    added: tuple[int, ...]
+    zero: int           # bitmask of the coordinates j with delta_j = 0
+    low: int            # bitmask of the coordinates j with delta_j <= 1
+
+
+@lru_cache(maxsize=RANK_CACHE_SIZE)
+def _move_table(ell: int) -> dict[tuple[str, int, int | None], _Move]:
+    """Every move valid at rank ``ell``, keyed as ``_candidate_keys`` lists it."""
+    table = {}
+    for kind, steps in STEPS.items():
+        for index in product(range(ell + 1), repeat=len(steps)):
+            label = MoveLabel(kind, *index)
+            try:
+                label.validate(ell)
+            except ValueError:
+                continue
+            delta = delta_vector(label, ell)
+            # the two-mask arrow test is exact only for increments in {0, 1, 2}
+            assert set(delta.coeffs) <= {0, 1, 2}, label
+            table[kind, label.i, label.j] = _Move(
+                label, delta, witness_sequence(label, ell), str(label), index,
+                tuple(map(add, index, steps)),
+                sum(1 << n for n, d in enumerate(delta.coeffs) if d == 0),
+                sum(1 << n for n, d in enumerate(delta.coeffs) if d <= 1))
+    return table
 
 
 def _raised(x: tuple[int, ...], delta: tuple[int, ...],
@@ -200,38 +255,64 @@ class MaxWeightQuiver:
     def ell(self) -> int:
         return self.root.ell
 
+    @cached_property
+    def _by_m(self) -> dict[tuple[int, ...], MaximalWeightDatum]:
+        return {v.weight.m: v for v in self.vertices}
+
     def vertex(self, weight: DominantWeight) -> MaximalWeightDatum:
-        for v in self.vertices:
-            if v.weight.m == weight.m:
-                return v
-        raise KeyError(f"{weight} is not a vertex")
+        v = self._by_m.get(weight.m)
+        if v is None:
+            raise KeyError(f"{weight} is not a vertex")
+        return v
+
+
+def _below_masks(x: tuple[int, ...], null: tuple[int, ...]) -> tuple[int, int]:
+    """The bitmasks ``one = {j : x_j < n_j}`` and ``two = {j : x_j + 1 < n_j}``
+    of the two-mask arrow test, for n the null-root coefficients ``null``."""
+    one = two = 0
+    for n, (xn, dn) in enumerate(zip(x, null)):
+        if xn < dn:
+            one |= 1 << n
+            if xn + 1 < dn:
+                two |= 1 << n
+    return one, two
 
 
 def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICES) -> MaxWeightQuiver:
-    """The full directed quiver on the equivalence class of ``weight``."""
+    """The full directed quiver on the equivalence class of ``weight``.
+
+    Each candidate move is decided by the two-mask test of the module
+    docstring, which ``minimal_solution``'s assertion x >= 0 makes exact.
+    """
     size = class_size(weight)
     if size > max_vertices:
         raise GuardError(f"class has {size} vertices, cap is {max_vertices}")
     ell = weight.ell
     data = {member.m: beta_of(weight, member) for member in class_members(weight)}
     null = cartan(ell).delta_coeffs
-    per_label = {}      # label -> (delta, witness, rendered label), filled on first use
+    table = _move_table(ell)
     found = []
     for source in data.values():
         m, x = source.weight.m, source.x.coeffs
-        for label in candidate_moves(source.weight):
-            shared = per_label.get(label)
-            if shared is None:
-                shared = per_label[label] = (delta_vector(label, ell),
-                                             witness_sequence(label, ell), str(label))
-            raised = _raised(x, shared[0].coeffs, null)
-            if raised is None:
+        one, two = _below_masks(x, null)
+        for key in _candidate_keys(m):
+            move = table[key]
+            if not (one & move.zero or two & move.low):
                 continue
-            target = data[_shift(m, label)]
-            # the raised vector must agree with the target's own minimal solution
-            assert raised == target.x.coeffs, (source.weight, label)
-            found.append(((m, target.weight.m, shared[2]),
-                          Arrow(source.weight, target.weight, label, shared[0], shared[1])))
+            shifted = list(m)
+            for n in move.removed:
+                shifted[n] -= 1
+            for n in move.added:
+                shifted[n] += 1
+            target = data[tuple(shifted)]
+            raised = tuple(map(add, x, move.delta.coeffs))
+            # the raised vector drops below the null root and agrees with the
+            # target's own minimal solution
+            assert any(map(lt, raised, null)), (source.weight, move.label)
+            assert raised == target.x.coeffs, (source.weight, move.label)
+            found.append(((m, target.weight.m, move.text),
+                          Arrow(source.weight, target.weight, move.label, move.delta,
+                                move.witness)))
     found.sort(key=itemgetter(0))
     return MaxWeightQuiver(weight, tuple(data.values()), tuple(a for _, a in found))
 
@@ -247,12 +328,17 @@ def export(quiver: MaxWeightQuiver, fmt: str) -> str:
 
 
 def to_dot(quiver: MaxWeightQuiver) -> str:
+    """Graphviz text of the quiver; each label is rendered once per quiver."""
     names = {v.weight.m: f"v{n}" for n, v in enumerate(quiver.vertices)}
     lines = ["digraph maxweights {"]
     for v in quiver.vertices:
         lines.append(f'  {names[v.weight.m]} [label="{v.weight}"];')
+    labels: dict[MoveLabel, str] = {}
     for a in quiver.arrows:
-        lines.append(f'  {names[a.source.m]} -> {names[a.target.m]} [label="{a.label}"];')
+        label = labels.get(a.label)
+        if label is None:
+            label = labels[a.label] = str(a.label)
+        lines.append(f'  {names[a.source.m]} -> {names[a.target.m]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from klrc.cartan import (CartanDatum, DominantWeight, RootVector, cartan,
@@ -23,6 +25,18 @@ def test_null_root_and_row_sums(ell):
     for j in range(ell + 1):
         assert sum(datum.matrix[i][j] for i in range(ell + 1)) == 0
     del ones
+
+
+def test_apply_matrix_matches_dense_row_product():
+    rng = random.Random(8)
+    for ell in range(2, 17):
+        datum = cartan(ell)
+        for _ in range(20):
+            x = [rng.randint(-50, 50) for _ in range(ell + 1)]
+            dense = tuple(sum(a * v for a, v in zip(row, x)) for row in datum.matrix)
+            assert datum.apply_matrix(x) == dense, (ell, x)
+        with pytest.raises(ValueError):
+            datum.apply_matrix(x[:-1])
 
 
 @pytest.mark.parametrize("ell", range(2, 7))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import signal
@@ -7,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klrc import cli
 from klrc.cli import main
@@ -212,3 +215,50 @@ def test_import_builds_no_parser():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout == "0\n"
+
+
+# one comma-separated field: in range, out of range, empty or not an integer
+FIELD = st.one_of(st.integers(0, 3).map(str), st.integers(-3, 22).map(str),
+                  st.sampled_from(["", "x", "1.5", " ", "0x1", "--", "1e3", "30000"]),
+                  st.text(max_size=3))
+EXIT_BUDGET_S = 10
+
+
+@st.composite
+def hostile_argv(draw):
+    """``quiver`` or ``maxweights`` with a rank in -1..20, charges or
+    multiplicities, --max-vertices and --format, each usually well formed and
+    otherwise hostile or missing: a rank or field that is out of range, empty
+    or not an integer, a --max-vertices that is zero or negative (an argparse
+    error for maxweights), or an unknown format."""
+    def sometimes(value, hostile):
+        return draw(hostile) if not draw(st.integers(0, 4)) else value
+
+    ell = draw(st.integers(-1, 20))
+    command = draw(st.sampled_from(["quiver", "maxweights"]))
+    argv = [command, "--ell", sometimes(str(ell), st.one_of(FIELD, st.just(None)))]
+    # well formed: one to five small charges, or ell+1 small multiplicities
+    source = draw(st.sampled_from(["--weight", "--m"]))
+    lo, hi = (1, 5) if source == "--weight" else (max(ell + 1, 1),) * 2
+    fields = st.lists(st.integers(0, 3).map(str), min_size=lo, max_size=hi)
+    argv += [source, ",".join(sometimes(draw(fields), st.lists(FIELD, max_size=6)))]
+    if command == "quiver" or not draw(st.integers(0, 4)):
+        argv += ["--max-vertices", str(sometimes(500, st.integers(-5, 50)))]
+    formats = ["text", "json", "dot", "tsv"][:4 if command == "quiver" else 2]
+    argv += ["--format", sometimes(draw(st.sampled_from(formats)), st.just("yaml"))]
+    return [arg for arg in argv if arg is not None]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(hostile_argv())
+def test_quiver_and_maxweights_exit_contract(argv):
+    """Every argv ends in exit 0, 2 or 3 within the budget, never a traceback;
+    an argparse error raises SystemExit(2)."""
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    assert time.perf_counter() - start < EXIT_BUDGET_S, argv

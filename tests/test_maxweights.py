@@ -43,6 +43,39 @@ def test_class_contains_self():
         assert any(v.m == m for v in class_members(w))
 
 
+def class_size_by_parts(m):
+    """The class size by a dynamic program over the parts: ``ways[s][p]``
+    counts the multiplicities placed so far with total s and ev of parity p."""
+    k = sum(m)
+    ways = [[0, 0] for _ in range(k + 1)]
+    ways[0][0] = 1
+    for i in range(len(m)):
+        placed = [[0, 0] for _ in range(k + 1)]
+        for s, (even, odd) in enumerate(ways):
+            for v in range(k - s + 1):
+                flip = i % 2 and v % 2
+                placed[s + v][flip] += even
+                placed[s + v][1 - flip] += odd
+        ways = placed
+    return ways[k][sum(m[1::2]) % 2]
+
+
+def test_class_size_matches_the_dynamic_program():
+    for ell in range(2, 17):
+        for level in range(1, 21):
+            for parity in (0, 1):
+                m = (level - parity, parity) + (0,) * (ell - 1)
+                assert class_size(DominantWeight(m)) == class_size_by_parts(m), m
+
+
+def test_class_size_at_a_large_level():
+    """Two binomials at any level (the dynamic program would take hours here):
+    at rank 2 the class of kΛ0 holds the compositions with m_1 even,
+    ((k+2)(k+1)/2 + k//2 + 1)/2 of them."""
+    k = 10 ** 5
+    assert class_size(DominantWeight((k, 0, 0))) == ((k + 2) * (k + 1) // 2 + k // 2 + 1) // 2
+
+
 @pytest.mark.parametrize("ell", range(2, 9))
 def test_class_size_counts_the_members(ell):
     for level in range(1, 6):

@@ -1,13 +1,14 @@
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from klrc.cartan import DominantWeight, RootVector, hub
+from klrc.cartan import DominantWeight, RootVector, cartan, hub
 from klrc.maxweights import beta_of, class_members, minimal_solution
 from klrc.multiplicity import first_layer_roots
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP,
-                         KIND_UP_UP, STEPS, Arrow, MoveLabel, apply_move,
+                         KIND_UP_UP, STEPS, Arrow, MoveLabel, _below_masks,
+                         _candidate_keys, _move_table, _raised, apply_move,
                          arrow_test, build_quiver, candidate_moves, delta_vector,
                          export, witness_sequence)
 
@@ -263,6 +264,36 @@ def _inverse(label: MoveLabel) -> MoveLabel:
     return downup(label.j + 1, label.i - 1)
 
 
+@pytest.mark.parametrize("ell", range(2, 5))
+def test_two_mask_arrow_test_is_exact(ell):
+    """``one & zero or two & low`` decides ``any(x + d < n)`` for every move and
+    every x in {0, 1, 2, 3}^(ell+1).  On real classes the second mask is never
+    the deciding one for ell <= 10 and level <= 5, so only this test checks it."""
+    null = cartan(ell).delta_coeffs
+    table = _move_table(ell)
+    assert {move.label for move in table.values()} == set(in_range_labels(ell))
+    for x in product(range(4), repeat=ell + 1):
+        one, two = _below_masks(x, null)
+        for move in table.values():
+            rule = bool(one & move.zero or two & move.low)
+            assert rule == (_raised(x, move.delta.coeffs, null) is not None), (x, move.label)
+
+
+def test_move_table_entries():
+    for ell in range(2, 11):
+        for key, move in _move_table(ell).items():
+            assert key == (move.label.kind, move.label.i, move.label.j)
+            assert move.delta == delta_vector(move.label, ell)
+            assert move.witness == witness_sequence(move.label, ell)
+            assert move.text == str(move.label)
+            m = [2] * (ell + 1)
+            for n in move.removed:
+                m[n] -= 1
+            for n in move.added:
+                m[n] += 1
+            assert apply_move(DominantWeight((2,) * (ell + 1)), move.label).m == tuple(m)
+
+
 def test_candidate_moves_are_the_applicable_labels():
     """candidate_moves lists, once each, every in-range label that apply_move
     accepts."""
@@ -278,16 +309,24 @@ def test_candidate_moves_are_the_applicable_labels():
                         continue
                     applicable.add(label)
                 moves = candidate_moves(weight)
+                assert moves == [_move_table(ell)[key].label for key in _candidate_keys(weight.m)]
                 assert len(moves) == len(set(moves))
                 assert set(moves) == applicable
 
 
-@pytest.mark.parametrize("ell", range(2, 7))
-@pytest.mark.parametrize("level", range(1, 4))
-@pytest.mark.parametrize("parity", [0, 1])
+# the classes rooted at (level - parity)Λ0 + parityΛ1 with ell <= 6 and level <= 3,
+# then the larger level-4 classes at ell 7-10 and one level-5 class (636 vertices)
+ROUTE_CASES = ([(parity, level, ell) for parity in (0, 1) for level in range(1, 4)
+                for ell in range(2, 7)]
+               + [(parity, 4, ell) for parity in (0, 1) for ell in range(7, 11)]
+               + [(1, 5, 8)])
+
+
+@pytest.mark.parametrize("parity,level,ell", ROUTE_CASES)
 def test_build_quiver_matches_value_object_route(ell, level, parity):
     """build_quiver against the arrows rebuilt from the public value-object
-    functions, one arrow_test per candidate move."""
+    functions, one arrow_test per candidate move, so that rejected moves are
+    checked as well as arrows."""
     weight = DominantWeight((level - parity, parity) + (0,) * (ell - 1))
     data = {member.m: beta_of(weight, member) for member in class_members(weight)}
     arrows = []
