@@ -74,6 +74,25 @@ class CartanDatum:
         return f"CartanDatum(ell={self.ell})"
 
 
+def _terms(coeffs: Sequence[int], symbol: str) -> str:
+    """``c0<symbol>0+c1<symbol>1+...`` over the nonzero coefficients, a
+    coefficient of 1 left out; "0" when every coefficient is zero."""
+    return "+".join([f"{'' if c == 1 else c}{symbol}{i}"
+                     for i, c in enumerate(coeffs) if c]) or "0"
+
+
+def root_text(coeffs: Sequence[int]) -> str:
+    """The text of the root-lattice vector with these coefficients, e.g. ``a0+2a1``;
+    ``str(RootVector(coeffs))``."""
+    return _terms(coeffs, "a")
+
+
+def weight_text(m: Sequence[int]) -> str:
+    """The text of the weight with these fundamental multiplicities, e.g.
+    ``2Λ0+Λ3``; ``str(DominantWeight(m))``."""
+    return _terms(m, "Λ")
+
+
 @dataclass(frozen=True)
 class RootVector:
     """An element of the root lattice, as coefficients of the simple roots."""
@@ -131,12 +150,7 @@ class RootVector:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            terms.append(("" if c == 1 else str(c)) + f"a{i}")
-        return "+".join(terms) if terms else "0"
+        return root_text(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -203,12 +217,7 @@ class DominantWeight:
         return DominantWeight(self.m[::-1], tuple(self.ell - c for c in self.charges[::-1]))
 
     def __str__(self) -> str:
-        terms = []
-        for i, v in enumerate(self.m):
-            if v == 0:
-                continue
-            terms.append(("" if v == 1 else str(v)) + f"Λ{i}")
-        return "+".join(terms) if terms else "0"
+        return weight_text(self.m)
 
 
 def pairing(lhs: "DominantWeight | RootVector", rhs: RootVector) -> int:

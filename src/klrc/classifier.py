@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Iterator, Sequence
 
 from .cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, hub
@@ -200,12 +201,21 @@ def match_case(m: Sequence[int], x: Sequence[int], ell: int) -> CaseInstance | N
     return None
 
 
+# Trial division decides primality below this bound in at most 2^16 steps.
+MAX_CHARACTERISTIC = 2 ** 32
+
+
 def classify(weight: DominantWeight, beta: RootVector, characteristic: int = 0) -> Verdict:
     """Representation type of the block of ``weight`` at ``beta``.
 
-    ``characteristic`` is the field characteristic (0 or a prime); only the
-    distinctions 2, 3 and "other" matter.
+    ``characteristic`` is the field characteristic: 0 or a prime below
+    ``MAX_CHARACTERISTIC``, else ValueError.  Only the distinctions 2, 3 and
+    "other" matter.
     """
+    p = characteristic
+    prime = 1 < p < MAX_CHARACTERISTIC and all(p % d for d in range(2, isqrt(p) + 1))
+    if p != 0 and not prime:
+        raise ValueError(f"characteristic {p} is not 0 or a prime below 2^32")
     ell = weight.ell
     if ell < 2:
         raise ValueError("rank must be at least 2")

@@ -12,10 +12,11 @@ import json
 import sys
 from functools import lru_cache
 
-from .cartan import DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector
+from .cartan import (DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, root_text,
+                     weight_text)
 from .classifier import classify
 from .fock import expand, hom_dim, parse_word
-from .maxweights import beta_of, class_members, class_size, defect
+from .maxweights import _class_pass, _class_size, _defect, defect
 from .multiplicity import weight_multiplicity
 from .quiver import DEFAULT_MAX_VERTICES, arrow_rows, build_quiver, export
 from .tableaux import DEFAULT_MAX_COMPONENTS, graded_hom_dim
@@ -24,21 +25,39 @@ EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 
 
-def _parse_weight(args) -> DominantWeight:
+def _parse_weight(args, guard=None) -> DominantWeight:
+    """The weight of --m or --weight.  ``guard``, when given, is called with the
+    multiplicity vector before the weight is built, since the weight holds one
+    charge per unit of level and --m can name a level of millions in a few bytes."""
     ell = args.ell
     if ell < 2:
         raise ValueError("--ell must be at least 2")
     if ell > args.max_rank:
         raise GuardError(f"rank {ell} exceeds the cap of {args.max_rank}")
     if getattr(args, "m", None):
-        m = [int(v) for v in args.m.split(",")]
+        m = tuple([int(v) for v in args.m.split(",")])
         if len(m) != ell + 1:
             raise ValueError(f"--m needs {ell + 1} entries")
-        return DominantWeight(tuple(m))
+        if guard is not None and min(m) >= 0:  # a negative entry fails in DominantWeight
+            guard(m)
+        return DominantWeight(m)
     if not getattr(args, "weight", None):
         raise ValueError("a weight is required (--weight or --m)")
     charges = [int(v) for v in args.weight.split(",")]
-    return DominantWeight.from_charges(charges, ell)
+    weight = DominantWeight.from_charges(charges, ell)
+    if guard is not None:
+        guard(weight.m)
+    return weight
+
+
+def _class_guard(cap: int, noun: str):
+    """A ``_parse_weight`` guard that exits on a class of more than ``cap``
+    members, counted from the multiplicities alone."""
+    def guard(m: tuple[int, ...]) -> None:
+        size = _class_size(m)
+        if size > cap:
+            raise GuardError(f"class has {size} {noun}, cap is {cap}")
+    return guard
 
 
 def _parse_beta(args) -> RootVector:
@@ -68,38 +87,27 @@ def _cmd_classify(args) -> str:
 
 
 def _cmd_quiver(args) -> str:
-    weight = _parse_weight(args)
+    weight = _parse_weight(args, _class_guard(args.max_vertices, "vertices"))
     quiver = build_quiver(weight, max_vertices=args.max_vertices)
     if args.format == "text":
-        lines = [f"root {weight}  vertices {len(quiver.vertices)}  arrows {len(quiver.arrows)}"]
-        lines.extend(f"{source} -> {target}  {label}  {delta}"
-                     for source, target, label, delta in arrow_rows(quiver))
+        lines = [f"root {weight}  vertices {len(quiver.ms)}  arrows {len(quiver.rows)}"]
+        lines.extend([f"{source} -> {target}  {label}  {delta}"
+                      for source, target, label, delta in arrow_rows(quiver)])
         return "\n".join(lines)
     return export(quiver, args.format).rstrip("\n")
 
 
 def _cmd_maxweights(args) -> str:
-    weight = _parse_weight(args)
-    size = class_size(weight)
-    if size > DEFAULT_MAX_VERTICES:
-        raise GuardError(f"class has {size} members, cap is {DEFAULT_MAX_VERTICES}")
-    members = class_members(weight)
-    rows = []
-    for member in members:
-        datum = beta_of(weight, member)
-        rows.append({
-            "m": list(member.m),
-            "X": list(datum.x.coeffs),
-            "beta": str(datum.x),
-            "defect": defect(weight, datum.x),
-        })
+    weight = _parse_weight(args, _class_guard(DEFAULT_MAX_VERTICES, "members"))
+    members = _class_pass(weight.m)
+    defects = [_defect(weight.m, x) for _, x in members]
     if args.format == "json":
+        rows = [{"m": list(m), "X": list(x), "beta": root_text(x), "defect": d}
+                for (m, x), d in zip(members, defects)]
         return json.dumps({"ell": weight.ell, "root": list(weight.m), "members": rows},
                           ensure_ascii=False)
-    lines = []
-    for member, row in zip(members, rows):
-        lines.append(f"{member}\tX={tuple(row['X'])}\tdefect={row['defect']}")
-    return "\n".join(lines)
+    return "\n".join([f"{weight_text(m)}\tX={x}\tdefect={d}"
+                      for (m, x), d in zip(members, defects)])
 
 
 def _cmd_dims(args) -> str:
@@ -175,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("classify", help="representation type of a block")
     _add_common(p, beta=True)
-    p.add_argument("--char", type=int, default=0, help="field characteristic (0 or a prime)")
+    p.add_argument("--char", type=int, default=0,
+                   help="field characteristic (0 or a prime below 2^32)")
     p.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("quiver", help="directed quiver on the dominant maximal weights")

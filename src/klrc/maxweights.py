@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from operator import mul
+from operator import floordiv, mul, sub
 
-from .cartan import DominantWeight, RootVector, cartan, hub, pairing
+from .cartan import DominantWeight, RootVector, cartan
 
 
 class NotEquivalentError(ValueError):
@@ -25,22 +25,20 @@ def ev(weight: DominantWeight) -> int:
     return sum(weight.m[i] for i in range(1, weight.ell + 1, 2))
 
 
-def _check_level(weight: DominantWeight) -> None:
-    if weight.level < 1:
-        raise ValueError("level must be at least 1")
+def _class_pass(root: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(m, x)`` for every member m of the class of the multiplicities ``root``,
+    with x its minimal solution, in lexicographic order of m.
 
-
-def class_members(weight: DominantWeight) -> list[DominantWeight]:
-    """All level-k dominant weights equivalent to ``weight``.
-
-    Membership is the parity condition: ev agrees modulo 2.  The result is
-    sorted lexicographically on the multiplicity vector.
+    Membership is the parity condition: ev agrees modulo 2.  Stars and bars
+    yield the weak compositions of k into ell+1 parts already in lexicographic
+    order, since ``combinations`` yields the bar positions lexicographically
+    and m_0, m_1, ... are their successive gaps.
     """
-    _check_level(weight)
-    k, ell = weight.level, weight.ell
-    parity = ev(weight) % 2
+    k, ell = sum(root), len(root) - 1
+    if k < 1:
+        raise ValueError("level must be at least 1")
+    parity = sum(root[1::2]) % 2
     members = []
-    # weak compositions of k into ell+1 parts, by stars and bars
     for bars in combinations(range(k + ell), ell):
         m = []
         prev = -1
@@ -49,9 +47,34 @@ def class_members(weight: DominantWeight) -> list[DominantWeight]:
             prev = b
         m.append(k + ell - 1 - prev)
         if sum(m[1::2]) % 2 == parity:
-            members.append(DominantWeight(tuple(m)))
-    members.sort(key=lambda w: w.m)
+            m = tuple(m)
+            members.append((m, _solve(tuple(map(sub, root, m)), ell)))
     return members
+
+
+def class_members(weight: DominantWeight) -> list[DominantWeight]:
+    """All level-k dominant weights equivalent to ``weight``.
+
+    Membership is the parity condition: ev agrees modulo 2.  The result is
+    sorted lexicographically on the multiplicity vector.
+    """
+    return [DominantWeight(m) for m, _ in _class_pass(weight.m)]
+
+
+def _class_size(m: tuple[int, ...]) -> int:
+    """``class_size`` of the weight with the nonnegative multiplicities ``m``,
+    read from ell, the level and the parity of ev alone."""
+    k, ell = sum(m), len(m) - 1
+    if k < 1:
+        raise ValueError("level must be at least 1")
+    odd = (ell + 1) // 2
+    if ell % 2 == 0:
+        surplus = comb(odd + k // 2, odd)
+    else:
+        surplus = 0 if k % 2 else comb(odd - 1 + k // 2, odd - 1)
+    if sum(m[1::2]) % 2:
+        surplus = -surplus
+    return (comb(k + ell, ell) + surplus) // 2
 
 
 def class_size(weight: DominantWeight) -> int:
@@ -64,16 +87,7 @@ def class_size(weight: DominantWeight) -> int:
     k is even, else 0.  That is two binomials at any level, so the size
     guards that call this stay cheap however large k is.
     """
-    _check_level(weight)
-    k, ell = weight.level, weight.ell
-    odd = (ell + 1) // 2
-    if ell % 2 == 0:
-        surplus = comb(odd + k // 2, odd)
-    else:
-        surplus = 0 if k % 2 else comb(odd - 1 + k // 2, odd - 1)
-    if ev(weight) % 2:
-        surplus = -surplus
-    return (comb(k + ell, ell) + surplus) // 2
+    return _class_size(weight.m)
 
 
 @dataclass(frozen=True)
@@ -88,16 +102,12 @@ class MaximalWeightDatum:
         return self.x.height
 
 
-def minimal_solution(y: tuple[int, ...], ell: int) -> RootVector:
-    """The unique X with A.X^t = y^t, min X >= 0 and min(X - delta) < 0.
-
-    Requires sum(y) = 0 and sum(i*y_i) even.  The particular solution is the
-    closed-form prefix-sum vector; the general solution shifts it by integer
-    multiples of the null-root coefficients, and exactly one shift meets both
-    minimality conditions.
-    """
+def _solve(y: tuple[int, ...], ell: int) -> tuple[int, ...]:
+    """``minimal_solution`` on plain tuples."""
     datum = cartan(ell)
-    moment = sum(t * y[t] for t in range(ell + 1))
+    if len(y) != ell + 1:
+        raise ValueError("rank mismatch")
+    moment = sum(map(mul, range(ell + 1), y))
     if sum(y) != 0 or moment % 2:
         raise NotEquivalentError(f"no equivalence-class solution for y={y}")
     # xhat[j] = -sum_{t<j} (j - t) y[t], from the running sums of y[t] and t*y[t]
@@ -109,26 +119,47 @@ def minimal_solution(y: tuple[int, ...], ell: int) -> RootVector:
         xhat[j] = weighted - j * total
     xhat[ell] = moment // 2
     delta = datum.delta_coeffs
-    shift = -min(xj // dj for xj, dj in zip(xhat, delta))
-    x = tuple(xj + shift * dj for xj, dj in zip(xhat, delta))
-    assert datum.apply_matrix(x) == tuple(y)
-    assert min(x) >= 0 and min(xi - di for xi, di in zip(x, delta)) < 0
-    return RootVector(x)
+    shift = -min(map(floordiv, xhat, delta))
+    x = tuple([xj + shift * dj for xj, dj in zip(xhat, delta)])
+    assert datum.apply_matrix(x) == y
+    assert min(x) >= 0 and min(map(sub, x, delta)) < 0
+    return x
+
+
+def minimal_solution(y: tuple[int, ...], ell: int) -> RootVector:
+    """The unique X with A.X^t = y^t, min X >= 0 and min(X - delta) < 0.
+
+    Requires sum(y) = 0 and sum(i*y_i) even.  The particular solution is the
+    closed-form prefix-sum vector; the general solution shifts it by integer
+    multiples of the null-root coefficients, and exactly one shift meets both
+    minimality conditions.
+    """
+    return RootVector(_solve(tuple(y), ell))
 
 
 def beta_of(weight: DominantWeight, other: DominantWeight) -> MaximalWeightDatum:
     """The datum of the dominant maximal weight attached to ``other`` in the class of ``weight``."""
     if weight.ell != other.ell or weight.level != other.level:
         raise NotEquivalentError("weights live in different classes")
-    y = tuple(a - b for a, b in zip(hub(weight), hub(other)))
-    return MaximalWeightDatum(other, minimal_solution(y, weight.ell))
+    return MaximalWeightDatum(other, RootVector(_solve(tuple(map(sub, weight.m, other.m)),
+                                                       weight.ell)))
+
+
+def _defect(m: tuple[int, ...], x: tuple[int, ...]) -> int:
+    """``defect`` on plain tuples: (Lambda, beta) - (beta, beta)/2 from the
+    multiplicities m of Lambda and the coefficients x of beta."""
+    datum = cartan(len(m) - 1)
+    dx = tuple(map(mul, datum.d, x))
+    bb = sum(map(mul, dx, datum.apply_matrix(x)))
+    assert bb % 2 == 0
+    return sum(map(mul, m, dx)) - bb // 2
 
 
 def defect(weight: DominantWeight, beta: RootVector) -> int:
     """(Lambda, beta) - (beta, beta)/2."""
-    bb = pairing(beta, beta)
-    assert bb % 2 == 0
-    return pairing(weight, beta) - bb // 2
+    if weight.ell != beta.ell:
+        raise ValueError("rank mismatch")
+    return _defect(weight.m, beta.coeffs)
 
 
 def delta_decompose(x: RootVector) -> tuple[RootVector, int]:

@@ -27,11 +27,12 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from operator import add, itemgetter, lt
+from operator import add, lt
 from typing import Iterable, Iterator, NamedTuple
 
-from .cartan import RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, cartan
-from .maxweights import MaximalWeightDatum, beta_of, class_members, class_size
+from .cartan import (RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, cartan,
+                     root_text, weight_text)
+from .maxweights import MaximalWeightDatum, _class_pass, class_size
 
 KIND_UP = "+"              # one index raised by 2
 KIND_DOWN = "-"            # one index lowered by 2
@@ -247,23 +248,40 @@ class Arrow:
 
 @dataclass(frozen=True)
 class MaxWeightQuiver:
+    """The quiver as plain tuples: the class members' multiplicities ``ms`` in
+    lexicographic order, their minimal solutions ``xs``, and one row
+    ``(source index, target index, move)`` per arrow.  ``vertices``,
+    ``arrows`` and ``vertex`` build the value objects on first read."""
+
     root: DominantWeight
-    vertices: tuple[MaximalWeightDatum, ...]
-    arrows: tuple[Arrow, ...]
+    ms: tuple[tuple[int, ...], ...]
+    xs: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, int, _Move], ...]
 
     @property
     def ell(self) -> int:
         return self.root.ell
 
     @cached_property
-    def _by_m(self) -> dict[tuple[int, ...], MaximalWeightDatum]:
-        return {v.weight.m: v for v in self.vertices}
+    def vertices(self) -> tuple[MaximalWeightDatum, ...]:
+        return tuple([MaximalWeightDatum(DominantWeight(m), RootVector(x))
+                      for m, x in zip(self.ms, self.xs)])
+
+    @cached_property
+    def arrows(self) -> tuple[Arrow, ...]:
+        weights = [v.weight for v in self.vertices]
+        return tuple([Arrow(weights[s], weights[t], move.label, move.delta, move.witness)
+                      for s, t, move in self.rows])
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {m: n for n, m in enumerate(self.ms)}
 
     def vertex(self, weight: DominantWeight) -> MaximalWeightDatum:
-        v = self._by_m.get(weight.m)
-        if v is None:
+        n = self._index.get(weight.m)
+        if n is None:
             raise KeyError(f"{weight} is not a vertex")
-        return v
+        return self.vertices[n]
 
 
 def _below_masks(x: tuple[int, ...], null: tuple[int, ...]) -> tuple[int, int]:
@@ -287,14 +305,14 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
     size = class_size(weight)
     if size > max_vertices:
         raise GuardError(f"class has {size} vertices, cap is {max_vertices}")
-    ell = weight.ell
-    data = {member.m: beta_of(weight, member) for member in class_members(weight)}
-    null = cartan(ell).delta_coeffs
-    table = _move_table(ell)
-    found = []
-    for source in data.values():
-        m, x = source.weight.m, source.x.coeffs
+    members = _class_pass(weight.m)
+    index = {m: n for n, (m, _) in enumerate(members)}
+    null = cartan(weight.ell).delta_coeffs
+    table = _move_table(weight.ell)
+    rows = []
+    for s, (m, x) in enumerate(members):
         one, two = _below_masks(x, null)
+        found = []
         for key in _candidate_keys(m):
             move = table[key]
             if not (one & move.zero or two & move.low):
@@ -304,17 +322,17 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
                 shifted[n] -= 1
             for n in move.added:
                 shifted[n] += 1
-            target = data[tuple(shifted)]
+            t = index[tuple(shifted)]
             raised = tuple(map(add, x, move.delta.coeffs))
             # the raised vector drops below the null root and agrees with the
             # target's own minimal solution
-            assert any(map(lt, raised, null)), (source.weight, move.label)
-            assert raised == target.x.coeffs, (source.weight, move.label)
-            found.append(((m, target.weight.m, move.text),
-                          Arrow(source.weight, target.weight, move.label, move.delta,
-                                move.witness)))
-    found.sort(key=itemgetter(0))
-    return MaxWeightQuiver(weight, tuple(data.values()), tuple(a for _, a in found))
+            assert any(map(lt, raised, null)), (m, move.label)
+            assert raised == members[t][1], (m, move.label)
+            found.append((t, move.text, move))
+        found.sort()  # by target, then label text: unique per source, so moves never compare
+        rows.extend([(s, t, move) for t, _, move in found])
+    ms, xs = zip(*members)
+    return MaxWeightQuiver(weight, ms, xs, tuple(rows))
 
 
 # -- export ------------------------------------------------------------
@@ -328,17 +346,10 @@ def export(quiver: MaxWeightQuiver, fmt: str) -> str:
 
 
 def to_dot(quiver: MaxWeightQuiver) -> str:
-    """Graphviz text of the quiver; each label is rendered once per quiver."""
-    names = {v.weight.m: f"v{n}" for n, v in enumerate(quiver.vertices)}
+    """Graphviz text of the quiver."""
     lines = ["digraph maxweights {"]
-    for v in quiver.vertices:
-        lines.append(f'  {names[v.weight.m]} [label="{v.weight}"];')
-    labels: dict[MoveLabel, str] = {}
-    for a in quiver.arrows:
-        label = labels.get(a.label)
-        if label is None:
-            label = labels[a.label] = str(a.label)
-        lines.append(f'  {names[a.source.m]} -> {names[a.target.m]} [label="{label}"];')
+    lines.extend([f'  v{n} [label="{weight_text(m)}"];' for n, m in enumerate(quiver.ms)])
+    lines.extend([f'  v{s} -> v{t} [label="{move.text}"];' for s, t, move in quiver.rows])
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -357,22 +368,21 @@ def to_json(quiver: MaxWeightQuiver) -> str:
     def ints(values: Iterable[int], indent: str = "      ") -> str:
         return _json_block(map(str, values), indent)
 
-    def text(value: object) -> str:
-        return json.dumps(str(value), ensure_ascii=False)
+    def text(value: str) -> str:
+        return json.dumps(value, ensure_ascii=False)
 
-    index = {v.weight.m: n for n, v in enumerate(quiver.vertices)}
-    vertices = [_json_block([f'"m": {ints(v.weight.m)}', f'"X": {ints(v.x.coeffs)}',
-                             f'"beta": {text(v.x)}'], "    ", "{}") for v in quiver.vertices]
-    tails: dict[MoveLabel, list[str]] = {}
+    vertices = [_json_block([f'"m": {ints(m)}', f'"X": {ints(x)}',
+                             f'"beta": {text(root_text(x))}'], "    ", "{}")
+                for m, x in zip(quiver.ms, quiver.xs)]
+    tails: dict[str, list[str]] = {}
     arrows = []
-    for a in quiver.arrows:
-        tail = tails.get(a.label)
+    for s, t, move in quiver.rows:
+        tail = tails.get(move.text)
         if tail is None:
-            tail = tails[a.label] = [f'"label": {text(a.label)}',
-                                     f'"delta": {ints(a.delta.coeffs)}',
-                                     f'"witness": {ints(a.witness)}']
-        arrows.append(_json_block([f'"src": {index[a.source.m]}',
-                                   f'"dst": {index[a.target.m]}', *tail], "    ", "{}"))
+            tail = tails[move.text] = [f'"label": {text(move.text)}',
+                                       f'"delta": {ints(move.delta.coeffs)}',
+                                       f'"witness": {ints(move.witness)}']
+        arrows.append(_json_block([f'"src": {s}', f'"dst": {t}', *tail], "    ", "{}"))
     return _json_block([f'"ell": {quiver.ell}', f'"level": {quiver.root.level}',
                         f'"root": {ints(quiver.root.m, "  ")}',
                         f'"vertices": {_json_block(vertices, "  ")}',
@@ -382,15 +392,15 @@ def to_json(quiver: MaxWeightQuiver) -> str:
 def arrow_rows(quiver: MaxWeightQuiver) -> Iterator[tuple[str, str, str, str]]:
     """Source, target, label and delta of each arrow, as text.
 
-    Each vertex and each label (with its delta) is rendered once per quiver.
+    Each vertex and each delta is rendered once per quiver.
     """
-    names = {v.weight.m: str(v.weight) for v in quiver.vertices}
-    labels: dict[MoveLabel, tuple[str, str]] = {}
-    for a in quiver.arrows:
-        label = labels.get(a.label)
-        if label is None:
-            label = labels[a.label] = (str(a.label), str(a.delta))
-        yield names[a.source.m], names[a.target.m], *label
+    names = [weight_text(m) for m in quiver.ms]
+    deltas: dict[str, str] = {}
+    for s, t, move in quiver.rows:
+        delta = deltas.get(move.text)
+        if delta is None:
+            delta = deltas[move.text] = root_text(move.delta.coeffs)
+        yield names[s], names[t], move.text, delta
 
 
 def to_tsv(quiver: MaxWeightQuiver) -> str:

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,22 @@ def test_classify_char_two(capsys):
                         "--beta", "2,2,0,0", "--char", "2"], capsys)
     assert code == 0
     assert out == "Wild (t20)\n"
+
+
+@pytest.mark.parametrize("char", ["1", "4", "-4", "-2", "9", "91", str(2 ** 32 + 15),
+                                  str(10 ** 30)])
+def test_classify_rejects_a_characteristic_that_is_not_prime(char, capsys):
+    code, out, err = run(["classify", "--ell", "3", "--weight", "0,0",
+                          "--beta", "2,2,0,0", "--char", char], capsys)
+    assert code == 2 and out == ""
+    assert f"characteristic {char} is not 0 or a prime" in err
+
+
+def test_classify_accepts_other_primes(capsys):
+    for char in ("5", "7", "4294967291"):
+        code, out, _ = run(["classify", "--ell", "3", "--weight", "0,0",
+                            "--beta", "2,2,0,0", "--char", char], capsys)
+        assert code == 0 and out == "Tame (t20) [char≠2]\n"
 
 
 def test_dims_text(capsys):
@@ -163,6 +180,26 @@ def test_guards_run_before_the_work(argv, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("command,message", [
+    ("maxweights", "class has 2250003000001 members, cap is 5000"),
+    ("quiver", "class has 2250003000001 vertices, cap is 5000"),
+])
+def test_class_guard_runs_before_the_weight_is_built(command, message, capsys):
+    """--m 0,0,3000000 names a level of three million in a few bytes; the
+    class-size guard exits 3 on the multiplicities, before a weight with one
+    charge per unit of level (46 MiB at this level) is built."""
+    cli.build_parser()
+    tracemalloc.start()
+    try:
+        code, out, err = run([command, "--ell", "2", "--m", "0,0,3000000"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert message in err
+    assert peak < 2 ** 20
+
+
 def test_determinism(capsys):
     args = ["quiver", "--ell", "4", "--weight", "2,2", "--format", "tsv"]
     _, first, _ = run(args, capsys)
@@ -224,34 +261,50 @@ FIELD = st.one_of(st.integers(0, 3).map(str), st.integers(-3, 22).map(str),
 EXIT_BUDGET_S = 10
 
 
+# a --beta or --char value: huge, negative or composite
+HOSTILE_INT = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.integers(-6, 40)).map(str)
+
+
 @st.composite
 def hostile_argv(draw):
-    """``quiver`` or ``maxweights`` with a rank in -1..20, charges or
-    multiplicities, --max-vertices and --format, each usually well formed and
-    otherwise hostile or missing: a rank or field that is out of range, empty
-    or not an integer, a --max-vertices that is zero or negative (an argparse
-    error for maxweights), or an unknown format."""
+    """A subcommand with a rank in -1..20, charges or multiplicities and its
+    own flags, each usually well formed and otherwise hostile or missing: a
+    rank or field that is out of range, empty or not an integer; for
+    ``quiver`` and ``maxweights`` a --max-vertices that is zero or negative (an
+    argparse error for maxweights) or an unknown format; for ``classify``,
+    ``simples`` and ``defect`` a --beta of the wrong length, with negative or
+    huge entries, and for ``classify`` a --char that is negative, composite,
+    1 or huge."""
     def sometimes(value, hostile):
         return draw(hostile) if not draw(st.integers(0, 4)) else value
 
     ell = draw(st.integers(-1, 20))
-    command = draw(st.sampled_from(["quiver", "maxweights"]))
+    command = draw(st.sampled_from(["quiver", "maxweights", "classify", "simples", "defect"]))
     argv = [command, "--ell", sometimes(str(ell), st.one_of(FIELD, st.just(None)))]
     # well formed: one to five small charges, or ell+1 small multiplicities
     source = draw(st.sampled_from(["--weight", "--m"]))
     lo, hi = (1, 5) if source == "--weight" else (max(ell + 1, 1),) * 2
     fields = st.lists(st.integers(0, 3).map(str), min_size=lo, max_size=hi)
     argv += [source, ",".join(sometimes(draw(fields), st.lists(FIELD, max_size=6)))]
-    if command == "quiver" or not draw(st.integers(0, 4)):
-        argv += ["--max-vertices", str(sometimes(500, st.integers(-5, 50)))]
-    formats = ["text", "json", "dot", "tsv"][:4 if command == "quiver" else 2]
-    argv += ["--format", sometimes(draw(st.sampled_from(formats)), st.just("yaml"))]
+    if command in ("quiver", "maxweights"):
+        if command == "quiver" or not draw(st.integers(0, 4)):
+            argv += ["--max-vertices", str(sometimes(500, st.integers(-5, 50)))]
+        formats = ["text", "json", "dot", "tsv"][:4 if command == "quiver" else 2]
+        argv += ["--format", sometimes(draw(st.sampled_from(formats)), st.just("yaml"))]
+        return [arg for arg in argv if arg is not None]
+    size = max(ell + 1, 1)
+    beta = st.lists(st.integers(0, 4).map(str), min_size=size, max_size=size)
+    hostile_beta = st.lists(st.one_of(FIELD, HOSTILE_INT), max_size=size + 2)
+    argv += ["--beta", ",".join(sometimes(draw(beta), hostile_beta))]
+    if command == "classify":
+        argv += ["--char", sometimes(draw(st.sampled_from(["0", "2", "3", "5"])), HOSTILE_INT)]
+    argv += ["--format", draw(st.sampled_from(["text", "json"]))]
     return [arg for arg in argv if arg is not None]
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=200, deadline=None, database=None)
 @given(hostile_argv())
-def test_quiver_and_maxweights_exit_contract(argv):
+def test_cli_exit_contract(argv):
     """Every argv ends in exit 0, 2 or 3 within the budget, never a traceback;
     an argparse error raises SystemExit(2)."""
     start = time.perf_counter()

@@ -3,8 +3,8 @@
 ``bench/golden/<workload>.json`` records, for every query of a workload's
 pool, its exit status and the first 16 hex digits of the SHA-256 of its
 stdout.  Replaying the first variant of every slot and the fixed queries of
-every pool in-process makes any drift in their output fail here, not only in
-a benchmark run.
+every pool in-process, and every variant of the quiver pool, makes any drift
+in their output fail here, not only in a benchmark run.
 """
 
 import contextlib
@@ -20,10 +20,13 @@ from klrc import cli
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 
 
+def golden(workload):
+    return json.loads((GOLDEN / f"{workload}.json").read_text(encoding="utf-8"))
+
+
 def replayed_queries(workload):
-    golden = json.loads((GOLDEN / f"{workload}.json").read_text(encoding="utf-8"))
-    queries = [query for slot in golden["slots"] for query in slot["variants"][0]]
-    return queries + golden["fixed"]
+    pool = golden(workload)
+    return [query for slot in pool["slots"] for query in slot["variants"][0]] + pool["fixed"]
 
 
 def run(argv):
@@ -40,5 +43,18 @@ def run(argv):
 def test_replay_golden_digests(workload):
     queries = replayed_queries(workload)
     assert len(queries) > 20
+    for text, status, digest in queries:
+        assert run(text.split()) == (status, digest), text
+
+
+def test_replay_every_quiver_variant():
+    """Every variant of every quiver slot, the over-cap slot included: four
+    quiver renderings and the maxweights text, over classes of up to 1,502
+    vertices."""
+    pool = golden("quiver")
+    queries = [query for slot in pool["slots"] for variant in slot["variants"]
+               for query in variant]
+    assert len(queries) >= 4 * len(pool["slots"])
+    assert {status for _, status, _ in queries} == {0, 3}
     for text, status, digest in queries:
         assert run(text.split()) == (status, digest), text

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from klrc.cartan import DominantWeight, RootVector, cartan, hub
-from klrc.maxweights import (NotEquivalentError, beta_of, class_members, class_size,
+from klrc.maxweights import (NotEquivalentError, _class_pass, beta_of, class_members, class_size,
                              defect, delta_decompose, dominantify, ev, minimal_solution,
                              reflection_word, sigma_flip)
 
@@ -35,6 +35,22 @@ def test_class_members_level_two_rank_four():
         (1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1),
         (1, 0, 0, 1, 0), (0, 1, 0, 0, 1),
     }
+
+
+def test_class_pass_is_lexicographic():
+    """The class pass lists each member once, in lexicographic order of m,
+    with its minimal solution, without sorting."""
+    for ell in range(2, 8):
+        for level in range(1, 7):
+            for parity in (0, 1):
+                root = (level - parity, parity) + (0,) * (ell - 1)
+                members = _class_pass(root)
+                ms = [m for m, _ in members]
+                assert ms == sorted(set(ms))
+                assert ms == [w.m for w in class_members(DominantWeight(root))]
+                assert len(ms) == class_size(DominantWeight(root))
+                for m, x in members[:: max(1, len(members) // 20)]:
+                    assert x == beta_of(DominantWeight(root), DominantWeight(m)).x.coeffs
 
 
 def test_class_contains_self():

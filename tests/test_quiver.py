@@ -314,19 +314,35 @@ def test_candidate_moves_are_the_applicable_labels():
                 assert set(moves) == applicable
 
 
-# the classes rooted at (level - parity)Λ0 + parityΛ1 with ell <= 6 and level <= 3,
-# then the larger level-4 classes at ell 7-10 and one level-5 class (636 vertices)
-ROUTE_CASES = ([(parity, level, ell) for parity in (0, 1) for level in range(1, 4)
-                for ell in range(2, 7)]
-               + [(parity, 4, ell) for parity in (0, 1) for ell in range(7, 11)]
-               + [(1, 5, 8)])
+# the classes rooted at (level - parity)Λ0 + parityΛ1 for ell 2-10 and level 1-5,
+# up to C(15, 5) = 3003 compositions (1502 vertices)
+ROUTE_CASES = [(parity, level, ell) for parity in (0, 1) for level in range(1, 6)
+               for ell in range(2, 11)]
+
+
+def dot_text(vertices, arrows):
+    """The dot export rendered from value objects."""
+    index = {v.weight.m: n for n, v in enumerate(vertices)}
+    lines = ["digraph maxweights {"]
+    lines += [f'  v{n} [label="{v.weight}"];' for n, v in enumerate(vertices)]
+    lines += [f'  v{index[a.source.m]} -> v{index[a.target.m]} [label="{a.label}"];'
+              for a in arrows]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def tsv_text(arrows):
+    """The tsv export rendered from value objects."""
+    lines = ["#source\ttarget\tlabel\tdelta"]
+    lines += [f"{a.source}\t{a.target}\t{a.label}\t{a.delta}" for a in arrows]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("parity,level,ell", ROUTE_CASES)
 def test_build_quiver_matches_value_object_route(ell, level, parity):
-    """build_quiver against the arrows rebuilt from the public value-object
-    functions, one arrow_test per candidate move, so that rejected moves are
-    checked as well as arrows."""
+    """build_quiver and its three exports against the arrows rebuilt from the
+    public value-object functions, one arrow_test per candidate move (so that
+    rejected moves are checked as well as arrows), and the exports rendered
+    from those value objects."""
     weight = DominantWeight((level - parity, parity) + (0,) * (ell - 1))
     data = {member.m: beta_of(weight, member) for member in class_members(weight)}
     arrows = []
@@ -337,8 +353,13 @@ def test_build_quiver_matches_value_object_route(ell, level, parity):
                 arrows.append(Arrow(member, target.weight, label, delta_vector(label, ell),
                                     witness_sequence(label, ell)))
     arrows.sort(key=lambda a: (a.source.m, a.target.m, str(a.label)))
+    vertices = tuple(data.values())
     quiver = build_quiver(weight)
-    assert quiver.vertices == tuple(data.values())
+    assert export(quiver, "dot") == dot_text(vertices, arrows)
+    assert export(quiver, "tsv") == tsv_text(arrows)
+    assert export(quiver, "json") == json.dumps(json_payload(weight, vertices, arrows),
+                                                indent=2, ensure_ascii=False) + "\n"
+    assert quiver.vertices == vertices
     assert quiver.arrows == tuple(arrows)
 
 
@@ -366,18 +387,18 @@ def test_export_json_round_trip():
     assert json.loads(export(quiver, "json")) == payload
 
 
-def json_payload(quiver):
+def json_payload(root, vertices, arrows):
     """The export payload, for the standard library's own indent=2 layout."""
-    index = {v.weight.m: n for n, v in enumerate(quiver.vertices)}
+    index = {v.weight.m: n for n, v in enumerate(vertices)}
     return {
-        "ell": quiver.ell,
-        "level": quiver.root.level,
-        "root": list(quiver.root.m),
+        "ell": root.ell,
+        "level": root.level,
+        "root": list(root.m),
         "vertices": [{"m": list(v.weight.m), "X": list(v.x.coeffs), "beta": str(v.x)}
-                     for v in quiver.vertices],
+                     for v in vertices],
         "arrows": [{"src": index[a.source.m], "dst": index[a.target.m],
                     "label": str(a.label), "delta": list(a.delta.coeffs),
-                    "witness": list(a.witness)} for a in quiver.arrows],
+                    "witness": list(a.witness)} for a in arrows],
     }
 
 
@@ -387,14 +408,16 @@ def json_payload(quiver):
 def test_export_json_layout_matches_json_dumps(ell, level, parity):
     weight = DominantWeight((level - parity, parity) + (0,) * (ell - 1))
     quiver = build_quiver(weight)
-    expected = json.dumps(json_payload(quiver), indent=2, ensure_ascii=False) + "\n"
+    payload = json_payload(quiver.root, quiver.vertices, quiver.arrows)
+    expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     assert export(quiver, "json") == expected
 
 
 def test_export_json_layout_without_arrows():
     quiver = build_quiver(DominantWeight.fundamental(1, 2))
     assert not quiver.arrows
-    expected = json.dumps(json_payload(quiver), indent=2, ensure_ascii=False) + "\n"
+    payload = json_payload(quiver.root, quiver.vertices, quiver.arrows)
+    expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     assert export(quiver, "json") == expected
     assert '"arrows": []' in expected
 
