@@ -188,16 +188,24 @@ def _generate_cases(ell: int) -> Iterator[CaseInstance]:
                        ((ell - 1, "==", 0), (ell, "==", 2)), char_ne=2)
 
 
+@lru_cache(maxsize=RANK_CACHE_SIZE)
+def _case_index(ell: int) -> dict[tuple[int, ...], tuple[CaseInstance, ...]]:
+    """The cases of ``case_table`` grouped by beta, each group in table order."""
+    index: dict[tuple[int, ...], tuple[CaseInstance, ...]] = {}
+    for case in case_table(ell):
+        index[case.beta] = index.get(case.beta, ()) + (case,)
+    return index
+
+
 def match_case(m: Sequence[int], x: Sequence[int], ell: int) -> CaseInstance | None:
     """First matching case for the pair, finite cases first; the diagram flip
-    is tried as a second pass so a direct match always names the case."""
-    for case in case_table(ell):
-        if case.matches(m, x):
-            return case
-    flipped_m, flipped_x = tuple(m[::-1]), tuple(x[::-1])
-    for case in case_table(ell):
-        if case.matches(flipped_m, flipped_x):
-            return case
+    is tried as a second pass so a direct match always names the case.  Only
+    the cases at beta = x (then at the flipped x) are tried."""
+    index = _case_index(ell)
+    for pair_m, pair_x in ((m, tuple(x)), (tuple(m[::-1]), tuple(x[::-1]))):
+        for case in index.get(pair_x, ()):
+            if case.matches(pair_m, pair_x):
+                return case
     return None
 
 

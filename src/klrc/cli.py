@@ -60,6 +60,13 @@ def _class_guard(cap: int, noun: str):
     return guard
 
 
+def _component_guard(m: tuple[int, ...]) -> None:
+    """A ``_parse_weight`` guard that exits on more than ``DEFAULT_MAX_COMPONENTS``
+    components (the level) before a Fock expansion is set up."""
+    if sum(m) > DEFAULT_MAX_COMPONENTS:
+        raise GuardError(f"{sum(m)} components exceeds the cap of {DEFAULT_MAX_COMPONENTS}")
+
+
 def _parse_beta(args) -> RootVector:
     coeffs = [int(v) for v in args.beta.split(",")]
     if len(coeffs) != args.ell + 1:
@@ -111,7 +118,7 @@ def _cmd_maxweights(args) -> str:
 
 
 def _cmd_dims(args) -> str:
-    weight = _parse_weight(args)
+    weight = _parse_weight(args, _component_guard)
     beta = _parse_beta(args)
     nu = _parse_nu(args.nu)
     nu2 = _parse_nu(args.nu2) if args.nu2 else nu
@@ -127,12 +134,10 @@ def _cmd_dims(args) -> str:
 
 
 def _cmd_fock(args) -> str:
-    weight = _parse_weight(args)
+    weight = _parse_weight(args, _component_guard)
     word = parse_word(args.word)
     if sum(r for _, r in word) > args.max_n:
         raise GuardError(f"word adds {sum(r for _, r in word)} boxes, cap is {args.max_n}")
-    if weight.level > DEFAULT_MAX_COMPONENTS:
-        raise GuardError(f"{weight.level} components exceeds the cap of {DEFAULT_MAX_COMPONENTS}")
     vector = expand(weight, word)
     end = hom_dim(vector, vector)
     if args.format == "json":

@@ -178,16 +178,18 @@ def _straighten(m: tuple[int, ...],
                 coeffs: tuple[int, ...]) -> tuple[tuple[int, ...] | None, list[int]]:
     """``dominantify`` and its reflection word, on plain tuples.
 
-    The hub h = m - A.x is kept up to date: reflecting at i adds h_i to x_i,
-    which subtracts h_i times column i of A from h.
+    The hub h = m - A.x starts from the band of A and is kept up to date:
+    reflecting at i adds h_i to x_i, which subtracts h_i times column i of A
+    from h.
     """
     if len(m) != len(coeffs):
         raise ValueError("rank mismatch")
     if sum(m) < 1:
         raise ValueError("level must be at least 1")
     x = list(coeffs)
-    matrix = cartan(len(m) - 1).matrix
-    h = [mi - sum(map(mul, row, x)) for mi, row in zip(m, matrix)]
+    datum = cartan(len(m) - 1)
+    matrix = datum.matrix
+    h = list(map(sub, m, datum.apply_matrix(x)))
     word: list[int] = []
     bound = 8 * (sum(m) + sum(map(abs, x)) + 2) ** 2
     for _ in range(bound):

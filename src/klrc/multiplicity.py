@@ -15,6 +15,10 @@ multiples of the null root carry multiplicity equal to the finite rank.
 = sum m_i d_i x_i and (x, alpha) = x . (d.A.alpha).  Because A.delta = 0,
 (x, alpha + t*delta) = (x, alpha) for every root-lattice x, so one d.A.alpha
 serves a whole delta-string (``_root_table``).
+
+The sum runs only at dominant Lambda - beta.  Multiplicities are Weyl
+invariant, so ``_mult`` straightens any other beta into the dominant chamber
+and reads the entry of the straightened beta', which its whole orbit shares.
 """
 
 from __future__ import annotations
@@ -90,6 +94,8 @@ def _mult(m: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
         return 0
     if not any(beta):
         return 1
+    if beta != coeffs:
+        return _mult(m, beta)  # Weyl invariance: the sum runs at dominant keys only
     ell = len(m) - 1
     datum = cartan(ell)
     ax = datum.apply_matrix(beta)

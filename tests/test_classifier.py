@@ -1,10 +1,10 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from klrc.cartan import DominantWeight, RootVector
-from klrc.classifier import (CaseInstance, RepType, case_table, classify,
+from klrc.classifier import (CaseInstance, RepType, _case_index, case_table, classify,
                              match_case, wildness_criteria)
 from klrc.laurent import LaurentPolynomial
 from klrc.maxweights import beta_of, class_members, defect
@@ -367,3 +367,41 @@ def test_match_case_uses_flip():
     assert case is not None and case.tag == "t1"
     case = match_case((0, 0, 2, 0), (0, 0, 2, 1), 3)
     assert case is not None and case.tag == "t2"
+
+
+def scanned_match(m, x, ell):
+    """``match_case`` as a scan of the whole table, direct pass then flipped pass."""
+    for pair_m, pair_x in ((tuple(m), tuple(x)), (tuple(m[::-1]), tuple(x[::-1]))):
+        for case in case_table(ell):
+            if case.matches(pair_m, pair_x):
+                return case
+    return None
+
+
+def test_indexed_match_agrees_with_the_table_scan():
+    """The by-beta index finds the case a full scan finds, for every beta with
+    entries at most 2, over the minimal weights of six cases and one random
+    weight of each level 2..4, at ell 2..6."""
+    rng = random.Random(29)
+    tags = set()
+    for ell in range(2, 7):
+        weights = {case.minimal_weight().m for case in rng.sample(case_table(ell), 6)}
+        weights |= {DominantWeight.from_charges([rng.randint(0, ell) for _ in range(k)], ell).m
+                    for k in (2, 3, 4)}
+        assert {sum(m) for m in weights} <= {2, 3, 4}
+        for x in product(range(3), repeat=ell + 1):
+            for m in weights:
+                case = match_case(m, x, ell)
+                assert case is scanned_match(m, x, ell), (m, x)
+                if case is not None:
+                    tags.add(case.tag)
+    assert len(tags) >= 20
+
+
+def test_case_index_keeps_table_order():
+    for ell in range(2, 7):
+        index = _case_index(ell)
+        assert sum(map(len, index.values())) == len(case_table(ell))
+        for beta, cases in index.items():
+            assert cases == tuple(case for case in case_table(ell) if case.beta == beta)
+    assert _case_index.cache_info().maxsize == case_table.cache_info().maxsize

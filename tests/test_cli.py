@@ -180,6 +180,21 @@ def test_guards_run_before_the_work(argv, message, capsys):
     assert message in err
 
 
+def guarded_run(argv, message, capsys):
+    """Run argv under tracemalloc: it must exit 3 with ``message`` and a peak
+    under 1 MiB."""
+    cli.build_parser()
+    tracemalloc.start()
+    try:
+        code, out, err = run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert message in err
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("command,message", [
     ("maxweights", "class has 2250003000001 members, cap is 5000"),
     ("quiver", "class has 2250003000001 vertices, cap is 5000"),
@@ -188,16 +203,17 @@ def test_class_guard_runs_before_the_weight_is_built(command, message, capsys):
     """--m 0,0,3000000 names a level of three million in a few bytes; the
     class-size guard exits 3 on the multiplicities, before a weight with one
     charge per unit of level (46 MiB at this level) is built."""
-    cli.build_parser()
-    tracemalloc.start()
-    try:
-        code, out, err = run([command, "--ell", "2", "--m", "0,0,3000000"], capsys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 3 and out == ""
-    assert message in err
-    assert peak < 2 ** 20
+    guarded_run([command, "--ell", "2", "--m", "0,0,3000000"], message, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fock", "--ell", "2", "--m", "0,0,3000000", "--word", "0"],
+    ["dims", "--ell", "2", "--m", "0,0,3000000", "--beta", "1,0,0", "--nu", "0"],
+])
+def test_component_guard_runs_before_the_weight_is_built(argv, capsys):
+    """``fock`` and ``dims`` cap the level at 5 components on the parsed --m,
+    before a weight with three million charges is built."""
+    guarded_run(argv, "3000000 components exceeds the cap of 5", capsys)
 
 
 def test_determinism(capsys):
@@ -274,12 +290,16 @@ def hostile_argv(draw):
     argparse error for maxweights) or an unknown format; for ``classify``,
     ``simples`` and ``defect`` a --beta of the wrong length, with negative or
     huge entries, and for ``classify`` a --char that is negative, composite,
-    1 or huge."""
+    1 or huge; for ``dims`` a --nu or --nu2 with residues out of range or of
+    the wrong content, empty or not integers, and for ``fock`` a --word with
+    powers that are zero, negative, huge or missing, residues out of range
+    and empty factors.  --max-n stays at its default."""
     def sometimes(value, hostile):
         return draw(hostile) if not draw(st.integers(0, 4)) else value
 
     ell = draw(st.integers(-1, 20))
-    command = draw(st.sampled_from(["quiver", "maxweights", "classify", "simples", "defect"]))
+    command = draw(st.sampled_from(["quiver", "maxweights", "classify", "simples", "defect",
+                                    "dims", "fock"]))
     argv = [command, "--ell", sometimes(str(ell), st.one_of(FIELD, st.just(None)))]
     # well formed: one to five small charges, or ell+1 small multiplicities
     source = draw(st.sampled_from(["--weight", "--m"]))
@@ -293,16 +313,33 @@ def hostile_argv(draw):
         argv += ["--format", sometimes(draw(st.sampled_from(formats)), st.just("yaml"))]
         return [arg for arg in argv if arg is not None]
     size = max(ell + 1, 1)
+    residue = st.integers(0, size - 1).map(str)
+    if command == "fock":
+        factor = st.builds(lambda i, r: i if r == 1 else f"{i}^{r}", residue, st.integers(1, 3))
+        hostile_factor = st.one_of(factor, FIELD, st.builds("{}^{}".format, FIELD, FIELD),
+                                   st.builds("{}^{}".format, residue, HOSTILE_INT))
+        word = sometimes(draw(st.lists(factor, min_size=1, max_size=5)),
+                         st.lists(hostile_factor, max_size=6))
+        argv += ["--word", ",".join(word), "--format", draw(st.sampled_from(["text", "json"]))]
+        return [arg for arg in argv if arg is not None]
     beta = st.lists(st.integers(0, 4).map(str), min_size=size, max_size=size)
+    if command == "dims":  # a well-formed --beta is the content of --nu
+        nu = draw(st.lists(residue, min_size=1, max_size=8))
+        beta = st.just([str(nu.count(str(i))) for i in range(size)])
     hostile_beta = st.lists(st.one_of(FIELD, HOSTILE_INT), max_size=size + 2)
     argv += ["--beta", ",".join(sometimes(draw(beta), hostile_beta))]
+    if command == "dims":
+        hostile_nu = st.lists(st.one_of(residue, FIELD), max_size=8)
+        argv += ["--nu", "-".join(sometimes(nu, hostile_nu))]
+        if draw(st.booleans()):
+            argv += ["--nu2", "-".join(sometimes(draw(st.permutations(nu)), hostile_nu))]
     if command == "classify":
         argv += ["--char", sometimes(draw(st.sampled_from(["0", "2", "3", "5"])), HOSTILE_INT)]
     argv += ["--format", draw(st.sampled_from(["text", "json"]))]
     return [arg for arg in argv if arg is not None]
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=280, deadline=None, database=None)
 @given(hostile_argv())
 def test_cli_exit_contract(argv):
     """Every argv ends in exit 0, 2 or 3 within the budget, never a traceback;

@@ -3,8 +3,9 @@
 ``bench/golden/<workload>.json`` records, for every query of a workload's
 pool, its exit status and the first 16 hex digits of the SHA-256 of its
 stdout.  Replaying the first variant of every slot and the fixed queries of
-every pool in-process, and every variant of the quiver pool, makes any drift
-in their output fail here, not only in a benchmark run.
+every pool in-process, every variant of the quiver pool and every ``simples``
+query of the blocks pool, makes any drift in their output fail here, not only
+in a benchmark run.
 """
 
 import contextlib
@@ -56,5 +57,17 @@ def test_replay_every_quiver_variant():
                for query in variant]
     assert len(queries) >= 4 * len(pool["slots"])
     assert {status for _, status, _ in queries} == {0, 3}
+    for text, status, digest in queries:
+        assert run(text.split()) == (status, digest), text
+
+
+def test_replay_every_simples_query():
+    """Every ``simples`` query of the blocks pool, every slot and variant and
+    the fixed queries: the Freudenthal recursion answers each one as recorded."""
+    pool = golden("blocks")
+    queries = [query for slot in pool["slots"] for variant in slot["variants"]
+               for query in variant] + pool["fixed"]
+    queries = [query for query in queries if query[0].split()[0] == "simples"]
+    assert len(queries) == 2689
     for text, status, digest in queries:
         assert run(text.split()) == (status, digest), text

@@ -9,7 +9,8 @@ from klrc.cartan import (RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector
                          hub, pairing)
 from klrc.classifier import case_table
 from klrc.fock import Multipartition, expand, residue
-from klrc.maxweights import beta_of, class_members, dominantify, reflection_word
+from klrc import multiplicity
+from klrc.maxweights import _straighten, beta_of, class_members, dominantify, reflection_word
 from klrc.multiplicity import (_mult, _root_table, finite_positive_roots, first_layer_roots,
                                positive_roots_within, weight_multiplicity)
 
@@ -117,6 +118,38 @@ def test_guard():
         weight_multiplicity(W(1, 0, 0), R(5, 10, 5))
     with pytest.raises(ValueError):
         weight_multiplicity(W(1, 0, 0), R(-1, 0, 0))
+
+
+def test_non_dominant_beta_reads_its_straightened_key(monkeypatch):
+    """On a cold cache, a non-dominant beta answers with the multiplicity of its
+    straightened beta' (Weyl invariance), leaves beta' cached, and the
+    Freudenthal sum runs only at keys that straighten to themselves."""
+    m, coeffs = (0, 0, 2, 0), (1, 2, 3, 2)
+    straightened = _straighten(m, coeffs)[0]
+    assert straightened == (1, 2, 3, 1)
+    last, summed = [], []
+
+    def straighten(m, coeffs):
+        result = _straighten(m, coeffs)
+        last[:] = [coeffs, result[0]]
+        return result
+
+    def root_table(ell):
+        # _mult straightens its key, then reads the root table only to run the sum
+        summed.append(tuple(last))
+        return _root_table(ell)
+
+    monkeypatch.setattr(multiplicity, "_straighten", straighten)
+    monkeypatch.setattr(multiplicity, "_root_table", root_table)
+    _mult.cache_clear()
+    value = _mult(m, coeffs)
+    assert value == 11
+    hits = _mult.cache_info().hits
+    assert _mult(m, straightened) == value
+    assert _mult.cache_info().hits == hits + 1
+    assert (straightened, straightened) in summed
+    assert all(key == result for key, result in summed), summed
+    _mult.cache_clear()
 
 
 def test_multiplicity_cache_is_bounded():
