@@ -153,39 +153,69 @@ class RootVector:
         return root_text(self.coeffs)
 
 
-@dataclass(frozen=True)
 class DominantWeight:
     """A classical dominant integral weight, as fundamental-weight multiplicities.
 
     ``charges`` is an ordered realization of the weight as a sum of
     fundamental weights.  The default order is weakly increasing; a caller
     may fix another order (it only affects tableau-level bookkeeping, never
-    any algebra-level quantity).
+    any algebra-level quantity).  The default order has one entry per unit of
+    level, so it is built on each read and never stored: a weight of level
+    three million, which ``classify`` answers from ``m`` alone, stays a few
+    bytes.  Equality and hashing are those of the pair (m, charges).
     """
 
-    m: tuple[int, ...]
-    charges: tuple[int, ...] = ()
+    __slots__ = ("m", "_order")
+
+    def __init__(self, m: Sequence[int], charges: Sequence[int] = ()):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_order", charges)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate, and keep the charges only when they are not the default order.
+
+        A method of its own, as in a dataclass, so that the benchmark's tracer
+        counts constructions by wrapping it."""
         m = tuple([int(v) for v in self.m])
         if len(m) < 3:
             raise ValueError("rank must be at least 2")
         if any(v < 0 for v in m):
             raise ValueError("fundamental multiplicities must be nonnegative")
-        object.__setattr__(self, "m", m)
-        if not self.charges:
-            canonical = tuple([i for i, v in enumerate(m) for _ in range(v)])
-            object.__setattr__(self, "charges", canonical)
-        else:
-            charges = tuple([int(c) for c in self.charges])
+        order = None  # the default order
+        if self._order:
+            order = tuple([int(c) for c in self._order])
             counts = [0] * len(m)
-            for c in charges:
+            for c in order:
                 if not 0 <= c < len(m):
                     raise ValueError(f"charge {c} out of range")
                 counts[c] += 1
             if tuple(counts) != m:
                 raise ValueError("charges do not realize the weight")
-            object.__setattr__(self, "charges", charges)
+            if all(a <= b for a, b in zip(order, order[1:])):
+                order = None
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_order", order)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def charges(self) -> tuple[int, ...]:
+        if self._order is not None:
+            return self._order
+        return tuple([i for i, v in enumerate(self.m) for _ in range(v)])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self._order == other._order
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.charges))
+
+    def __repr__(self) -> str:
+        return f"DominantWeight(m={self.m!r}, charges={self.charges!r})"
 
     @classmethod
     def fundamental(cls, i: int, ell: int) -> "DominantWeight":

@@ -198,14 +198,13 @@ def _case_index(ell: int) -> dict[tuple[int, ...], tuple[CaseInstance, ...]]:
 
 
 def match_case(m: Sequence[int], x: Sequence[int], ell: int) -> CaseInstance | None:
-    """First matching case for the pair, finite cases first; the diagram flip
-    is tried as a second pass so a direct match always names the case.  Only
-    the cases at beta = x (then at the flipped x) are tried."""
-    index = _case_index(ell)
-    for pair_m, pair_x in ((m, tuple(x)), (tuple(m[::-1]), tuple(x[::-1]))):
-        for case in index.get(pair_x, ()):
-            if case.matches(pair_m, pair_x):
-                return case
+    """First matching case for the pair, finite cases first.  Only the cases
+    at beta = x are tried.  The table is closed under the diagram flip
+    i -> ell - i (tested), so a flipped pair matches only where the pair
+    itself does, and no second pass is needed."""
+    for case in _case_index(ell).get(tuple(x), ()):
+        if case.matches(m, x):
+            return case
     return None
 
 

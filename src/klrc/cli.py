@@ -16,6 +16,7 @@ from .cartan import (DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, r
                      weight_text)
 from .classifier import classify
 from .fock import expand, hom_dim, parse_word
+from .laurent import polynomial_text
 from .maxweights import _class_pass, _class_size, _defect, defect
 from .multiplicity import weight_multiplicity
 from .quiver import DEFAULT_MAX_VERTICES, arrow_rows, build_quiver, export
@@ -143,8 +144,8 @@ def _cmd_fock(args) -> str:
     if args.format == "json":
         return json.dumps({
             "charges": list(vector.charges),
-            "terms": [{"multipartition": [list(p) for p in mp.components],
-                       "coeff": str(c)} for mp, c in vector.terms],
+            "terms": [{"multipartition": [list(p) for p in shape], "coeff": text}
+                      for shape, text in vector._rendered(polynomial_text)],
             "end_dim": str(end),
         }, ensure_ascii=False)
     return f"{vector}\nEnd = {end}"

@@ -194,21 +194,25 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self._coeffs!r})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for e, c in sorted(self._coeffs.items()):
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                qpart = "q" if e == 1 else f"q^{e}"
-                body = qpart if mag == 1 else f"{mag}{qpart}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(parts)
+        return polynomial_text(sorted(self._coeffs.items()))
+
+
+def polynomial_text(pairs: Iterable[tuple[int, int]]) -> str:
+    """The text of a polynomial from its nonzero (exponent, coefficient) pairs in
+    ascending exponent order, e.g. ``q^-1 + 1 - 2q^2``; "0" when there are none."""
+    parts: list[str] = []
+    for e, c in pairs:
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            qpart = "q" if e == 1 else f"q^{e}"
+            body = qpart if mag == 1 else f"{mag}{qpart}"
+        if not parts:
+            parts.append(f"-{body}" if c < 0 else body)
+        else:
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(parts) or "0"
 
 
 def _wrap(coeffs: dict[int, int]) -> LaurentPolynomial:

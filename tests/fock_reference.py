@@ -2,7 +2,9 @@
 
 ``_step`` and ``_divided`` are the engine as it ran on ``LaurentPolynomial``
 coefficients before ``klrc.fock`` packed them into integers, kept verbatim.
-The functions below them give the reference answers of the public
+A divided power here takes ``power`` single steps and divides by [power]!
+exactly, so it is an independent route to the engine's one-pass divided
+power.  The functions below them give the reference answers of the public
 ``expand``, ``apply_f``, ``apply_divided_f`` and ``hom_dim``.
 """
 

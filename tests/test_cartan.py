@@ -98,6 +98,23 @@ def test_dominant_weight_charges():
         DominantWeight((-1, 0, 1))
 
 
+def test_default_charge_order_compares_and_hashes_as_the_pair():
+    """The default order is not stored, but a weight still compares and hashes
+    as the pair (m, charges): the default order given explicitly is the same
+    weight, another order is not."""
+    w = DominantWeight((2, 0, 1, 0))
+    same = DominantWeight((2, 0, 1, 0), (0, 0, 2))
+    other = w.with_charges((2, 0, 0))
+    assert w == same and hash(w) == hash(same) == hash(((2, 0, 1, 0), (0, 0, 2)))
+    assert w != other and other.charges == (2, 0, 0)
+    assert hash(other) == hash(((2, 0, 1, 0), (2, 0, 0)))
+    assert len({w, same, other, DominantWeight.from_charges((0, 0, 2), 3)}) == 2
+    assert repr(other) == "DominantWeight(m=(2, 0, 1, 0), charges=(2, 0, 0))"
+    with pytest.raises(AttributeError):
+        w.m = (1, 0, 1, 0)
+    assert DominantWeight((0, 0, 3 * 10 ** 6)).level == 3 * 10 ** 6
+
+
 def test_sigma():
     w = DominantWeight((2, 1, 0, 0))
     assert w.sigma().m == (0, 0, 1, 2)

@@ -362,11 +362,32 @@ def test_total_dimension_palindromic_about_defect():
 
 
 def test_match_case_uses_flip():
-    # t1 is the flip of t2; matching must see it from either side
+    # t1 is the flip of t2; matching must see it from either side, and it
+    # does with one direct lookup, the table holding both
     case = match_case((0, 2, 0, 0), (1, 2, 0, 0), 3)
     assert case is not None and case.tag == "t1"
     case = match_case((0, 0, 2, 0), (0, 0, 2, 1), 3)
     assert case is not None and case.tag == "t2"
+
+
+def flipped(case, ell):
+    """The case mirrored by the diagram flip i -> ell - i, without its tag."""
+    def mirror(constraints):
+        return frozenset((ell - i, op, value) for i, op, value in constraints)
+    return (case.rep_type, case.beta[::-1], mirror(case.constraints),
+            frozenset(mirror(group) for group in case.exclusions), case.char_ne)
+
+
+def test_case_table_is_closed_under_the_flip():
+    """Every case's mirror image, constraints and exclusions mirrored, is a
+    case of the same table; tags are ignored, since a flipped f2 case is an
+    f3 case and so on.  So ``match_case`` needs no flipped pass."""
+    for ell in range(2, 17):
+        cases = case_table(ell)
+        plain = {(case.rep_type, case.beta, frozenset(case.constraints),
+                  frozenset(frozenset(group) for group in case.exclusions), case.char_ne)
+                 for case in cases}
+        assert {flipped(case, ell) for case in cases} == plain, ell
 
 
 def scanned_match(m, x, ell):

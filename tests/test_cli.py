@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klrc import cli
+from klrc.cartan import DominantWeight
 from klrc.cli import main
 
 
@@ -100,6 +101,22 @@ def test_fock_json(capsys):
     assert payload["charges"] == [0, 0, 1]
 
 
+@pytest.mark.parametrize("weight,word", [("0,0,0,0,0", "1,0,1,0^3"), ("0,0,1", "1^2,0,2,1,0"),
+                                         ("0,0,1,2,2", "2,2,1^2,1,0,2^2,2,0,0,1")])
+def test_fock_json_coefficients_read_off_packed_digits(weight, word, capsys):
+    """The json terms, rendered from packed digits, are the decoded terms' text."""
+    from klrc.fock import expand, parse_word
+
+    code, out, _ = run(["fock", "--ell", "2", "--weight", weight, "--word", word,
+                        "--format", "json"], capsys)
+    vector = expand(DominantWeight.from_charges([int(c) for c in weight.split(",")], 2),
+                    parse_word(word))
+    assert code == 0 and json.loads(out)["terms"] == [
+        {"multipartition": [list(p) for p in mp.components], "coeff": str(c)}
+        for mp, c in vector.terms]
+    assert any(len(list(c.items())) > 1 for _, c in vector.terms)
+
+
 def test_simples_and_defect(capsys):
     code, out, _ = run(["simples", "--ell", "3", "--weight", "2,2",
                         "--beta", "0,0,2,1"], capsys)
@@ -180,9 +197,9 @@ def test_guards_run_before_the_work(argv, message, capsys):
     assert message in err
 
 
-def guarded_run(argv, message, capsys):
-    """Run argv under tracemalloc: it must exit 3 with ``message`` and a peak
-    under 1 MiB."""
+def guarded_run(argv, message, capsys, status=3):
+    """Run argv under tracemalloc with a peak under 1 MiB: it must exit 3 with
+    ``message`` on stderr, or, with ``status`` 0, print ``message``."""
     cli.build_parser()
     tracemalloc.start()
     try:
@@ -190,8 +207,11 @@ def guarded_run(argv, message, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 3 and out == ""
-    assert message in err
+    assert code == status
+    if status == 3:
+        assert out == "" and message in err
+    else:
+        assert out == message + "\n" and err == ""
     assert peak < 2 ** 20
 
 
@@ -214,6 +234,23 @@ def test_component_guard_runs_before_the_weight_is_built(argv, capsys):
     """``fock`` and ``dims`` cap the level at 5 components on the parsed --m,
     before a weight with three million charges is built."""
     guarded_run(argv, "3000000 components exceeds the cap of 5", capsys)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["classify", "--beta", "0,0,0"], "Finite"),
+    (["classify", "--beta", "1,2,1"], "Wild (non-maximal-wild)"),
+    (["classify", "--beta", "3,5,1"], "Zero"),
+    (["simples", "--beta", "1,2,1"], "2"),
+    (["defect", "--beta", "1,2,1"], "6000000"),
+])
+def test_weight_of_level_three_million_stays_small(argv, expected, capsys):
+    """``classify``, ``simples`` and ``defect`` have no level cap and read only
+    the multiplicities, so a weight of level three million answers in a few
+    KiB: its default charge order, one entry per unit of level, is never
+    built."""
+    command, *rest = argv
+    guarded_run([command, "--ell", "2", "--m", "0,0,3000000", *rest], expected, capsys,
+                status=0)
 
 
 def test_determinism(capsys):

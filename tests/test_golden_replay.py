@@ -3,9 +3,9 @@
 ``bench/golden/<workload>.json`` records, for every query of a workload's
 pool, its exit status and the first 16 hex digits of the SHA-256 of its
 stdout.  Replaying the first variant of every slot and the fixed queries of
-every pool in-process, every variant of the quiver pool and every ``simples``
-query of the blocks pool, makes any drift in their output fail here, not only
-in a benchmark run.
+every pool in-process, every query of the quiver, fock and dims pools and
+every ``simples`` query of the blocks pool, makes any drift in their output
+fail here, not only in a benchmark run.
 """
 
 import contextlib
@@ -69,5 +69,18 @@ def test_replay_every_simples_query():
                for query in variant] + pool["fixed"]
     queries = [query for query in queries if query[0].split()[0] == "simples"]
     assert len(queries) == 2689
+    for text, status, digest in queries:
+        assert run(text.split()) == (status, digest), text
+
+
+@pytest.mark.parametrize("workload,count", [("fock", 401), ("dims", 802)])
+def test_replay_every_fock_and_dims_query(workload, count):
+    """Every query of the fock and dims pools, every slot and variant and the
+    fixed queries: the Fock engine, its packed rendering and the graded
+    dimensions answer each one as recorded."""
+    pool = golden(workload)
+    queries = [query for slot in pool["slots"] for variant in slot["variants"]
+               for query in variant] + pool["fixed"]
+    assert len(queries) == count
     for text, status, digest in queries:
         assert run(text.split()) == (status, digest), text
