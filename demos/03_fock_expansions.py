@@ -5,8 +5,7 @@ matching coefficients of two expansions gives the graded Hom dimension
 between the projectives.
 """
 
-from klrc import DominantWeight, expand, hom_dim
-from klrc.laurent import quantum_factorial
+from klrc import DominantWeight, LaurentPolynomial, expand, hom_dim
 
 weight = DominantWeight((2, 1, 0))  # 2*Lambda_0 + Lambda_1 at rank 2
 
@@ -31,7 +30,8 @@ level_two = DominantWeight((0, 2, 0, 0))
 word = [(3, 1), (2, 2), (1, 2)]
 vector = expand(level_two, word)
 end = hom_dim(vector, vector)
-bridge = end * quantum_factorial(2, 1) ** 4
+two_factorial = LaurentPolynomial({-1: 1, 1: 1})  # [2]! = q^-1 + q
+bridge = end * two_factorial * two_factorial * two_factorial * two_factorial
 direct = graded_hom_dim(level_two, RootVector((0, 2, 2, 1)), (1, 1, 2, 2, 3))
 print("\nlevel two, rank 3:")
 print("  expansion        =", vector)

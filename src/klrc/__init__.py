@@ -11,28 +11,25 @@ from .cartan import (CartanDatum, DominantWeight, GuardError, RootVector,
 from .classifier import RepType, Verdict, classify, wildness_criteria
 from .fock import (FockVector, Multipartition, apply_divided_f, apply_f, expand, hom_dim,
                    parse_word, residue)
-from .laurent import LaurentPolynomial, quantum_factorial, quantum_integer
+from .laurent import LaurentPolynomial
 from .maxweights import (MaximalWeightDatum, NotEquivalentError, beta_of,
                          class_members, class_size, defect, delta_decompose,
-                         dominantify, ev, minimal_solution, sigma_flip)
+                         dominantify, ev, minimal_solution)
 from .multiplicity import weight_multiplicity
-from .quiver import (Arrow, MaxWeightQuiver, MoveLabel, apply_move, arrow_test,
-                     build_quiver, delta_vector, export, witness_sequence)
-from .tableaux import (StdTableau, degree, graded_hom_dim, graded_hom_dim_block,
-                       kostka_q, multipartitions, standard_tableaux)
+from .quiver import (Arrow, MaxWeightQuiver, MoveLabel, arrow_test, build_quiver,
+                     delta_vector, export, witness_sequence)
+from .tableaux import graded_hom_dim, graded_hom_dim_block, kostka_q, multipartitions
 
 __all__ = [
     "Arrow", "CartanDatum", "DominantWeight", "FockVector", "GuardError",
     "LaurentPolynomial", "MaxWeightQuiver", "MaximalWeightDatum", "MoveLabel",
-    "Multipartition", "NotEquivalentError", "RepType", "RootVector",
-    "StdTableau", "Verdict", "apply_divided_f", "apply_f", "apply_move",
-    "arrow_test", "beta_of", "build_quiver", "cartan", "class_members",
-    "class_size", "classify", "defect", "degree", "delta_decompose", "delta_vector",
-    "dominantify", "ev", "expand", "export", "fold_residue", "graded_hom_dim",
-    "graded_hom_dim_block", "hom_dim", "hub", "kostka_q", "minimal_solution",
-    "multipartitions", "pairing", "parse_word", "quantum_factorial",
-    "quantum_integer", "residue", "sigma_flip", "standard_tableaux",
-    "weight_multiplicity", "wildness_criteria", "witness_sequence",
+    "Multipartition", "NotEquivalentError", "RepType", "RootVector", "Verdict",
+    "apply_divided_f", "apply_f", "arrow_test", "beta_of", "build_quiver",
+    "cartan", "class_members", "class_size", "classify", "defect",
+    "delta_decompose", "delta_vector", "dominantify", "ev", "expand", "export",
+    "fold_residue", "graded_hom_dim", "graded_hom_dim_block", "hom_dim", "hub",
+    "kostka_q", "minimal_solution", "multipartitions", "pairing", "parse_word",
+    "residue", "weight_multiplicity", "wildness_criteria", "witness_sequence",
 ]
 
 __version__ = "0.1.0"

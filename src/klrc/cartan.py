@@ -162,7 +162,8 @@ class DominantWeight:
     any algebra-level quantity).  The default order has one entry per unit of
     level, so it is built on each read and never stored: a weight of level
     three million, which ``classify`` answers from ``m`` alone, stays a few
-    bytes.  Equality and hashing are those of the pair (m, charges).
+    bytes.  Equality is that of the pair (m, charges); both it and the hash
+    read the stored order, so neither builds the default one.
     """
 
     __slots__ = ("m", "_order")
@@ -212,7 +213,7 @@ class DominantWeight:
         return self.m == other.m and self._order == other._order
 
     def __hash__(self) -> int:
-        return hash((self.m, self.charges))
+        return hash((self.m, self._order))
 
     def __repr__(self) -> str:
         return f"DominantWeight(m={self.m!r}, charges={self.charges!r})"

@@ -66,22 +66,6 @@ class CaseInstance:
             return False
         return not any(all(_holds(m, c) for c in group) for group in self.exclusions)
 
-    def minimal_weight(self) -> DominantWeight:
-        """The smallest dominant weight satisfying the constraints (for tests)."""
-        m = [0] * len(self.beta)
-        for i, _, value in self.constraints:
-            m[i] = max(m[i], value)
-        if sum(m) < 2:
-            free = next(i for i in range(len(m))
-                        if not any(c[0] == i and c[1] == "==" for c in self.constraints))
-            m[free] += 2 - sum(m)
-        if any(all(_holds(m, c) for c in group) for group in self.exclusions):
-            bump = next(i for i, op, _ in self.constraints if op == ">=")
-            m[bump] += 1
-        weight = DominantWeight(tuple(m))
-        assert self.matches(weight.m, self.beta)
-        return weight
-
 
 def _holds(m: Sequence[int], constraint: Constraint) -> bool:
     i, op, value = constraint

@@ -18,9 +18,9 @@ from .classifier import classify
 from .fock import expand, hom_dim, parse_word
 from .laurent import polynomial_text
 from .maxweights import _class_pass, _class_size, _defect, defect
-from .multiplicity import weight_multiplicity
+from .multiplicity import DEFAULT_MAX_HEIGHT, weight_multiplicity
 from .quiver import DEFAULT_MAX_VERTICES, arrow_rows, build_quiver, export
-from .tableaux import DEFAULT_MAX_COMPONENTS, graded_hom_dim
+from .tableaux import DEFAULT_MAX_BOXES, DEFAULT_MAX_COMPONENTS, graded_hom_dim
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("quiver", help="directed quiver on the dominant maximal weights")
     _add_common(p, fmt=("text", "dot", "json", "tsv"))
-    p.add_argument("--max-vertices", type=int, default=5000)
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     p.set_defaults(func=_cmd_quiver)
 
     p = subs.add_parser("maxweights", help="class members with minimal solution vectors")
@@ -206,19 +206,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, beta=True)
     p.add_argument("--nu", required=True, help="residue sequence, e.g. 0-1-2-1")
     p.add_argument("--nu2", help="second residue sequence (defaults to --nu)")
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_BOXES)
     p.set_defaults(func=_cmd_dims)
 
     p = subs.add_parser("fock", help="expand a divided-power word at the vacuum")
     _add_common(p)
     p.add_argument("--word", required=True,
                    help="factors i^r,...; the leftmost factor acts last, e.g. 0,1^2,0")
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_BOXES)
     p.set_defaults(func=_cmd_fock)
 
     p = subs.add_parser("simples", help="number of simple modules of a block")
     _add_common(p, beta=True)
-    p.add_argument("--max-n", type=int, default=14)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_HEIGHT)
     p.set_defaults(func=_cmd_simples)
 
     p = subs.add_parser("defect", help="defect of a block")

@@ -194,48 +194,21 @@ def _width(bound: int) -> int:
 
 
 def _step(charges: Sequence[int], ell: int, terms: Terms, i: int, width: int,
-          boxes: int) -> Terms:
-    """One residue-i step on packed shapes of at most ``boxes`` boxes.
+          boxes: int, power: int) -> Terms:
+    """The divided power f_i^(power) on packed shapes of at most ``boxes``
+    boxes, up to the factor q^(-d * power * (power - 1) / 2) that the caller
+    applies.
 
-    Each degree is a shift of ``width * d`` bits per unit of the running
-    count, read off the i-nodes of each component, last component first.  A
-    step meets each distinct component many times, so its i-nodes are listed
-    once per step.  The count never drops below minus the number of boxes, so
-    every shift is offset by ``d * boxes`` units, and the caller lowers the
-    base exponent by as much.
-    """
-    period = 2 * ell
-    hit = [fold_residue(c, ell) == i for c in range(period)]
-    unit = width * cartan(ell).d[i]
-    offset = unit * boxes
-    known: list[dict] = [{} for _ in charges]
-    acc: Terms = {}
-    for shape, coeff in terms.items():
-        shift = offset  # offset plus unit times (addable minus removable i-nodes below)
-        for s in range(len(shape) - 1, -1, -1):
-            part = shape[s]
-            nodes = known[s].get(part)
-            if nodes is None:
-                nodes = known[s][part] = _i_nodes(part, charges[s], hit, period)
-            for grown_part in nodes:
-                if grown_part is None:
-                    shift -= unit
-                else:
-                    grown = shape[:s] + (grown_part,) + shape[s + 1:]
-                    acc[grown] = acc.get(grown, 0) + (coeff << shift)
-                    shift += unit
-    return acc
-
-
-def _subsets(charges: Sequence[int], ell: int, terms: Terms, i: int, width: int,
-             boxes: int, power: int) -> Terms:
-    """The divided power f_i^(power), power >= 2, up to the factor
-    q^(-d * power * (power - 1) / 2) that the caller applies.
-
-    Each ``power``-set of addable i-nodes is added at once, shifted by the
-    sum of the shifts ``_step`` gives its nodes.  Two nodes in one component
-    lie in different rows, so the part with both added is the rowwise
-    maximum of the two grown parts.
+    One upward scan of each shape, last component first, meets its addable
+    i-nodes with their shifts: ``width * d`` bits per unit of the running
+    count.  A step meets each distinct component many times, so its i-nodes
+    are listed once per step.  The count never drops below minus the number
+    of boxes, so every shift is offset by ``d * boxes`` units, and the caller
+    lowers the base exponent by as much.  Power 1 adds each node at its shift
+    as the scan meets it.  A higher power lists the nodes and adds each
+    ``power``-set of them at once, shifted by the sum of its nodes' shifts;
+    two nodes in one component lie in different rows, so the part with both
+    added is the rowwise maximum of the two grown parts.
     """
     period = 2 * ell
     hit = [fold_residue(c, ell) == i for c in range(period)]
@@ -253,9 +226,13 @@ def _subsets(charges: Sequence[int], ell: int, terms: Terms, i: int, width: int,
             for grown_part in nodes:
                 if grown_part is None:
                     shift -= unit
+                    continue
+                if power == 1:
+                    grown = shape[:s] + (grown_part,) + shape[s + 1:]
+                    acc[grown] = acc.get(grown, 0) + (coeff << shift)
                 else:
                     found.append((s, grown_part, shift))
-                    shift += unit
+                shift += unit
         for subset in combinations(found, power):
             grown_parts = list(shape)
             total = 0
@@ -290,10 +267,7 @@ def _divided(charges: Sequence[int], ell: int, terms: Terms, low: int, boxes: in
              i: int, power: int, width: int) -> tuple[Terms, int]:
     """The divided power in one pass, then the digits every term has as trailing
     zeros dropped; returns the terms and their base exponent."""
-    if power == 1:
-        terms = _step(charges, ell, terms, i, width, boxes)
-    else:
-        terms = _subsets(charges, ell, terms, i, width, boxes, power)
+    terms = _step(charges, ell, terms, i, width, boxes, power)
     low -= cartan(ell).d[i] * (power * boxes + power * (power - 1) // 2)
     used = 0
     for coeff in terms.values():
@@ -435,14 +409,6 @@ def word_content(word: Iterable[tuple[int, int]], ell: int) -> RootVector:
         _check_factor(i, power, ell)
         counts[i] += power
     return RootVector(tuple(counts))
-
-
-def residue_word(word: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The residue sequence obtained by expanding the divided powers, in application order."""
-    out: list[int] = []
-    for i, power in reversed(tuple(word)):
-        out.extend([i] * power)
-    return tuple(out)
 
 
 def hom_dim(left: FockVector, right: FockVector) -> LaurentPolynomial:

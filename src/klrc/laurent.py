@@ -2,8 +2,8 @@
 
 Coefficients are arbitrary-precision Python ints, stored sparsely as a map
 exponent -> coefficient with no zero entries.  These polynomials carry every
-graded dimension, Fock coefficient and quantum integer in the package, so all
-arithmetic here is exact; nothing is ever floated.
+graded dimension and Fock coefficient the package reports, so all arithmetic
+here is exact; nothing is ever floated.
 """
 
 from __future__ import annotations
@@ -109,18 +109,6 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def exact_div(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         """Divide by ``other``, requiring a zero remainder.
 
@@ -154,27 +142,6 @@ class LaurentPolynomial:
                 else:
                     rem.pop(e3, None)
         return _wrap(quot)
-
-    def bar(self) -> "LaurentPolynomial":
-        """The bar involution q -> q^-1."""
-        return _wrap({-e: c for e, c in self._coeffs.items()})
-
-    def shift(self, exp: int) -> "LaurentPolynomial":
-        """Multiply by q^exp."""
-        return _wrap({e + exp: c for e, c in self._coeffs.items()})
-
-    def evaluate(self, value: int) -> int:
-        """Evaluate at an integer (negative exponents require |value| = 1)."""
-        total = 0
-        for e, c in self._coeffs.items():
-            if e < 0 and abs(value) != 1:
-                raise ValueError("cannot evaluate negative exponents at non-unit integers")
-            total += c * value**e if e >= 0 else c * value ** (-e)
-        return total
-
-    def is_bar_symmetric_about(self, center: int) -> bool:
-        """True when coefficients are symmetric about exponent ``center`` (2*center even)."""
-        return all(c == self._coeffs.get(2 * center - e, 0) for e, c in self._coeffs.items())
 
     # -- protocol ------------------------------------------------------
 
@@ -226,21 +193,6 @@ def _coerce(value: "LaurentPolynomial | int") -> LaurentPolynomial:
     if isinstance(value, LaurentPolynomial):
         return value
     return LaurentPolynomial({0: value})
-
-
-def quantum_integer(s: int, d: int = 1) -> LaurentPolynomial:
-    """The symmetric quantum integer [s] in the variable q^d."""
-    if s < 0:
-        raise ValueError("quantum integers are defined for s >= 0")
-    return LaurentPolynomial({d * (s - 1 - 2 * t): 1 for t in range(s)})
-
-
-def quantum_factorial(r: int, d: int = 1) -> LaurentPolynomial:
-    """[r]! = [1][2]...[r] in the variable q^d."""
-    result = LaurentPolynomial.one()
-    for s in range(1, r + 1):
-        result = result * quantum_integer(s, d)
-    return result
 
 
 ZERO = LaurentPolynomial.zero()

@@ -222,8 +222,3 @@ def reflection_word(weight: DominantWeight, beta: RootVector) -> list[int] | Non
     """The sequence of reflection indices applied by ``dominantify``, or None."""
     straightened, word = _straighten(weight.m, beta.coeffs)
     return word if straightened is not None else None
-
-
-def sigma_flip(weight: DominantWeight, beta: RootVector) -> tuple[DominantWeight, RootVector]:
-    """The diagram involution i -> ell - i applied to both arguments."""
-    return weight.sigma(), beta.sigma()

@@ -19,6 +19,12 @@ n_j <= 2 leave n_j - x_j <= 2 and every d_j lies in {0, 1, 2}:
 x_j + d_j < n_j needs n_j - x_j = 1 and d_j = 0 (j in ``one``), or
 n_j - x_j = 2 and d_j <= 1 (j in ``two``).  Only accepted moves build the
 raised vector, and it is checked against the target's own minimal solution.
+``arrow_test`` decides one move on value objects by the same test.
+
+``candidate_moves`` and ``arrow_test`` have no caller in the package: they
+stay because the benchmark's tracer (``bench/tracing.py``) binds them by
+name.  The value-object route that decides an arrow by raising the solution
+vector lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -98,29 +104,6 @@ def delta_vector(label: MoveLabel, ell: int) -> RootVector:
     return RootVector(coeffs)
 
 
-def _shift(m: tuple[int, ...], label: MoveLabel) -> tuple[int, ...] | None:
-    """The multiplicities ``m`` re-indexed by the move, or None when ``m`` lacks
-    the multiplicity the move removes.  The label is not validated."""
-    index = label.index
-    shifted = list(m)
-    for n in index:
-        shifted[n] -= 1
-        if shifted[n] < 0:
-            return None
-    for n, step in zip(index, STEPS[label.kind]):
-        shifted[n + step] += 1
-    return tuple(shifted)
-
-
-def apply_move(weight: DominantWeight, label: MoveLabel) -> DominantWeight:
-    """Re-index fundamental weights according to the move."""
-    label.validate(weight.ell)
-    m = _shift(weight.m, label)
-    if m is None:
-        raise ValueError(f"{weight} lacks the multiplicity for move {label}")
-    return DominantWeight(m)
-
-
 def _candidate_keys(m: tuple[int, ...]) -> list[tuple[str, int, int | None]]:
     """The ``(kind, i, j)`` keys of ``candidate_moves`` for multiplicities ``m``,
     in the same order, with ``j`` None for a single-index move."""
@@ -179,28 +162,6 @@ def _move_table(ell: int) -> dict[tuple[str, int, int | None], _Move]:
                 sum(1 << n for n, d in enumerate(delta.coeffs) if d == 0),
                 sum(1 << n for n, d in enumerate(delta.coeffs) if d <= 1))
     return table
-
-
-def _raised(x: tuple[int, ...], delta: tuple[int, ...],
-            null: tuple[int, ...]) -> tuple[int, ...] | None:
-    """``x + delta`` when it still drops below ``null`` somewhere, else None."""
-    raised = tuple(map(add, x, delta))
-    return raised if any(map(lt, raised, null)) else None
-
-
-def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDatum | None:
-    """The target datum when the move yields an arrow out of ``source``.
-
-    The move is an arrow exactly when the raised vector still drops below the
-    null-root coefficients somewhere; otherwise the underlying edge points
-    back toward ``source`` and None is returned.
-    """
-    ell = source.weight.ell
-    target_weight = apply_move(source.weight, label)
-    x = _raised(source.x.coeffs, delta_vector(label, ell).coeffs, cartan(ell).delta_coeffs)
-    if x is None:
-        return None
-    return MaximalWeightDatum(target_weight, RootVector(x))
 
 
 def witness_sequence(label: MoveLabel, ell: int) -> tuple[int, ...]:
@@ -294,6 +255,31 @@ def _below_masks(x: tuple[int, ...], null: tuple[int, ...]) -> tuple[int, int]:
             if xn + 1 < dn:
                 two |= 1 << n
     return one, two
+
+
+def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDatum | None:
+    """The target datum when the move is an arrow out of ``source``, else None.
+
+    The move is decided by the two-mask test that ``build_quiver`` runs, which
+    is exact for a minimal solution vector such as ``beta_of`` gives.  A label
+    out of range, or a weight without the multiplicity the move takes off,
+    raises ValueError.
+    """
+    weight = source.weight
+    label.validate(weight.ell)
+    move = _move_table(weight.ell)[label.kind, label.i, label.j]
+    m = list(weight.m)
+    for n in move.removed:
+        m[n] -= 1
+        if m[n] < 0:
+            raise ValueError(f"{weight} lacks the multiplicity for move {label}")
+    one, two = _below_masks(source.x.coeffs, cartan(weight.ell).delta_coeffs)
+    if not (one & move.zero or two & move.low):
+        return None
+    for n in move.added:
+        m[n] += 1
+    return MaximalWeightDatum(DominantWeight(m),
+                              RootVector(tuple(map(add, source.x.coeffs, move.delta.coeffs))))
 
 
 def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICES) -> MaxWeightQuiver:

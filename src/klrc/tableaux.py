@@ -4,63 +4,26 @@ dim_q e(nu) A e(nu') for the block at beta is the sum over multipartitions of
 K(nu, shape) * K(nu', shape), K the degree generating function of standard
 fillings.  ``graded_hom_dim`` computes it with the Fock engine, where K(nu,
 shape) is the coefficient of the shape in the expansion of nu as single steps.
-The tableau route (``multipartitions``, ``kostka_q``, ``standard_tableaux``,
-``degree``) enumerates every shape and peels each one; it is kept only as the
-reference the tests compare against.
+The tableau route (``multipartitions``, ``kostka_q`` with its cache
+``_kostka_peel``, and ``node_degree``) enumerates every shape and peels each
+one.  The package never calls it: it stays here, as the reference the tests
+compare against, because the benchmark's tracer (``bench/tracing.py``) binds
+these names.  The filling-by-filling route (``standard_tableaux``,
+``degree``) lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .cartan import DominantWeight, GuardError, RootVector
-from .fock import (FWord, Multipartition, Node, Shape, _hom, _summed_expansion, node_degree,
-                   residue, word_content)
+from .fock import (FWord, Multipartition, Shape, _hom, _summed_expansion, node_degree, residue,
+                   word_content)
 from .laurent import ZERO, LaurentPolynomial
 
 DEFAULT_MAX_BOXES = 12
 DEFAULT_MAX_COMPONENTS = 5
-
-
-@dataclass(frozen=True)
-class StdTableau:
-    """A standard filling, stored as the node receiving each of 1..n in order."""
-
-    shape: Multipartition
-    order: tuple[Node, ...]
-
-    def residue_sequence(self, charges: Sequence[int], ell: int) -> tuple[int, ...]:
-        return tuple(residue(charges, node, ell) for node in self.order)
-
-
-def standard_tableaux(shape: Multipartition) -> Iterator[StdTableau]:
-    """All standard fillings, generated by growing from the empty shape."""
-    n = shape.size
-
-    def grow(current: Multipartition, order: tuple[Node, ...]) -> Iterator[tuple[Node, ...]]:
-        if len(order) == n:
-            yield order
-            return
-        for node in current.addable_nodes():
-            s, a, b = node
-            target = shape.components[s - 1]
-            if a <= len(target) and target[a - 1] >= b:
-                yield from grow(current.add_node(node), order + (node,))
-
-    for order in grow(Multipartition.empty(shape.k), ()):
-        yield StdTableau(shape, order)
-
-
-def degree(charges: Sequence[int], tableau: StdTableau, ell: int) -> int:
-    """Degree of a standard tableau, peeling n, n-1, ..., 1."""
-    total = 0
-    shape = tableau.shape
-    for node in reversed(tableau.order):
-        total += node_degree(charges, shape, node, ell)
-        shape = shape.remove_node(node)
-    return total
 
 
 def kostka_q(charges: Sequence[int], nu: Sequence[int], shape: Multipartition,

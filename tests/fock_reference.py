@@ -14,7 +14,8 @@ from typing import Sequence
 
 from klrc.cartan import cartan, fold_residue
 from klrc.fock import FockVector, Multipartition, Shape
-from klrc.laurent import ONE, ZERO, LaurentPolynomial, quantum_factorial
+from klrc.laurent import ONE, ZERO, LaurentPolynomial
+from reference import quantum_factorial, shift
 
 Terms = dict[Shape, LaurentPolynomial]
 
@@ -34,7 +35,7 @@ def _step(charges: Sequence[int], ell: int, terms: Terms, i: int) -> Terms:
                 row = part[a] if a < len(part) else 0
                 if (a == 0 or row < part[a - 1]) and hit[(row - a + charge) % period]:
                     grown = shape[:s] + (part[:a] + (row + 1,) + part[a + 1:],) + shape[s + 1:]
-                    weight = coeff.shift(d * count)
+                    weight = shift(coeff, d * count)
                     prev = acc.get(grown)
                     acc[grown] = weight if prev is None else prev + weight
                     count += 1

@@ -16,11 +16,12 @@ from test_quiver import ARROWS_2L2, ARROWS_L1L2
 from klrc.cartan import DominantWeight, RootVector
 from klrc.classifier import RepType, classify
 from klrc.fock import expand, hom_dim
-from klrc.laurent import LaurentPolynomial, quantum_factorial
+from klrc.laurent import LaurentPolynomial
 from klrc.maxweights import beta_of
 from klrc.multiplicity import weight_multiplicity
 from klrc.quiver import build_quiver
 from klrc.tableaux import graded_hom_dim
+from reference import power, quantum_factorial
 
 
 def poly(*pairs):
@@ -115,7 +116,7 @@ def test_criterion_5_quantum_factorial_bridge():
     vector = expand(weight, [(3, 1), (2, 2), (1, 2)])
     end = hom_dim(vector, vector)
     assert end == poly((0, 1), (4, 1))
-    bridge = end * quantum_factorial(2, 1) ** (2 * (ell - a))
+    bridge = end * power(quantum_factorial(2, 1), 2 * (ell - a))
     nu = (1, 1, 2, 2, 3)
     assert bridge == graded_hom_dim(weight, R(0, 2, 2, 1), nu)
     _report(5, "endomorphism dimension times (q+q^-1)^(2(l-a)) equals the idempotent dimension")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -99,20 +100,38 @@ def test_dominant_weight_charges():
 
 
 def test_default_charge_order_compares_and_hashes_as_the_pair():
-    """The default order is not stored, but a weight still compares and hashes
-    as the pair (m, charges): the default order given explicitly is the same
-    weight, another order is not."""
+    """The default order is not stored, but a weight still compares as the pair
+    (m, charges) and hashes consistently with it: the default order given
+    explicitly is the same weight, another order is not."""
     w = DominantWeight((2, 0, 1, 0))
     same = DominantWeight((2, 0, 1, 0), (0, 0, 2))
     other = w.with_charges((2, 0, 0))
-    assert w == same and hash(w) == hash(same) == hash(((2, 0, 1, 0), (0, 0, 2)))
+    assert w == same and hash(w) == hash(same)
     assert w != other and other.charges == (2, 0, 0)
-    assert hash(other) == hash(((2, 0, 1, 0), (2, 0, 0)))
+    assert hash(other) == hash(DominantWeight((2, 0, 1, 0), (2, 0, 0)))
     assert len({w, same, other, DominantWeight.from_charges((0, 0, 2), 3)}) == 2
     assert repr(other) == "DominantWeight(m=(2, 0, 1, 0), charges=(2, 0, 0))"
     with pytest.raises(AttributeError):
         w.m = (1, 0, 1, 0)
     assert DominantWeight((0, 0, 3 * 10 ** 6)).level == 3 * 10 ** 6
+
+
+def test_hash_builds_no_default_charge_order():
+    """Hashing a weight of level three million stays under 1 MiB, and equal
+    weights hash equal, a default weight and the same weight built with its
+    sorted charges given explicitly among them."""
+    big = DominantWeight((0, 0, 3 * 10 ** 6))
+    tracemalloc.start()
+    try:
+        value = hash(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert value == hash(DominantWeight((0, 0, 3 * 10 ** 6)))
+    w = DominantWeight((1, 0, 2, 1))
+    assert hash(w) == hash(DominantWeight((1, 0, 2, 1), (0, 2, 2, 3)))
+    assert hash(w) == hash(DominantWeight.from_charges((0, 2, 2, 3), 3))
 
 
 def test_sigma():

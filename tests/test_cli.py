@@ -15,6 +15,9 @@ from hypothesis import given, settings, strategies as st
 from klrc import cli
 from klrc.cartan import DominantWeight
 from klrc.cli import main
+from klrc.multiplicity import DEFAULT_MAX_HEIGHT
+from klrc.quiver import DEFAULT_MAX_VERTICES
+from klrc.tableaux import DEFAULT_MAX_BOXES
 
 
 def run(argv, capsys):
@@ -295,6 +298,16 @@ def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
     fresh = outcomes(capsys)
     assert reused == fresh
     assert [code for code, _, _ in reused] == [code for _, code in REUSE_QUERIES]
+
+
+@pytest.mark.parametrize("argv,dest,default", [
+    (["quiver", "--ell", "2"], "max_vertices", DEFAULT_MAX_VERTICES),
+    (["dims", "--ell", "2", "--beta", "1,0,0", "--nu", "0"], "max_n", DEFAULT_MAX_BOXES),
+    (["fock", "--ell", "2", "--word", "0"], "max_n", DEFAULT_MAX_BOXES),
+    (["simples", "--ell", "2", "--beta", "1,0,0"], "max_n", DEFAULT_MAX_HEIGHT),
+])
+def test_parser_defaults_are_the_library_caps(argv, dest, default):
+    assert getattr(cli.build_parser().parse_args(argv), dest) == default
 
 
 def test_import_builds_no_parser():

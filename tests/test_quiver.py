@@ -3,14 +3,15 @@ from itertools import combinations, product
 
 import pytest
 
+import reference
 from klrc.cartan import DominantWeight, RootVector, cartan, hub
 from klrc.maxweights import beta_of, class_members, minimal_solution
 from klrc.multiplicity import first_layer_roots
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP,
                          KIND_UP_UP, STEPS, Arrow, MoveLabel, _below_masks,
-                         _candidate_keys, _move_table, _raised, apply_move,
-                         arrow_test, build_quiver, candidate_moves, delta_vector,
-                         export, witness_sequence)
+                         _candidate_keys, _move_table, arrow_test, build_quiver,
+                         candidate_moves, delta_vector, export, witness_sequence)
+from reference import _raised, apply_move
 
 
 def W(*m):
@@ -111,6 +112,20 @@ def test_arrow_test():
     # a move toward the root never fires
     other = beta_of(root, W(0, 2, 0, 0, 0))
     assert arrow_test(other, upup(1, 1)) is None
+
+
+def test_arrow_test_rejects_a_missing_multiplicity():
+    """Both arrow tests raise ValueError on a weight without the multiplicity
+    the move takes off, and on a label out of range."""
+    root = W(0, 0, 2, 0, 0)
+    for route in (arrow_test, reference.arrow_test):
+        for source, label in [(beta_of(root, W(2, 0, 0, 0, 0)), down(2)),
+                              (beta_of(root, W(0, 1, 0, 1, 0)), upup(1, 1)),
+                              (beta_of(root, root), downdown(1, 1))]:
+            with pytest.raises(ValueError, match="lacks the multiplicity"):
+                route(source, label)
+        with pytest.raises(ValueError, match="out of range"):
+            route(beta_of(root, root), up(3))
 
 
 # golden arrow sets of the two worked rank-4 level-two quivers
@@ -340,15 +355,15 @@ def tsv_text(arrows):
 @pytest.mark.parametrize("parity,level,ell", ROUTE_CASES)
 def test_build_quiver_matches_value_object_route(ell, level, parity):
     """build_quiver and its three exports against the arrows rebuilt from the
-    public value-object functions, one arrow_test per candidate move (so that
-    rejected moves are checked as well as arrows), and the exports rendered
-    from those value objects."""
+    public value-object functions, one reference arrow test per candidate move
+    (so that rejected moves are checked as well as arrows), and the exports
+    rendered from those value objects."""
     weight = DominantWeight((level - parity, parity) + (0,) * (ell - 1))
     data = {member.m: beta_of(weight, member) for member in class_members(weight)}
     arrows = []
     for member in class_members(weight):
         for label in candidate_moves(member):
-            target = arrow_test(data[member.m], label)
+            target = reference.arrow_test(data[member.m], label)
             if target is not None:
                 arrows.append(Arrow(member, target.weight, label, delta_vector(label, ell),
                                     witness_sequence(label, ell)))
@@ -361,6 +376,28 @@ def test_build_quiver_matches_value_object_route(ell, level, parity):
                                                 indent=2, ensure_ascii=False) + "\n"
     assert quiver.vertices == vertices
     assert quiver.arrows == tuple(arrows)
+
+
+def test_arrow_test_matches_the_reference_route():
+    """The table-based arrow_test against the reference arrow test, which
+    raises the solution vector, for every candidate move of every member of
+    the ROUTE_CASES classes up to level 3, rejected moves included."""
+    accepted = rejected = 0
+    for parity, level, ell in ROUTE_CASES:
+        if level > 3:
+            continue
+        weight = DominantWeight((level - parity, parity) + (0,) * (ell - 1))
+        for member in class_members(weight):
+            source = beta_of(weight, member)
+            for label in candidate_moves(member):
+                target = arrow_test(source, label)
+                assert target == reference.arrow_test(source, label), (member, label)
+                if target is None:
+                    rejected += 1
+                else:
+                    accepted += 1
+    # each edge is a candidate move from both of its ends and an arrow from one
+    assert accepted == rejected > 1000
 
 
 def test_export_dot():
