@@ -70,18 +70,6 @@ class Multipartition:
                     out.append((s, a, row))
         return out
 
-    def add_node(self, node: Node) -> "Multipartition":
-        s, a, b = node
-        part = list(self.components[s - 1])
-        if a == len(part) + 1:
-            part.append(1)
-        else:
-            part[a - 1] += 1
-        assert part[a - 1] == b
-        comps = list(self.components)
-        comps[s - 1] = tuple(part)
-        return Multipartition(tuple(comps))
-
     def remove_node(self, node: Node) -> "Multipartition":
         s, a, b = node
         part = list(self.components[s - 1])

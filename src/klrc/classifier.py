@@ -208,8 +208,6 @@ def classify(weight: DominantWeight, beta: RootVector, characteristic: int = 0) 
     if p != 0 and not prime:
         raise ValueError(f"characteristic {p} is not 0 or a prime below 2^32")
     ell = weight.ell
-    if ell < 2:
-        raise ValueError("rank must be at least 2")
     if weight.level < 1:
         raise ValueError("level must be at least 1")
     if not beta.in_positive_cone():

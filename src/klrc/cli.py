@@ -15,57 +15,34 @@ from functools import lru_cache
 from .cartan import (DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, root_text,
                      weight_text)
 from .classifier import classify
-from .fock import expand, hom_dim, parse_word
+from .fock import DEFAULT_MAX_BOXES, expand, hom_dim, parse_word
 from .laurent import polynomial_text
-from .maxweights import _class_pass, _class_size, _defect, defect
+from .maxweights import _class_pass, _defect, class_size, defect
 from .multiplicity import DEFAULT_MAX_HEIGHT, weight_multiplicity
 from .quiver import DEFAULT_MAX_VERTICES, arrow_rows, build_quiver, export
-from .tableaux import DEFAULT_MAX_BOXES, DEFAULT_MAX_COMPONENTS, graded_hom_dim
+from .tableaux import graded_hom_dim
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 
 
-def _parse_weight(args, guard=None) -> DominantWeight:
-    """The weight of --m or --weight.  ``guard``, when given, is called with the
-    multiplicity vector before the weight is built, since the weight holds one
-    charge per unit of level and --m can name a level of millions in a few bytes."""
+def _parse_weight(args) -> DominantWeight:
+    """The weight of --m or --weight.  Only the rank is capped here: a weight
+    stores its multiplicities alone, so a level of millions costs a few bytes,
+    and each level-dependent cap is raised by the library call it guards."""
     ell = args.ell
     if ell < 2:
         raise ValueError("--ell must be at least 2")
     if ell > args.max_rank:
         raise GuardError(f"rank {ell} exceeds the cap of {args.max_rank}")
-    if getattr(args, "m", None):
+    if args.m:
         m = tuple([int(v) for v in args.m.split(",")])
         if len(m) != ell + 1:
             raise ValueError(f"--m needs {ell + 1} entries")
-        if guard is not None and min(m) >= 0:  # a negative entry fails in DominantWeight
-            guard(m)
         return DominantWeight(m)
-    if not getattr(args, "weight", None):
+    if not args.weight:
         raise ValueError("a weight is required (--weight or --m)")
-    charges = [int(v) for v in args.weight.split(",")]
-    weight = DominantWeight.from_charges(charges, ell)
-    if guard is not None:
-        guard(weight.m)
-    return weight
-
-
-def _class_guard(cap: int, noun: str):
-    """A ``_parse_weight`` guard that exits on a class of more than ``cap``
-    members, counted from the multiplicities alone."""
-    def guard(m: tuple[int, ...]) -> None:
-        size = _class_size(m)
-        if size > cap:
-            raise GuardError(f"class has {size} {noun}, cap is {cap}")
-    return guard
-
-
-def _component_guard(m: tuple[int, ...]) -> None:
-    """A ``_parse_weight`` guard that exits on more than ``DEFAULT_MAX_COMPONENTS``
-    components (the level) before a Fock expansion is set up."""
-    if sum(m) > DEFAULT_MAX_COMPONENTS:
-        raise GuardError(f"{sum(m)} components exceeds the cap of {DEFAULT_MAX_COMPONENTS}")
+    return DominantWeight.from_charges([int(v) for v in args.weight.split(",")], ell)
 
 
 def _parse_beta(args) -> RootVector:
@@ -95,7 +72,7 @@ def _cmd_classify(args) -> str:
 
 
 def _cmd_quiver(args) -> str:
-    weight = _parse_weight(args, _class_guard(args.max_vertices, "vertices"))
+    weight = _parse_weight(args)
     quiver = build_quiver(weight, max_vertices=args.max_vertices)
     if args.format == "text":
         lines = [f"root {weight}  vertices {len(quiver.ms)}  arrows {len(quiver.rows)}"]
@@ -106,7 +83,10 @@ def _cmd_quiver(args) -> str:
 
 
 def _cmd_maxweights(args) -> str:
-    weight = _parse_weight(args, _class_guard(DEFAULT_MAX_VERTICES, "members"))
+    weight = _parse_weight(args)
+    size = class_size(weight)
+    if size > DEFAULT_MAX_VERTICES:
+        raise GuardError(f"class has {size} members, cap is {DEFAULT_MAX_VERTICES}")
     members = _class_pass(weight.m)
     defects = [_defect(weight.m, x) for _, x in members]
     if args.format == "json":
@@ -119,7 +99,7 @@ def _cmd_maxweights(args) -> str:
 
 
 def _cmd_dims(args) -> str:
-    weight = _parse_weight(args, _component_guard)
+    weight = _parse_weight(args)
     beta = _parse_beta(args)
     nu = _parse_nu(args.nu)
     nu2 = _parse_nu(args.nu2) if args.nu2 else nu
@@ -135,11 +115,8 @@ def _cmd_dims(args) -> str:
 
 
 def _cmd_fock(args) -> str:
-    weight = _parse_weight(args, _component_guard)
-    word = parse_word(args.word)
-    if sum(r for _, r in word) > args.max_n:
-        raise GuardError(f"word adds {sum(r for _, r in word)} boxes, cap is {args.max_n}")
-    vector = expand(weight, word)
+    weight = _parse_weight(args)
+    vector = expand(weight, parse_word(args.word), max_n=args.max_n)
     end = hom_dim(vector, vector)
     if args.format == "json":
         return json.dumps({
@@ -167,12 +144,11 @@ def _cmd_defect(args) -> str:
     return str(value)
 
 
-def _add_common(sub, *, weight=True, beta=False, fmt=("text", "json")) -> None:
+def _add_common(sub, *, beta=False, fmt=("text", "json")) -> None:
     sub.add_argument("--ell", type=int, required=True, help="rank, at least 2")
     sub.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
-    if weight:
-        sub.add_argument("--weight", help="fundamental indices with repetition, e.g. 0,0,2")
-        sub.add_argument("--m", help="multiplicity vector alternative, e.g. 2,0,1")
+    sub.add_argument("--weight", help="fundamental indices with repetition, e.g. 0,0,2")
+    sub.add_argument("--m", help="multiplicity vector alternative, e.g. 2,0,1")
     if beta:
         sub.add_argument("--beta", required=True,
                          help="root coefficients x0,x1,...,xl")

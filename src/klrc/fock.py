@@ -61,8 +61,11 @@ from typing import Iterable, Mapping, Sequence
 
 from ._shapes import (Multipartition, Node, Shape, _multipartition, _render_partition,
                       _shape_key, content_vector, node_degree, residue)
-from .cartan import DominantWeight, RootVector, cartan, fold_residue
+from .cartan import DominantWeight, GuardError, RootVector, cartan, fold_residue
 from .laurent import ZERO, LaurentPolynomial, _wrap, polynomial_text
+
+DEFAULT_MAX_BOXES = 12
+DEFAULT_MAX_COMPONENTS = 5
 
 FWord = tuple[tuple[int, int], ...]
 """A sequence of (residue, power) operator factors; the leftmost acts last."""
@@ -185,6 +188,15 @@ def _check_factor(i: int, power: int, ell: int) -> None:
         raise ValueError("power must be at least 1")
     if not 0 <= i <= ell:
         raise ValueError(f"residue {i} out of range for rank {ell}")
+
+
+def _check_size(weight: DominantWeight, n: int, max_n: int) -> None:
+    """GuardError on more than ``DEFAULT_MAX_COMPONENTS`` components (the
+    level, read from the multiplicities) or more than ``max_n`` boxes."""
+    if weight.level > DEFAULT_MAX_COMPONENTS:
+        raise GuardError(f"{weight.level} components exceeds the cap of {DEFAULT_MAX_COMPONENTS}")
+    if n > max_n:
+        raise GuardError(f"{n} boxes exceeds the cap of {max_n}")
 
 
 def _width(bound: int) -> int:
@@ -386,19 +398,22 @@ def apply_divided_f(vector: FockVector, i: int, power: int) -> FockVector:
     return _apply(vector, i, power)
 
 
-def expand(weight: DominantWeight, word: Iterable[tuple[int, int]]) -> FockVector:
+def expand(weight: DominantWeight, word: Iterable[tuple[int, int]], *,
+           max_n: int = DEFAULT_MAX_BOXES) -> FockVector:
     """Apply a divided-power word to the vacuum, rightmost factor first.
 
-    Every factor is checked, in application order, before the first step.
-    Every coefficient met on the way is nonnegative and at most
-    n! / (r_1! ... r_k!) at q=1, n the number of boxes the word adds and
-    r_1, ..., r_k its powers, so one width serves the whole word.
+    Every factor is checked, in application order, and then the component and
+    box caps (GuardError), before the first step.  Every coefficient met on
+    the way is nonnegative and at most n! / (r_1! ... r_k!) at q=1, n the
+    number of boxes the word adds and r_1, ..., r_k its powers, so one width
+    serves the whole word.
     """
     factors = tuple(word)[::-1]
     for i, power in factors:
         _check_factor(i, power, weight.ell)
-    width = _width(factorial(sum(power for _, power in factors))
-                   // prod(factorial(power) for _, power in factors))
+    n = sum(power for _, power in factors)
+    _check_size(weight, n, max_n)
+    width = _width(factorial(n) // prod(factorial(power) for _, power in factors))
     terms, low = _expand(weight, factors, width)
     return FockVector(weight.charges, weight.ell, packed=(width, low, terms))
 

@@ -261,12 +261,14 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
     """The target datum when the move is an arrow out of ``source``, else None.
 
     The move is decided by the two-mask test that ``build_quiver`` runs, which
-    is exact for a minimal solution vector such as ``beta_of`` gives.  A label
-    out of range, or a weight without the multiplicity the move takes off,
-    raises ValueError.
+    is exact only for x >= 0, as every minimal solution vector such as
+    ``beta_of`` gives is.  A label out of range, a negative entry of x, or a
+    weight without the multiplicity the move takes off raises ValueError.
     """
     weight = source.weight
     label.validate(weight.ell)
+    if min(source.x.coeffs) < 0:
+        raise ValueError(f"x = {source.x.coeffs} has a negative entry")
     move = _move_table(weight.ell)[label.kind, label.i, label.j]
     m = list(weight.m)
     for n in move.removed:

@@ -17,13 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .cartan import DominantWeight, GuardError, RootVector
-from .fock import (FWord, Multipartition, Shape, _hom, _summed_expansion, node_degree, residue,
-                   word_content)
+from .cartan import DominantWeight, RootVector
+from .fock import (DEFAULT_MAX_BOXES, FWord, Multipartition, Shape, _check_size, _hom,
+                   _summed_expansion, node_degree, residue, word_content)
 from .laurent import ZERO, LaurentPolynomial
-
-DEFAULT_MAX_BOXES = 12
-DEFAULT_MAX_COMPONENTS = 5
 
 
 def kostka_q(charges: Sequence[int], nu: Sequence[int], shape: Multipartition,
@@ -122,10 +119,7 @@ def graded_hom_dim_block(weight: DominantWeight, beta: RootVector,
     """
     if not beta.in_positive_cone():
         raise ValueError("beta must lie in the positive cone")
-    if beta.height > max_n:
-        raise GuardError(f"{beta.height} boxes exceeds the cap of {max_n}")
-    if weight.level > DEFAULT_MAX_COMPONENTS:
-        raise GuardError(f"{weight.level} components exceeds the cap of {DEFAULT_MAX_COMPONENTS}")
+    _check_size(weight, beta.height, max_n)
     words = _single_steps(weight.ell, beta, nus, "nu")
     words_prime = (words if nus_prime is None
                    else _single_steps(weight.ell, beta, nus_prime, "nu'"))

@@ -7,8 +7,8 @@ the package:
 * Laurent arithmetic the engines no longer use: powers, the bar involution,
   shifts, evaluation, the bar-symmetry check, quantum integers and quantum
   factorials, as functions of a ``LaurentPolynomial``;
-* the standard tableaux of a shape and their degrees, the filling-by-filling
-  route to the graded dimensions;
+* ``add_node`` of a multipartition, the standard tableaux of a shape and
+  their degrees, the filling-by-filling route to the graded dimensions;
 * the value-object arrow test of the quiver (``apply_move``, ``_shift``,
   ``_raised``, ``arrow_test``), which decides an arrow by raising the
   solution vector instead of by the two bitmasks of ``klrc.quiver``;
@@ -89,6 +89,20 @@ def quantum_factorial(r: int, d: int = 1) -> LaurentPolynomial:
 # -- standard tableaux ---------------------------------------------------
 
 
+def add_node(mp: Multipartition, node: Node) -> Multipartition:
+    """``mp`` with the addable node (component, row, column) added, 1-based."""
+    s, a, b = node
+    part = list(mp.components[s - 1])
+    if a == len(part) + 1:
+        part.append(1)
+    else:
+        part[a - 1] += 1
+    assert part[a - 1] == b
+    comps = list(mp.components)
+    comps[s - 1] = tuple(part)
+    return Multipartition(tuple(comps))
+
+
 @dataclass(frozen=True)
 class StdTableau:
     """A standard filling, stored as the node receiving each of 1..n in order."""
@@ -112,7 +126,7 @@ def standard_tableaux(shape: Multipartition) -> Iterator[StdTableau]:
             s, a, b = node
             target = shape.components[s - 1]
             if a <= len(target) and target[a - 1] >= b:
-                yield from grow(current.add_node(node), order + (node,))
+                yield from grow(add_node(current, node), order + (node,))
 
     for order in grow(Multipartition.empty(shape.k), ()):
         yield StdTableau(shape, order)

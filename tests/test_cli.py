@@ -223,9 +223,10 @@ def guarded_run(argv, message, capsys, status=3):
     ("quiver", "class has 2250003000001 vertices, cap is 5000"),
 ])
 def test_class_guard_runs_before_the_weight_is_built(command, message, capsys):
-    """--m 0,0,3000000 names a level of three million in a few bytes; the
-    class-size guard exits 3 on the multiplicities, before a weight with one
-    charge per unit of level (46 MiB at this level) is built."""
+    """--m 0,0,3000000 names a level of three million in a few bytes.  The
+    weight is built at O(rank) cost, as it stores its multiplicities alone,
+    and the class-size cap exits 3 on the class count, before any member is
+    enumerated."""
     guarded_run([command, "--ell", "2", "--m", "0,0,3000000"], message, capsys)
 
 
@@ -234,8 +235,9 @@ def test_class_guard_runs_before_the_weight_is_built(command, message, capsys):
     ["dims", "--ell", "2", "--m", "0,0,3000000", "--beta", "1,0,0", "--nu", "0"],
 ])
 def test_component_guard_runs_before_the_weight_is_built(argv, capsys):
-    """``fock`` and ``dims`` cap the level at 5 components on the parsed --m,
-    before a weight with three million charges is built."""
+    """``fock`` and ``dims`` cap the level at 5 components.  The weight is
+    built at O(rank) cost, as it stores its multiplicities alone, and the
+    Fock engine refuses its three million components before any step."""
     guarded_run(argv, "3000000 components exceeds the cap of 5", capsys)
 
 

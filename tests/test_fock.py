@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fock_reference as reference
-from klrc.cartan import DominantWeight, RootVector
+from klrc.cartan import DominantWeight, GuardError, RootVector
 from klrc.fock import (FockVector, apply_divided_f, apply_f, expand, hom_dim, node_degree,
                        parse_word, residue, word_content)
 from klrc.laurent import LaurentPolynomial
 from klrc.tableaux import Multipartition, kostka_q, multipartitions, graded_hom_dim
-from reference import (evaluate, is_bar_symmetric_about, power, quantum_factorial,
-                       residue_word, shift)
+from reference import (add_node, evaluate, is_bar_symmetric_about, power,
+                       quantum_factorial, residue_word, shift)
 
 
 def poly(*pairs):
@@ -296,7 +297,7 @@ def reference_step(vector, i):
         for node in shape.addable_nodes():
             if residue(vector.charges, node, vector.ell) != i:
                 continue
-            grown = shape.add_node(node)
+            grown = add_node(shape, node)
             weight = coeff * LaurentPolynomial.q(node_degree(vector.charges, grown, node,
                                                              vector.ell))
             acc[grown] = acc.get(grown, LaurentPolynomial.zero()) + weight
@@ -326,7 +327,7 @@ def grown_word(rng, charges, ell, boxes, top=3, greedy=False):
         if not greedy:
             r = rng.randint(1, r)
         for node in rng.sample(by_residue[i], r):
-            shape = shape.add_node(node)
+            shape = add_node(shape, node)
         factors.append((i, r))
         boxes -= r
     return factors[::-1]
@@ -369,7 +370,7 @@ def test_step_matches_value_object_route():
                         divided = apply_divided_f(vector, i, power)
                         assert divided == reference_divided(vector, i, power)
                         vector = divided
-                    assert expand(weight, word) == vector
+                    assert expand(weight, word, max_n=14) == vector
                     assert n == 1 or not vector.is_zero()   # the grown words
     assert repeated >= 6
     assert fourth_powers >= 4
@@ -390,6 +391,37 @@ def test_word_checked_before_any_step(monkeypatch):
                           ([(0, 1), (7, 0)], "power must be at least 1")]:
         with pytest.raises(ValueError, match=message):
             expand(weight, word)
+
+
+def test_component_cap_runs_before_any_step(monkeypatch):
+    """A weight of level three million stores its multiplicities alone, and
+    expand refuses its three million components before any step, in a few
+    KiB."""
+    import klrc.fock
+
+    def no_step(*args):
+        raise AssertionError("a step ran before the component cap was checked")
+
+    monkeypatch.setattr(klrc.fock, "_step", no_step)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match="^3000000 components exceeds the cap of 5$"):
+            expand(W(0, 0, 3_000_000), [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_box_cap_defaults_to_twelve():
+    """A 13-box word exceeds the default cap of 12 boxes, and expands with
+    ``max_n=13``."""
+    word = grown_word(random.Random(13), (0, 1), 2, 13)
+    weight = DominantWeight.from_charges([0, 1], 2)
+    with pytest.raises(GuardError, match="^13 boxes exceeds the cap of 12$"):
+        expand(weight, word)
+    vector = expand(weight, word, max_n=13)
+    assert not vector.is_zero() and vector.content() == word_content(word, 2)
 
 
 def test_packed_hom_dim_matches_reference_on_signed_vectors():
@@ -528,7 +560,7 @@ def test_equal_charges_at_level_five_reach_the_width_bound():
     words.append([(2, 4), (1, 1), (1, 4), (0, 1), (0, 4)])
     biggest = 0
     for word in words:
-        vector = expand(weight, word)
+        vector = expand(weight, word, max_n=14)
         assert vector == reference.expand(weight, word)
         assert hom_dim(vector, vector) == reference.hom_dim(vector, vector)
         biggest = max(biggest, max(evaluate(c, 1) for _, c in vector.terms))

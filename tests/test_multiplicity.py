@@ -13,7 +13,7 @@ from klrc import multiplicity
 from klrc.maxweights import _straighten, beta_of, class_members, dominantify, reflection_word
 from klrc.multiplicity import (_mult, _root_table, finite_positive_roots, first_layer_roots,
                                positive_roots_within, weight_multiplicity)
-from reference import evaluate
+from reference import add_node, evaluate
 
 
 def W(*m):
@@ -320,7 +320,7 @@ def test_counts_match_fock_rank():
                 for _ in range(rng.randint(2, 6)):
                     node = rng.choice(shape.addable_nodes())
                     counts[residue(charges, node, ell)] += 1
-                    shape = shape.add_node(node)
+                    shape = add_node(shape, node)
                 letters = [i for i, c in enumerate(counts) for _ in range(c)]
                 vectors = [dict(expand(weight, [(r, 1) for r in reversed(nu)]).terms)
                            for nu in sorted(set(permutations(letters)))]

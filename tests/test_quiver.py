@@ -5,7 +5,7 @@ import pytest
 
 import reference
 from klrc.cartan import DominantWeight, RootVector, cartan, hub
-from klrc.maxweights import beta_of, class_members, minimal_solution
+from klrc.maxweights import MaximalWeightDatum, beta_of, class_members, minimal_solution
 from klrc.multiplicity import first_layer_roots
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP,
                          KIND_UP_UP, STEPS, Arrow, MoveLabel, _below_masks,
@@ -126,6 +126,16 @@ def test_arrow_test_rejects_a_missing_multiplicity():
                 route(source, label)
         with pytest.raises(ValueError, match="out of range"):
             route(beta_of(root, root), up(3))
+
+
+def test_arrow_test_rejects_a_negative_solution_entry():
+    """The two-mask test is exact only for x >= 0: on a datum whose x has a
+    negative entry, where the reference route finds an arrow, arrow_test
+    raises instead of answering None."""
+    source = MaximalWeightDatum(W(0, 0, 2, 0, 0), RootVector((1, 2, -1, 2, 1)))
+    assert reference.arrow_test(source, down(2)).x.coeffs == (1, 3, 1, 4, 2)
+    with pytest.raises(ValueError, match="negative entry"):
+        arrow_test(source, down(2))
 
 
 # golden arrow sets of the two worked rank-4 level-two quivers

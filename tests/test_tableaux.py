@@ -7,7 +7,7 @@ from klrc.laurent import LaurentPolynomial
 from klrc.fock import content_vector
 from klrc.tableaux import (Multipartition, graded_hom_dim, graded_hom_dim_block, kostka_q,
                            multipartitions, residue)
-from reference import StdTableau, degree, evaluate, standard_tableaux
+from reference import StdTableau, add_node, degree, evaluate, standard_tableaux
 
 
 def poly(*pairs):
@@ -34,7 +34,7 @@ def test_multipartition_nodes():
     assert mp.size == 4
     assert set(mp.removable_nodes()) == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
     assert set(mp.addable_nodes()) == {(1, 1, 3), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 1)}
-    grown = mp.add_node((2, 2, 1))
+    grown = add_node(mp, (2, 2, 1))
     assert grown.components == ((2, 1), (1, 1))
     assert grown.remove_node((2, 2, 1)) == mp
 
@@ -165,7 +165,7 @@ def _random_instance(rng, max_k=3, max_n=6):
     # grow a random multipartition to guarantee a nonempty block
     shape = Multipartition.empty(k)
     for _ in range(n):
-        shape = shape.add_node(rng.choice(shape.addable_nodes()))
+        shape = add_node(shape, rng.choice(shape.addable_nodes()))
     beta = content_vector(charges, shape, ell)
     tableau = rng.choice(list(standard_tableaux(shape)))
     nu = tableau.residue_sequence(charges, ell)
