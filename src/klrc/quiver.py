@@ -7,24 +7,49 @@ raises the solution vector by one of five explicit root-lattice increments.
 Arrows always point toward the larger vector, the fixed root has in-degree
 zero, and every vertex is reachable from it by a directed path.
 
-``build_quiver`` decides arrows from a per-rank move table (``_move_table``):
-each move is stored once with its label, increment d, witness and rendered
-label, the indices it takes a multiplicity off and puts one on, and two
-bitmasks over the coordinates, ``zero = {j : d_j = 0}`` and
-``low = {j : d_j <= 1}``.  For a source x with null-root coefficients n, the
-move is an arrow when x + d drops below n somewhere, and that holds exactly
-when ``one & zero or two & low`` is nonzero, with ``one = {j : x_j < n_j}``
-and ``two = {j : x_j + 1 < n_j}``.  The test is exact because x >= 0 and
-n_j <= 2 leave n_j - x_j <= 2 and every d_j lies in {0, 1, 2}:
-x_j + d_j < n_j needs n_j - x_j = 1 and d_j = 0 (j in ``one``), or
-n_j - x_j = 2 and d_j <= 1 (j in ``two``).  Only accepted moves build the
-raised vector, and it is checked against the target's own minimal solution.
-``arrow_test`` decides one move on value objects by the same test.
+Each move is stored once in a per-rank move table (``_move_table``) with its
+label, increment d, witness, rendered label, the indices it takes a
+multiplicity off and puts one on, its change Δm to the multiplicities, and
+the coordinate bitmasks ``zero = {j : d_j = 0}`` and ``low = {j : d_j <= 1}``.
+For a source x and null-root coefficients n, the move is an arrow when x + d
+drops below n somewhere, exactly when ``one & zero or two & low`` is nonzero,
+with ``one = {j : x_j < n_j}`` and ``two = {j : x_j + 1 < n_j}``.  This is
+exact because x >= 0 and n_j <= 2 leave n_j - x_j <= 2 and every d_j lies in
+{0, 1, 2}: x_j + d_j < n_j needs n_j - x_j = 1 and d_j = 0 (j in ``one``), or
+n_j - x_j = 2 and d_j <= 1 (j in ``two``).  ``arrow_test`` decides one move
+on value objects by this test.
 
-``candidate_moves`` and ``arrow_test`` have no caller in the package: they
-stay because the benchmark's tracer (``bench/tracing.py``) binds them by
-name.  The value-object route that decides an arrow by raising the solution
-vector lives in ``tests/reference.py``.
+``build_quiver`` runs the test once per move over all vertices, with four
+bitsets over the vertices per coordinate j: m_j >= 1, m_j >= 2, x_j < n_j and
+x_j + 1 < n_j.  A move's sources are the AND of the bitsets of what it takes
+off (m_i >= 1 at each index, m_i >= 2 for two off one index) with the OR of
+the x_j < n_j bitsets over ``zero`` and the x_j + 1 < n_j bitsets over
+``low``.  Each member's m and x are packed once into an int, first coordinate
+in the lowest digit, so an arrow costs one dict lookup and two int checks:
+
+* m at digit width bits(k) + 1, k the level.  A source holds what the move
+  takes off and the level stays k, so every digit of m + Δm lies in 0..k:
+  adding the packed Δm (signed digits) neither borrows nor carries, and gives
+  the target's packed m.
+* x at digit width w = bits(max x + 2) + 1.  A raised digit x_j + d_j is at
+  most max x + 2 < 2^(w-1), so R = X + D has no carry and every digit stays
+  below its top (guard) bit.  With G the guard bits and N the packed n,
+  digit j of R + G - N is r_j + 2^(w-1) - n_j, in 0..2^w - 1 as
+  1 <= n_j <= 2 < 2^(w-1); its guard bit is set exactly when r_j >= n_j.  So
+  "x + d drops below n somewhere" is ``(R + G - N) & G != G`` and "x + d is
+  the target's minimal solution" is ``R == X_t``; both are asserted.
+
+The table lists its moves in lexicographic order of Δm, then of label text.
+For one source the target of a move is m + Δm, and adding a fixed m keeps
+the order of the Δm; since the members are listed in lexicographic order of
+m, that is the order of target indices, and moves with equal Δm share their
+target.  So the arrows appended to a source's bucket move by move come in
+(target, label) order, and the buckets joined in source order are the rows.
+
+``candidate_moves``, ``arrow_test``, ``_candidate_keys`` and ``_below_masks``
+stay because the benchmark's tracer (``bench/tracing.py``) and the tests
+bind them.  ``tests/reference.py`` keeps the per-source builder and the
+value-object route that decides an arrow by raising the solution vector.
 """
 
 from __future__ import annotations
@@ -32,8 +57,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
-from operator import add, lt
+from itertools import chain, product
+from operator import add, lshift
 from typing import Iterable, Iterator, NamedTuple
 
 from .cartan import (RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, cartan,
@@ -138,14 +163,16 @@ class _Move(NamedTuple):
     text: str           # str(label)
     removed: tuple[int, ...]
     added: tuple[int, ...]
+    shift: tuple[int, ...]  # the change Δm the move makes to the multiplicities
     zero: int           # bitmask of the coordinates j with delta_j = 0
     low: int            # bitmask of the coordinates j with delta_j <= 1
 
 
 @lru_cache(maxsize=RANK_CACHE_SIZE)
 def _move_table(ell: int) -> dict[tuple[str, int, int | None], _Move]:
-    """Every move valid at rank ``ell``, keyed as ``_candidate_keys`` lists it."""
-    table = {}
+    """Every move valid at rank ``ell``, keyed as ``_candidate_keys`` lists it and
+    stored in lexicographic order of its Δm, then of its label text."""
+    moves = []
     for kind, steps in STEPS.items():
         for index in product(range(ell + 1), repeat=len(steps)):
             label = MoveLabel(kind, *index)
@@ -156,12 +183,18 @@ def _move_table(ell: int) -> dict[tuple[str, int, int | None], _Move]:
             delta = delta_vector(label, ell)
             # the two-mask arrow test is exact only for increments in {0, 1, 2}
             assert set(delta.coeffs) <= {0, 1, 2}, label
-            table[kind, label.i, label.j] = _Move(
-                label, delta, witness_sequence(label, ell), str(label), index,
-                tuple(map(add, index, steps)),
+            added = tuple(map(add, index, steps))
+            shift = [0] * (ell + 1)
+            for n, a in zip(index, added):
+                shift[n] -= 1
+                shift[a] += 1
+            moves.append(_Move(
+                label, delta, witness_sequence(label, ell), str(label), index, added,
+                tuple(shift),
                 sum(1 << n for n, d in enumerate(delta.coeffs) if d == 0),
-                sum(1 << n for n, d in enumerate(delta.coeffs) if d <= 1))
-    return table
+                sum(1 << n for n, d in enumerate(delta.coeffs) if d <= 1)))
+    moves.sort(key=lambda move: (move.shift, move.text))
+    return {(move.label.kind, move.label.i, move.label.j): move for move in moves}
 
 
 def witness_sequence(label: MoveLabel, ell: int) -> tuple[int, ...]:
@@ -270,57 +303,80 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
     if min(source.x.coeffs) < 0:
         raise ValueError(f"x = {source.x.coeffs} has a negative entry")
     move = _move_table(weight.ell)[label.kind, label.i, label.j]
-    m = list(weight.m)
-    for n in move.removed:
-        m[n] -= 1
-        if m[n] < 0:
-            raise ValueError(f"{weight} lacks the multiplicity for move {label}")
+    # no move puts a multiplicity back where it takes one off, so m + Δm
+    # goes negative exactly where the weight lacks what the move takes off
+    m = tuple(map(add, weight.m, move.shift))
+    if min(m) < 0:
+        raise ValueError(f"{weight} lacks the multiplicity for move {label}")
     one, two = _below_masks(source.x.coeffs, cartan(weight.ell).delta_coeffs)
     if not (one & move.zero or two & move.low):
         return None
-    for n in move.added:
-        m[n] += 1
     return MaximalWeightDatum(DominantWeight(m),
                               RootVector(tuple(map(add, source.x.coeffs, move.delta.coeffs))))
+
+
+def _column(flags: Iterable[bool]) -> int:
+    """The bitset over vertices with bit n set when flag n is true."""
+    return int("".join(["1" if f else "0" for f in flags])[::-1], 2)
 
 
 def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICES) -> MaxWeightQuiver:
     """The full directed quiver on the equivalence class of ``weight``.
 
-    Each candidate move is decided by the two-mask test of the module
-    docstring, which ``minimal_solution``'s assertion x >= 0 makes exact.
+    Each move is decided for all vertices at once by the two-mask test of the
+    module docstring, run over vertex bitsets, which ``minimal_solution``'s
+    assertion x >= 0 makes exact.
     """
     size = class_size(weight)
     if size > max_vertices:
         raise GuardError(f"class has {size} vertices, cap is {max_vertices}")
     members = _class_pass(weight.m)
-    index = {m: n for n, (m, _) in enumerate(members)}
-    null = cartan(weight.ell).delta_coeffs
-    table = _move_table(weight.ell)
-    rows = []
-    for s, (m, x) in enumerate(members):
-        one, two = _below_masks(x, null)
-        found = []
-        for key in _candidate_keys(m):
-            move = table[key]
-            if not (one & move.zero or two & move.low):
-                continue
-            shifted = list(m)
-            for n in move.removed:
-                shifted[n] -= 1
-            for n in move.added:
-                shifted[n] += 1
-            t = index[tuple(shifted)]
-            raised = tuple(map(add, x, move.delta.coeffs))
-            # the raised vector drops below the null root and agrees with the
-            # target's own minimal solution
-            assert any(map(lt, raised, null)), (m, move.label)
-            assert raised == members[t][1], (m, move.label)
-            found.append((t, move.text, move))
-        found.sort()  # by target, then label text: unique per source, so moves never compare
-        rows.extend([(s, t, move) for t, _, move in found])
     ms, xs = zip(*members)
-    return MaxWeightQuiver(weight, ms, xs, tuple(rows))
+    ell = weight.ell
+    null = cartan(ell).delta_coeffs
+    # digit offsets of the packed m and x (widths and no-carry argument in the
+    # module docstring); has1, has2, one and two are the per-coordinate
+    # vertex bitsets
+    wm = weight.level.bit_length() + 1
+    wx = (max(map(max, xs)) + 2).bit_length() + 1
+    at_m = range(0, wm * (ell + 1), wm)
+    at_x = range(0, wx * (ell + 1), wx)
+    packed_m = [sum(map(lshift, m, at_m)) for m in ms]
+    packed_x = [sum(map(lshift, x, at_x)) for x in xs]
+    index = {p: n for n, p in enumerate(packed_m)}
+    guard = sum([1 << (n + wx - 1) for n in at_x])
+    lift = guard - sum(map(lshift, null, at_x))
+    has1 = [_column([m[j] >= 1 for m in ms]) for j in range(ell + 1)]
+    has2 = [_column([m[j] >= 2 for m in ms]) for j in range(ell + 1)]
+    one = [_column([x[j] < n for x in xs]) for j, n in enumerate(null)]
+    two = [_column([x[j] + 1 < n for x in xs]) for j, n in enumerate(null)]
+    buckets: list[list[tuple[int, int, _Move]]] = [[] for _ in ms]
+    for move in _move_table(ell).values():
+        i, j = move.removed[0], move.removed[-1]
+        sources = has2[i] if move.removed == (i, i) else has1[i] & has1[j]
+        fire = 0
+        for n in range(ell + 1):
+            if move.zero >> n & 1:
+                fire |= one[n]
+            if move.low >> n & 1:
+                fire |= two[n]
+        sources &= fire
+        if not sources:
+            continue
+        dm = sum(map(lshift, move.shift, at_m))
+        dx = sum(map(lshift, move.delta.coeffs, at_x))
+        while sources:
+            bit = sources & -sources
+            sources ^= bit
+            s = bit.bit_length() - 1
+            t = index[packed_m[s] + dm]
+            raised = packed_x[s] + dx
+            assert (raised + lift) & guard != guard, \
+                f"{move.text} from {ms[s]}: x + d stays above the null root"
+            assert raised == packed_x[t], \
+                f"{move.text} from {ms[s]}: x + d is not the target's minimal solution"
+            buckets[s].append((s, t, move))
+    return MaxWeightQuiver(weight, ms, xs, tuple(chain.from_iterable(buckets)))
 
 
 # -- export ------------------------------------------------------------

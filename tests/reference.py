@@ -12,6 +12,13 @@ the package:
 * the value-object arrow test of the quiver (``apply_move``, ``_shift``,
   ``_raised``, ``arrow_test``), which decides an arrow by raising the
   solution vector instead of by the two bitmasks of ``klrc.quiver``;
+* the per-source quiver builder (``build_quiver``), which runs the two-mask
+  test once per candidate move of each source and sorts each source's
+  arrows, where ``klrc.quiver.build_quiver`` runs it once per move over
+  vertex bitsets;
+* the ε-coordinate class model (``finite_part``, ``class_model``,
+  ``lowered_finite_part``), which lists a class by its finite parts instead
+  of by stars and bars and the parity of ev;
 * ``sigma_flip``, ``minimal_weight`` of a case instance, and
   ``residue_word``.
 """
@@ -19,15 +26,17 @@ the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, lt
+from itertools import combinations_with_replacement
+from operator import add, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from klrc.cartan import DominantWeight, RootVector, cartan
 from klrc.classifier import CaseInstance, _holds
 from klrc.fock import Multipartition, Node, node_degree, residue
 from klrc.laurent import LaurentPolynomial, _wrap
-from klrc.maxweights import MaximalWeightDatum
-from klrc.quiver import STEPS, MoveLabel, delta_vector
+from klrc.maxweights import MaximalWeightDatum, _class_pass
+from klrc.quiver import (STEPS, MaxWeightQuiver, MoveLabel, _below_masks, _candidate_keys,
+                         _move_table, delta_vector)
 
 # -- Laurent polynomials -------------------------------------------------
 
@@ -188,6 +197,77 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
     if x is None:
         return None
     return MaximalWeightDatum(target_weight, RootVector(x))
+
+
+def build_quiver(weight: DominantWeight) -> MaxWeightQuiver:
+    """The quiver built one source at a time: the two-mask test runs on each
+    candidate move of each member, and each source's arrows are sorted by
+    target, then label text."""
+    members = _class_pass(weight.m)
+    index = {m: n for n, (m, _) in enumerate(members)}
+    null = cartan(weight.ell).delta_coeffs
+    table = _move_table(weight.ell)
+    rows = []
+    for s, (m, x) in enumerate(members):
+        one, two = _below_masks(x, null)
+        found = []
+        for key in _candidate_keys(m):
+            move = table[key]
+            if not (one & move.zero or two & move.low):
+                continue
+            shifted = list(m)
+            for n in move.removed:
+                shifted[n] -= 1
+            for n in move.added:
+                shifted[n] += 1
+            t = index[tuple(shifted)]
+            raised = tuple(map(add, x, move.delta.coeffs))
+            # the raised vector drops below the null root and agrees with the
+            # target's own minimal solution
+            assert any(map(lt, raised, null)), (m, move.label)
+            assert raised == members[t][1], (m, move.label)
+            found.append((t, move.text, move))
+        found.sort()  # by target, then label text: unique per source, so moves never compare
+        rows.extend([(s, t, move) for t, _, move in found])
+    ms, xs = zip(*members)
+    return MaxWeightQuiver(weight, ms, xs, tuple(rows))
+
+
+# -- the ε-coordinate class model ------------------------------------------
+
+
+def finite_part(m: Sequence[int]) -> tuple[int, ...]:
+    """The ε-coordinates λ_j = Σ_{i≥j} m_i, j = 1..ell, of the finite part of
+    the weight with multiplicities ``m`` (every comark of C_ell^(1) is 1)."""
+    return tuple(sum(m[j:]) for j in range(1, len(m)))
+
+
+def class_model(root: Sequence[int]) -> list[tuple[int, ...]]:
+    """The class of ``root`` in ε-coordinates: the dominant finite parts μ with
+    k ≥ μ_1 ≥ … ≥ μ_ell ≥ 0 and Σμ ≡ Σλ (mod 2), λ the finite part of
+    ``root`` and k its level, read back as multiplicities
+    m = (k − μ_1, μ_1 − μ_2, …, μ_ell), in lexicographic order of m."""
+    k, ell = sum(root), len(root) - 1
+    parity = sum(finite_part(root)) % 2
+    members = []
+    for rising in combinations_with_replacement(range(k + 1), ell):  # μ_ell ≤ … ≤ μ_1
+        if sum(rising) % 2 == parity:
+            mu = (k,) + rising[::-1] + (0,)
+            members.append(tuple(map(sub, mu, mu[1:])))
+    return sorted(members)
+
+
+def lowered_finite_part(root: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:
+    """The finite part of Λ − β, Λ with multiplicities ``root`` and β with
+    coefficients ``x``: λ + 2x_0·e_1 − Σ_{0<i<ell} x_i(e_i − e_{i+1}) − 2x_ell·e_ell."""
+    ell = len(root) - 1
+    mu = list(finite_part(root))
+    mu[0] += 2 * x[0]
+    for i in range(1, ell):
+        mu[i - 1] -= x[i]
+        mu[i] += x[i]
+    mu[ell - 1] -= 2 * x[ell]
+    return tuple(mu)
 
 
 # -- other helpers -------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from klrc import cli
 from klrc.cartan import DominantWeight
 from klrc.cli import main
+from klrc.maxweights import beta_of, class_members, defect
 from klrc.multiplicity import DEFAULT_MAX_HEIGHT
 from klrc.quiver import DEFAULT_MAX_VERTICES
 from klrc.tableaux import DEFAULT_MAX_BOXES
@@ -87,6 +88,32 @@ def test_maxweights(capsys):
     payload = json.loads(out)
     assert payload["root"] == [1, 0, 0]
     assert {tuple(r["m"]) for r in payload["members"]} == {(1, 0, 0), (0, 0, 1)}
+
+
+# the classes rooted at (level − parity)Λ0 + parityΛ1 for ell 2-10 and level 1-3
+MAXWEIGHTS_CASES = [(parity, level, ell) for parity in (0, 1) for level in range(1, 4)
+                    for ell in range(2, 11)]
+
+
+@pytest.mark.parametrize("parity,level,ell", MAXWEIGHTS_CASES)
+def test_maxweights_matches_the_value_objects(parity, level, ell, capsys):
+    """``klrc maxweights`` text and json against the payload built from
+    ``class_members``, ``beta_of``, ``defect`` and ``str`` of the root vector."""
+    weight = DominantWeight((level - parity, parity) + (0,) * (ell - 1))
+    data = [beta_of(weight, member) for member in class_members(weight)]
+    defects = [defect(weight, datum.x) for datum in data]
+    argv = ["maxweights", "--ell", str(ell), "--m", ",".join(map(str, weight.m))]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == "".join(f"{datum.weight}\tX={datum.x.coeffs}\tdefect={d}\n"
+                          for datum, d in zip(data, defects))
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    payload = {"ell": ell, "root": list(weight.m),
+               "members": [{"m": list(datum.weight.m), "X": list(datum.x.coeffs),
+                            "beta": str(datum.x), "defect": d}
+                           for datum, d in zip(data, defects)]}
+    assert out == json.dumps(payload, ensure_ascii=False) + "\n"
 
 
 def test_fock(capsys):

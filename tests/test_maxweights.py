@@ -6,7 +6,7 @@ from klrc.cartan import DominantWeight, RootVector, cartan, hub
 from klrc.maxweights import (NotEquivalentError, _class_pass, beta_of, class_members, class_size,
                              defect, delta_decompose, dominantify, ev, minimal_solution,
                              reflection_word)
-from reference import sigma_flip
+from reference import class_model, finite_part, lowered_finite_part, sigma_flip
 
 
 def W(*m):
@@ -52,6 +52,27 @@ def test_class_pass_is_lexicographic():
                 assert len(ms) == class_size(DominantWeight(root))
                 for m, x in members[:: max(1, len(members) // 20)]:
                     assert x == beta_of(DominantWeight(root), DominantWeight(m)).x.coeffs
+
+
+# the roots (k−p)Λ0 + pΛ1 with ell 2-6, level 1-5 and p in {0, 1}, and their
+# diagram flips (k−p)Λell + pΛ(ell−1)
+MODEL_ROOTS = [root for ell in range(2, 7) for level in range(1, 6) for parity in (0, 1)
+               for base in [(level - parity, parity) + (0,) * (ell - 1)]
+               for root in (base, base[::-1])]
+
+
+def test_class_pass_matches_the_epsilon_model():
+    """``_class_pass`` against the ε-coordinate class model: the same members in
+    the same lexicographic order of m, as many as ``class_size`` counts, and
+    each member's x lowers the root's finite part to the member's own (Λ − β
+    and the member differ by a multiple of δ)."""
+    assert len(MODEL_ROOTS) == 100
+    for root in MODEL_ROOTS:
+        members = _class_pass(root)
+        assert [m for m, _ in members] == class_model(root), root
+        assert len(members) == class_size(DominantWeight(root)), root
+        for m, x in members:
+            assert lowered_finite_part(root, x) == finite_part(m), (root, m)
 
 
 def test_class_contains_self():

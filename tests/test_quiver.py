@@ -1,14 +1,17 @@
 import json
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
+import klrc.quiver
 import reference
 from klrc.cartan import DominantWeight, RootVector, cartan, hub
-from klrc.maxweights import MaximalWeightDatum, beta_of, class_members, minimal_solution
+from klrc.maxweights import (MaximalWeightDatum, _class_pass, beta_of, class_members,
+                             class_size, minimal_solution)
 from klrc.multiplicity import first_layer_roots
-from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP,
-                         KIND_UP_UP, STEPS, Arrow, MoveLabel, _below_masks,
+from klrc.quiver import (DEFAULT_MAX_VERTICES, KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP,
+                         KIND_UP, KIND_UP_UP, STEPS, Arrow, MoveLabel, _below_masks,
                          _candidate_keys, _move_table, arrow_test, build_quiver,
                          candidate_moves, delta_vector, export, witness_sequence)
 from reference import _raised, apply_move
@@ -317,6 +320,17 @@ def test_move_table_entries():
             for n in move.added:
                 m[n] += 1
             assert apply_move(DominantWeight((2,) * (ell + 1)), move.label).m == tuple(m)
+            assert move.shift == tuple(a - 2 for a in m)
+
+
+def test_move_table_order():
+    """The table lists its moves in lexicographic order of Δm, then of label
+    text, Δm read off apply_move; build_quiver's row order rests on it."""
+    for ell in range(2, 11):
+        base = DominantWeight((2,) * (ell + 1))
+        keys = [(tuple(a - 2 for a in apply_move(base, move.label).m), move.text)
+                for move in _move_table(ell).values()]
+        assert keys == sorted(set(keys))
 
 
 def test_candidate_moves_are_the_applicable_labels():
@@ -386,6 +400,58 @@ def test_build_quiver_matches_value_object_route(ell, level, parity):
                                                 indent=2, ensure_ascii=False) + "\n"
     assert quiver.vertices == vertices
     assert quiver.arrows == tuple(arrows)
+
+
+def pool_roots():
+    """The roots of every query of the benchmark's quiver pool within the
+    vertex cap."""
+    pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden"
+                       / "quiver.json").read_text(encoding="utf-8"))
+    roots = set()
+    for slot in pool["slots"]:
+        for variant in slot["variants"]:
+            for text, _, _ in variant:
+                argv = text.split()
+                ell = int(argv[argv.index("--ell") + 1])
+                charges = [int(v) for v in argv[argv.index("--weight") + 1].split(",")]
+                weight = DominantWeight.from_charges(charges, ell)
+                if class_size(weight) <= DEFAULT_MAX_VERTICES:
+                    roots.add(weight.m)
+    return sorted(roots)
+
+
+def test_build_quiver_rows_match_the_per_source_builder():
+    """The per-move bitset build against the per-source reference builder, row
+    for row, on every root of the quiver pool and every ROUTE_CASES class."""
+    roots = pool_roots() + [(level - parity, parity) + (0,) * (ell - 1)
+                            for parity, level, ell in ROUTE_CASES]
+    assert len(roots) > 150
+    for root in roots:
+        weight = DominantWeight(root)
+        assert build_quiver(weight).rows == reference.build_quiver(weight).rows, root
+
+
+def test_build_quiver_checks_each_arrow_against_the_target(monkeypatch):
+    """With one member's x corrupted, the per-arrow check that x + d is the
+    target's own minimal solution fails."""
+    root = (0, 0, 2, 0, 0)
+    members = _class_pass(root)
+    m, x = members[4]
+    members[4] = (m, (x[0] + 1,) + x[1:])
+    monkeypatch.setattr(klrc.quiver, "_class_pass", lambda _: members)
+    with pytest.raises(AssertionError, match="not the target's minimal solution"):
+        build_quiver(DominantWeight(root))
+
+
+def test_build_quiver_checks_each_arrow_drops_below_the_null_root(monkeypatch):
+    """With every move's masks corrupted to all coordinates, the bitsets pass
+    moves that are no arrows, and the per-arrow check that x + d drops below
+    the null root fails."""
+    table = {key: move._replace(zero=(1 << 5) - 1, low=(1 << 5) - 1)
+             for key, move in _move_table(4).items()}
+    monkeypatch.setattr(klrc.quiver, "_move_table", lambda _: table)
+    with pytest.raises(AssertionError, match="stays above the null root"):
+        build_quiver(DominantWeight((0, 0, 2, 0, 0)))
 
 
 def test_arrow_test_matches_the_reference_route():
