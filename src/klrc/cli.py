@@ -17,9 +17,9 @@ from .cartan import (DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, r
 from .classifier import classify
 from .fock import DEFAULT_MAX_BOXES, expand, hom_dim, parse_word
 from .laurent import polynomial_text
-from .maxweights import _class_pass, _defect, class_size, defect
+from .maxweights import DEFAULT_MAX_VERTICES, _class_pass, _defect, defect
 from .multiplicity import DEFAULT_MAX_HEIGHT, weight_multiplicity
-from .quiver import DEFAULT_MAX_VERTICES, arrow_rows, build_quiver, export
+from .quiver import arrow_rows, build_quiver, export
 from .tableaux import graded_hom_dim
 
 EXIT_VALIDATION = 2
@@ -84,9 +84,6 @@ def _cmd_quiver(args) -> str:
 
 def _cmd_maxweights(args) -> str:
     weight = _parse_weight(args)
-    size = class_size(weight)
-    if size > DEFAULT_MAX_VERTICES:
-        raise GuardError(f"class has {size} members, cap is {DEFAULT_MAX_VERTICES}")
     members = _class_pass(weight.m)
     defects = [_defect(weight.m, x) for _, x in members]
     if args.format == "json":

@@ -13,7 +13,9 @@ from itertools import combinations
 from math import comb
 from operator import floordiv, mul, sub
 
-from .cartan import DominantWeight, RootVector, cartan
+from .cartan import DominantWeight, GuardError, RootVector, cartan
+
+DEFAULT_MAX_VERTICES = 5000
 
 
 class NotEquivalentError(ValueError):
@@ -25,18 +27,22 @@ def ev(weight: DominantWeight) -> int:
     return sum(weight.m[i] for i in range(1, weight.ell + 1, 2))
 
 
-def _class_pass(root: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _class_pass(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
+                ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """``(m, x)`` for every member m of the class of the multiplicities ``root``,
     with x its minimal solution, in lexicographic order of m.
 
-    Membership is the parity condition: ev agrees modulo 2.  Stars and bars
-    yield the weak compositions of k into ell+1 parts already in lexicographic
-    order, since ``combinations`` yields the bar positions lexicographically
-    and m_0, m_1, ... are their successive gaps.
+    GuardError when the class has more than ``max_members`` members, counted
+    by ``_class_size`` before any member is built.  Membership is the parity
+    condition: ev agrees modulo 2.  Stars and bars yield the weak compositions
+    of k into ell+1 parts already in lexicographic order, since
+    ``combinations`` yields the bar positions lexicographically and m_0, m_1,
+    ... are their successive gaps.
     """
+    size = _class_size(root)
+    if size > max_members:
+        raise GuardError(f"class has {size} members, cap is {max_members}")
     k, ell = sum(root), len(root) - 1
-    if k < 1:
-        raise ValueError("level must be at least 1")
     parity = sum(root[1::2]) % 2
     members = []
     for bars in combinations(range(k + ell), ell):
@@ -56,7 +62,8 @@ def class_members(weight: DominantWeight) -> list[DominantWeight]:
     """All level-k dominant weights equivalent to ``weight``.
 
     Membership is the parity condition: ev agrees modulo 2.  The result is
-    sorted lexicographically on the multiplicity vector.
+    sorted lexicographically on the multiplicity vector.  A class of more than
+    ``DEFAULT_MAX_VERTICES`` members raises GuardError before any is listed.
     """
     return [DominantWeight(m) for m, _ in _class_pass(weight.m)]
 

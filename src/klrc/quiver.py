@@ -7,25 +7,28 @@ raises the solution vector by one of five explicit root-lattice increments.
 Arrows always point toward the larger vector, the fixed root has in-degree
 zero, and every vertex is reachable from it by a directed path.
 
-Each move is stored once in a per-rank move table (``_move_table``) with its
-label, increment d, witness, rendered label, the indices it takes a
-multiplicity off and puts one on, its change Δm to the multiplicities, and
-the coordinate bitmasks ``zero = {j : d_j = 0}`` and ``low = {j : d_j <= 1}``.
-For a source x and null-root coefficients n, the move is an arrow when x + d
-drops below n somewhere, exactly when ``one & zero or two & low`` is nonzero,
-with ``one = {j : x_j < n_j}`` and ``two = {j : x_j + 1 < n_j}``.  This is
-exact because x >= 0 and n_j <= 2 leave n_j - x_j <= 2 and every d_j lies in
-{0, 1, 2}: x_j + d_j < n_j needs n_j - x_j = 1 and d_j = 0 (j in ``one``), or
-n_j - x_j = 2 and d_j <= 1 (j in ``two``).  ``arrow_test`` decides one move
-on value objects by this test.
+Each move is stored once in a per-rank move table (``_move_table``), keyed
+by its label, with its increment d, witness, rendered label, its change Δm to
+the multiplicities, and the coordinate bitmasks ``zero = {j : d_j = 0}`` and
+``low = {j : d_j <= 1}``.  The table is the move set: no move puts a
+multiplicity back where it takes one off, so a weight m holds what a move
+takes off exactly when m + Δm >= 0, and ``candidate_moves`` lists the labels
+that pass, in table order.  For a source x and null-root coefficients n, the
+move is an arrow when x + d drops below n somewhere, exactly when
+``one & zero or two & low`` is nonzero, with ``one = {j : x_j < n_j}`` and
+``two = {j : x_j + 1 < n_j}``.  This is exact because x >= 0 and n_j <= 2
+leave n_j - x_j <= 2 and every d_j lies in {0, 1, 2}: x_j + d_j < n_j needs
+n_j - x_j = 1 and d_j = 0 (j in ``one``), or n_j - x_j = 2 and d_j <= 1
+(j in ``two``).  ``arrow_test`` decides one move on value objects by this
+test.
 
 ``build_quiver`` runs the test once per move over all vertices, with four
 bitsets over the vertices per coordinate j: m_j >= 1, m_j >= 2, x_j < n_j and
-x_j + 1 < n_j.  A move's sources are the AND of the bitsets of what it takes
-off (m_i >= 1 at each index, m_i >= 2 for two off one index) with the OR of
-the x_j < n_j bitsets over ``zero`` and the x_j + 1 < n_j bitsets over
-``low``.  Each member's m and x are packed once into an int, first coordinate
-in the lowest digit, so an arrow costs one dict lookup and two int checks:
+x_j + 1 < n_j.  A move's sources are the AND of the bitsets its Δm reads
+(m_j >= 1 where Δm_j = -1, m_j >= 2 where Δm_j = -2) with the OR of the
+x_j < n_j bitsets over ``zero`` and the x_j + 1 < n_j bitsets over ``low``.
+Each member's m and x are packed once into an int, first coordinate in the
+lowest digit, so an arrow costs one dict lookup and two int checks:
 
 * m at digit width bits(k) + 1, k the level.  A source holds what the move
   takes off and the level stays k, so every digit of m + Δm lies in 0..k:
@@ -46,24 +49,24 @@ m, that is the order of target indices, and moves with equal Δm share their
 target.  So the arrows appended to a source's bucket move by move come in
 (target, label) order, and the buckets joined in source order are the rows.
 
-``candidate_moves``, ``arrow_test``, ``_candidate_keys`` and ``_below_masks``
-stay because the benchmark's tracer (``bench/tracing.py``) and the tests
-bind them.  ``tests/reference.py`` keeps the per-source builder and the
-value-object route that decides an arrow by raising the solution vector.
+``candidate_moves``, ``arrow_test`` and ``_below_masks`` stay because the
+benchmark's tracer (``bench/tracing.py``) and the tests bind them.
+``tests/reference.py`` keeps the per-source builder, with its own list of the
+moves a weight can take, and the value-object route that decides an arrow by
+raising the solution vector.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, product
-from operator import add, lshift
+from operator import add, and_, lshift
 from typing import Iterable, Iterator, NamedTuple
 
-from .cartan import (RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, cartan,
-                     root_text, weight_text)
-from .maxweights import MaximalWeightDatum, _class_pass, class_size
+from .cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, cartan, root_text, weight_text
+from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_pass
 
 KIND_UP = "+"              # one index raised by 2
 KIND_DOWN = "-"            # one index lowered by 2
@@ -74,8 +77,6 @@ KIND_DOWN_UP = "-+"        # one lowered, one raised by 1
 # the step each index of a move takes; the signs spell the kind
 STEPS = {KIND_UP: (2,), KIND_DOWN: (-2,), KIND_UP_UP: (1, 1),
          KIND_DOWN_DOWN: (-1, -1), KIND_DOWN_UP: (-1, 1)}
-
-DEFAULT_MAX_VERTICES = 5000
 
 
 @dataclass(frozen=True)
@@ -129,29 +130,17 @@ def delta_vector(label: MoveLabel, ell: int) -> RootVector:
     return RootVector(coeffs)
 
 
-def _candidate_keys(m: tuple[int, ...]) -> list[tuple[str, int, int | None]]:
-    """The ``(kind, i, j)`` keys of ``candidate_moves`` for multiplicities ``m``,
-    in the same order, with ``j`` None for a single-index move."""
-    ell = len(m) - 1
-    support = [i for i, v in enumerate(m) if v]
-    # index pairs (i, j) the weight can lose one multiplicity at each, in
-    # lexicographic order
-    pairs = [(i, j) for i in support for j in support if i != j or m[i] >= 2]
-    return ([(KIND_UP, i, None) for i in support if i <= ell - 2]
-            + [(KIND_DOWN, i, None) for i in support if i >= 2]
-            + [(KIND_UP_UP, i, j) for i, j in pairs if i <= j < ell and j != i + 1]
-            + [(KIND_DOWN_DOWN, i, j) for i, j in pairs if 1 <= i <= j and j != i + 1]
-            + [(KIND_DOWN_UP, i, j) for i, j in pairs if i >= 1 and j < ell and j != i - 1])
-
-
 def candidate_moves(weight: DominantWeight) -> list[MoveLabel]:
-    """All moves applicable to ``weight``, with coincident pair moves dropped.
+    """All moves applicable to ``weight``, in the move table's order: the
+    labels whose Δm leaves every multiplicity nonnegative.
 
     The pair moves at adjacent indices duplicate the single-index moves
     (the raised pair at (i, i+1) equals the single raise at i, and dually),
-    so only the canonical single labels are produced.
+    so the table holds only the canonical single labels.
     """
-    return [MoveLabel(*key) for key in _candidate_keys(weight.m)]
+    m = weight.m
+    return [label for label, move in _move_table(weight.ell).items()
+            if min(map(add, m, move.shift)) >= 0]
 
 
 class _Move(NamedTuple):
@@ -161,17 +150,15 @@ class _Move(NamedTuple):
     delta: RootVector
     witness: tuple[int, ...]
     text: str           # str(label)
-    removed: tuple[int, ...]
-    added: tuple[int, ...]
     shift: tuple[int, ...]  # the change Δm the move makes to the multiplicities
     zero: int           # bitmask of the coordinates j with delta_j = 0
     low: int            # bitmask of the coordinates j with delta_j <= 1
 
 
 @lru_cache(maxsize=RANK_CACHE_SIZE)
-def _move_table(ell: int) -> dict[tuple[str, int, int | None], _Move]:
-    """Every move valid at rank ``ell``, keyed as ``_candidate_keys`` lists it and
-    stored in lexicographic order of its Δm, then of its label text."""
+def _move_table(ell: int) -> dict[MoveLabel, _Move]:
+    """Every move valid at rank ``ell``, keyed by its label and stored in
+    lexicographic order of its Δm, then of its label text."""
     moves = []
     for kind, steps in STEPS.items():
         for index in product(range(ell + 1), repeat=len(steps)):
@@ -183,18 +170,16 @@ def _move_table(ell: int) -> dict[tuple[str, int, int | None], _Move]:
             delta = delta_vector(label, ell)
             # the two-mask arrow test is exact only for increments in {0, 1, 2}
             assert set(delta.coeffs) <= {0, 1, 2}, label
-            added = tuple(map(add, index, steps))
             shift = [0] * (ell + 1)
-            for n, a in zip(index, added):
+            for n, step in zip(index, steps):
                 shift[n] -= 1
-                shift[a] += 1
+                shift[n + step] += 1
             moves.append(_Move(
-                label, delta, witness_sequence(label, ell), str(label), index, added,
-                tuple(shift),
+                label, delta, witness_sequence(label, ell), str(label), tuple(shift),
                 sum(1 << n for n, d in enumerate(delta.coeffs) if d == 0),
                 sum(1 << n for n, d in enumerate(delta.coeffs) if d <= 1)))
     moves.sort(key=lambda move: (move.shift, move.text))
-    return {(move.label.kind, move.label.i, move.label.j): move for move in moves}
+    return {move.label: move for move in moves}
 
 
 def witness_sequence(label: MoveLabel, ell: int) -> tuple[int, ...]:
@@ -302,9 +287,7 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
     label.validate(weight.ell)
     if min(source.x.coeffs) < 0:
         raise ValueError(f"x = {source.x.coeffs} has a negative entry")
-    move = _move_table(weight.ell)[label.kind, label.i, label.j]
-    # no move puts a multiplicity back where it takes one off, so m + Δm
-    # goes negative exactly where the weight lacks what the move takes off
+    move = _move_table(weight.ell)[label]
     m = tuple(map(add, weight.m, move.shift))
     if min(m) < 0:
         raise ValueError(f"{weight} lacks the multiplicity for move {label}")
@@ -325,18 +308,15 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
 
     Each move is decided for all vertices at once by the two-mask test of the
     module docstring, run over vertex bitsets, which ``minimal_solution``'s
-    assertion x >= 0 makes exact.
+    assertion x >= 0 makes exact.  ``_class_pass`` raises the vertex cap.
     """
-    size = class_size(weight)
-    if size > max_vertices:
-        raise GuardError(f"class has {size} vertices, cap is {max_vertices}")
-    members = _class_pass(weight.m)
+    members = _class_pass(weight.m, max_vertices)
     ms, xs = zip(*members)
     ell = weight.ell
     null = cartan(ell).delta_coeffs
     # digit offsets of the packed m and x (widths and no-carry argument in the
-    # module docstring); has1, has2, one and two are the per-coordinate
-    # vertex bitsets
+    # module docstring); has[d], one and two are the per-coordinate vertex
+    # bitsets of m_j >= d, x_j < n_j and x_j + 1 < n_j
     wm = weight.level.bit_length() + 1
     wx = (max(map(max, xs)) + 2).bit_length() + 1
     at_m = range(0, wm * (ell + 1), wm)
@@ -346,14 +326,12 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
     index = {p: n for n, p in enumerate(packed_m)}
     guard = sum([1 << (n + wx - 1) for n in at_x])
     lift = guard - sum(map(lshift, null, at_x))
-    has1 = [_column([m[j] >= 1 for m in ms]) for j in range(ell + 1)]
-    has2 = [_column([m[j] >= 2 for m in ms]) for j in range(ell + 1)]
+    has = {d: [_column([m[j] >= d for m in ms]) for j in range(ell + 1)] for d in (1, 2)}
     one = [_column([x[j] < n for x in xs]) for j, n in enumerate(null)]
     two = [_column([x[j] + 1 < n for x in xs]) for j, n in enumerate(null)]
     buckets: list[list[tuple[int, int, _Move]]] = [[] for _ in ms]
     for move in _move_table(ell).values():
-        i, j = move.removed[0], move.removed[-1]
-        sources = has2[i] if move.removed == (i, i) else has1[i] & has1[j]
+        sources = reduce(and_, [has[-s][n] for n, s in enumerate(move.shift) if s < 0])
         fire = 0
         for n in range(ell + 1):
             if move.zero >> n & 1:

@@ -12,13 +12,15 @@ the package:
 * the value-object arrow test of the quiver (``apply_move``, ``_shift``,
   ``_raised``, ``arrow_test``), which decides an arrow by raising the
   solution vector instead of by the two bitmasks of ``klrc.quiver``;
-* the per-source quiver builder (``build_quiver``), which runs the two-mask
-  test once per candidate move of each source and sorts each source's
-  arrows, where ``klrc.quiver.build_quiver`` runs it once per move over
-  vertex bitsets;
+* the per-source quiver builder (``build_quiver``), which lists each
+  source's moves from the validity rules of each kind (``_candidate_keys``),
+  runs the two-mask test once per move and sorts each source's arrows, where
+  ``klrc.quiver.build_quiver`` reads the move set off the move table and runs
+  the test once per move over vertex bitsets;
 * the ε-coordinate class model (``finite_part``, ``class_model``,
   ``lowered_finite_part``), which lists a class by its finite parts instead
-  of by stars and bars and the parity of ev;
+  of by stars and bars and the parity of ev, and straightens Λ − β in closed
+  form (``straighten_model``) instead of one reflection at a time;
 * ``sigma_flip``, ``minimal_weight`` of a case instance, and
   ``residue_word``.
 """
@@ -26,7 +28,7 @@ the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from operator import add, lt, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -35,8 +37,8 @@ from klrc.classifier import CaseInstance, _holds
 from klrc.fock import Multipartition, Node, node_degree, residue
 from klrc.laurent import LaurentPolynomial, _wrap
 from klrc.maxweights import MaximalWeightDatum, _class_pass
-from klrc.quiver import (STEPS, MaxWeightQuiver, MoveLabel, _below_masks, _candidate_keys,
-                         _move_table, delta_vector)
+from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, STEPS,
+                         MaxWeightQuiver, MoveLabel, _below_masks, _move_table, delta_vector)
 
 # -- Laurent polynomials -------------------------------------------------
 
@@ -199,10 +201,27 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
     return MaximalWeightDatum(target_weight, RootVector(x))
 
 
+def _candidate_keys(m: tuple[int, ...]) -> list[tuple[str, int, int | None]]:
+    """The ``(kind, i, j)`` keys of the moves applicable to multiplicities ``m``,
+    listed from the validity rules of each kind rather than read off the move
+    table, with ``j`` None for a single-index move."""
+    ell = len(m) - 1
+    support = [i for i, v in enumerate(m) if v]
+    # index pairs (i, j) the weight can lose one multiplicity at each, in
+    # lexicographic order
+    pairs = [(i, j) for i in support for j in support if i != j or m[i] >= 2]
+    return ([(KIND_UP, i, None) for i in support if i <= ell - 2]
+            + [(KIND_DOWN, i, None) for i in support if i >= 2]
+            + [(KIND_UP_UP, i, j) for i, j in pairs if i <= j < ell and j != i + 1]
+            + [(KIND_DOWN_DOWN, i, j) for i, j in pairs if 1 <= i <= j and j != i + 1]
+            + [(KIND_DOWN_UP, i, j) for i, j in pairs if i >= 1 and j < ell and j != i - 1])
+
+
 def build_quiver(weight: DominantWeight) -> MaxWeightQuiver:
     """The quiver built one source at a time: the two-mask test runs on each
-    candidate move of each member, and each source's arrows are sorted by
-    target, then label text."""
+    move ``_candidate_keys`` lists for each member, the target is read off
+    ``_shift``, and each source's arrows are sorted by target, then label
+    text."""
     members = _class_pass(weight.m)
     index = {m: n for n, (m, _) in enumerate(members)}
     null = cartan(weight.ell).delta_coeffs
@@ -212,15 +231,10 @@ def build_quiver(weight: DominantWeight) -> MaxWeightQuiver:
         one, two = _below_masks(x, null)
         found = []
         for key in _candidate_keys(m):
-            move = table[key]
+            move = table[MoveLabel(*key)]
             if not (one & move.zero or two & move.low):
                 continue
-            shifted = list(m)
-            for n in move.removed:
-                shifted[n] -= 1
-            for n in move.added:
-                shifted[n] += 1
-            t = index[tuple(shifted)]
+            t = index[_shift(m, move.label)]
             raised = tuple(map(add, x, move.delta.coeffs))
             # the raised vector drops below the null root and agrees with the
             # target's own minimal solution
@@ -268,6 +282,31 @@ def lowered_finite_part(root: Sequence[int], x: Sequence[int]) -> tuple[int, ...
         mu[i] += x[i]
     mu[ell - 1] -= 2 * x[ell]
     return tuple(mu)
+
+
+def straighten_model(m: Sequence[int], x: Sequence[int]) -> tuple[int, ...] | None:
+    """The straightened β′ of ``klrc.maxweights._straighten`` in closed form, or
+    None when a coefficient of β′ is negative.
+
+    W acts on the finite part of a level-k weight by signed permutations and
+    translations in 2k·Z^ell, so folding each coordinate of the finite part ν
+    of Λ − β mod 2k into [0, k] and sorting gives the finite part μ of its
+    dominant conjugate Λ − β′.  The invariant |ν|² + 4k·d, d = −x_0 the
+    δ-coefficient of Λ − β, gives x′_0, and the rest of β′ is read back from
+    λ − μ = −2x′_0·e_1 + Σ_{0<i<ell} x′_i(e_i − e_{i+1}) + 2x′_ell·e_ell by
+    prefix sums.  The reflections only lower coefficients, so β′ has a
+    negative coefficient exactly when the straightening leaves the cone."""
+    k = sum(m)
+    nu = lowered_finite_part(m, x)
+    mu = sorted([min(c % (2 * k), -c % (2 * k)) for c in nu], reverse=True)
+    gap = sum(c * c for c in mu) - sum(c * c for c in nu)
+    assert gap % (4 * k) == 0
+    x0 = x[0] + gap // (4 * k)
+    # 2x′_0 + (λ − μ)_1 + … + (λ − μ)_j is x′_j for j < ell and 2x′_ell for j = ell
+    sums = list(accumulate(map(sub, finite_part(m), mu), initial=2 * x0))
+    assert sums[-1] % 2 == 0
+    straightened = (x0, *sums[1:-1], sums[-1] // 2)
+    return straightened if min(straightened) >= 0 else None
 
 
 # -- other helpers -------------------------------------------------------

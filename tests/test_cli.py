@@ -15,10 +15,9 @@ from hypothesis import given, settings, strategies as st
 from klrc import cli
 from klrc.cartan import DominantWeight
 from klrc.cli import main
-from klrc.maxweights import beta_of, class_members, defect
+from klrc.fock import DEFAULT_MAX_BOXES
+from klrc.maxweights import DEFAULT_MAX_VERTICES, beta_of, class_members, defect
 from klrc.multiplicity import DEFAULT_MAX_HEIGHT
-from klrc.quiver import DEFAULT_MAX_VERTICES
-from klrc.tableaux import DEFAULT_MAX_BOXES
 
 
 def run(argv, capsys):
@@ -198,7 +197,7 @@ def test_vertex_guard_runs_before_the_class_is_enumerated(capsys):
         signal.signal(signal.SIGALRM, previous)
     assert elapsed < 2
     assert code == 3 and out == ""
-    assert "class has 3653957934 vertices, cap is 5000" in err
+    assert "class has 3653957934 members, cap is 5000" in err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -247,7 +246,7 @@ def guarded_run(argv, message, capsys, status=3):
 
 @pytest.mark.parametrize("command,message", [
     ("maxweights", "class has 2250003000001 members, cap is 5000"),
-    ("quiver", "class has 2250003000001 vertices, cap is 5000"),
+    ("quiver", "class has 2250003000001 members, cap is 5000"),
 ])
 def test_class_guard_runs_before_the_weight_is_built(command, message, capsys):
     """--m 0,0,3000000 names a level of three million in a few bytes.  The

@@ -1,12 +1,16 @@
 import random
+import signal
+import time
+import tracemalloc
 
 import pytest
 
-from klrc.cartan import DominantWeight, RootVector, cartan, hub
-from klrc.maxweights import (NotEquivalentError, _class_pass, beta_of, class_members, class_size,
-                             defect, delta_decompose, dominantify, ev, minimal_solution,
-                             reflection_word)
-from reference import class_model, finite_part, lowered_finite_part, sigma_flip
+from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, hub
+from klrc.maxweights import (NotEquivalentError, _class_pass, _straighten, beta_of,
+                             class_members, class_size, defect, delta_decompose, dominantify,
+                             ev, minimal_solution, reflection_word)
+from reference import (class_model, finite_part, lowered_finite_part, sigma_flip,
+                       straighten_model)
 
 
 def W(*m):
@@ -73,6 +77,63 @@ def test_class_pass_matches_the_epsilon_model():
         assert len(members) == class_size(DominantWeight(root)), root
         for m, x in members:
             assert lowered_finite_part(root, x) == finite_part(m), (root, m)
+
+
+def test_class_members_guard_runs_before_any_member():
+    """The class of 3,000,000Λ2 at rank 2 has about 2.25·10¹² members:
+    class_members raises the member cap on the count, within 2 s and in a few
+    KiB, before any member is listed."""
+    def overran(signum, frame):
+        raise TimeoutError("the member guard overran its 2 s budget")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="^class has 2250003000001 members, cap is 5000$"):
+            class_members(W(0, 0, 3_000_000))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 2
+    assert peak < 2 ** 20
+
+
+def random_weight(rng, ell, level):
+    m = [0] * (ell + 1)
+    for _ in range(level):
+        m[rng.randint(0, ell)] += 1
+    return tuple(m)
+
+
+def test_straighten_matches_the_epsilon_model():
+    """``_straighten`` against the closed-form straightening of the ε-coordinate
+    model (``reference.straighten_model``) on random β at ell 2-8, level 1-5
+    and entries up to 6, and on deep β = nδ + γ with n up to 10⁷, which from
+    n = 10³ on always straighten inside the cone."""
+    rng = random.Random(9)
+    outcomes = {True: 0, False: 0}
+    for _ in range(4000):
+        ell = rng.randint(2, 8)
+        m = random_weight(rng, ell, rng.randint(1, 5))
+        x = tuple([rng.randint(0, 6) for _ in range(ell + 1)])
+        straightened = _straighten(m, x)[0]
+        assert straightened == straighten_model(m, x), (m, x)
+        outcomes[straightened is None] += 1
+    assert min(outcomes.values()) > 200
+    for ell in (2, 4, 8):
+        null = cartan(ell).delta_coeffs
+        for n in (1, 10, 10 ** 3, 10 ** 5, 10 ** 7):
+            for _ in range(8):
+                m = random_weight(rng, ell, rng.randint(1, 5))
+                x = tuple([n * d + rng.randint(0, 6) for d in null])
+                straightened = _straighten(m, x)[0]
+                assert straightened == straighten_model(m, x), (m, x)
+                assert n < 10 ** 3 or straightened is not None, (m, x)
 
 
 def test_class_contains_self():

@@ -7,12 +7,12 @@ import pytest
 import klrc.quiver
 import reference
 from klrc.cartan import DominantWeight, RootVector, cartan, hub
-from klrc.maxweights import (MaximalWeightDatum, _class_pass, beta_of, class_members,
-                             class_size, minimal_solution)
+from klrc.cli import main
+from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_pass, beta_of,
+                             class_members, class_size, minimal_solution)
 from klrc.multiplicity import first_layer_roots
-from klrc.quiver import (DEFAULT_MAX_VERTICES, KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP,
-                         KIND_UP, KIND_UP_UP, STEPS, Arrow, MoveLabel, _below_masks,
-                         _candidate_keys, _move_table, arrow_test, build_quiver,
+from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, STEPS,
+                         Arrow, MoveLabel, _below_masks, _move_table, arrow_test, build_quiver,
                          candidate_moves, delta_vector, export, witness_sequence)
 from reference import _raised, apply_move
 
@@ -295,8 +295,8 @@ def _inverse(label: MoveLabel) -> MoveLabel:
 @pytest.mark.parametrize("ell", range(2, 5))
 def test_two_mask_arrow_test_is_exact(ell):
     """``one & zero or two & low`` decides ``any(x + d < n)`` for every move and
-    every x in {0, 1, 2, 3}^(ell+1).  On real classes the second mask is never
-    the deciding one for ell <= 10 and level <= 5, so only this test checks it."""
+    every x in {0, 1, 2, 3}^(ell+1).  Both masks decide arrows on real classes
+    (``test_second_mask_alone_decides_an_arrow``)."""
     null = cartan(ell).delta_coeffs
     table = _move_table(ell)
     assert {move.label for move in table.values()} == set(in_range_labels(ell))
@@ -307,19 +307,29 @@ def test_two_mask_arrow_test_is_exact(ell):
             assert rule == (_raised(x, move.delta.coeffs, null) is not None), (x, move.label)
 
 
+def test_second_mask_alone_decides_an_arrow(capsys):
+    """Out of the root of the class of Λ0+Λ2 at rank 2 (x = 0), the move
+    Δ_{2^-,0^+} raises x by d = (1, 1, 1), and x + d drops below n = (1, 2, 1)
+    only at the coordinate where n_j − x_j = 2: ``one & zero`` is 0, and the
+    arrow is found by ``two & low`` alone."""
+    root = W(1, 0, 1)
+    move = _move_table(2)[downup(2, 0)]
+    one, two = _below_masks(beta_of(root, root).x.coeffs, cartan(2).delta_coeffs)
+    assert (one, two, move.zero, move.low) == (0b111, 0b010, 0, 0b111)
+    assert one & move.zero == 0 and two & move.low == 0b010
+    assert arrow_test(beta_of(root, root), move.label) == beta_of(root, W(0, 2, 0))
+    assert main(["quiver", "--ell", "2", "--m", "1,0,1"]) == 0
+    assert "Λ0+Λ2 -> 2Λ1  Δ_{2^-,0^+}  a0+a1+a2" in capsys.readouterr().out.splitlines()
+
+
 def test_move_table_entries():
     for ell in range(2, 11):
         for key, move in _move_table(ell).items():
-            assert key == (move.label.kind, move.label.i, move.label.j)
+            assert key == move.label
             assert move.delta == delta_vector(move.label, ell)
             assert move.witness == witness_sequence(move.label, ell)
             assert move.text == str(move.label)
-            m = [2] * (ell + 1)
-            for n in move.removed:
-                m[n] -= 1
-            for n in move.added:
-                m[n] += 1
-            assert apply_move(DominantWeight((2,) * (ell + 1)), move.label).m == tuple(m)
+            m = apply_move(DominantWeight((2,) * (ell + 1)), move.label).m
             assert move.shift == tuple(a - 2 for a in m)
 
 
@@ -335,7 +345,7 @@ def test_move_table_order():
 
 def test_candidate_moves_are_the_applicable_labels():
     """candidate_moves lists, once each, every in-range label that apply_move
-    accepts."""
+    accepts, in the move table's order."""
     for ell in range(2, 6):
         in_range = in_range_labels(ell)
         for k in range(1, 4):
@@ -348,7 +358,7 @@ def test_candidate_moves_are_the_applicable_labels():
                         continue
                     applicable.add(label)
                 moves = candidate_moves(weight)
-                assert moves == [_move_table(ell)[key].label for key in _candidate_keys(weight.m)]
+                assert moves == [label for label in _move_table(ell) if label in applicable]
                 assert len(moves) == len(set(moves))
                 assert set(moves) == applicable
 
@@ -438,7 +448,7 @@ def test_build_quiver_checks_each_arrow_against_the_target(monkeypatch):
     members = _class_pass(root)
     m, x = members[4]
     members[4] = (m, (x[0] + 1,) + x[1:])
-    monkeypatch.setattr(klrc.quiver, "_class_pass", lambda _: members)
+    monkeypatch.setattr(klrc.quiver, "_class_pass", lambda *_: members)
     with pytest.raises(AssertionError, match="not the target's minimal solution"):
         build_quiver(DominantWeight(root))
 
