@@ -134,10 +134,6 @@ class RootVector:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def sigma(self) -> "RootVector":
-        """Index reversal i -> ell - i."""
-        return RootVector(self.coeffs[::-1])
-
     def __add__(self, other: "RootVector") -> "RootVector":
         return RootVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
 
@@ -240,12 +236,6 @@ class DominantWeight:
     @property
     def level(self) -> int:
         return sum(self.m)
-
-    def with_charges(self, charges: Sequence[int]) -> "DominantWeight":
-        return DominantWeight(self.m, tuple(charges))
-
-    def sigma(self) -> "DominantWeight":
-        return DominantWeight(self.m[::-1], tuple(self.ell - c for c in self.charges[::-1]))
 
     def __str__(self) -> str:
         return weight_text(self.m)

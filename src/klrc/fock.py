@@ -12,17 +12,26 @@ when q sits in a strictly lower row of the same component or in any later
 component.  A single residue-i step sends a multipartition to the sum over its
 addable i-nodes p, each weighted by q^(d_i * N(p)), N(p) the number of
 addable minus removable i-nodes below p in the grown shape; regression tests
-pin this against exact values.
+pin this against exact values.  ``node_degree`` (in ``klrc._shapes`` with
+``Multipartition``, both re-exported here) is the per-node form of the rule,
+kept for the tableau reference route.
 
-The step runs on bare shapes and reads every degree off one upward scan of
-the ungrown shape, from the last component's bottom row to the first row,
-keeping a running count of addable minus removable i-nodes below the current
-row.  The grown shape gives the same count: adding p creates or destroys
-only nodes of content c(p) +- 1, and fold(c) = fold(c - 1) would need
-2c = 1 (mod 2*ell).  For the same reason a row holds at most one i-node, so
-the count at p's row is exactly the count below p.  ``node_degree`` (in
-``klrc._shapes`` with ``Multipartition``, both re-exported here) is the
-per-node form of the rule, kept for the tableau reference route.
+The engine keys a shape by one int, its beads on James's abacus (the Maya
+diagrams of the q-deformed Fock space).  In a word of n boxes no shape has
+more than n rows, so each component is n+1 beads in a window of 2n+2 bits:
+row a (0-based) of length l_a puts a bead at bit l_a - a + n, and component
+s sits in window k-1-s.  A bead at bit p of component s is an addable node
+of content p - n + c_s when bit p+1 is empty, and a removable one of content
+p - 1 - n + c_s when bit p-1 is empty.  Lower rows and later components sit
+at lower bits, so "below" is "at a lower bit".  For residue i, ADD holds the
+bits under each window's top bit whose addable content folds to i, and REM
+is ADD moved up one bit; then A = S & ~(S >> 1) & ADD are the addable
+i-nodes of S, R = S & ~(S << 1) & REM the removable ones, and adding the
+node at bit p is S + 2^p.  One ascending walk over A | R keeps the running
+count of addable minus removable i-nodes below each node.  It reads the
+ungrown shape, which gives the same count as the grown one: adding p creates
+or destroys only nodes of content c(p) +- 1, and fold(c) = fold(c - 1)
+would need 2c = 1 (mod 2*ell).
 
 The divided power f_i^(r) = f_i^r / [r]! (the symmetric quantum factorial
 in q^(d_i)) runs in one pass as well.  Since adding an i-node creates or
@@ -36,6 +45,9 @@ q^(-2 d_i inv), and that sum is the Mahonian generating function
 sends a multipartition to the sum over the r-sets S of its addable i-nodes
 of the multipartition with S added, weighted by
 q^(d_i * (sum of N(p) over S - r(r-1)/2)), with no division left to do.
+Two addable bits are never adjacent (an addable bead has an empty bit
+above it), so no bead of an r-set moves onto another, and the shape with S
+added is S plus the sum of its bits.
 
 Coefficients are packed integers (Kronecker substitution): a vector carries
 one digit width w and one base exponent b, and the int P stands for the
@@ -45,23 +57,30 @@ offset so that none is negative, and the base exponent absorbs the offsets.
 At q=1 a divided power f_i^(r) is f_i^r / r!, so every coefficient met while
 expanding a word of n boxes with powers r_1, ..., r_k is nonnegative and at
 most n! / (r_1! ... r_k!) <= n! at q=1, and w = bits of that bound + 1 keeps
-every digit free of carries.  Coefficients are decoded to Laurent
-polynomials only when ``FockVector.terms`` is first read; ``str`` of an
-engine vector and ``klrc fock`` render straight from the packed digits, and
-``hom_dim`` multiplies packed ints at a width set by the exact values at
-q=1.  Vectors built by hand are packed by sign, as a positive part and a
-negated negative part, so the engine only ever sees nonnegative ints.
+every digit free of carries.
+
+Shapes are decoded only where a ``Multipartition`` is read:
+``FockVector.terms`` (on first read, with the coefficients), the rendering
+of ``str`` and ``klrc fock`` (coefficients straight from the packed digits),
+and ``FockVector.content``, one window at a time, each distinct window once
+per call.  ``hom_dim`` and the graded dimensions match int keys and multiply
+packed ints at a width set by the exact values at q=1.  The packed form
+carries the n its keys are encoded at.  Vectors built by hand are encoded at
+the boundary, by sign as a positive part and a negated negative part, so the
+engine only ever sees nonnegative ints: the input of ``apply_f`` and
+``apply_divided_f`` at n = its size + the power, and a hand-built side of
+``hom_dim`` at its partner's n.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, zip_longest
+from itertools import combinations
 from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from ._shapes import (Multipartition, Node, Shape, _multipartition, _render_partition,
                       _shape_key, content_vector, node_degree, residue)
-from .cartan import DominantWeight, GuardError, RootVector, cartan, fold_residue
+from .cartan import DominantWeight, GuardError, RootVector, cartan
 from .laurent import ZERO, LaurentPolynomial, _wrap, polynomial_text
 
 DEFAULT_MAX_BOXES = 12
@@ -70,11 +89,13 @@ DEFAULT_MAX_COMPONENTS = 5
 FWord = tuple[tuple[int, int], ...]
 """A sequence of (residue, power) operator factors; the leftmost acts last."""
 
-Terms = dict[Shape, int]
-"""Packed coefficients: the digits of each int in base 2^width are q-coefficients."""
+Terms = dict[int, int]
+"""Packed coefficients by bead-encoded shape: the digits of each coefficient
+in base 2^width are q-coefficients."""
 
-_Packed = tuple[int, int, Terms]
-"""(width, base exponent, terms): digit j of a term is its coefficient of q^(base + j)."""
+_Packed = tuple[int, int, int, Terms]
+"""(width, base exponent, n, terms): digit j of a term is its coefficient of
+q^(base + j), and its key is a shape encoded at n boxes."""
 
 
 class FockVector:
@@ -117,10 +138,16 @@ class FockVector:
     @property
     def terms(self) -> tuple[tuple[Multipartition, LaurentPolynomial], ...]:
         if self._terms is None:
-            width, low, packed = self._packed
-            self._terms = tuple((_multipartition(shape), _decode(packed[shape], width, low))
-                                for shape in sorted(packed, key=_shape_key))
+            width, low = self._packed[:2]
+            self._terms = tuple((_multipartition(shape), _decode(coeff, width, low))
+                                for shape, coeff in self._decoded())
         return self._terms
+
+    def _decoded(self) -> list[tuple[Shape, int]]:
+        """The packed terms as (shape, packed coefficient), in sort order."""
+        _, _, n, packed = self._packed
+        shapes = _shapes(packed, len(self.charges), n)
+        return sorted(zip(shapes, packed.values()), key=lambda term: _shape_key(term[0]))
 
     def _rendered(self, render) -> list[tuple[Shape, str]]:
         """Each term's shape and ``render`` of its coefficient's ascending
@@ -128,11 +155,10 @@ class FockVector:
         are read off its packed digits, once per distinct coefficient."""
         if self._packed is None:
             return [(mp.components, render(list(c.items()))) for mp, c in self._terms]
-        width, low, packed = self._packed
+        width, low = self._packed[:2]
         texts: dict[int, str] = {}
         out = []
-        for shape in sorted(packed, key=_shape_key):
-            coeff = packed[shape]
+        for shape, coeff in self._decoded():
             text = texts.get(coeff)
             if text is None:
                 text = texts[coeff] = render(_digits(coeff, width, low))
@@ -140,13 +166,16 @@ class FockVector:
         return out
 
     def is_zero(self) -> bool:
-        return not (self._terms if self._packed is None else self._packed[2])
+        return not (self._terms if self._packed is None else self._packed[3])
 
     def content(self) -> RootVector:
+        shape = ((),) * len(self.charges)
         if self._packed is not None:
-            shape = next(iter(self._packed[2]), ((),) * len(self.charges))
-        else:
-            shape = self._terms[0][0].components if self._terms else ((),) * len(self.charges)
+            _, _, n, packed = self._packed
+            if packed:
+                shape = _shapes([next(iter(packed))], len(self.charges), n)[0]
+        elif self._terms:
+            shape = self._terms[0][0].components
         return content_vector(self.charges, _multipartition(shape), self.ell)
 
     def __eq__(self, other: object) -> bool:
@@ -205,82 +234,129 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def _step(charges: Sequence[int], ell: int, terms: Terms, i: int, width: int,
-          boxes: int, power: int) -> Terms:
-    """The divided power f_i^(power) on packed shapes of at most ``boxes``
-    boxes, up to the factor q^(-d * power * (power - 1) / 2) that the caller
-    applies.
+# -- the bead encoding -----------------------------------------------------
 
-    One upward scan of each shape, last component first, meets its addable
-    i-nodes with their shifts: ``width * d`` bits per unit of the running
-    count.  A step meets each distinct component many times, so its i-nodes
-    are listed once per step.  The count never drops below minus the number
-    of boxes, so every shift is offset by ``d * boxes`` units, and the caller
-    lowers the base exponent by as much.  Power 1 adds each node at its shift
-    as the scan meets it.  A higher power lists the nodes and adds each
-    ``power``-set of them at once, shifted by the sum of its nodes' shifts;
-    two nodes in one component lie in different rows, so the part with both
-    added is the rowwise maximum of the two grown parts.
+
+def _key(shape: Shape, n: int) -> int:
+    """The bead encoding of a shape of at most ``n`` boxes: component s in
+    window k-1-s of 2n+2 bits, row a of length l_a a bead at bit l_a - a + n."""
+    size = 2 * n + 2
+    key = 0
+    for part in shape:
+        window = 0
+        for a in range(n + 1):
+            window |= 1 << (part[a] if a < len(part) else 0) - a + n
+        key = key << size | window
+    return key
+
+
+def _shapes(keys: Iterable[int], k: int, n: int) -> list[Shape]:
+    """The shape of each key of ``k`` windows encoded at ``n`` boxes, decoding
+    each distinct window once."""
+    size = 2 * n + 2
+    mask = (1 << size) - 1
+    parts: dict[int, tuple[int, ...]] = {}
+    out = []
+    for key in keys:
+        comps = []
+        for _ in range(k):  # the last component first
+            window = key & mask
+            part = parts.get(window)
+            if part is None:
+                part = parts[window] = _partition(window, n)
+            comps.append(part)
+            key >>= size
+        out.append(tuple(comps[::-1]))
+    return out
+
+
+def _partition(window: int, n: int) -> tuple[int, ...]:
+    """The partition of one window: its beads from the top, row a's at l_a - a + n."""
+    rows = []
+    for a in range(n):
+        top = window.bit_length() - 1
+        if top == n - a:  # this row and every one below it are empty
+            break
+        rows.append(top - n + a)
+        window ^= 1 << top
+    return tuple(rows)
+
+
+def _masks(charges: Sequence[int], ell: int, n: int, i: int) -> tuple[int, int]:
+    """ADD and REM of residue ``i`` for shapes of ``len(charges)`` components
+    encoded at ``n`` boxes.
+
+    ADD holds the bits p <= 2n of each window whose content p - n + c_s folds
+    to i, read off one periodic 2*ell-bit pattern tiled past the window and
+    shifted by (c_s - n) mod 2*ell; REM holds the bits p >= 1 whose content
+    p - 1 - n + c_s does, which is ADD moved up one bit.  The contents that
+    fold to i are those congruent to i or -i mod 2*ell, so the pattern has
+    those two bits, one when i is 0 or ell.
     """
     period = 2 * ell
-    hit = [fold_residue(c, ell) == i for c in range(period)]
-    unit = width * cartan(ell).d[i]
-    known: list[dict] = [{} for _ in charges]
+    pattern = 1 << i | 1 << -i % period
+    size = 2 * n + 2
+    tiles = size // period + 2
+    tiled = pattern * ((1 << period * tiles) - 1) // ((1 << period) - 1)
+    below_top = (1 << size - 1) - 1
+    add = 0
+    for charge in charges:
+        add = add << size | (tiled >> (charge - n) % period) & below_top
+    return add, add << 1
+
+
+# -- the step ----------------------------------------------------------------
+
+
+def _step(terms: Terms, add: int, rem: int, unit: int, boxes: int, power: int) -> Terms:
+    """The divided power f_i^(power), ``add`` and ``rem`` the masks of i, on
+    packed shapes of at most ``boxes`` boxes, up to the factor
+    q^(-d * power * (power - 1) / 2) that the caller applies.
+
+    One ascending walk over the i-nodes of each shape meets its addable ones
+    with their shifts: ``unit`` (width * d) bits per unit of the running
+    count.  The count never drops below minus the number of boxes, so every
+    shift is offset by ``d * boxes`` units, and the caller lowers the base
+    exponent by as much.  Power 1 adds each node at its shift as the walk
+    meets it.  A higher power lists the nodes and adds each ``power``-set of
+    them at once, shifted by the sum of its nodes' shifts.
+    """
     acc: Terms = {}
+    offset = unit * boxes
     for shape, coeff in terms.items():
-        shift = unit * boxes
-        found = []  # (component, grown part, shift) of each addable i-node
-        for s in range(len(shape) - 1, -1, -1):
-            part = shape[s]
-            nodes = known[s].get(part)
-            if nodes is None:
-                nodes = known[s][part] = _i_nodes(part, charges[s], hit, period)
-            for grown_part in nodes:
-                if grown_part is None:
-                    shift -= unit
-                    continue
-                if power == 1:
-                    grown = shape[:s] + (grown_part,) + shape[s + 1:]
-                    acc[grown] = acc.get(grown, 0) + (coeff << shift)
-                else:
-                    found.append((s, grown_part, shift))
-                shift += unit
+        grow = shape & ~(shape >> 1) & add
+        if not grow:
+            continue
+        nodes = grow | shape & ~(shape << 1) & rem
+        shift = offset
+        found = []  # (bit, shift) of each addable i-node
+        while nodes:
+            bit = nodes & -nodes
+            nodes ^= bit
+            if not bit & grow:
+                shift -= unit
+                continue
+            if power == 1:
+                grown = shape + bit
+                acc[grown] = acc.get(grown, 0) + (coeff << shift)
+            else:
+                found.append((bit, shift))
+            shift += unit
         for subset in combinations(found, power):
-            grown_parts = list(shape)
-            total = 0
-            for s, grown_part, node_shift in subset:
-                if grown_parts[s] is not shape[s]:  # a second node in this component
-                    grown_part = tuple(map(max, zip_longest(grown_parts[s], grown_part,
-                                                            fillvalue=0)))
-                grown_parts[s] = grown_part
+            grown, total = shape, 0
+            for bit, node_shift in subset:
+                grown += bit
                 total += node_shift
-            grown = tuple(grown_parts)
             acc[grown] = acc.get(grown, 0) + (coeff << total)
     return acc
 
 
-def _i_nodes(part: tuple[int, ...], charge: int, hit: list[bool],
-             period: int) -> list[tuple[int, ...] | None]:
-    """The i-nodes of one partition, bottom row first, from one upward scan:
-    the grown partition for an addable node, None for a removable one."""
-    nodes: list[tuple[int, ...] | None] = []
-    below = 0
-    for a in range(len(part), -1, -1):  # 0-based rows, the empty row first
-        row = part[a] if a < len(part) else 0
-        if (a == 0 or row < part[a - 1]) and hit[(row - a + charge) % period]:
-            nodes.append(part[:a] + (row + 1,) + part[a + 1:])
-        elif row > below and hit[(row - 1 - a + charge) % period]:
-            nodes.append(None)
-        below = row
-    return nodes
-
-
-def _divided(charges: Sequence[int], ell: int, terms: Terms, low: int, boxes: int,
-             i: int, power: int, width: int) -> tuple[Terms, int]:
+def _divided(terms: Terms, low: int, boxes: int, masks: tuple[int, int], d: int,
+             power: int, width: int) -> tuple[Terms, int]:
     """The divided power in one pass, then the digits every term has as trailing
     zeros dropped; returns the terms and their base exponent."""
-    terms = _step(charges, ell, terms, i, width, boxes, power)
-    low -= cartan(ell).d[i] * (power * boxes + power * (power - 1) // 2)
+    terms = _step(terms, *masks, width * d, boxes, power)
+    low -= d * (power * boxes + power * (power - 1) // 2)
     used = 0
     for coeff in terms.values():
         used |= coeff
@@ -292,12 +368,18 @@ def _divided(charges: Sequence[int], ell: int, terms: Terms, low: int, boxes: in
 
 def _expand(weight: DominantWeight, factors: Sequence[tuple[int, int]],
             width: int) -> tuple[Terms, int]:
-    """The factors, in application order, on the vacuum at one width."""
+    """The factors, in application order, on the vacuum at one width; the
+    keys are encoded at the number of boxes the factors add."""
     charges, ell = weight.charges, weight.ell
-    terms: Terms = {((),) * len(charges): 1}
+    d = cartan(ell).d
+    n = sum(power for _, power in factors)
+    masks: dict[int, tuple[int, int]] = {}
+    terms: Terms = {_key(((),) * len(charges), n): 1}
     low = boxes = 0
     for i, power in factors:
-        terms, low = _divided(charges, ell, terms, low, boxes, i, power, width)
+        if i not in masks:
+            masks[i] = _masks(charges, ell, n, i)
+        terms, low = _divided(terms, low, boxes, masks[i], d[i], power, width)
         boxes += power
     return terms, low
 
@@ -308,7 +390,8 @@ def _summed_expansion(weight: DominantWeight, words: Sequence[FWord]) -> _Packed
     Each coefficient is at most n! at q=1, so the width covers the sum of
     ``len(words)`` of them.
     """
-    width = _width(len(words) * factorial(max(map(len, words), default=0)))
+    n = max(map(len, words), default=0)
+    width = _width(len(words) * factorial(n))
     expansions = [_expand(weight, word[::-1], width) for word in words]
     low = min((base for terms, base in expansions if terms), default=0)
     acc: Terms = {}
@@ -316,7 +399,7 @@ def _summed_expansion(weight: DominantWeight, words: Sequence[FWord]) -> _Packed
         shift = width * (base - low)
         for shape, coeff in terms.items():
             acc[shape] = acc.get(shape, 0) + (coeff << shift)
-    return width, low, acc
+    return width, low, n, acc
 
 
 def _digits(packed: int, width: int, low: int) -> list[tuple[int, int]]:
@@ -351,9 +434,10 @@ def _widen(packed: int, width: int, wider: int) -> int:
     return out
 
 
-def _encode(vector: FockVector) -> tuple[_Packed, _Packed]:
+def _encode(vector: FockVector, n: int) -> tuple[_Packed, _Packed]:
     """The positive part and the negated negative part of the coefficients,
-    each packed at a width that holds a divided power of it.
+    keyed at ``n`` boxes, each packed at a width that holds a divided power
+    of it.
 
     A divided power reaches each output shape from each input shape through
     at most one set of nodes, so every output digit is at most the sum of a
@@ -363,29 +447,41 @@ def _encode(vector: FockVector) -> tuple[_Packed, _Packed]:
     parts: tuple[dict, dict] = ({}, {})
     totals = [0, 0]
     for mp, c in vector.terms:
+        key = _key(mp.components, n)
         for e, v in c.items():
             negative = v < 0
-            parts[negative].setdefault(mp.components, []).append((e - low, abs(v)))
+            parts[negative].setdefault(key, []).append((e - low, abs(v)))
             totals[negative] += abs(v)
     out = []
     for part, total in zip(parts, totals):
         width = _width(total)
-        out.append((width, low, {shape: sum(v << width * e for e, v in items)
-                                 for shape, items in part.items()}))
+        out.append((width, low, n, {key: sum(v << width * e for e, v in items)
+                                    for key, items in part.items()}))
     return out[0], out[1]
+
+
+def _size(vector: FockVector) -> int:
+    """The number of boxes of every term, 0 for the zero vector."""
+    if vector._packed is not None:
+        return vector._packed[2]
+    return vector._terms[0][0].size if vector._terms else 0
 
 
 def _apply(vector: FockVector, i: int, power: int) -> FockVector:
     """Encode by sign, run the divided power on each part, decode the difference."""
     _check_factor(i, power, vector.ell)
-    boxes = max((mp.size for mp, _ in vector.terms), default=0)
+    charges, ell = vector.charges, vector.ell
+    boxes = _size(vector)
+    n = boxes + power
+    masks = _masks(charges, ell, n, i)
+    d = cartan(ell).d[i]
     acc: dict[Multipartition, LaurentPolynomial] = {}
-    for sign, (width, low, terms) in zip((1, -1), _encode(vector)):
-        terms, low = _divided(vector.charges, vector.ell, terms, low, boxes, i, power, width)
-        for shape, coeff in terms.items():
+    for sign, (width, low, _, terms) in zip((1, -1), _encode(vector, n)):
+        terms, low = _divided(terms, low, boxes, masks, d, power, width)
+        for shape, coeff in zip(_shapes(terms, len(charges), n), terms.values()):
             mp = _multipartition(shape)
             acc[mp] = acc.get(mp, ZERO) + _decode(coeff, width, low) * sign
-    return FockVector.from_dict(vector.charges, vector.ell, acc)
+    return FockVector.from_dict(charges, ell, acc)
 
 
 def apply_f(vector: FockVector, i: int) -> FockVector:
@@ -415,7 +511,7 @@ def expand(weight: DominantWeight, word: Iterable[tuple[int, int]], *,
     _check_size(weight, n, max_n)
     width = _width(factorial(n) // prod(factorial(power) for _, power in factors))
     terms, low = _expand(weight, factors, width)
-    return FockVector(weight.charges, weight.ell, packed=(width, low, terms))
+    return FockVector(weight.charges, weight.ell, packed=(width, low, n, terms))
 
 
 def word_content(word: Iterable[tuple[int, int]], ell: int) -> RootVector:
@@ -430,30 +526,35 @@ def hom_dim(left: FockVector, right: FockVector) -> LaurentPolynomial:
     """Graded Hom dimension between the projectives the two expansions identify."""
     if left.charges != right.charges:
         raise ValueError("expansions carry different charge sequences")
-    if not left.is_zero() and not right.is_zero() and left.content() != right.content():
+    if left.is_zero() or right.is_zero():
+        return ZERO
+    if left.content() != right.content():
         raise ValueError("expansions have different contents")
-    plus, minus = _signed(left)
-    plus_r, minus_r = _signed(right)
+    n = _size(left)  # equal contents, so both sides have n boxes
+    plus, minus = _signed(left, n)
+    plus_r, minus_r = _signed(right, n)
     same = _hom(plus, plus_r) + _hom(minus, minus_r)
     return same - (_hom(plus, minus_r) + _hom(minus, plus_r))
 
 
-def _signed(vector: FockVector) -> tuple[_Packed, _Packed]:
-    """The engine's packed terms, or the sign parts of a vector built by hand."""
+def _signed(vector: FockVector, n: int) -> tuple[_Packed, _Packed]:
+    """The engine's packed terms, or the sign parts of a vector built by hand
+    encoded at ``n`` boxes."""
     if vector._packed is not None:
-        return vector._packed, (1, 0, {})
-    return _encode(vector)
+        return vector._packed, (1, 0, n, {})
+    return _encode(vector, n)
 
 
 def _hom(left: _Packed, right: _Packed) -> LaurentPolynomial:
     """Sum of coefficient products over the shared shapes, decoded once.
 
-    A term's value at q=1 is its digit sum, which the width keeps below
-    2^width - 1, so it is the term mod 2^width - 1.  Every digit of the sum of
-    products is at most the sum of the products of those values, so a width
-    of that sum's bit length leaves the sum free of carries.
+    Both sides are keyed at the same n.  A term's value at q=1 is its digit
+    sum, which the width keeps below 2^width - 1, so it is the term mod
+    2^width - 1.  Every digit of the sum of products is at most the sum of
+    the products of those values, so a width of that sum's bit length leaves
+    the sum free of carries.
     """
-    (wl, ll, tl), (wr, lr, tr) = left, right
+    (wl, ll, _, tl), (wr, lr, _, tr) = left, right
     pairs = [(coeff, tr[shape]) for shape, coeff in tl.items() if shape in tr]
     if not pairs:
         return ZERO

@@ -187,7 +187,8 @@ def _straighten(m: tuple[int, ...],
 
     The hub h = m - A.x starts from the band of A and is kept up to date:
     reflecting at i adds h_i to x_i, which subtracts h_i times column i of A
-    from h.
+    from h.  That changes only h_{i-1}, h_i and h_{i+1}, and every entry before
+    i was nonnegative, so the next scan for a negative entry starts at i - 1.
     """
     if len(m) != len(coeffs):
         raise ValueError("rank mismatch")
@@ -199,8 +200,9 @@ def _straighten(m: tuple[int, ...],
     h = list(map(sub, m, datum.apply_matrix(x)))
     word: list[int] = []
     bound = 8 * (sum(m) + sum(map(abs, x)) + 2) ** 2
+    i = 0
     for _ in range(bound):
-        i = next((j for j, v in enumerate(h) if v < 0), None)
+        i = next((j for j in range(max(i - 1, 0), len(h)) if h[j] < 0), None)
         if i is None:
             return tuple(x), word
         word.append(i)

@@ -20,9 +20,13 @@ the package:
 * the ε-coordinate class model (``finite_part``, ``class_model``,
   ``lowered_finite_part``), which lists a class by its finite parts instead
   of by stars and bars and the parity of ev, and straightens Λ − β in closed
-  form (``straighten_model``) instead of one reflection at a time;
-* ``sigma_flip``, ``minimal_weight`` of a case instance, and
-  ``residue_word``.
+  form (``straighten_model``) instead of one reflection at a time, and reads
+  the defect off the invariant form (``defect_model``) instead of off the
+  Cartan matrix;
+* the diagram involution (``sigma_root``, ``sigma_weight``, ``sigma_flip``)
+  and ``with_charges``, which the package itself never calls;
+* ``bead_masks``, the Fock step's masks one bit at a time;
+* ``minimal_weight`` of a case instance, and ``residue_word``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from itertools import accumulate, combinations_with_replacement
 from operator import add, lt, sub
 from typing import Iterable, Iterator, Sequence
 
-from klrc.cartan import DominantWeight, RootVector, cartan
+from klrc.cartan import DominantWeight, RootVector, cartan, fold_residue
 from klrc.classifier import CaseInstance, _holds
 from klrc.fock import Multipartition, Node, node_degree, residue
 from klrc.laurent import LaurentPolynomial, _wrap
@@ -247,6 +251,25 @@ def build_quiver(weight: DominantWeight) -> MaxWeightQuiver:
     return MaxWeightQuiver(weight, ms, xs, tuple(rows))
 
 
+# -- the bead masks of the Fock step --------------------------------------
+
+
+def bead_masks(charges: Sequence[int], ell: int, n: int, i: int) -> tuple[int, int]:
+    """The ADD and REM masks of ``klrc.fock._masks``, one ``fold_residue`` per
+    bit: in window k-1-s of 2n+2 bits, ADD has bit p < 2n+1 when the content
+    p - n + c_s folds to i, and REM has bit p >= 1 when p - 1 - n + c_s does."""
+    size = 2 * n + 2
+    add = rem = 0
+    for s, charge in enumerate(charges):
+        base = (len(charges) - 1 - s) * size
+        for p in range(size):
+            if p < size - 1 and fold_residue(p - n + charge, ell) == i:
+                add |= 1 << base + p
+            if p >= 1 and fold_residue(p - 1 - n + charge, ell) == i:
+                rem |= 1 << base + p
+    return add, rem
+
+
 # -- the ε-coordinate class model ------------------------------------------
 
 
@@ -309,12 +332,44 @@ def straighten_model(m: Sequence[int], x: Sequence[int]) -> tuple[int, ...] | No
     return straightened if min(straightened) >= 0 else None
 
 
+def defect_model(m: Sequence[int], x: Sequence[int]) -> int:
+    """The defect of ``klrc.maxweights.defect`` as ((Λ,Λ) − (Λ−β, Λ−β))/2, Λ
+    with multiplicities ``m`` and β with coefficients ``x``, in ε-coordinates.
+
+    A level-k weight kΛ_0 + ν + dδ pairs with itself to |ν|² + 4k·d, since
+    (Λ_0, δ) = d_0 = 2 and the finite form is the dot product of ε-coordinates
+    ((α_i, α_i) = 2 for the short roots e_i − e_{i+1}, 4 for 2e_ell).  Λ has
+    finite part λ and d = 0 (the δ-part of Λ cancels in the difference); Λ − β
+    has finite part ``lowered_finite_part`` and d = −x_0, from α_0 = δ − 2e_1."""
+    k = sum(m)
+    lam, nu = finite_part(m), lowered_finite_part(m, x)
+    twice = sum(c * c for c in lam) - sum(c * c for c in nu) + 4 * k * x[0]
+    assert twice % 2 == 0
+    return twice // 2
+
+
 # -- other helpers -------------------------------------------------------
+
+
+def sigma_root(beta: RootVector) -> RootVector:
+    """The diagram involution on a root vector: index reversal i -> ell - i."""
+    return RootVector(beta.coeffs[::-1])
+
+
+def sigma_weight(weight: DominantWeight) -> DominantWeight:
+    """The diagram involution on a weight: its multiplicities reversed, and each
+    charge c, in reversed order, sent to ell - c."""
+    return DominantWeight(weight.m[::-1], tuple(weight.ell - c for c in weight.charges[::-1]))
 
 
 def sigma_flip(weight: DominantWeight, beta: RootVector) -> tuple[DominantWeight, RootVector]:
     """The diagram involution i -> ell - i applied to both arguments."""
-    return weight.sigma(), beta.sigma()
+    return sigma_weight(weight), sigma_root(beta)
+
+
+def with_charges(weight: DominantWeight, charges: Sequence[int]) -> DominantWeight:
+    """The same weight with its charges in the order ``charges``."""
+    return DominantWeight(weight.m, tuple(charges))
 
 
 def minimal_weight(case: CaseInstance) -> DominantWeight:

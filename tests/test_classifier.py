@@ -8,7 +8,7 @@ from klrc.classifier import (CaseInstance, RepType, _case_index, case_table, cla
                              match_case, wildness_criteria)
 from klrc.laurent import LaurentPolynomial
 from klrc.maxweights import beta_of, class_members, defect
-from reference import is_bar_symmetric_about, minimal_weight
+from reference import is_bar_symmetric_about, minimal_weight, sigma_flip
 
 
 def W(*m):
@@ -216,7 +216,7 @@ def test_sigma_invariance_random():
         beta = RootVector(tuple(rng.randint(0, 3) for _ in range(ell + 1)))
         for char in (0, 2, 3):
             left = classify(weight, beta, char)
-            right = classify(weight.sigma(), beta.sigma(), char)
+            right = classify(*sigma_flip(weight, beta), char)
             assert left.rep_type == right.rep_type
 
 

@@ -12,7 +12,7 @@ from klrc.fock import (FockVector, apply_divided_f, apply_f, expand, hom_dim, no
                        parse_word, residue, word_content)
 from klrc.laurent import LaurentPolynomial
 from klrc.tableaux import Multipartition, kostka_q, multipartitions, graded_hom_dim
-from reference import (add_node, evaluate, is_bar_symmetric_about, power,
+from reference import (add_node, bead_masks, evaluate, is_bar_symmetric_about, power,
                        quantum_factorial, residue_word, shift)
 
 
@@ -462,17 +462,17 @@ def test_packed_engine_matches_laurent_reference(case, rng):
 
 
 def test_wrong_degree_rule_differs_from_the_reference(monkeypatch):
-    """With removable i-nodes left out of the degree count, the engine must
-    disagree with the Laurent reference, which steps one node at a time and
-    still divides by [r]! exactly, on most grown words.  The engine runs a
-    divided power in one pass and checks no division, so this comparison is
-    what catches a drift in the degree rule.  The words add 6 to 10 boxes:
-    below 6 a removable i-node seldom lies below an addable one."""
+    """With the REM mask zeroed, removable i-nodes drop out of the degree
+    count, and the engine must disagree with the Laurent reference, which
+    steps one node at a time and still divides by [r]! exactly, on most grown
+    words.  The engine runs a divided power in one pass and checks no
+    division, so this comparison is what catches a drift in the degree rule.
+    The words add 6 to 10 boxes: below 6 a removable i-node seldom lies below
+    an addable one."""
     import klrc.fock
 
-    counted = klrc.fock._i_nodes
-    monkeypatch.setattr(klrc.fock, "_i_nodes",
-                        lambda *args: [node for node in counted(*args) if node is not None])
+    masks = klrc.fock._masks
+    monkeypatch.setattr(klrc.fock, "_masks", lambda *args: (masks(*args)[0], 0))
     rng = random.Random(1729)
     differed = divided = 0
     for _ in range(40):
@@ -483,6 +483,39 @@ def test_wrong_degree_rule_differs_from_the_reference(monkeypatch):
         differed += expand(weight, word) != reference.expand(weight, word)
         divided += any(power > 1 for _, power in word)
     assert differed >= 25 and divided >= 25
+
+
+def test_bead_encoding_round_trips():
+    """Every multipartition of at most 8 boxes with 1 to 4 components decodes
+    from its bead encoding at every n from its size to 8, and distinct
+    multipartitions get distinct keys at each n."""
+    from klrc.fock import _key, _shapes
+
+    for k in range(1, 5):
+        for size in range(9):
+            shapes = [mp.components for mp in multipartitions(size, k)]
+            for n in range(size, 9):
+                keys = [_key(shape, n) for shape in shapes]
+                assert _shapes(keys, k, n) == shapes
+                assert len(set(keys)) == len(keys)
+                assert max(keys) < 1 << k * (2 * n + 2)
+
+
+def test_masks_match_the_per_position_rule():
+    """The periodic mask builder against one ``fold_residue`` per bit
+    (``reference.bead_masks``), at rank 2-7, 1-5 components, 0-14 boxes and
+    every residue, on two charge sequences each."""
+    from klrc.fock import _masks
+
+    rng = random.Random(16)
+    for ell in range(2, 8):
+        for k in range(1, 6):
+            for n in range(15):
+                for _ in range(2):
+                    charges = tuple(rng.randint(0, ell) for _ in range(k))
+                    for i in range(ell + 1):
+                        assert _masks(charges, ell, n, i) == bead_masks(charges, ell, n, i), (
+                            charges, ell, n, i)
 
 
 def addable_count(mp, charges, ell, i):

@@ -9,8 +9,9 @@ from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, hub
 from klrc.maxweights import (NotEquivalentError, _class_pass, _straighten, beta_of,
                              class_members, class_size, defect, delta_decompose, dominantify,
                              ev, minimal_solution, reflection_word)
-from reference import (class_model, finite_part, lowered_finite_part, sigma_flip,
-                       straighten_model)
+from reference import (class_model, defect_model, finite_part, lowered_finite_part,
+                       sigma_flip, straighten_model)
+from test_quiver import ROUTE_CASES
 
 
 def W(*m):
@@ -276,6 +277,21 @@ def test_defect_values():
             m = [0] * (ell + 1)
             m[a] = 4
             assert defect(DominantWeight(tuple(m)), 2 * RootVector.simple(a, ell)) == 4
+
+
+def test_defect_matches_the_epsilon_model():
+    """``defect`` against ((Λ,Λ) − (Λ−β, Λ−β))/2 read in ε-coordinates
+    (``reference.defect_model``), for every member of every ROUTE_CASES class
+    and its β: Λ the class root, and Λ the member itself."""
+    checked = 0
+    for parity, level, ell in ROUTE_CASES:
+        root = (level - parity, parity) + (0,) * (ell - 1)
+        for m, x in _class_pass(root):
+            beta = RootVector(x)
+            assert defect(DominantWeight(root), beta) == defect_model(root, x), (root, m)
+            assert defect(DominantWeight(m), beta) == defect_model(m, x), (root, m)
+            checked += 1
+    assert checked > 12_000
 
 
 def test_delta_decompose():

@@ -274,7 +274,7 @@ def test_quiver_properties_small_ranks():
                         beta = beta + RootVector.simple(i, ell)
                     assert beta == dst.x
                     assert apply_move(a.target, _inverse(a.label)) == a.source
-                flipped = build_quiver(weight.sigma())
+                flipped = build_quiver(reference.sigma_weight(weight))
                 assert ({(a.source.m, a.target.m) for a in flipped.arrows}
                         == {(a.source.m[::-1], a.target.m[::-1]) for a in quiver.arrows})
     assert arrows_checked > 200
