@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -116,10 +117,11 @@ def _cmd_fock(args) -> str:
     vector = expand(weight, parse_word(args.word), max_n=args.max_n)
     end = hom_dim(vector, vector)
     if args.format == "json":
+        rows, parts = vector._rendered(polynomial_text)
         return json.dumps({
             "charges": list(vector.charges),
-            "terms": [{"multipartition": [list(p) for p in shape], "coeff": text}
-                      for shape, text in vector._rendered(polynomial_text)],
+            "terms": [{"multipartition": [list(parts[c]) for c in comps], "coeff": text}
+                      for comps, text in rows],
             "end_dim": str(end),
         }, ensure_ascii=False)
     return f"{vector}\nEnd = {end}"
@@ -154,7 +156,9 @@ def _add_common(sub, *, beta=False, fmt=("text", "json")) -> None:
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every later call."""
+    """The command-line parser, built on first use and shared by every later
+    call.  Its ``subcommands`` maps each subcommand name to that subcommand's
+    own parser."""
     parser = argparse.ArgumentParser(
         prog="klrc",
         description="Exact computations for cyclotomic KLR algebras in affine type C.")
@@ -198,11 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, beta=True)
     p.set_defaults(func=_cmd_defect)
 
+    parser.subcommands = subs.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one query.  An argv that starts with a subcommand name is parsed by
+    that subcommand's parser alone, in one argparse pass; anything else (no
+    argument, ``-h``, an option first or an unknown name) goes to the full
+    parser for its usage and error messages."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
     try:
         output = args.func(args)
     except GuardError as exc:
@@ -211,7 +224,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: the rest, now and at shutdown, goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -76,10 +76,10 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import factorial, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from ._shapes import (Multipartition, Node, Shape, _multipartition, _render_partition,
-                      _shape_key, content_vector, node_degree, residue)
+                      content_vector, node_degree, residue)
 from .cartan import DominantWeight, GuardError, RootVector, cartan
 from .laurent import ZERO, LaurentPolynomial, _wrap, polynomial_text
 
@@ -139,31 +139,41 @@ class FockVector:
     def terms(self) -> tuple[tuple[Multipartition, LaurentPolynomial], ...]:
         if self._terms is None:
             width, low = self._packed[:2]
-            self._terms = tuple((_multipartition(shape), _decode(coeff, width, low))
-                                for shape, coeff in self._decoded())
+            rows, parts = self._decoded()
+            self._terms = tuple((_multipartition(tuple(map(parts.__getitem__, windows))),
+                                 _decode(coeff, width, low)) for windows, coeff in rows)
         return self._terms
 
-    def _decoded(self) -> list[tuple[Shape, int]]:
-        """The packed terms as (shape, packed coefficient), in sort order."""
-        _, _, n, packed = self._packed
-        shapes = _shapes(packed, len(self.charges), n)
-        return sorted(zip(shapes, packed.values()), key=lambda term: _shape_key(term[0]))
+    def _decoded(self) -> tuple[list[tuple[tuple[int, ...], int]], dict[int, tuple[int, ...]]]:
+        """The packed terms as (windows, packed coefficient) in sort order, and
+        the partition of each distinct window.
 
-    def _rendered(self, render) -> list[tuple[Shape, str]]:
-        """Each term's shape and ``render`` of its coefficient's ascending
-        (exponent, coefficient) pairs, in sort order.  An engine vector's pairs
-        are read off its packed digits, once per distinct coefficient."""
+        The sort key is (component sizes, key), which is ``_shape_key`` order:
+        at one n a window's int order is the zero-padded lexicographic order
+        of its rows (beads sit at strictly decreasing bits, so the first row
+        that differs sets the highest differing bit), and component 0 sits in
+        the top window.
+        """
+        _, _, n, packed = self._packed
+        columns, parts = _split(packed, len(self.charges), n)
+        sizes = {window: sum(part) for window, part in parts.items()}
+        order = sorted(zip(*[list(map(sizes.__getitem__, column)) for column in columns],
+                           packed, _rows(columns, len(packed)), packed.values()))
+        return [row[-2:] for row in order], parts
+
+    def _rendered(self, render) -> tuple[list[tuple[tuple, str]], dict]:
+        """Each term's components and ``render`` of its coefficient's ascending
+        (exponent, coefficient) pairs, in sort order, and the partition of each
+        distinct component.  An engine vector's components are its window
+        ints, and its pairs are read off its packed digits, once per distinct
+        coefficient; a hand-built vector's components are its partitions."""
         if self._packed is None:
-            return [(mp.components, render(list(c.items()))) for mp, c in self._terms]
-        width, low = self._packed[:2]
-        texts: dict[int, str] = {}
-        out = []
-        for shape, coeff in self._decoded():
-            text = texts.get(coeff)
-            if text is None:
-                text = texts[coeff] = render(_digits(coeff, width, low))
-            out.append((shape, text))
-        return out
+            parts = {part: part for mp, _ in self._terms for part in mp.components}
+            return [(mp.components, render(list(c.items()))) for mp, c in self._terms], parts
+        width, low, _, packed = self._packed
+        texts = {coeff: render(_digits(coeff, width, low)) for coeff in set(packed.values())}
+        rows, parts = self._decoded()
+        return [(windows, texts[coeff]) for windows, coeff in rows], parts
 
     def is_zero(self) -> bool:
         return not (self._terms if self._packed is None else self._packed[3])
@@ -190,17 +200,10 @@ class FockVector:
         return f"FockVector(charges={self.charges!r}, ell={self.ell!r}, terms={self.terms!r})"
 
     def __str__(self) -> str:
-        rendered: dict[tuple[int, ...], str] = {}  # each distinct partition once
-        parts = []
-        for shape, prefix in self._rendered(_coeff_prefix):
-            comps = []
-            for part in shape:
-                text = rendered.get(part)
-                if text is None:
-                    text = rendered[part] = _render_partition(part)
-                comps.append(text)
-            parts.append(f"{prefix}({','.join(comps)})")
-        return " + ".join(parts) or "0"
+        rows, parts = self._rendered(_coeff_prefix)
+        texts = {comp: _render_partition(part) for comp, part in parts.items()}
+        return " + ".join([f"{prefix}({','.join(map(texts.__getitem__, comps))})"
+                           for comps, prefix in rows]) or "0"
 
 
 def _coeff_prefix(pairs: list[tuple[int, int]]) -> str:
@@ -250,24 +253,27 @@ def _key(shape: Shape, n: int) -> int:
     return key
 
 
-def _shapes(keys: Iterable[int], k: int, n: int) -> list[Shape]:
-    """The shape of each key of ``k`` windows encoded at ``n`` boxes, decoding
-    each distinct window once."""
+def _split(keys: Collection[int], k: int, n: int
+           ) -> tuple[list[list[int]], dict[int, tuple[int, ...]]]:
+    """The windows of ``keys`` encoded at ``n`` boxes, one list per component
+    (component 0 first) in key order, and the partition of each distinct
+    window, decoded once."""
     size = 2 * n + 2
     mask = (1 << size) - 1
-    parts: dict[int, tuple[int, ...]] = {}
-    out = []
-    for key in keys:
-        comps = []
-        for _ in range(k):  # the last component first
-            window = key & mask
-            part = parts.get(window)
-            if part is None:
-                part = parts[window] = _partition(window, n)
-            comps.append(part)
-            key >>= size
-        out.append(tuple(comps[::-1]))
-    return out
+    columns = [[key >> shift & mask for key in keys]
+               for shift in range((k - 1) * size, -1, -size)]
+    return columns, {window: _partition(window, n) for window in set().union(*columns)}
+
+
+def _rows(columns: list[list], count: int) -> list[tuple]:
+    """``count`` rows read across the columns; empty rows when there are none."""
+    return list(zip(*columns)) if columns else [()] * count
+
+
+def _shapes(keys: Collection[int], k: int, n: int) -> list[Shape]:
+    """The shape of each key of ``k`` windows encoded at ``n`` boxes."""
+    columns, parts = _split(keys, k, n)
+    return _rows([list(map(parts.__getitem__, column)) for column in columns], len(keys))
 
 
 def _partition(window: int, n: int) -> tuple[int, ...]:

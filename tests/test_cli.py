@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -18,6 +19,7 @@ from klrc.cli import main
 from klrc.fock import DEFAULT_MAX_BOXES
 from klrc.maxweights import DEFAULT_MAX_VERTICES, beta_of, class_members, defect
 from klrc.multiplicity import DEFAULT_MAX_HEIGHT
+from test_golden_replay import replayed_queries
 
 
 def run(argv, capsys):
@@ -336,6 +338,79 @@ def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
 ])
 def test_parser_defaults_are_the_library_caps(argv, dest, default):
     assert getattr(cli.build_parser().parse_args(argv), dest) == default
+
+
+def test_subcommand_parser_parses_like_the_full_parser():
+    """Every first-variant and fixed query of the four benchmark pools gets
+    the same namespace from its subcommand's own parser as from the full
+    parser, apart from the full parser's ``command``."""
+    parser = cli.build_parser()
+    queries = [text.split() for workload in ("quiver", "dims", "fock", "blocks")
+               for text, _, _ in replayed_queries(workload)]
+    assert {argv[0] for argv in queries} == set(parser.subcommands)
+    for argv in queries:
+        full = vars(parser.parse_args(argv))
+        assert full.pop("command") == argv[0]
+        assert vars(parser.subcommands[argv[0]].parse_args(argv[1:])) == full, argv
+
+
+def test_a_subcommand_query_runs_one_argparse_pass(capsys, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    code, out, _ = run(["simples", "--ell", "3", "--weight", "2,2", "--beta", "0,0,2,1"], capsys)
+    assert (code, out) == (0, "2\n")
+    assert calls == ["klrc simples"]
+
+
+TOP_USAGE = "usage: klrc [-h] {classify,quiver,maxweights,dims,fock,simples,defect} ...\n"
+CHOICES = "(choose from 'classify', 'quiver', 'maxweights', 'dims', 'fock', 'simples', 'defect')"
+
+
+@pytest.mark.parametrize("argv,stderr", [
+    ([], TOP_USAGE + "klrc: error: the following arguments are required: command\n"),
+    (["nope"], TOP_USAGE + f"klrc: error: argument command: invalid choice: 'nope' {CHOICES}\n"),
+    (["--ell", "2"], TOP_USAGE + f"klrc: error: argument command: invalid choice: '2' {CHOICES}\n"),
+    (["simples", "--ell", "3", "--weight", "2,2", "--beta", "0,0,2,1", "--bogus"],
+     "usage: klrc simples [-h] --ell ELL [--max-rank MAX_RANK] [--weight WEIGHT]\n"
+     "                    [--m M] --beta BETA [--format {text,json}] [--max-n MAX_N]\n"
+     "klrc simples: error: unrecognized arguments: --bogus\n"),
+])
+def test_argparse_errors(argv, stderr, capsys, monkeypatch):
+    """An argv that does not start with a subcommand name gets the full
+    parser's messages; an unrecognized option after a subcommand is reported
+    by that subcommand's parser, under its usage line."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (2, "", stderr)
+
+
+def test_closed_stdout_ends_in_exit_zero():
+    """A reader that leaves after the first line of 255 KB of tsv, more than
+    a pipe holds: the rest is dropped, with exit 0 and no traceback."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["quiver", "--ell", "6", "--m", "0,0,0,0,0,0,6", "--format", "tsv"]
+    proc = subprocess.Popen([sys.executable, "-m", "klrc.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == b"#source\ttarget\tlabel\tdelta\n"
+    assert (code, err) == (0, "")
 
 
 def test_import_builds_no_parser():

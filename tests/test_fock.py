@@ -501,6 +501,21 @@ def test_bead_encoding_round_trips():
                 assert max(keys) < 1 << k * (2 * n + 2)
 
 
+def test_key_order_is_the_shape_order():
+    """At one n, ordering by (component sizes, bead key) is ``_shape_key``
+    order, on every multipartition of at most 6 boxes with 1 to 3
+    components: a window's int order is the zero-padded lexicographic order
+    of its rows, and component 0 sits in the top window."""
+    from klrc._shapes import _shape_key
+    from klrc.fock import _key
+
+    for k in range(1, 4):
+        shapes = [mp.components for size in range(7) for mp in multipartitions(size, k)]
+        for n in range(6, 9):
+            assert (sorted(shapes, key=_shape_key)
+                    == sorted(shapes, key=lambda shape: (tuple(map(sum, shape)), _key(shape, n))))
+
+
 def test_masks_match_the_per_position_rule():
     """The periodic mask builder against one ``fold_residue`` per bit
     (``reference.bead_masks``), at rank 2-7, 1-5 components, 0-14 boxes and
