@@ -208,12 +208,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one query.  An argv that starts with a subcommand name is parsed by
-    that subcommand's parser alone, in one argparse pass; anything else (no
-    argument, ``-h``, an option first or an unknown name) goes to the full
-    parser for its usage and error messages."""
+    that subcommand's parser alone, in one argparse pass; an option other than
+    ``-h``/``--help`` first is an error that names it (argparse would name its
+    value as the unknown subcommand); anything else (no argument, ``-h`` or an
+    unknown name) goes to the full parser for its usage and error messages."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
+    if argv and argv[0].startswith("-") and argv[0] not in ("-", "-h", "--help"):
+        parser.error(f"option {argv[0]} comes before the subcommand; "
+                     f"the subcommand comes first: klrc COMMAND {argv[0]} ...")
     sub = parser.subcommands.get(argv[0]) if argv else None
     args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
     try:

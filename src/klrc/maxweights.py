@@ -9,9 +9,10 @@ weight, and every dominant maximal weight arises this way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations_with_replacement
 from math import comb
-from operator import floordiv, mul, sub
+from operator import floordiv, mul, neg, sub
+from typing import Iterable, Sequence
 
 from .cartan import DominantWeight, GuardError, RootVector, cartan
 
@@ -33,28 +34,28 @@ def _class_pass(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
     with x its minimal solution, in lexicographic order of m.
 
     GuardError when the class has more than ``max_members`` members, counted
-    by ``_class_size`` before any member is built.  Membership is the parity
-    condition: ev agrees modulo 2.  Stars and bars yield the weak compositions
-    of k into ell+1 parts already in lexicographic order, since
-    ``combinations`` yields the bar positions lexicographically and m_0, m_1,
-    ... are their successive gaps.
+    by ``_class_size`` before any member is built.  A member is a finite part
+    mu with k >= mu_1 >= ... >= mu_ell >= 0 and sum(mu) = sum(lam) modulo 2,
+    lam the finite part of ``root`` (the parity of sum(mu) is that of ev),
+    read back as m = (k - mu_1, mu_1 - mu_2, ..., mu_ell).
+    ``combinations_with_replacement`` over k, k-1, ..., 0 yields the mu in
+    descending lexicographic order, which is ascending lexicographic order
+    of m.  x is ``_minimal`` of lam - mu.
     """
     size = _class_size(root)
     if size > max_members:
         raise GuardError(f"class has {size} members, cap is {max_members}")
     k, ell = sum(root), len(root) - 1
-    parity = sum(root[1::2]) % 2
+    datum = cartan(ell)
+    lam = tuple(accumulate(root[:0:-1]))[::-1]  # lam_j = sum_{i>=j} m_i, j = 1..ell
+    parity = sum(lam) % 2
     members = []
-    for bars in combinations(range(k + ell), ell):
-        m = []
-        prev = -1
-        for b in bars:
-            m.append(b - prev - 1)
-            prev = b
-        m.append(k + ell - 1 - prev)
-        if sum(m[1::2]) % 2 == parity:
-            m = tuple(m)
-            members.append((m, _solve(tuple(map(sub, root, m)), ell)))
+    for mu in combinations_with_replacement(range(k, -1, -1), ell):
+        if sum(mu) % 2 == parity:
+            m = tuple(map(sub, (k,) + mu, mu + (0,)))
+            x = _minimal(map(sub, lam, mu), datum.delta_coeffs)
+            assert datum.apply_matrix(x) == tuple(map(sub, root, m))
+            members.append((m, x))
     return members
 
 
@@ -109,27 +110,35 @@ class MaximalWeightDatum:
         return self.x.height
 
 
+def _reduce(v: Sequence[int], delta: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """``(x, n)`` with v = x + n*delta, x >= 0 and min(x - delta) < 0: the
+    shift rule n = min floor(v_j / delta_j)."""
+    n = min(map(floordiv, v, delta))
+    x = tuple([vj - n * dj for vj, dj in zip(v, delta)])
+    assert min(x) >= 0 and min(map(sub, x, delta)) < 0
+    return x, n
+
+
+def _minimal(diff: Iterable[int], delta: tuple[int, ...]) -> tuple[int, ...]:
+    """The minimal solution from diff_s = lam_s - mu_s, s = 1..ell, the
+    difference of the finite parts of Lambda and Lambda': the prefix form
+    xhat_0 = 0, xhat_j = diff_1 + ... + diff_j, halved at j = ell (an integer
+    on the class), brought down by ``_reduce``."""
+    xhat = [0, *accumulate(diff)]
+    xhat[-1] //= 2
+    return _reduce(xhat, delta)[0]
+
+
 def _solve(y: tuple[int, ...], ell: int) -> tuple[int, ...]:
     """``minimal_solution`` on plain tuples."""
     datum = cartan(ell)
     if len(y) != ell + 1:
         raise ValueError("rank mismatch")
-    moment = sum(map(mul, range(ell + 1), y))
-    if sum(y) != 0 or moment % 2:
+    if sum(y) != 0 or sum(map(mul, range(ell + 1), y)) % 2:
         raise NotEquivalentError(f"no equivalence-class solution for y={y}")
-    # xhat[j] = -sum_{t<j} (j - t) y[t], from the running sums of y[t] and t*y[t]
-    xhat = [0] * (ell + 1)
-    total = weighted = 0
-    for j in range(1, ell):
-        total += y[j - 1]
-        weighted += (j - 1) * y[j - 1]
-        xhat[j] = weighted - j * total
-    xhat[ell] = moment // 2
-    delta = datum.delta_coeffs
-    shift = -min(map(floordiv, xhat, delta))
-    x = tuple([xj + shift * dj for xj, dj in zip(xhat, delta)])
+    # lam_s - mu_s = -(y_0 + ... + y_{s-1})
+    x = _minimal(map(neg, accumulate(y[:-1])), datum.delta_coeffs)
     assert datum.apply_matrix(x) == y
-    assert min(x) >= 0 and min(map(sub, x, delta)) < 0
     return x
 
 
@@ -173,12 +182,8 @@ def delta_decompose(x: RootVector) -> tuple[RootVector, int]:
     """Write x = x0 + m*delta with x0 >= 0, min(x0 - delta) < 0 and m >= 0."""
     if not x.in_positive_cone():
         raise ValueError("vector must lie in the positive cone")
-    delta = cartan(x.ell).delta_coeffs
-    m = min(xi // di for xi, di in zip(x.coeffs, delta))
-    assert m >= 0
-    x0 = RootVector(tuple(xi - m * di for xi, di in zip(x.coeffs, delta)))
-    assert x0.in_positive_cone() and min(c - d for c, d in zip(x0.coeffs, delta)) < 0
-    return x0, m
+    x0, m = _reduce(x.coeffs, cartan(x.ell).delta_coeffs)
+    return RootVector(x0), m
 
 
 def _straighten(m: tuple[int, ...],

@@ -49,8 +49,10 @@ m, that is the order of target indices, and moves with equal Δm share their
 target.  So the arrows appended to a source's bucket move by move come in
 (target, label) order, and the buckets joined in source order are the rows.
 
-``candidate_moves``, ``arrow_test`` and ``_below_masks`` stay because the
-benchmark's tracer (``bench/tracing.py``) and the tests bind them.
+``candidate_moves`` and ``arrow_test`` stay because the benchmark's tracer
+(``bench/tracing.py``) and the tests bind them.  ``_below_masks``, which the
+tracer does not bind, computes ``arrow_test``'s two masks, and the tests call
+it too.
 ``tests/reference.py`` keeps the per-source builder, with its own list of the
 moves a weight can take, and the value-object route that decides an arrow by
 raising the solution vector.
@@ -307,8 +309,9 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
     """The full directed quiver on the equivalence class of ``weight``.
 
     Each move is decided for all vertices at once by the two-mask test of the
-    module docstring, run over vertex bitsets, which ``minimal_solution``'s
-    assertion x >= 0 makes exact.  ``_class_pass`` raises the vertex cap.
+    module docstring, run over vertex bitsets, which the assertion x >= 0 of
+    the shift rule ``maxweights._reduce`` makes exact.  ``_class_pass``
+    raises the vertex cap.
     """
     members = _class_pass(weight.m, max_vertices)
     ms, xs = zip(*members)

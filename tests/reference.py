@@ -17,12 +17,16 @@ the package:
   runs the two-mask test once per move and sorts each source's arrows, where
   ``klrc.quiver.build_quiver`` reads the move set off the move table and runs
   the test once per move over vertex bitsets;
+* the stars-and-bars class pass (``class_pass_by_compositions``), which
+  builds every weak composition of the level, keeps those whose ev has the
+  root's parity and solves each with ``klrc.maxweights._solve``, where
+  ``klrc.maxweights._class_pass`` enumerates the finite parts;
 * the ε-coordinate class model (``finite_part``, ``class_model``,
-  ``lowered_finite_part``), which lists a class by its finite parts instead
-  of by stars and bars and the parity of ev, and straightens Λ − β in closed
-  form (``straighten_model``) instead of one reflection at a time, and reads
-  the defect off the invariant form (``defect_model``) instead of off the
-  Cartan matrix;
+  ``lowered_finite_part``), which lists a class by its finite parts as the
+  engine's class pass does (the stars-and-bars pass is the independent check
+  of that), straightens Λ − β in closed form (``straighten_model``) instead
+  of one reflection at a time, and reads the defect off the invariant form
+  (``defect_model``) instead of off the Cartan matrix;
 * the diagram involution (``sigma_root``, ``sigma_weight``, ``sigma_flip``)
   and ``with_charges``, which the package itself never calls;
 * ``bead_masks``, the Fock step's masks one bit at a time;
@@ -32,15 +36,16 @@ the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from operator import add, lt, sub
 from typing import Iterable, Iterator, Sequence
 
-from klrc.cartan import DominantWeight, RootVector, cartan, fold_residue
+from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, fold_residue
 from klrc.classifier import CaseInstance, _holds
 from klrc.fock import Multipartition, Node, node_degree, residue
 from klrc.laurent import LaurentPolynomial, _wrap
-from klrc.maxweights import MaximalWeightDatum, _class_pass
+from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_pass, _class_size,
+                             _solve)
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, STEPS,
                          MaxWeightQuiver, MoveLabel, _below_masks, _move_table, delta_vector)
 
@@ -268,6 +273,40 @@ def bead_masks(charges: Sequence[int], ell: int, n: int, i: int) -> tuple[int, i
             if p >= 1 and fold_residue(p - 1 - n + charge, ell) == i:
                 rem |= 1 << base + p
     return add, rem
+
+
+# -- the class by stars and bars -----------------------------------------
+
+
+def class_pass_by_compositions(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
+                               ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(m, x)`` for every member m of the class of the multiplicities ``root``,
+    with x its minimal solution, in lexicographic order of m.
+
+    GuardError when the class has more than ``max_members`` members, counted
+    by ``_class_size`` before any member is built.  Membership is the parity
+    condition: ev agrees modulo 2.  Stars and bars yield the weak compositions
+    of k into ell+1 parts already in lexicographic order, since
+    ``combinations`` yields the bar positions lexicographically and m_0, m_1,
+    ... are their successive gaps.
+    """
+    size = _class_size(root)
+    if size > max_members:
+        raise GuardError(f"class has {size} members, cap is {max_members}")
+    k, ell = sum(root), len(root) - 1
+    parity = sum(root[1::2]) % 2
+    members = []
+    for bars in combinations(range(k + ell), ell):
+        m = []
+        prev = -1
+        for b in bars:
+            m.append(b - prev - 1)
+            prev = b
+        m.append(k + ell - 1 - prev)
+        if sum(m[1::2]) % 2 == parity:
+            m = tuple(m)
+            members.append((m, _solve(tuple(map(sub, root, m)), ell)))
+    return members
 
 
 # -- the ε-coordinate class model ------------------------------------------

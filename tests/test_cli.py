@@ -117,6 +117,15 @@ def test_maxweights_matches_the_value_objects(parity, level, ell, capsys):
     assert out == json.dumps(payload, ensure_ascii=False) + "\n"
 
 
+def test_maxweights_at_a_deep_rank(capsys):
+    """The class of Λ0 at rank 1,200, over the default rank cap: 601 lines,
+    exit 0."""
+    m = ",".join(["1"] + ["0"] * 1200)
+    code, out, err = run(["maxweights", "--ell", "1200", "--max-rank", "2000", "--m", m], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 601
+
+
 def test_fock(capsys):
     code, out, _ = run(["fock", "--ell", "2", "--weight", "0,0,1",
                         "--word", "0,1^2,0"], capsys)
@@ -375,7 +384,9 @@ CHOICES = "(choose from 'classify', 'quiver', 'maxweights', 'dims', 'fock', 'sim
 @pytest.mark.parametrize("argv,stderr", [
     ([], TOP_USAGE + "klrc: error: the following arguments are required: command\n"),
     (["nope"], TOP_USAGE + f"klrc: error: argument command: invalid choice: 'nope' {CHOICES}\n"),
-    (["--ell", "2"], TOP_USAGE + f"klrc: error: argument command: invalid choice: '2' {CHOICES}\n"),
+    (["--ell", "2", "quiver"], TOP_USAGE + "klrc: error: option --ell comes before the "
+     "subcommand; the subcommand comes first: klrc COMMAND --ell ...\n"),
+    (["-"], TOP_USAGE + f"klrc: error: argument command: invalid choice: '-' {CHOICES}\n"),
     (["simples", "--ell", "3", "--weight", "2,2", "--beta", "0,0,2,1", "--bogus"],
      "usage: klrc simples [-h] --ell ELL [--max-rank MAX_RANK] [--weight WEIGHT]\n"
      "                    [--m M] --beta BETA [--format {text,json}] [--max-n MAX_N]\n"
@@ -383,8 +394,9 @@ CHOICES = "(choose from 'classify', 'quiver', 'maxweights', 'dims', 'fock', 'sim
 ])
 def test_argparse_errors(argv, stderr, capsys, monkeypatch):
     """An argv that does not start with a subcommand name gets the full
-    parser's messages; an unrecognized option after a subcommand is reported
-    by that subcommand's parser, under its usage line."""
+    parser's messages, and one that starts with an option is told that the
+    subcommand comes first; an unrecognized option after a subcommand is
+    reported by that subcommand's parser, under its usage line."""
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -9,9 +9,9 @@ from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, hub
 from klrc.maxweights import (NotEquivalentError, _class_pass, _straighten, beta_of,
                              class_members, class_size, defect, delta_decompose, dominantify,
                              ev, minimal_solution, reflection_word)
-from reference import (class_model, defect_model, finite_part, lowered_finite_part,
-                       sigma_flip, straighten_model)
-from test_quiver import ROUTE_CASES
+from reference import (class_model, class_pass_by_compositions, defect_model, finite_part,
+                       lowered_finite_part, sigma_flip, straighten_model)
+from test_quiver import ROUTE_CASES, pool_roots
 
 
 def W(*m):
@@ -78,6 +78,29 @@ def test_class_pass_matches_the_epsilon_model():
         assert len(members) == class_size(DominantWeight(root)), root
         for m, x in members:
             assert lowered_finite_part(root, x) == finite_part(m), (root, m)
+
+
+def test_class_pass_matches_the_stars_and_bars_route():
+    """``_class_pass``, which enumerates the finite parts, against the stars-and-bars
+    route (``reference.class_pass_by_compositions``), which builds every weak
+    composition, keeps those whose ev has the root's parity and solves each:
+    the same members in the same order with the same x, on every root of the
+    quiver pool within the cap, every ROUTE_CASES class and the MODEL_ROOTS."""
+    roots = pool_roots() + [(level - parity, parity) + (0,) * (ell - 1)
+                            for parity, level, ell in ROUTE_CASES] + MODEL_ROOTS
+    assert len(set(roots)) > 250
+    for root in roots:
+        assert _class_pass(root) == class_pass_by_compositions(root), root
+
+
+def test_class_pass_at_a_deep_rank():
+    """The class of Λ0 at ell = 1,200 (601 members) against the stars-and-bars
+    route: the pass does not recurse, so its stack depth does not grow with the
+    rank."""
+    root = (1,) + (0,) * 1200
+    members = _class_pass(root)
+    assert len(members) == 601
+    assert members == class_pass_by_compositions(root)
 
 
 def test_class_members_guard_runs_before_any_member():
