@@ -386,11 +386,11 @@ CHOICES = "(choose from 'classify', 'quiver', 'maxweights', 'dims', 'fock', 'sim
     (["nope"], TOP_USAGE + f"klrc: error: argument command: invalid choice: 'nope' {CHOICES}\n"),
     (["--ell", "2", "quiver"], TOP_USAGE + "klrc: error: option --ell comes before the "
      "subcommand; the subcommand comes first: klrc COMMAND --ell ...\n"),
-    (["-"], TOP_USAGE + f"klrc: error: argument command: invalid choice: '-' {CHOICES}\n"),
     (["simples", "--ell", "3", "--weight", "2,2", "--beta", "0,0,2,1", "--bogus"],
      "usage: klrc simples [-h] --ell ELL [--max-rank MAX_RANK] [--weight WEIGHT]\n"
      "                    [--m M] --beta BETA [--format {text,json}] [--max-n MAX_N]\n"
      "klrc simples: error: unrecognized arguments: --bogus\n"),
+    (["-"], TOP_USAGE + f"klrc: error: argument command: invalid choice: '-' {CHOICES}\n"),
 ])
 def test_argparse_errors(argv, stderr, capsys, monkeypatch):
     """An argv that does not start with a subcommand name gets the full
