@@ -30,6 +30,10 @@ the package:
 * the diagram involution (``sigma_root``, ``sigma_weight``, ``sigma_flip``)
   and ``with_charges``, which the package itself never calls;
 * ``bead_masks``, the Fock step's masks one bit at a time;
+* ``stabilizer_orbit``, the orbit of a root under a parabolic subgroup W_J,
+  found breadth first by simple reflections, where ``klrc.multiplicity``
+  weights each J-dominant root by |W_J|/|W_J'| from the orders of the
+  diagram's components;
 * ``minimal_weight`` of a case instance, and ``residue_word``.
 """
 
@@ -273,6 +277,30 @@ def bead_masks(charges: Sequence[int], ell: int, n: int, i: int) -> tuple[int, i
             if p >= 1 and fold_residue(p - 1 - n + charge, ell) == i:
                 rem |= 1 << base + p
     return add, rem
+
+
+# -- orbits of a parabolic subgroup --------------------------------------
+
+
+def stabilizer_orbit(ell: int, J: Sequence[int], x: Sequence[int]) -> set[tuple[int, ...]]:
+    """The orbit of the root-lattice vector ``x`` under W_J, generated by the
+    simple reflections s_j (j in J), s_j(x) = x - <alpha_j^vee, x> alpha_j,
+    found breadth first."""
+    matrix = cartan(ell).matrix
+    orbit = {tuple(x)}
+    frontier = [tuple(x)]
+    while frontier:
+        found = []
+        for y in frontier:
+            for j in J:
+                z = list(y)
+                z[j] -= sum(a * c for a, c in zip(matrix[j], y))
+                z = tuple(z)
+                if z not in orbit:
+                    orbit.add(z)
+                    found.append(z)
+        frontier = found
+    return orbit
 
 
 # -- the class by stars and bars -----------------------------------------

@@ -11,9 +11,10 @@ from klrc.classifier import case_table
 from klrc.fock import Multipartition, expand, residue
 from klrc import multiplicity
 from klrc.maxweights import _straighten, beta_of, class_members, dominantify, reflection_word
-from klrc.multiplicity import (_mult, _root_table, finite_positive_roots, first_layer_roots,
-                               positive_roots_within, weight_multiplicity)
-from reference import add_node, evaluate, sigma_flip
+from klrc.multiplicity import (_mult, _root_table, _weyl_order, finite_positive_roots,
+                               first_layer_roots, positive_roots_within, weight_multiplicity)
+from reference import add_node, evaluate, sigma_flip, stabilizer_orbit
+from test_golden_replay import golden
 
 
 def W(*m):
@@ -155,8 +156,10 @@ def test_non_dominant_beta_reads_its_straightened_key(monkeypatch):
 
 def test_multiplicity_cache_is_bounded():
     """No cache can grow without bound in a long-lived process; the caches
-    keyed by rank alone share one bound."""
-    assert _mult.cache_info().maxsize is not None
+    keyed by rank alone share one bound.  The Freudenthal cache keeps about
+    ten entries a ``simples`` query, so 1,024 spans about a hundred queries."""
+    assert _mult.cache_info().maxsize == 1024
+    assert _weyl_order.cache_info().maxsize == 1024  # keyed by (rank, subset of I)
     for cached in (cartan, finite_positive_roots, first_layer_roots, case_table, _root_table):
         assert cached.cache_info().maxsize == RANK_CACHE_SIZE, cached.__name__
     assert RANK_CACHE_SIZE >= 15  # every rank 2..16 the command line allows by default
@@ -259,6 +262,68 @@ def test_mult_matches_value_object_route():
                     elif result.is_zero():
                         straightened["zero"] += 1
     assert straightened["none"] > 0 and straightened["zero"] > 0
+
+
+def pool_simples(ells, max_height):
+    """The distinct (m, beta) of the blocks pool's ``simples`` queries at the
+    ranks ``ells`` with beta of height at most ``max_height``."""
+    pool = golden("blocks")
+    queries = [query for slot in pool["slots"] for variant in slot["variants"]
+               for query in variant] + pool["fixed"]
+    cases = set()
+    for text, _, _ in queries:
+        words = text.split()
+        if words[0] != "simples":
+            continue
+        args = dict(zip(words[1::2], words[2::2]))
+        ell = int(args["--ell"])
+        beta = tuple(int(c) for c in args["--beta"].split(","))
+        if ell in ells and sum(beta) <= max_height:
+            charges = [int(c) for c in args["--weight"].split(",")]
+            cases.add((DominantWeight.from_charges(charges, ell).m, beta))
+    return sorted(cases)
+
+
+def test_mult_matches_value_object_route_at_the_pool_ranks():
+    """A cold tuple kernel against the value-object recursion on the blocks
+    pool's ``simples`` queries at ell 6..8, where the stabilizers W_J of the
+    orbit sum are largest: up to height 9, and up to height 10 at ell 8
+    (about 2 s; height 10 at ell 6 and 7 would add about 3 s)."""
+    cases = pool_simples({6, 7}, 9) + pool_simples({8}, 10)
+    assert len(cases) == 480
+    _mult.cache_clear()
+    nonzero = 0
+    for m, beta in cases:
+        value = _mult(m, beta)
+        assert value == reference_mult(m, beta), (m, beta)
+        nonzero += value > 0
+    assert nonzero == len(cases)  # every pool query lies in the weight system
+
+
+def test_orbit_weights_match_breadth_first_orbits():
+    """For ell 2..6 and every proper subset J of I, each root-table row whose
+    root gamma is J-dominant stands for a W_J-orbit of the size the orbit sum
+    weights it by, |W_J|/|W_J'|, and is that orbit's one J-dominant member.
+    The orbit holds -gamma exactly when supp gamma lies in J, the Delta_J
+    rows whose terms count half."""
+    rows = 0
+    for ell in range(2, 7):
+        matrix = cartan(ell).matrix
+        for jmask in range((1 << ell + 1) - 1):
+            J = [j for j in range(ell + 1) if jmask >> j & 1]
+            for gamma, _, _, neg, zero, supp in _root_table(ell):
+                pairs = [sum(a * c for a, c in zip(matrix[j], gamma)) for j in J]
+                assert (not neg & jmask) == all(p >= 0 for p in pairs)
+                if neg & jmask:
+                    continue
+                orbit = stabilizer_orbit(ell, J, gamma)
+                assert len(orbit) == _weyl_order(ell, jmask) // _weyl_order(ell, zero & jmask)
+                dominant = [x for x in orbit
+                            if all(sum(a * c for a, c in zip(matrix[j], x)) >= 0 for j in J)]
+                assert dominant == [gamma], (ell, J, gamma)
+                assert (tuple(-c for c in gamma) in orbit) == (not supp & ~jmask)
+                rows += 1
+    assert rows == 4862 + 243  # the real rows, and the imaginary row once per J
 
 
 def test_positive_roots_within_matches_value_object_route():
