@@ -36,31 +36,30 @@ def cartan(ell: int) -> "CartanDatum":
 
 
 class CartanDatum:
-    """The rank-ell affine Cartan matrix of type C together with its d-vector."""
+    """The rank-ell affine Cartan matrix of type C, stored as its band, together
+    with its d-vector."""
 
-    __slots__ = ("ell", "matrix", "_band", "d", "delta_coeffs")
+    __slots__ = ("ell", "_band", "d", "delta_coeffs")
 
     def __init__(self, ell: int):
         if ell < 2:
             raise ValueError("rank must be at least 2")
         self.ell = ell
-        rows = []
-        for i in range(ell + 1):
-            row = [0] * (ell + 1)
-            row[i] = 2
-            if i > 0:
-                row[i - 1] = -2 if i == 1 else -1
-            if i < ell:
-                row[i + 1] = -2 if i == ell - 1 else -1
-            rows.append(tuple(row))
-        self.matrix: tuple[tuple[int, ...], ...] = tuple(rows)
-        # row i's entries at columns i-1, i, i+1, with 0 past either end: A is
-        # tridiagonal, so these are all its nonzero entries
-        padded = [(0, *row, 0) for row in rows]
-        self._band: tuple[tuple[int, int, int], ...] = tuple(
-            (row[i], row[i + 1], row[i + 2]) for i, row in enumerate(padded))
+        # row i's entries a_{i,i-1}, a_{ii}, a_{i,i+1}, with 0 past either end:
+        # A is tridiagonal, so these are all its nonzero entries
+        self._band: tuple[tuple[int, int, int], ...] = tuple([
+            (0 if i == 0 else -2 if i == 1 else -1, 2,
+             0 if i == ell else -2 if i == ell - 1 else -1) for i in range(ell + 1)])
         self.d: tuple[int, ...] = (2,) + (1,) * (ell - 1) + (2,)
         self.delta_coeffs: tuple[int, ...] = (1,) + (2,) * (ell - 1) + (1,)
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix A, built from the band on each read: a_ij is entry
+        j - i + 1 of row i's band when |i - j| <= 1, and 0 otherwise."""
+        band, n = self._band, range(self.ell + 1)
+        return tuple([tuple([band[i][j - i + 1] if abs(i - j) <= 1 else 0 for j in n])
+                      for i in n])
 
     def apply_matrix(self, x: Sequence[int]) -> tuple[int, ...]:
         """The product A . x as a coefficient vector, from the band of A."""

@@ -194,6 +194,7 @@ def _straighten(m: tuple[int, ...],
     reflecting at i adds h_i to x_i, which subtracts h_i times column i of A
     from h.  That changes only h_{i-1}, h_i and h_{i+1}, and every entry before
     i was nonnegative, so the next scan for a negative entry starts at i - 1.
+    Column i's entry a_{ji} is entry i - j + 1 of row j's band.
     """
     if len(m) != len(coeffs):
         raise ValueError("rank mismatch")
@@ -201,7 +202,7 @@ def _straighten(m: tuple[int, ...],
         raise ValueError("level must be at least 1")
     x = list(coeffs)
     datum = cartan(len(m) - 1)
-    matrix = datum.matrix
+    band = datum._band
     h = list(map(sub, m, datum.apply_matrix(x)))
     word: list[int] = []
     bound = 8 * (sum(m) + sum(map(abs, x)) + 2) ** 2
@@ -216,7 +217,7 @@ def _straighten(m: tuple[int, ...],
         if x[i] < 0:
             return None, word
         for j in range(max(i - 1, 0), min(i + 2, len(h))):  # A is tridiagonal
-            h[j] -= matrix[j][i] * step
+            h[j] -= band[j][i - j + 1] * step
     raise AssertionError("straightening failed to terminate within bound")
 
 

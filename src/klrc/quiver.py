@@ -3,9 +3,13 @@
 Vertices are the class members with their minimal solution vectors.  A move
 takes one fundamental multiplicity off each of its indices (one or two) and
 puts it back the step ``STEPS`` lists for that index; an arrow is a move that
-raises the solution vector by one of five explicit root-lattice increments.
-Arrows always point toward the larger vector, the fixed root has in-degree
-zero, and every vertex is reachable from it by a directed path.
+raises the solution vector by the move's increment d, the minimal solution of
+A.d = -Δm for the move's change Δm to the multiplicities
+(``maxweights._solve``, the rule that gives every vertex its vector).  These
+increments are the first-layer roots, the positive real roots not exceeding
+the null root, one move per root.  Arrows always point toward the larger
+vector, the fixed root has in-degree zero, and every vertex is reachable from
+it by a directed path.
 
 Each move is stored once in a per-rank move table (``_move_table``), keyed
 by its label, with its increment d, witness, rendered label, its change Δm to
@@ -49,13 +53,13 @@ m, that is the order of target indices, and moves with equal Δm share their
 target.  So the arrows appended to a source's bucket move by move come in
 (target, label) order, and the buckets joined in source order are the rows.
 
-``candidate_moves`` and ``arrow_test`` stay because the benchmark's tracer
-(``bench/tracing.py``) and the tests bind them.  ``_below_masks``, which the
-tracer does not bind, computes ``arrow_test``'s two masks, and the tests call
-it too.
+``candidate_moves``, ``arrow_test`` and ``delta_vector`` stay because the
+benchmark's tracer (``bench/tracing.py``) and the tests bind them.
+``_below_masks``, which the tracer does not bind, computes ``arrow_test``'s
+two masks, and the tests call it too.
 ``tests/reference.py`` keeps the per-source builder, with its own list of the
-moves a weight can take, and the value-object route that decides an arrow by
-raising the solution vector.
+moves a weight can take, the value-object route that decides an arrow by
+raising the solution vector, and the increments in closed form.
 """
 
 from __future__ import annotations
@@ -64,11 +68,11 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, product
-from operator import add, and_, lshift
+from operator import add, and_, lshift, neg
 from typing import Iterable, Iterator, NamedTuple
 
 from .cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, cartan, root_text, weight_text
-from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_pass
+from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_pass, _solve
 
 KIND_UP = "+"              # one index raised by 2
 KIND_DOWN = "-"            # one index lowered by 2
@@ -114,22 +118,11 @@ class MoveLabel:
 
 
 def delta_vector(label: MoveLabel, ell: int) -> RootVector:
-    """The root-lattice increment attached to a move."""
+    """The root-lattice increment attached to a move: the minimal solution d of
+    A.d = -Δm, read off the move table.  These increments are the first-layer
+    roots, one move per root."""
     label.validate(ell)
-    i, j = label.i, label.j
-    if label.kind == KIND_UP:
-        coeffs = (1,) + (2,) * i + (1,) + (0,) * (ell - i - 1)
-    elif label.kind == KIND_DOWN:
-        coeffs = (0,) * (i - 1) + (1,) + (2,) * (ell - i) + (1,)
-    elif label.kind == KIND_UP_UP:
-        coeffs = (1,) + (2,) * i + (1,) * (j - i) + (0,) * (ell - j)
-    elif label.kind == KIND_DOWN_DOWN:
-        coeffs = (0,) * i + (1,) * (j - i) + (2,) * (ell - j) + (1,)
-    elif i <= j:
-        coeffs = (0,) * i + (1,) * (j - i + 1) + (0,) * (ell - j)
-    else:
-        coeffs = (1,) + (2,) * j + (1,) * (i - j - 1) + (2,) * (ell - i) + (1,)
-    return RootVector(coeffs)
+    return _move_table(ell)[label].delta
 
 
 def candidate_moves(weight: DominantWeight) -> list[MoveLabel]:
@@ -169,13 +162,13 @@ def _move_table(ell: int) -> dict[MoveLabel, _Move]:
                 label.validate(ell)
             except ValueError:
                 continue
-            delta = delta_vector(label, ell)
-            # the two-mask arrow test is exact only for increments in {0, 1, 2}
-            assert set(delta.coeffs) <= {0, 1, 2}, label
             shift = [0] * (ell + 1)
             for n, step in zip(index, steps):
                 shift[n] -= 1
                 shift[n + step] += 1
+            delta = RootVector(_solve(tuple(map(neg, shift)), ell))
+            # the two-mask arrow test is exact only for increments in {0, 1, 2}
+            assert set(delta.coeffs) <= {0, 1, 2}, label
             moves.append(_Move(
                 label, delta, witness_sequence(label, ell), str(label), tuple(shift),
                 sum(1 << n for n, d in enumerate(delta.coeffs) if d == 0),

@@ -11,7 +11,10 @@ the package:
   their degrees, the filling-by-filling route to the graded dimensions;
 * the value-object arrow test of the quiver (``apply_move``, ``_shift``,
   ``_raised``, ``arrow_test``), which decides an arrow by raising the
-  solution vector instead of by the two bitmasks of ``klrc.quiver``;
+  solution vector instead of by the two bitmasks of ``klrc.quiver``, and
+  raises it by the closed-form increments (``delta_closed_form``), six
+  branches by the move's kind, where ``klrc.quiver`` solves A.d = -Δm with
+  ``klrc.maxweights._solve``;
 * the per-source quiver builder (``build_quiver``), which lists each
   source's moves from the validity rules of each kind (``_candidate_keys``),
   runs the two-mask test once per move and sorts each source's arrows, where
@@ -51,7 +54,7 @@ from klrc.laurent import LaurentPolynomial, _wrap
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_pass, _class_size,
                              _solve)
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, STEPS,
-                         MaxWeightQuiver, MoveLabel, _below_masks, _move_table, delta_vector)
+                         MaxWeightQuiver, MoveLabel, _below_masks, _move_table)
 
 # -- Laurent polynomials -------------------------------------------------
 
@@ -169,6 +172,25 @@ def degree(charges: Sequence[int], tableau: StdTableau, ell: int) -> int:
 # -- the value-object arrow test -----------------------------------------
 
 
+def delta_closed_form(label: MoveLabel, ell: int) -> RootVector:
+    """The root-lattice increment attached to a move."""
+    label.validate(ell)
+    i, j = label.i, label.j
+    if label.kind == KIND_UP:
+        coeffs = (1,) + (2,) * i + (1,) + (0,) * (ell - i - 1)
+    elif label.kind == KIND_DOWN:
+        coeffs = (0,) * (i - 1) + (1,) + (2,) * (ell - i) + (1,)
+    elif label.kind == KIND_UP_UP:
+        coeffs = (1,) + (2,) * i + (1,) * (j - i) + (0,) * (ell - j)
+    elif label.kind == KIND_DOWN_DOWN:
+        coeffs = (0,) * i + (1,) * (j - i) + (2,) * (ell - j) + (1,)
+    elif i <= j:
+        coeffs = (0,) * i + (1,) * (j - i + 1) + (0,) * (ell - j)
+    else:
+        coeffs = (1,) + (2,) * j + (1,) * (i - j - 1) + (2,) * (ell - i) + (1,)
+    return RootVector(coeffs)
+
+
 def _shift(m: tuple[int, ...], label: MoveLabel) -> tuple[int, ...] | None:
     """The multiplicities ``m`` re-indexed by the move, or None when ``m`` lacks
     the multiplicity the move removes.  The label is not validated."""
@@ -208,7 +230,7 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
     """
     ell = source.weight.ell
     target_weight = apply_move(source.weight, label)
-    x = _raised(source.x.coeffs, delta_vector(label, ell).coeffs, cartan(ell).delta_coeffs)
+    x = _raised(source.x.coeffs, delta_closed_form(label, ell).coeffs, cartan(ell).delta_coeffs)
     if x is None:
         return None
     return MaximalWeightDatum(target_weight, RootVector(x))

@@ -24,8 +24,9 @@ def test_null_root_and_row_sums(ell):
     assert datum.apply_matrix(datum.delta_coeffs) == (0,) * (ell + 1)
     ones = (1,) * (ell + 1)
     # (1,...,1) . A = 0 columnwise
+    matrix = datum.matrix
     for j in range(ell + 1):
-        assert sum(datum.matrix[i][j] for i in range(ell + 1)) == 0
+        assert sum(matrix[i][j] for i in range(ell + 1)) == 0
     del ones
 
 
@@ -33,12 +34,39 @@ def test_apply_matrix_matches_dense_row_product():
     rng = random.Random(8)
     for ell in range(2, 17):
         datum = cartan(ell)
+        matrix = datum.matrix
         for _ in range(20):
             x = [rng.randint(-50, 50) for _ in range(ell + 1)]
-            dense = tuple(sum(a * v for a, v in zip(row, x)) for row in datum.matrix)
+            dense = tuple(sum(a * v for a, v in zip(row, x)) for row in matrix)
             assert datum.apply_matrix(x) == dense, (ell, x)
         with pytest.raises(ValueError):
             datum.apply_matrix(x[:-1])
+
+
+def test_only_the_band_is_stored():
+    """A CartanDatum keeps the three band entries of each row, not the dense
+    matrix: building rank 3000 peaks below 1 MiB.  ``matrix``, built from the
+    band, has a_ii = 2, a_{i,i+-1} = -1 except a_10 = a_{ell-1,ell} = -2, and
+    zeros off the tridiagonal."""
+    tracemalloc.start()
+    try:
+        CartanDatum(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    for ell in range(2, 13):
+        datum = cartan(ell)
+        expected = [[0] * (ell + 1) for _ in range(ell + 1)]
+        for i in range(ell + 1):
+            expected[i][i] = 2
+            if i > 0:
+                expected[i][i - 1] = -2 if i == 1 else -1
+            if i < ell:
+                expected[i][i + 1] = -2 if i == ell - 1 else -1
+        assert datum.matrix == tuple(map(tuple, expected)), ell
+        with pytest.raises(AttributeError):
+            datum.matrix = datum.matrix
 
 
 @pytest.mark.parametrize("ell", range(2, 7))

@@ -174,12 +174,12 @@ def reference_straighten(weight, beta):
     if weight.level < 1:
         raise ValueError("level must be at least 1")
     coeffs = list(beta.coeffs)
-    datum = cartan(weight.ell)
+    matrix = cartan(weight.ell).matrix
     word = []
     bound = 8 * (weight.level + sum(abs(c) for c in coeffs) + 2) ** 2
     for _ in range(bound):
         h = [mi - sum(row[j] * coeffs[j] for j in range(len(coeffs)))
-             for mi, row in zip(weight.m, datum.matrix)]
+             for mi, row in zip(weight.m, matrix)]
         i = next((j for j, v in enumerate(h) if v < 0), None)
         if i is None:
             return RootVector(tuple(coeffs)), word

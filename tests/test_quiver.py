@@ -76,7 +76,8 @@ def in_range_labels(ell):
 
 def test_delta_vectors_are_minimal_solutions():
     """Each closed-form increment is the minimal solution for the hub change
-    of its move: +1 at each index the move leaves, -1 at each target."""
+    of its move, +1 at each index the move leaves and -1 at each target, and
+    the increment the move table stores."""
     checked = 0
     for ell in range(2, 11):
         for label in in_range_labels(ell):
@@ -84,9 +85,20 @@ def test_delta_vectors_are_minimal_solutions():
             for n, step in zip(label.index, STEPS[label.kind]):
                 y[n] += 1
                 y[n + step] -= 1
-            assert delta_vector(label, ell) == minimal_solution(tuple(y), ell), (label, ell)
+            closed = reference.delta_closed_form(label, ell)
+            assert closed == minimal_solution(tuple(y), ell), (label, ell)
+            assert closed == delta_vector(label, ell), (label, ell)
             checked += 1
     assert checked == 768
+
+
+def test_move_increments_are_the_first_layer_roots():
+    """The move table's increments are the first-layer roots, one move per
+    root: 2 ell^2 of each."""
+    for ell in range(2, 17):
+        increments = [move.delta for move in _move_table(ell).values()]
+        assert len(increments) == len(set(increments)) == 2 * ell * ell
+        assert set(increments) == set(first_layer_roots(ell)), ell
 
 
 def test_delta_vector_range_errors():
@@ -220,12 +232,16 @@ def test_witness_sequences():
     assert witness_sequence(upup(0, 0), 4) == (0,)
     assert witness_sequence(up(2), 4) == (2, 1, 0, 1, 3, 2)
     assert witness_sequence(down(2), 4) == (2, 3, 4, 3, 1, 2)
-    for label in (up(1), down(3), upup(1, 3), downdown(1, 3), downup(3, 0), downup(1, 1)):
-        word = witness_sequence(label, 4)
-        counts = [0] * 5
-        for i in word:
-            counts[i] += 1
-        assert tuple(counts) == delta_vector(label, 4).coeffs
+    # the letters of each witness count its increment
+    checked = 0
+    for ell in range(2, 13):
+        for label in _move_table(ell):
+            counts = [0] * (ell + 1)
+            for i in witness_sequence(label, ell):
+                counts[i] += 1
+            assert tuple(counts) == delta_vector(label, ell).coeffs, (label, ell)
+            checked += 1
+    assert checked == 1298
 
 
 def all_weights(k, ell):
