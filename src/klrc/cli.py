@@ -3,15 +3,21 @@
 Subcommands: classify, quiver, maxweights, dims, fock, simples, defect.
 Data goes to stdout, diagnostics to stderr; exit status is 0 on success,
 2 on a validation error and 3 when a size guard is exceeded.
+
+Each subcommand's options are declared once, in ``COMMANDS``.  A query of
+exact ``--name value`` pairs is read straight from that table; argparse,
+built from the same table, reads every other argv and writes all usage,
+help and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from functools import lru_cache
+from types import SimpleNamespace
 
 from .cartan import (DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, root_text,
                      weight_text)
@@ -28,9 +34,12 @@ EXIT_GUARD = 3
 
 
 def _parse_weight(args) -> DominantWeight:
-    """The weight of --m or --weight.  Only the rank is capped here: a weight
-    stores its multiplicities alone, so a level of millions costs a few bytes,
-    and each level-dependent cap is raised by the library call it guards."""
+    """The weight of --m or --weight, not both.  Only the rank is capped here:
+    a weight stores its multiplicities alone, so a level of millions costs a
+    few bytes, and each level-dependent cap is raised by the library call it
+    guards."""
+    if args.weight is not None and args.m is not None:
+        raise ValueError("give --weight or --m, not both")
     ell = args.ell
     if ell < 2:
         raise ValueError("--ell must be at least 2")
@@ -143,83 +152,134 @@ def _cmd_defect(args) -> str:
     return str(value)
 
 
-def _add_common(sub, *, beta=False, fmt=("text", "json")) -> None:
-    sub.add_argument("--ell", type=int, required=True, help="rank, at least 2")
-    sub.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
-    sub.add_argument("--weight", help="fundamental indices with repetition, e.g. 0,0,2")
-    sub.add_argument("--m", help="multiplicity vector alternative, e.g. 2,0,1")
-    if beta:
-        sub.add_argument("--beta", required=True,
-                         help="root coefficients x0,x1,...,xl")
-    sub.add_argument("--format", choices=fmt, default=fmt[0])
+# One option of a subcommand.  ``type`` is int or None (the text as given).
+Option = namedtuple("Option", "flag dest type default required choices help")
+# A subcommand: its line in the top-level help, its handler and its options,
+# in help order.
+Command = namedtuple("Command", "help func options")
+
+
+def _option(flag, type=None, default=None, *, required=False, choices=None,
+            help=None) -> Option:
+    return Option(flag, flag[2:].replace("-", "_"), type, default, required, choices, help)
+
+
+def _options(*extra, beta=False, fmt=("text", "json")) -> tuple[Option, ...]:
+    """The options every subcommand shares, then ``extra``."""
+    return (
+        _option("--ell", int, required=True, help="rank, at least 2"),
+        _option("--max-rank", int, DEFAULT_MAX_RANK),
+        _option("--weight", help="fundamental indices with repetition, e.g. 0,0,2"),
+        _option("--m", help="multiplicity vector alternative, e.g. 2,0,1"),
+        *((_option("--beta", required=True, help="root coefficients x0,x1,...,xl"),)
+          if beta else ()),
+        _option("--format", default=fmt[0], choices=fmt),
+        *extra,
+    )
+
+
+# Every subcommand's options, declared once: build_parser and _read_args both
+# read this table.
+COMMANDS = {
+    "classify": Command("representation type of a block", _cmd_classify, _options(
+        _option("--char", int, 0, help="field characteristic (0 or a prime below 2^32)"),
+        beta=True)),
+    "quiver": Command("directed quiver on the dominant maximal weights", _cmd_quiver, _options(
+        _option("--max-vertices", int, DEFAULT_MAX_VERTICES),
+        fmt=("text", "dot", "json", "tsv"))),
+    "maxweights": Command("class members with minimal solution vectors", _cmd_maxweights,
+                          _options()),
+    "dims": Command("graded dimension of an idempotent truncation", _cmd_dims, _options(
+        _option("--nu", required=True, help="residue sequence, e.g. 0-1-2-1"),
+        _option("--nu2", help="second residue sequence (defaults to --nu)"),
+        _option("--max-n", int, DEFAULT_MAX_BOXES),
+        beta=True)),
+    "fock": Command("expand a divided-power word at the vacuum", _cmd_fock, _options(
+        _option("--word", required=True,
+                help="factors i^r,...; the leftmost factor acts last, e.g. 0,1^2,0"),
+        _option("--max-n", int, DEFAULT_MAX_BOXES))),
+    "simples": Command("number of simple modules of a block", _cmd_simples, _options(
+        _option("--max-n", int, DEFAULT_MAX_HEIGHT),
+        beta=True)),
+    "defect": Command("defect of a block", _cmd_defect, _options(beta=True)),
+}
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give a subcommand followed by exact
+    ``--name value`` pairs: each flag declared and given once, every required
+    one present, every value free of a leading ``-``, convertible and among
+    the choices.  None for any other argv, which argparse then reads."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) != len(argv) - 1:  # a flag without its value, or given twice
+        return None
+    values = {}
+    for option in command.options:
+        text = given.pop(option.flag, None)
+        if text is None:
+            if option.required:
+                return None
+            values[option.dest] = option.default
+            continue
+        if text.startswith("-"):
+            return None
+        try:
+            value = int(text) if option.type is int else text
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if given:  # an undeclared flag, or a value where a flag belongs
+        return None
+    return SimpleNamespace(**values, func=command.func)
 
 
 @lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every later
-    call.  Its ``subcommands`` maps each subcommand name to that subcommand's
-    own parser."""
+def build_parser():
+    """The argparse parser, built from ``COMMANDS`` on first use and shared by
+    every later call.  Its ``subcommands`` maps each subcommand name to that
+    subcommand's own parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="klrc",
         description="Exact computations for cyclotomic KLR algebras in affine type C.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("classify", help="representation type of a block")
-    _add_common(p, beta=True)
-    p.add_argument("--char", type=int, default=0,
-                   help="field characteristic (0 or a prime below 2^32)")
-    p.set_defaults(func=_cmd_classify)
-
-    p = subs.add_parser("quiver", help="directed quiver on the dominant maximal weights")
-    _add_common(p, fmt=("text", "dot", "json", "tsv"))
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    p.set_defaults(func=_cmd_quiver)
-
-    p = subs.add_parser("maxweights", help="class members with minimal solution vectors")
-    _add_common(p)
-    p.set_defaults(func=_cmd_maxweights)
-
-    p = subs.add_parser("dims", help="graded dimension of an idempotent truncation")
-    _add_common(p, beta=True)
-    p.add_argument("--nu", required=True, help="residue sequence, e.g. 0-1-2-1")
-    p.add_argument("--nu2", help="second residue sequence (defaults to --nu)")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_BOXES)
-    p.set_defaults(func=_cmd_dims)
-
-    p = subs.add_parser("fock", help="expand a divided-power word at the vacuum")
-    _add_common(p)
-    p.add_argument("--word", required=True,
-                   help="factors i^r,...; the leftmost factor acts last, e.g. 0,1^2,0")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_BOXES)
-    p.set_defaults(func=_cmd_fock)
-
-    p = subs.add_parser("simples", help="number of simple modules of a block")
-    _add_common(p, beta=True)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_HEIGHT)
-    p.set_defaults(func=_cmd_simples)
-
-    p = subs.add_parser("defect", help="defect of a block")
-    _add_common(p, beta=True)
-    p.set_defaults(func=_cmd_defect)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for option in command.options:
+            sub.add_argument(option.flag, dest=option.dest, type=option.type,
+                             default=option.default, required=option.required,
+                             choices=option.choices, help=option.help)
+        sub.set_defaults(func=command.func)
     parser.subcommands = subs.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one query.  An argv that starts with a subcommand name is parsed by
-    that subcommand's parser alone, in one argparse pass; an option other than
+    """Run one query.  An argv of a subcommand and exact ``--name value``
+    pairs is read from ``COMMANDS`` without argparse.  Any other argv (help,
+    ``--name=value``, an abbreviated, repeated, missing or unknown option, a
+    bad value) goes to argparse, which writes every usage, help and error
+    message: one that starts with a subcommand name is parsed by that
+    subcommand's parser alone, in one argparse pass; an option other than
     ``-h``/``--help`` first is an error that names it (argparse would name its
     value as the unknown subcommand); anything else (no argument, ``-h`` or an
     unknown name) goes to the full parser for its usage and error messages."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    if argv and argv[0].startswith("-") and argv[0] not in ("-", "-h", "--help"):
-        parser.error(f"option {argv[0]} comes before the subcommand; "
-                     f"the subcommand comes first: klrc COMMAND {argv[0]} ...")
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
+    args = _read_args(argv)
+    if args is None:
+        parser = build_parser()
+        if argv and argv[0].startswith("-") and argv[0] not in ("-", "-h", "--help"):
+            parser.error(f"option {argv[0]} comes before the subcommand; "
+                         f"the subcommand comes first: klrc COMMAND {argv[0]} ...")
+        sub = parser.subcommands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
     try:
         output = args.func(args)
     except GuardError as exc:

@@ -240,7 +240,6 @@ def test_guards_run_before_the_work(argv, message, capsys):
 def guarded_run(argv, message, capsys, status=3):
     """Run argv under tracemalloc with a peak under 1 MiB: it must exit 3 with
     ``message`` on stderr, or, with ``status`` 0, print ``message``."""
-    cli.build_parser()
     tracemalloc.start()
     try:
         code, out, err = run(argv, capsys)
@@ -349,32 +348,125 @@ def test_parser_defaults_are_the_library_caps(argv, dest, default):
     assert getattr(cli.build_parser().parse_args(argv), dest) == default
 
 
+def pool_queries(*workloads):
+    return [text.split() for workload in workloads for text, _, _ in replayed_queries(workload)]
+
+
 def test_subcommand_parser_parses_like_the_full_parser():
     """Every first-variant and fixed query of the four benchmark pools gets
     the same namespace from its subcommand's own parser as from the full
-    parser, apart from the full parser's ``command``."""
+    parser, apart from the full parser's ``command``, and the same again from
+    the option table's reader."""
     parser = cli.build_parser()
-    queries = [text.split() for workload in ("quiver", "dims", "fock", "blocks")
-               for text, _, _ in replayed_queries(workload)]
-    assert {argv[0] for argv in queries} == set(parser.subcommands)
+    queries = pool_queries("quiver", "dims", "fock", "blocks")
+    assert {argv[0] for argv in queries} == set(parser.subcommands) == set(cli.COMMANDS)
     for argv in queries:
         full = vars(parser.parse_args(argv))
         assert full.pop("command") == argv[0]
         assert vars(parser.subcommands[argv[0]].parse_args(argv[1:])) == full, argv
+        assert vars(cli._read_args(argv)) == full, argv
 
 
-def test_a_subcommand_query_runs_one_argparse_pass(capsys, monkeypatch):
-    calls = []
+def test_a_pool_query_runs_no_argparse_pass(capsys, monkeypatch):
+    """A query of exact ``--name value`` pairs builds no parser and runs no
+    argparse pass; the same query with ``--ell=3`` runs one pass, of its
+    subcommand's parser."""
+    passes, builds = [], []
     parse_known_args = argparse.ArgumentParser.parse_known_args
+    build_parser = cli.build_parser
 
     def counted(self, *args, **kwargs):
-        calls.append(self.prog)
+        passes.append(self.prog)
         return parse_known_args(self, *args, **kwargs)
 
+    def built():
+        builds.append(None)
+        return build_parser()
+
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    code, out, _ = run(["simples", "--ell", "3", "--weight", "2,2", "--beta", "0,0,2,1"], capsys)
+    monkeypatch.setattr(cli, "build_parser", built)
+    for argv in pool_queries("blocks"):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert (passes, builds) == ([], [])
+    code, out, _ = run(["simples", "--ell=3", "--weight", "2,2", "--beta", "0,0,2,1"], capsys)
     assert (code, out) == (0, "2\n")
-    assert calls == ["klrc simples"]
+    assert passes == ["klrc simples"]
+
+
+# a value that int() reads, one it does not, a bad choice, or one argparse
+# takes for an option
+NEAR_VALUE = st.one_of(st.sampled_from(["x", "", "1.5", " 3", "+3", "3_0", "\u0663", "0x1",
+                                        "yaml", "TEXT", "json"]),
+                       st.sampled_from(["-3", "-1,2", "--", "-h", "--help", "--ell", "-x"]),
+                       st.text(max_size=3))
+# a flag that is undeclared, declared for another subcommand, or an option
+# argparse reads specially
+NEAR_FLAG = st.sampled_from(["--bogus", "--char", "--max-n", "--max-vertices", "--nu2",
+                             "--word", "--format", "--", "-h", "--help", "-", "--weight",
+                             "--m"])
+
+
+NEAR_MISS_POOL = pool_queries("dims", "fock", "blocks") + [
+    ["quiver", "--ell", "4", "--weight", "2,2", "--format", "dot"],
+    ["maxweights", "--ell", "3", "--m", "1,0,0,1", "--format", "json"]]
+
+
+@st.composite
+def near_miss_argv(draw):
+    """A pool query with one or two edits, each of which argparse may or
+    may not accept: ``--name=value``, an abbreviated flag, a dropped or
+    repeated option, a dropped value, a near-miss value, a --format choice,
+    or an inserted flag or pair."""
+    argv = list(draw(st.sampled_from(NEAR_MISS_POOL)))
+    for _ in range(draw(st.integers(1, 2))):
+        pairs = len(argv) // 2
+        i = 2 * draw(st.integers(0, pairs - 1)) + 1 if pairs else 1
+        edit = draw(st.sampled_from(["equals", "abbreviate", "drop", "repeat", "drop value",
+                                     "value", "format", "insert", "insert pair"]))
+        if pairs and i + 1 < len(argv) and edit == "equals":
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif pairs and len(argv[i]) > 3 and edit == "abbreviate":
+            argv[i] = argv[i][:draw(st.integers(3, len(argv[i]) - 1))]
+        elif pairs and edit == "drop":
+            del argv[i:i + 2]
+        elif pairs and edit == "repeat":  # before the first, which argparse also reads
+            argv[1:1] = [argv[i], draw(st.one_of(st.just(argv[min(i + 1, len(argv) - 1)]),
+                                                 NEAR_VALUE))]
+        elif pairs and i + 1 < len(argv) and edit == "drop value":
+            del argv[i + 1]
+        elif pairs and i + 1 < len(argv) and edit == "value":
+            argv[i + 1] = draw(NEAR_VALUE)
+        elif edit == "format":  # a choice of another subcommand, or none
+            argv += ["--format", draw(st.sampled_from(["text", "json", "dot", "tsv", "yaml",
+                                                       "Text"]))]
+        elif edit == "insert":
+            argv.insert(draw(st.integers(1, len(argv))), draw(NEAR_FLAG))
+        else:
+            argv[i:i] = [draw(NEAR_FLAG), draw(NEAR_VALUE)]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(near_miss_argv())
+def test_reader_reads_like_argparse_or_not_at_all(argv):
+    """On a near-miss argv the option table's reader gives nothing, or
+    exactly the namespace of the subcommand's own parser."""
+    expected = None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.suppress(SystemExit):
+            expected = vars(cli.build_parser().subcommands[argv[0]].parse_args(argv[1:]))
+    read = cli._read_args(argv)
+    assert read is None or vars(read) == expected, argv
+
+
+@pytest.mark.parametrize("ell", [["--ell", "3"], ["--ell=3"]])
+def test_weight_and_m_together_are_refused(ell, capsys):
+    """--weight and --m both name the weight: giving both is an error, read
+    by the option table's reader or by argparse."""
+    code, out, err = run(["simples", *ell, "--weight", "2,2", "--m", "1,0,0,0",
+                          "--beta", "0,0,2,1"], capsys)
+    assert (code, out, err) == (2, "", "error: give --weight or --m, not both\n")
 
 
 TOP_USAGE = "usage: klrc [-h] {classify,quiver,maxweights,dims,fock,simples,defect} ...\n"
@@ -402,6 +494,130 @@ def test_argparse_errors(argv, stderr, capsys, monkeypatch):
         main(argv)
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out, captured.err) == (2, "", stderr)
+
+
+# `klrc --help` and `klrc <subcommand> --help` at COLUMNS=80
+HELP = {
+    "": (
+        "usage: klrc [-h] {classify,quiver,maxweights,dims,fock,simples,defect} ...\n"
+        "\n"
+        "Exact computations for cyclotomic KLR algebras in affine type C.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {classify,quiver,maxweights,dims,fock,simples,defect}\n"
+        "    classify            representation type of a block\n"
+        "    quiver              directed quiver on the dominant maximal weights\n"
+        "    maxweights          class members with minimal solution vectors\n"
+        "    dims                graded dimension of an idempotent truncation\n"
+        "    fock                expand a divided-power word at the vacuum\n"
+        "    simples             number of simple modules of a block\n"
+        "    defect              defect of a block\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"),
+    "classify": (
+        "usage: klrc classify [-h] --ell ELL [--max-rank MAX_RANK] [--weight WEIGHT]\n"
+        "                     [--m M] --beta BETA [--format {text,json}] [--char CHAR]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --ell ELL             rank, at least 2\n"
+        "  --max-rank MAX_RANK\n"
+        "  --weight WEIGHT       fundamental indices with repetition, e.g. 0,0,2\n"
+        "  --m M                 multiplicity vector alternative, e.g. 2,0,1\n"
+        "  --beta BETA           root coefficients x0,x1,...,xl\n"
+        "  --format {text,json}\n"
+        "  --char CHAR           field characteristic (0 or a prime below 2^32)\n"),
+    "quiver": (
+        "usage: klrc quiver [-h] --ell ELL [--max-rank MAX_RANK] [--weight WEIGHT]\n"
+        "                   [--m M] [--format {text,dot,json,tsv}]\n"
+        "                   [--max-vertices MAX_VERTICES]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --ell ELL             rank, at least 2\n"
+        "  --max-rank MAX_RANK\n"
+        "  --weight WEIGHT       fundamental indices with repetition, e.g. 0,0,2\n"
+        "  --m M                 multiplicity vector alternative, e.g. 2,0,1\n"
+        "  --format {text,dot,json,tsv}\n"
+        "  --max-vertices MAX_VERTICES\n"),
+    "maxweights": (
+        "usage: klrc maxweights [-h] --ell ELL [--max-rank MAX_RANK] [--weight WEIGHT]\n"
+        "                       [--m M] [--format {text,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --ell ELL             rank, at least 2\n"
+        "  --max-rank MAX_RANK\n"
+        "  --weight WEIGHT       fundamental indices with repetition, e.g. 0,0,2\n"
+        "  --m M                 multiplicity vector alternative, e.g. 2,0,1\n"
+        "  --format {text,json}\n"),
+    "dims": (
+        "usage: klrc dims [-h] --ell ELL [--max-rank MAX_RANK] [--weight WEIGHT]\n"
+        "                 [--m M] --beta BETA [--format {text,json}] --nu NU\n"
+        "                 [--nu2 NU2] [--max-n MAX_N]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --ell ELL             rank, at least 2\n"
+        "  --max-rank MAX_RANK\n"
+        "  --weight WEIGHT       fundamental indices with repetition, e.g. 0,0,2\n"
+        "  --m M                 multiplicity vector alternative, e.g. 2,0,1\n"
+        "  --beta BETA           root coefficients x0,x1,...,xl\n"
+        "  --format {text,json}\n"
+        "  --nu NU               residue sequence, e.g. 0-1-2-1\n"
+        "  --nu2 NU2             second residue sequence (defaults to --nu)\n"
+        "  --max-n MAX_N\n"),
+    "fock": (
+        "usage: klrc fock [-h] --ell ELL [--max-rank MAX_RANK] [--weight WEIGHT]\n"
+        "                 [--m M] [--format {text,json}] --word WORD [--max-n MAX_N]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --ell ELL             rank, at least 2\n"
+        "  --max-rank MAX_RANK\n"
+        "  --weight WEIGHT       fundamental indices with repetition, e.g. 0,0,2\n"
+        "  --m M                 multiplicity vector alternative, e.g. 2,0,1\n"
+        "  --format {text,json}\n"
+        "  --word WORD           factors i^r,...; the leftmost factor acts last, e.g.\n"
+        "                        0,1^2,0\n"
+        "  --max-n MAX_N\n"),
+    "simples": (
+        "usage: klrc simples [-h] --ell ELL [--max-rank MAX_RANK] [--weight WEIGHT]\n"
+        "                    [--m M] --beta BETA [--format {text,json}] [--max-n MAX_N]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --ell ELL             rank, at least 2\n"
+        "  --max-rank MAX_RANK\n"
+        "  --weight WEIGHT       fundamental indices with repetition, e.g. 0,0,2\n"
+        "  --m M                 multiplicity vector alternative, e.g. 2,0,1\n"
+        "  --beta BETA           root coefficients x0,x1,...,xl\n"
+        "  --format {text,json}\n"
+        "  --max-n MAX_N\n"),
+    "defect": (
+        "usage: klrc defect [-h] --ell ELL [--max-rank MAX_RANK] [--weight WEIGHT]\n"
+        "                   [--m M] --beta BETA [--format {text,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --ell ELL             rank, at least 2\n"
+        "  --max-rank MAX_RANK\n"
+        "  --weight WEIGHT       fundamental indices with repetition, e.g. 0,0,2\n"
+        "  --m M                 multiplicity vector alternative, e.g. 2,0,1\n"
+        "  --beta BETA           root coefficients x0,x1,...,xl\n"
+        "  --format {text,json}\n"),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_text(command, capsys, monkeypatch):
+    """``--help`` prints the top-level or the subcommand's help, exit 0."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (0, HELP[command], "")
 
 
 def test_closed_stdout_ends_in_exit_zero():
