@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from .fock import DEFAULT_MAX_BOXES, expand, hom_dim, parse_word
 from .laurent import polynomial_text
 from .maxweights import DEFAULT_MAX_VERTICES, _class_pass, _defect, defect
 from .multiplicity import DEFAULT_MAX_HEIGHT, weight_multiplicity
-from .quiver import arrow_rows, build_quiver, export
+from .quiver import FORMATS, build_quiver, render
 from .tableaux import graded_hom_dim
 
 EXIT_VALIDATION = 2
@@ -81,15 +82,11 @@ def _cmd_classify(args) -> str:
     return str(verdict)
 
 
-def _cmd_quiver(args) -> str:
-    weight = _parse_weight(args)
-    quiver = build_quiver(weight, max_vertices=args.max_vertices)
-    if args.format == "text":
-        lines = [f"root {weight}  vertices {len(quiver.ms)}  arrows {len(quiver.rows)}"]
-        lines.extend([f"{source} -> {target}  {label}  {delta}"
-                      for source, target, label, delta in arrow_rows(quiver)])
-        return "\n".join(lines)
-    return export(quiver, args.format).rstrip("\n")
+def _cmd_quiver(args) -> Iterator[str]:
+    """The quiver's rendered pieces, ending in a newline; the quiver is
+    built, with every check and the vertex cap, before this returns."""
+    quiver = build_quiver(_parse_weight(args), max_vertices=args.max_vertices)
+    return render(quiver, args.format)
 
 
 def _cmd_maxweights(args) -> str:
@@ -186,7 +183,7 @@ COMMANDS = {
         beta=True)),
     "quiver": Command("directed quiver on the dominant maximal weights", _cmd_quiver, _options(
         _option("--max-vertices", int, DEFAULT_MAX_VERTICES),
-        fmt=("text", "dot", "json", "tsv"))),
+        fmt=tuple(FORMATS))),
     "maxweights": Command("class members with minimal solution vectors", _cmd_maxweights,
                           _options()),
     "dims": Command("graded dimension of an idempotent truncation", _cmd_dims, _options(
@@ -269,7 +266,13 @@ def main(argv: list[str] | None = None) -> int:
     subcommand's parser alone, in one argparse pass; an option other than
     ``-h``/``--help`` first is an error that names it (argparse would name its
     value as the unknown subcommand); anything else (no argument, ``-h`` or an
-    unknown name) goes to the full parser for its usage and error messages."""
+    unknown name) goes to the full parser for its usage and error messages.
+
+    The answer is written only after the query's checks and guards have
+    passed, so an error writes nothing to stdout.  A handler returns its text
+    without the final newline, or, for ``quiver``, the pieces of
+    ``quiver.render``, which are written one at a time as they are rendered.
+    A reader that closes stdout early ends the query with exit 0."""
     if argv is None:
         argv = sys.argv[1:]
     args = _read_args(argv)
@@ -288,8 +291,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    pieces = (output, "\n") if isinstance(output, str) else output
+    write = sys.stdout.write
     try:
-        print(output)
+        for piece in pieces:
+            write(piece)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left: the rest, now and at shutdown, goes nowhere
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -60,6 +60,13 @@ two masks, and the tests call it too.
 ``tests/reference.py`` keeps the per-source builder, with its own list of the
 moves a weight can take, the value-object route that decides an arrow by
 raising the solution vector, and the increments in closed form.
+
+``render(quiver, fmt)`` is the one renderer of each format in ``FORMATS``
+(``text``, ``dot``, ``json``, ``tsv``): a generator of the document's text in
+order, one piece per line, vertex or arrow block.  ``export`` and
+``to_dot``/``to_json``/``to_tsv`` join the pieces; ``klrc quiver`` writes them
+one at a time as they are rendered, so its memory is set by the quiver and
+not by the size of its text.
 """
 
 from __future__ import annotations
@@ -356,20 +363,51 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
 # -- export ------------------------------------------------------------
 
 
-def export(quiver: MaxWeightQuiver, fmt: str) -> str:
-    writers = {"dot": to_dot, "json": to_json, "tsv": to_tsv}
-    if fmt not in writers:
+def render(quiver: MaxWeightQuiver, fmt: str) -> Iterator[str]:
+    """The text of ``quiver`` in ``fmt``, one of ``FORMATS``, in order and in
+    pieces: one per line, vertex or arrow block.  The pieces joined are the
+    whole document, ending in a newline.  ``build_quiver`` has made every
+    check, so the pieces are only formatted text; an unknown ``fmt`` raises
+    ValueError here, before the first piece."""
+    lines = FORMATS.get(fmt)
+    if lines is None:
         raise ValueError(f"unknown format {fmt!r}")
-    return writers[fmt](quiver)
+    return lines(quiver)
 
 
-def to_dot(quiver: MaxWeightQuiver) -> str:
+def export(quiver: MaxWeightQuiver, fmt: str) -> str:
+    """The text of ``quiver`` in ``fmt`` as one string: ``render``'s pieces
+    joined.  A caller that writes the text out should write the pieces
+    instead, so that the whole text is never held at once."""
+    return "".join(render(quiver, fmt))
+
+
+def _text_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
+    """A summary line, then one line per arrow: source, target, label and delta."""
+    yield f"root {quiver.root}  vertices {len(quiver.ms)}  arrows {len(quiver.rows)}\n"
+    for source, target, label, delta in _arrow_rows(quiver):
+        yield f"{source} -> {target}  {label}  {delta}\n"
+
+
+def _dot_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
     """Graphviz text of the quiver."""
-    lines = ["digraph maxweights {"]
-    lines.extend([f'  v{n} [label="{weight_text(m)}"];' for n, m in enumerate(quiver.ms)])
-    lines.extend([f'  v{s} -> v{t} [label="{move.text}"];' for s, t, move in quiver.rows])
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "digraph maxweights {\n"
+    for n, m in enumerate(quiver.ms):
+        yield f'  v{n} [label="{weight_text(m)}"];\n'
+    for s, t, move in quiver.rows:
+        yield f'  v{s} -> v{t} [label="{move.text}"];\n'
+    yield "}\n"
+
+
+def _json_items(items: Iterable[str], indent: str) -> Iterator[str]:
+    """``_json_block(items, indent)`` in pieces: the opening bracket with the
+    first item, then each later item with its separator, then the closing
+    bracket, so that a long list is never held whole."""
+    head, sep = f"[\n{indent}  ", f",\n{indent}  "
+    for item in items:
+        yield head + item
+        head = sep
+    yield f"\n{indent}]" if head is sep else "[]"
 
 
 def _json_block(items: Iterable[str], indent: str, brackets: str = "[]") -> str:
@@ -379,35 +417,38 @@ def _json_block(items: Iterable[str], indent: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{indent}  {body}\n{indent}{brackets[1]}" if body else brackets
 
 
-def to_json(quiver: MaxWeightQuiver) -> str:
-    """``json.dumps(payload, indent=2, ensure_ascii=False)`` of the quiver, laid out
-    here so that the encoder sees only strings; each label with its delta and
-    witness is rendered once per quiver."""
+def _json_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
+    """``json.dumps(payload, indent=2, ensure_ascii=False)`` of the quiver, laid
+    out here so that the encoder sees only strings; each label with its delta
+    and witness is rendered once per quiver."""
     def ints(values: Iterable[int], indent: str = "      ") -> str:
         return _json_block(map(str, values), indent)
 
     def text(value: str) -> str:
         return json.dumps(value, ensure_ascii=False)
 
-    vertices = [_json_block([f'"m": {ints(m)}', f'"X": {ints(x)}',
+    def arrows() -> Iterator[str]:
+        tails: dict[str, str] = {}
+        for s, t, move in quiver.rows:
+            tail = tails.get(move.text)
+            if tail is None:
+                tail = tails[move.text] = ",\n      ".join([
+                    f'"label": {text(move.text)}', f'"delta": {ints(move.delta.coeffs)}',
+                    f'"witness": {ints(move.witness)}'])
+            yield _json_block([f'"src": {s}', f'"dst": {t}', tail], "    ", "{}")
+
+    vertices = (_json_block([f'"m": {ints(m)}', f'"X": {ints(x)}',
                              f'"beta": {text(root_text(x))}'], "    ", "{}")
-                for m, x in zip(quiver.ms, quiver.xs)]
-    tails: dict[str, list[str]] = {}
-    arrows = []
-    for s, t, move in quiver.rows:
-        tail = tails.get(move.text)
-        if tail is None:
-            tail = tails[move.text] = [f'"label": {text(move.text)}',
-                                       f'"delta": {ints(move.delta.coeffs)}',
-                                       f'"witness": {ints(move.witness)}']
-        arrows.append(_json_block([f'"src": {s}', f'"dst": {t}', *tail], "    ", "{}"))
-    return _json_block([f'"ell": {quiver.ell}', f'"level": {quiver.root.level}',
-                        f'"root": {ints(quiver.root.m, "  ")}',
-                        f'"vertices": {_json_block(vertices, "  ")}',
-                        f'"arrows": {_json_block(arrows, "  ")}'], "", "{}") + "\n"
+                for m, x in zip(quiver.ms, quiver.xs))
+    yield (f'{{\n  "ell": {quiver.ell},\n  "level": {quiver.root.level},\n'
+           f'  "root": {ints(quiver.root.m, "  ")},\n  "vertices": ')
+    yield from _json_items(vertices, "  ")
+    yield ',\n  "arrows": '
+    yield from _json_items(arrows(), "  ")
+    yield "\n}\n"
 
 
-def arrow_rows(quiver: MaxWeightQuiver) -> Iterator[tuple[str, str, str, str]]:
+def _arrow_rows(quiver: MaxWeightQuiver) -> Iterator[tuple[str, str, str, str]]:
     """Source, target, label and delta of each arrow, as text.
 
     Each vertex and each delta is rendered once per quiver.
@@ -421,7 +462,25 @@ def arrow_rows(quiver: MaxWeightQuiver) -> Iterator[tuple[str, str, str, str]]:
         yield names[s], names[t], move.text, delta
 
 
+def _tsv_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
+    """A header, then one tab-separated line per arrow."""
+    yield "#source\ttarget\tlabel\tdelta\n"
+    for source, target, label, delta in _arrow_rows(quiver):
+        yield f"{source}\t{target}\t{label}\t{delta}\n"
+
+
+# each format's renderer, in the order ``klrc quiver --format`` lists them
+FORMATS = {"text": _text_lines, "dot": _dot_lines, "json": _json_lines, "tsv": _tsv_lines}
+
+
+def to_dot(quiver: MaxWeightQuiver) -> str:
+    """Graphviz text of the quiver."""
+    return "".join(_dot_lines(quiver))
+
+
+def to_json(quiver: MaxWeightQuiver) -> str:
+    return "".join(_json_lines(quiver))
+
+
 def to_tsv(quiver: MaxWeightQuiver) -> str:
-    lines = ["#source\ttarget\tlabel\tdelta"]
-    lines.extend("\t".join(row) for row in arrow_rows(quiver))
-    return "\n".join(lines) + "\n"
+    return "".join(_tsv_lines(quiver))

@@ -19,6 +19,7 @@ from klrc.cli import main
 from klrc.fock import DEFAULT_MAX_BOXES
 from klrc.maxweights import DEFAULT_MAX_VERTICES, beta_of, class_members, defect
 from klrc.multiplicity import DEFAULT_MAX_HEIGHT
+from klrc.quiver import FORMATS, build_quiver, export
 from test_golden_replay import replayed_queries
 
 
@@ -295,10 +296,50 @@ def test_weight_of_level_three_million_stays_small(argv, expected, capsys):
 
 
 def test_determinism(capsys):
-    args = ["quiver", "--ell", "4", "--weight", "2,2", "--format", "tsv"]
-    _, first, _ = run(args, capsys)
-    _, second, _ = run(args, capsys)
-    assert first == second
+    """Each format, on a quiver with arrows (rank 4, charges 2,2) and on one
+    without (rank 2, charge 1): two runs print the same bytes, which are
+    ``export``'s, the final newline included."""
+    for ell, charges, arrows in ((4, [2, 2], 18), (2, [1], 0)):
+        quiver = build_quiver(DominantWeight.from_charges(charges, ell))
+        assert len(quiver.rows) == arrows
+        for fmt in FORMATS:
+            args = ["quiver", "--ell", str(ell), "--weight", ",".join(map(str, charges)),
+                    "--format", fmt]
+            first, second = run(args, capsys), run(args, capsys)
+            assert first == second == (0, export(quiver, fmt), ""), args
+
+
+class CharCount:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+def test_quiver_output_is_written_as_it_is_rendered(fmt):
+    """The rank-10 class of charges 1,3,4,8 (511 vertices, 4,350 arrows, 1.68
+    million characters of json) written to a sink that only counts: the peak
+    traced memory, the quiver's build included, stays under 2 MiB, far below
+    the size of the text."""
+    argv = ["quiver", "--ell", "10", "--weight", "1,3,4,8", "--format", fmt]
+    sink = CharCount()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    quiver = build_quiver(DominantWeight.from_charges([1, 3, 4, 8], 10))
+    assert code == 0 and sink.chars == len(export(quiver, fmt))
+    assert peak < 2 * 2 ** 20, peak
 
 
 # an argparse error, a guard error, a validation error, then every subcommand
@@ -620,13 +661,21 @@ def test_help_text(command, capsys, monkeypatch):
     assert (exc.value.code, captured.out, captured.err) == (0, HELP[command], "")
 
 
-def test_closed_stdout_ends_in_exit_zero():
-    """A reader that leaves after the first line of 255 KB of tsv, more than
-    a pipe holds: the rest is dropped, with exit 0 and no traceback."""
+# the first line of each format of the quiver of --ell 6 --m 0,0,0,0,0,0,6
+FIRST_LINES = {"text": "root 6Λ6  vertices 472  arrows 4470\n", "dot": "digraph maxweights {\n",
+               "json": "{\n", "tsv": "#source\ttarget\tlabel\tdelta\n"}
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+def test_closed_stdout_ends_in_exit_zero(fmt):
+    """A reader that leaves after the first line of an output larger than a
+    pipe holds (180 KB of dot to 1.3 MB of json): the pipe breaks between two
+    written pieces, the rest is dropped, and the query ends in exit 0 with no
+    traceback."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    argv = ["quiver", "--ell", "6", "--m", "0,0,0,0,0,0,6", "--format", "tsv"]
+    argv = ["quiver", "--ell", "6", "--m", "0,0,0,0,0,0,6", "--format", fmt]
     proc = subprocess.Popen([sys.executable, "-m", "klrc.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
@@ -637,7 +686,7 @@ def test_closed_stdout_ends_in_exit_zero():
     finally:
         proc.kill()
         proc.stderr.close()
-    assert first == b"#source\ttarget\tlabel\tdelta\n"
+    assert first == FIRST_LINES[fmt].encode()
     assert (code, err) == (0, "")
 
 
