@@ -18,6 +18,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import islice
 from types import SimpleNamespace
 
 from .cartan import (DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, root_text,
@@ -25,13 +26,16 @@ from .cartan import (DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, r
 from .classifier import classify
 from .fock import DEFAULT_MAX_BOXES, expand, hom_dim, parse_word
 from .laurent import polynomial_text
-from .maxweights import DEFAULT_MAX_VERTICES, _class_pass, _defect, defect
+from .maxweights import DEFAULT_MAX_VERTICES, _class_columns, _defect, defect
 from .multiplicity import DEFAULT_MAX_HEIGHT, weight_multiplicity
 from .quiver import FORMATS, build_quiver, render
 from .tableaux import graded_hom_dim
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
+# the most rendered pieces joined into one write: a capped quiver is a few
+# hundred writes, not one per line, and a write holds a few hundred KiB at most
+WRITE_PIECES = 256
 
 
 def _parse_weight(args) -> DominantWeight:
@@ -91,15 +95,17 @@ def _cmd_quiver(args) -> Iterator[str]:
 
 def _cmd_maxweights(args) -> str:
     weight = _parse_weight(args)
-    members = _class_pass(weight.m)
-    defects = [_defect(weight.m, x) for _, x in members]
+    # the class as columns, read a member at a time: it is held once, not
+    # also as rows
+    m_cols, x_cols = _class_columns(weight.m)
+    members = zip(zip(*m_cols), zip(*x_cols))
     if args.format == "json":
-        rows = [{"m": list(m), "X": list(x), "beta": root_text(x), "defect": d}
-                for (m, x), d in zip(members, defects)]
+        rows = [{"m": list(m), "X": list(x), "beta": root_text(x), "defect": _defect(weight.m, x)}
+                for m, x in members]
         return json.dumps({"ell": weight.ell, "root": list(weight.m), "members": rows},
                           ensure_ascii=False)
-    return "\n".join([f"{weight_text(m)}\tX={x}\tdefect={d}"
-                      for (m, x), d in zip(members, defects)])
+    return "\n".join([f"{weight_text(m)}\tX={x}\tdefect={_defect(weight.m, x)}"
+                      for m, x in members])
 
 
 def _cmd_dims(args) -> str:
@@ -271,7 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     The answer is written only after the query's checks and guards have
     passed, so an error writes nothing to stdout.  A handler returns its text
     without the final newline, or, for ``quiver``, the pieces of
-    ``quiver.render``, which are written one at a time as they are rendered.
+    ``quiver.render``, which are written as they are rendered, at most
+    ``WRITE_PIECES`` pieces joined into each write.
     A reader that closes stdout early ends the query with exit 0."""
     if argv is None:
         argv = sys.argv[1:]
@@ -291,11 +298,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    pieces = (output, "\n") if isinstance(output, str) else output
+    pieces = iter((output, "\n")) if isinstance(output, str) else output
     write = sys.stdout.write
     try:
-        for piece in pieces:
-            write(piece)
+        while chunk := list(islice(pieces, WRITE_PIECES)):
+            write("".join(chunk))
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left: the rest, now and at shutdown, goes nowhere
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -4,14 +4,26 @@ A weight Lambda' equivalent to Lambda determines the unique vector X with
 A.X^t = hub(Lambda) - hub(Lambda') that is nonnegative and drops below the
 null-root coefficients somewhere; Lambda - beta(X) is then a dominant maximal
 weight, and every dominant maximal weight arises this way.
+
+One prefix-and-shift rule gives every minimal solution.  ``_reduce`` is its
+single-vector form, which ``minimal_solution``, ``beta_of`` and
+``delta_decompose`` run.  ``_class_columns`` is its class form: it runs the
+rule a coordinate at a time over all members of a class, one column of m_j
+and one of x_j per coordinate j, with every check asserted for every member;
+``_class_pass`` is its transpose, one (m, x) row per member.  The tests tie
+the two forms together through the stars-and-bars class pass of
+``tests/reference.py``, which solves each member with ``_solve``.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement
+from functools import reduce
+from itertools import accumulate, combinations_with_replacement, compress, repeat, tee
 from math import comb
-from operator import floordiv, mul, neg, sub
+from operator import add, eq, floordiv, lt, mod, mul, neg, or_, sub
 from typing import Iterable, Sequence
 
 from .cartan import DominantWeight, GuardError, RootVector, cartan
@@ -28,10 +40,17 @@ def ev(weight: DominantWeight) -> int:
     return sum(weight.m[i] for i in range(1, weight.ell + 1, 2))
 
 
-def _class_pass(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
-                ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """``(m, x)`` for every member m of the class of the multiplicities ``root``,
-    with x its minimal solution, in lexicographic order of m.
+def _digits(column: Sequence[int]) -> int:
+    """The entries of ``column``, each in 0..2^63 - 1, as the base-2^64
+    digits of one int, in one digit order for every column of a length."""
+    return int.from_bytes(array("q", column).tobytes(), sys.byteorder)
+
+
+def _class_columns(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
+                   ) -> tuple[list[list[int]], list[array]]:
+    """The class of the multiplicities ``root`` as coordinate columns: the
+    ell+1 lists of m_j and the ell+1 int64 arrays of x_j over all members m,
+    x the minimal solution of m, with the members in lexicographic order of m.
 
     GuardError when the class has more than ``max_members`` members, counted
     by ``_class_size`` before any member is built.  A member is a finite part
@@ -40,7 +59,11 @@ def _class_pass(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
     read back as m = (k - mu_1, mu_1 - mu_2, ..., mu_ell).
     ``combinations_with_replacement`` over k, k-1, ..., 0 yields the mu in
     descending lexicographic order, which is ascending lexicographic order
-    of m.  x is ``_minimal`` of lam - mu.
+    of m.  x is ``_minimal`` of lam - mu, run a coordinate at a time over
+    all members: the prefix columns xhat_j, halved at j = ell, the shift
+    column n = min_j floor(xhat_j / delta_j), and x_j = xhat_j - n*delta_j.
+    ``_reduce``'s checks, x >= 0 and x - delta < 0 somewhere, and
+    A.x = root - m, read from the band of A, are asserted for every member.
     """
     size = _class_size(root)
     if size > max_members:
@@ -49,14 +72,52 @@ def _class_pass(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
     datum = cartan(ell)
     lam = tuple(accumulate(root[:0:-1]))[::-1]  # lam_j = sum_{i>=j} m_i, j = 1..ell
     parity = sum(lam) % 2
-    members = []
-    for mu in combinations_with_replacement(range(k, -1, -1), ell):
-        if sum(mu) % 2 == parity:
-            m = tuple(map(sub, (k,) + mu, mu + (0,)))
-            x = _minimal(map(sub, lam, mu), datum.delta_coeffs)
-            assert datum.apply_matrix(x) == tuple(map(sub, root, m))
-            members.append((m, x))
-    return members
+    mus, sums = tee(combinations_with_replacement(range(k, -1, -1), ell))
+    kept = compress(mus, map(eq, map(mod, map(sum, sums), repeat(2)), repeat(parity)))
+    # m_j = mu_j - mu_{j+1}, with mu_0 = k and mu_{ell+1} = 0, and the prefix
+    # columns xhat_j, which are shifted to x_j below.  xhat and x are int64
+    # arrays: at deep rank most of their entries lie outside the small ints,
+    # and in lists each would be an object of its own
+    m_cols, x_cols = [], [array("q", bytes(8 * size))]
+    left = (k,) * size
+    for lam_s, mu_s in zip(lam, zip(*kept)):
+        m_cols.append(list(map(sub, left, mu_s)))
+        x_cols.append(array("q", map(add, x_cols[-1], map(sub, repeat(lam_s), mu_s))))
+        left = mu_s
+    m_cols.append(list(left))
+    assert len(left) == size
+    x_cols[-1] = array("q", map(floordiv, x_cols[-1], repeat(2)))
+    delta = datum.delta_coeffs
+    n = list(map(min, *[map(floordiv, col, repeat(d)) for col, d in zip(x_cols, delta)]))
+    shifts = {d: list(map(mul, n, repeat(d))) for d in set(delta)}
+    for j, d in enumerate(delta):
+        x_cols[j] = array("q", map(sub, x_cols[j], shifts[d]))
+    if __debug__:
+        assert min(map(min, x_cols)) >= 0 and max(k, max(map(max, x_cols))) < 2 ** 59
+        # x - delta < 0 somewhere: one byte per member, set where x_j < delta_j
+        below = [int.from_bytes(bytes(map(lt, col, repeat(d))), "little")
+                 for col, d in zip(x_cols, delta)]
+        assert reduce(or_, below) == int.from_bytes(b"\1" * size, "little")
+        # A.x + m = root: with each column packed into one int by ``_digits``,
+        # row i of A.x + m over all members is one sum of ints.  Every x and m
+        # is below 2^59, so each member's entry of the row, and its difference
+        # from root_i, lies within 2^63 of 0: the sum is root_i times the
+        # packed column of ones exactly when every member's entry is root_i
+        packed = [0, *map(_digits, x_cols), 0]
+        ones = _digits([1] * size)
+        for i, (a, b, c) in enumerate(datum._band):
+            assert (a * packed[i] + b * packed[i + 1] + c * packed[i + 2] + _digits(m_cols[i])
+                    == root[i] * ones), i
+    return m_cols, x_cols
+
+
+def _class_pass(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
+                ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(m, x)`` for every member m of the class of the multiplicities ``root``,
+    with x its minimal solution, in lexicographic order of m: the transpose of
+    ``_class_columns``, which raises the same GuardError."""
+    m_cols, x_cols = _class_columns(root, max_members)
+    return list(zip(zip(*m_cols), zip(*x_cols)))
 
 
 def class_members(weight: DominantWeight) -> list[DominantWeight]:

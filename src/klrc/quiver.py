@@ -31,8 +31,12 @@ bitsets over the vertices per coordinate j: m_j >= 1, m_j >= 2, x_j < n_j and
 x_j + 1 < n_j.  A move's sources are the AND of the bitsets its Δm reads
 (m_j >= 1 where Δm_j = -1, m_j >= 2 where Δm_j = -2) with the OR of the
 x_j < n_j bitsets over ``zero`` and the x_j + 1 < n_j bitsets over ``low``.
-Each member's m and x are packed once into an int, first coordinate in the
-lowest digit, so an arrow costs one dict lookup and two int checks:
+The class comes from ``maxweights._class_columns`` as coordinate columns,
+and everything before the arrow loop runs a column at a time: each bitset
+is one column of flags read as a binary numeral, and each member's m and x
+are packed into an int, first coordinate in the lowest digit.  The arrow
+loop walks the set bits of a move's sources with ``str.find`` over their
+binary text, and an arrow costs one dict lookup and two int checks:
 
 * m at digit width bits(k) + 1, k the level.  A source holds what the move
   takes off and the level stays k, so every digit of m + Δm lies in 0..k:
@@ -74,12 +78,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, product
-from operator import add, and_, lshift, neg
+from itertools import chain, count, product, repeat
+from operator import add, and_, ge, lshift, lt, neg
 from typing import Iterable, Iterator, NamedTuple
 
 from .cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, cartan, root_text, weight_text
-from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_pass, _solve
+from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns, _solve
 
 KIND_UP = "+"              # one index raised by 2
 KIND_DOWN = "-"            # one index lowered by 2
@@ -300,9 +304,20 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
                               RootVector(tuple(map(add, source.x.coeffs, move.delta.coeffs))))
 
 
+# bytes of 0/1 flags to the ASCII digits "0"/"1"
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _column(flags: Iterable[bool]) -> int:
     """The bitset over vertices with bit n set when flag n is true."""
-    return int("".join(["1" if f else "0" for f in flags])[::-1], 2)
+    return int(bytes(flags)[::-1].translate(_DIGITS), 2)
+
+
+def _packed(columns: Iterable[Iterable[int]], offsets: range) -> list[int]:
+    """Each member's coordinates packed into one int, coordinate j shifted
+    left by ``offsets[j]``, from the coordinate columns."""
+    shifted = [map(lshift, col, repeat(at)) for col, at in zip(columns, offsets)]
+    return list(map(sum, zip(*shifted)))
 
 
 def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICES) -> MaxWeightQuiver:
@@ -310,28 +325,30 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
 
     Each move is decided for all vertices at once by the two-mask test of the
     module docstring, run over vertex bitsets, which the assertion x >= 0 of
-    the shift rule ``maxweights._reduce`` makes exact.  ``_class_pass``
-    raises the vertex cap.
+    the class pass ``maxweights._class_columns`` makes exact.  The class
+    pass raises the vertex cap.  Everything before the arrow loop runs a
+    coordinate at a time over the members' columns; the loop walks a move's
+    sources by ``str.find`` over the bits of their bitset.
     """
-    members = _class_pass(weight.m, max_vertices)
-    ms, xs = zip(*members)
+    m_cols, x_cols = _class_columns(weight.m, max_vertices)
     ell = weight.ell
     null = cartan(ell).delta_coeffs
     # digit offsets of the packed m and x (widths and no-carry argument in the
     # module docstring); has[d], one and two are the per-coordinate vertex
     # bitsets of m_j >= d, x_j < n_j and x_j + 1 < n_j
     wm = weight.level.bit_length() + 1
-    wx = (max(map(max, xs)) + 2).bit_length() + 1
+    wx = (max(map(max, x_cols)) + 2).bit_length() + 1
     at_m = range(0, wm * (ell + 1), wm)
     at_x = range(0, wx * (ell + 1), wx)
-    packed_m = [sum(map(lshift, m, at_m)) for m in ms]
-    packed_x = [sum(map(lshift, x, at_x)) for x in xs]
-    index = {p: n for n, p in enumerate(packed_m)}
+    packed_m = _packed(m_cols, at_m)
+    packed_x = _packed(x_cols, at_x)
+    index = dict(zip(packed_m, count()))
     guard = sum([1 << (n + wx - 1) for n in at_x])
     lift = guard - sum(map(lshift, null, at_x))
-    has = {d: [_column([m[j] >= d for m in ms]) for j in range(ell + 1)] for d in (1, 2)}
-    one = [_column([x[j] < n for x in xs]) for j, n in enumerate(null)]
-    two = [_column([x[j] + 1 < n for x in xs]) for j, n in enumerate(null)]
+    has = {d: [_column(map(ge, col, repeat(d))) for col in m_cols] for d in (1, 2)}
+    one = [_column(map(lt, col, repeat(n))) for col, n in zip(x_cols, null)]
+    two = [_column(map(lt, col, repeat(n - 1))) for col, n in zip(x_cols, null)]
+    ms, xs = tuple(zip(*m_cols)), tuple(zip(*x_cols))
     buckets: list[list[tuple[int, int, _Move]]] = [[] for _ in ms]
     for move in _move_table(ell).values():
         sources = reduce(and_, [has[-s][n] for n, s in enumerate(move.shift) if s < 0])
@@ -346,10 +363,9 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
             continue
         dm = sum(map(lshift, move.shift, at_m))
         dx = sum(map(lshift, move.delta.coeffs, at_x))
-        while sources:
-            bit = sources & -sources
-            sources ^= bit
-            s = bit.bit_length() - 1
+        bits = bin(sources)[:1:-1]  # bit s of sources at position s
+        s = bits.find("1")
+        while s >= 0:
             t = index[packed_m[s] + dm]
             raised = packed_x[s] + dx
             assert (raised + lift) & guard != guard, \
@@ -357,6 +373,7 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
             assert raised == packed_x[t], \
                 f"{move.text} from {ms[s]}: x + d is not the target's minimal solution"
             buckets[s].append((s, t, move))
+            s = bits.find("1", s + 1)
     return MaxWeightQuiver(weight, ms, xs, tuple(chain.from_iterable(buckets)))
 
 

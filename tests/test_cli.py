@@ -19,7 +19,7 @@ from klrc.cli import main
 from klrc.fock import DEFAULT_MAX_BOXES
 from klrc.maxweights import DEFAULT_MAX_VERTICES, beta_of, class_members, defect
 from klrc.multiplicity import DEFAULT_MAX_HEIGHT
-from klrc.quiver import FORMATS, build_quiver, export
+from klrc.quiver import FORMATS, build_quiver, export, render
 from test_golden_replay import replayed_queries
 
 
@@ -340,6 +340,31 @@ def test_quiver_output_is_written_as_it_is_rendered(fmt):
     quiver = build_quiver(DominantWeight.from_charges([1, 3, 4, 8], 10))
     assert code == 0 and sink.chars == len(export(quiver, fmt))
     assert peak < 2 * 2 ** 20, peak
+
+
+class WriteLog(io.StringIO):
+    """A stdout that keeps the text written to it and counts the writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_quiver_output_is_written_in_bounded_chunks():
+    """The tsv quiver of 6Λ6 at rank 6 (472 vertices, 4,470 arrows, one
+    rendered piece per line) comes out in at most
+    ceil(pieces / WRITE_PIECES) + 1 writes, with the exact text of its
+    rendered pieces."""
+    argv = ["quiver", "--ell", "6", "--m", "0,0,0,0,0,0,6", "--format", "tsv"]
+    sink = WriteLog()
+    with contextlib.redirect_stdout(sink):
+        assert main(argv) == 0
+    pieces = list(render(build_quiver(DominantWeight((0, 0, 0, 0, 0, 0, 6))), "tsv"))
+    assert len(pieces) == 4_471
+    assert sink.getvalue() == "".join(pieces)
+    assert sink.writes <= -(-len(pieces) // cli.WRITE_PIECES) + 1, sink.writes
 
 
 # an argparse error, a guard error, a validation error, then every subcommand

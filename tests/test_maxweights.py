@@ -5,10 +5,12 @@ import tracemalloc
 
 import pytest
 
+import klrc.maxweights
 from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, hub
-from klrc.maxweights import (NotEquivalentError, _class_pass, _straighten, beta_of,
-                             class_members, class_size, defect, delta_decompose, dominantify,
-                             ev, minimal_solution, reflection_word)
+from klrc.maxweights import (DEFAULT_MAX_VERTICES, NotEquivalentError, _class_columns,
+                             _class_pass, _straighten, beta_of, class_members, class_size,
+                             defect, delta_decompose, dominantify, ev, minimal_solution,
+                             reflection_word)
 from reference import (class_model, class_pass_by_compositions, defect_model, finite_part,
                        lowered_finite_part, sigma_flip, straighten_model)
 from test_quiver import ROUTE_CASES, pool_roots
@@ -91,6 +93,42 @@ def test_class_pass_matches_the_stars_and_bars_route():
     assert len(set(roots)) > 250
     for root in roots:
         assert _class_pass(root) == class_pass_by_compositions(root), root
+
+
+def test_class_columns_are_the_class_pass_transposed():
+    """``_class_columns`` against the stars-and-bars route at the column
+    engine's edges: the one-member class of Λ1 at rank 2, whose columns have
+    length 1; every root at rank 2 and levels 1-6; and the class of 37Λ0 at
+    rank 3, 4,940 members, just under the member cap."""
+    m_cols, x_cols = _class_columns((0, 1, 0))
+    assert (m_cols, [list(col) for col in x_cols]) == ([[0], [1], [0]], [[0], [0], [0]])
+    roots = [(a, b, level - a - b) for level in range(1, 7)
+             for a in range(level + 1) for b in range(level + 1 - a)]
+    assert len(roots) == 83
+    for root in roots + [(37, 0, 0, 0)]:
+        m_cols, x_cols = _class_columns(root)
+        assert len(m_cols) == len(x_cols) == len(root)
+        expected = class_pass_by_compositions(root)
+        assert list(zip(zip(*m_cols), zip(*x_cols))) == expected, root
+        assert _class_pass(root) == expected, root
+    assert len(expected) == 4_940 < DEFAULT_MAX_VERTICES
+
+
+def test_class_columns_guard_runs_before_any_column(monkeypatch):
+    """The class of 38Λ0 at rank 3 has 5,340 members, just over the member
+    cap: GuardError is raised before the finite parts are enumerated."""
+    assert class_size(DominantWeight((38, 0, 0, 0))) == 5_340
+
+    def enumerated(*_):
+        raise AssertionError("the class was enumerated")
+
+    monkeypatch.setattr(klrc.maxweights, "combinations_with_replacement", enumerated)
+    with pytest.raises(GuardError, match="5340 members, cap is 5000"):
+        _class_columns((38, 0, 0, 0))
+    with pytest.raises(GuardError, match="5340 members"):
+        _class_pass((38, 0, 0, 0))
+    with pytest.raises(AssertionError, match="enumerated"):
+        _class_columns((37, 0, 0, 0))
 
 
 def test_class_pass_at_a_deep_rank():

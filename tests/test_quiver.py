@@ -8,7 +8,7 @@ import klrc.quiver
 import reference
 from klrc.cartan import DominantWeight, RootVector, cartan, hub
 from klrc.cli import main
-from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_pass, beta_of,
+from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns, beta_of,
                              class_members, class_size, minimal_solution)
 from klrc.multiplicity import first_layer_roots
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, STEPS,
@@ -461,10 +461,9 @@ def test_build_quiver_checks_each_arrow_against_the_target(monkeypatch):
     """With one member's x corrupted, the per-arrow check that x + d is the
     target's own minimal solution fails."""
     root = (0, 0, 2, 0, 0)
-    members = _class_pass(root)
-    m, x = members[4]
-    members[4] = (m, (x[0] + 1,) + x[1:])
-    monkeypatch.setattr(klrc.quiver, "_class_pass", lambda *_: members)
+    m_cols, x_cols = _class_columns(root)
+    x_cols[0][4] += 1
+    monkeypatch.setattr(klrc.quiver, "_class_columns", lambda *_: (m_cols, x_cols))
     with pytest.raises(AssertionError, match="not the target's minimal solution"):
         build_quiver(DominantWeight(root))
 
