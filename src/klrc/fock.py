@@ -63,8 +63,10 @@ Shapes are decoded only where a ``Multipartition`` is read:
 ``FockVector.terms`` (on first read, with the coefficients), the rendering
 of ``str`` and ``klrc fock`` (coefficients straight from the packed digits),
 and ``FockVector.content``, one window at a time, each distinct window once
-per call.  ``hom_dim`` and the graded dimensions match int keys and multiply
-packed ints at a width set by the exact values at q=1.  The packed form
+per call.  ``hom_dim`` and the graded dimensions match int keys, count each
+distinct pair of packed coefficients over the shared shapes, and widen and
+multiply each pair once, times its count, at a width set by the exact values
+at q=1 with the count in the bound.  The packed form
 carries the n its keys are encoded at.  Vectors built by hand are encoded at
 the boundary, by sign as a positive part and a negated negative part, so the
 engine only ever sees nonnegative ints: the input of ``apply_f`` and
@@ -74,7 +76,8 @@ engine only ever sees nonnegative ints: the input of ``apply_f`` and
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, repeat
 from math import factorial, prod
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -534,7 +537,7 @@ def hom_dim(left: FockVector, right: FockVector) -> LaurentPolynomial:
         raise ValueError("expansions carry different charge sequences")
     if left.is_zero() or right.is_zero():
         return ZERO
-    if left.content() != right.content():
+    if left is not right and left.content() != right.content():
         raise ValueError("expansions have different contents")
     n = _size(left)  # equal contents, so both sides have n boxes
     plus, minus = _signed(left, n)
@@ -554,20 +557,24 @@ def _signed(vector: FockVector, n: int) -> tuple[_Packed, _Packed]:
 def _hom(left: _Packed, right: _Packed) -> LaurentPolynomial:
     """Sum of coefficient products over the shared shapes, decoded once.
 
-    Both sides are keyed at the same n.  A term's value at q=1 is its digit
-    sum, which the width keeps below 2^width - 1, so it is the term mod
-    2^width - 1.  Every digit of the sum of products is at most the sum of
-    the products of those values, so a width of that sum's bit length leaves
-    the sum free of carries.
+    Both sides are keyed at the same n.  Most shapes share a coefficient, so
+    the sum runs over the distinct pairs (a, b) of packed coefficients, each
+    with its count c over the left side's shapes, as c * a * b: each pair is
+    widened and multiplied once.  A shape missing on the right pairs with
+    b = 0, which adds nothing.  A term's value at q=1 is its digit sum, which
+    the width keeps below 2^width - 1, so it is the term mod 2^width - 1.
+    Every digit of the sum is at most the sum of c times the product of
+    those values, so a width of that bound's bit length leaves the sum free
+    of carries.
     """
     (wl, ll, _, tl), (wr, lr, _, tr) = left, right
-    pairs = [(coeff, tr[shape]) for shape, coeff in tl.items() if shape in tr]
-    if not pairs:
+    if not (tl and tr):
         return ZERO
+    pairs = Counter(zip(tl.values(), map(tr.get, tl, repeat(0)))).items()
     ml, mr = (1 << wl) - 1, (1 << wr) - 1
-    bound = sum((a % ml) * (b % mr) for a, b in pairs)
+    bound = sum(c * (a % ml) * (b % mr) for (a, b), c in pairs)
     width = max(wl, wr, bound.bit_length())
-    total = sum(_widen(a, wl, width) * _widen(b, wr, width) for a, b in pairs)
+    total = sum(c * _widen(a, wl, width) * _widen(b, wr, width) for (a, b), c in pairs)
     return _decode(total, width, ll + lr)
 
 

@@ -55,6 +55,7 @@ MAXWEIGHTS = "klrc/maxweights.py"
 CLASS_TESTS = ("tests/test_maxweights.py::test_class_pass_is_lexicographic",
                "tests/test_maxweights.py::test_class_pass_matches_the_stars_and_bars_route")
 ROW_TESTS = ("tests/test_quiver.py::test_build_quiver_rows_match_the_per_source_builder",)
+HOM_TESTS = ("tests/test_fock.py::test_shared_coefficients_count_in_the_width",)
 MULT_TESTS = ("tests/test_multiplicity.py::test_golden_counts",
               "tests/test_multiplicity.py::test_mult_matches_value_object_route")
 
@@ -97,6 +98,19 @@ MUTANTS = (
            "                           packed,",
            "sorted(zip(packed,",
            ("tests/test_fock.py::test_packed_vectors_render_compare_and_hash_as_decoded",)),
+    Mutant("fock-step-shift-up-at-a-removable-node", "klrc/fock.py",
+           "shift -= unit", "shift += unit",
+           ("tests/test_fock.py::test_single_step_golden",
+            "tests/test_fock.py::test_step_matches_value_object_route")),
+    Mutant("fock-divided-no-mahonian-offset", "klrc/fock.py",
+           "low -= d * (power * boxes + power * (power - 1) // 2)", "low -= d * power * boxes",
+           ("tests/test_fock.py::test_divided_square_golden",
+            "tests/test_fock.py::test_signed_fourth_and_fifth_divided_powers")),
+    # the Hom dimension over distinct coefficient pairs
+    Mutant("hom-count-dropped-from-the-width-bound", "klrc/fock.py",
+           "bound = sum(c * (a % ml)", "bound = sum((a % ml)", HOM_TESTS),
+    Mutant("hom-count-dropped-from-the-sum", "klrc/fock.py",
+           "total = sum(c * _widen(a", "total = sum(_widen(a", HOM_TESTS),
     # the Freudenthal sum over stabilizer orbits
     Mutant("mult-no-delta-j-halving", "klrc/multiplicity.py",
            "count = weight if supp & ~jmask else weight // 2", "count = weight", MULT_TESTS),

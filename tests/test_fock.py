@@ -180,6 +180,20 @@ def test_hom_dim_q_one_is_sum_of_squares():
     assert evaluate(hom_dim(vector, vector), 1) == total
 
 
+def test_shared_coefficients_count_in_the_width():
+    """Four shapes with coefficient 5 are one distinct pair counted 4 times:
+    the End is 4 * 25 = 100, which a width of 6 bits holds only once the
+    count enters the bound."""
+    from klrc.fock import _encode
+
+    shapes = [((2,), (), ()), ((1, 1), (), ()), ((), (2,), ()), ((), (), (1, 1))]
+    terms = {MP(*shape): poly((0, 5)) for shape in shapes}
+    vector = FockVector.from_dict((0, 0, 0), 2, terms)
+    assert _encode(vector, 2)[0][0] == 6
+    assert hom_dim(vector, vector) == poly((0, 100))
+    assert hom_dim(vector, FockVector.from_dict((0, 0, 0), 2, terms)) == poly((0, 100))
+
+
 def test_end_bar_symmetry():
     """Self-Hom dimensions are symmetric about their degree midpoint."""
     for m, word in [((2, 1, 0), [(0, 1), (1, 2), (0, 1)]),
