@@ -247,15 +247,17 @@ def delta_decompose(x: RootVector) -> tuple[RootVector, int]:
     return RootVector(x0), m
 
 
-def _straighten(m: tuple[int, ...],
-                coeffs: tuple[int, ...]) -> tuple[tuple[int, ...] | None, list[int]]:
+def _straighten(m: tuple[int, ...], coeffs: tuple[int, ...], hub: Sequence[int] | None = None
+                ) -> tuple[tuple[int, ...] | None, list[int]]:
     """``dominantify`` and its reflection word, on plain tuples.
 
-    The hub h = m - A.x starts from the band of A and is kept up to date:
-    reflecting at i adds h_i to x_i, which subtracts h_i times column i of A
-    from h.  That changes only h_{i-1}, h_i and h_{i+1}, and every entry before
-    i was nonnegative, so the next scan for a negative entry starts at i - 1.
-    Column i's entry a_{ji} is entry i - j + 1 of row j's band.
+    The hub h = m - A.x starts from ``hub`` when the caller has it, else from
+    the band of A, and is kept up to date: reflecting at i adds h_i to x_i,
+    which subtracts h_i times column i of A from h.  That changes only
+    h_{i-1}, h_i and h_{i+1}, and every entry before i was nonnegative, so
+    the next scan for a negative entry starts at i - 1.  Column i's entries
+    next to the diagonal are the last of row i - 1's band and the first of
+    row i + 1's; the diagonal entry 2 turns h_i into -h_i.
     """
     if len(m) != len(coeffs):
         raise ValueError("rank mismatch")
@@ -264,21 +266,27 @@ def _straighten(m: tuple[int, ...],
     x = list(coeffs)
     datum = cartan(len(m) - 1)
     band = datum._band
-    h = list(map(sub, m, datum.apply_matrix(x)))
+    h = list(map(sub, m, datum.apply_matrix(x)) if hub is None else hub)
+    last = len(h) - 1
     word: list[int] = []
     bound = 8 * (sum(m) + sum(map(abs, x)) + 2) ** 2
     i = 0
     for _ in range(bound):
-        i = next((j for j in range(max(i - 1, 0), len(h)) if h[j] < 0), None)
-        if i is None:
-            return tuple(x), word
+        while h[i] >= 0:
+            if i == last:
+                return tuple(x), word
+            i += 1
         word.append(i)
         step = h[i]
         x[i] += step
         if x[i] < 0:
             return None, word
-        for j in range(max(i - 1, 0), min(i + 2, len(h))):  # A is tridiagonal
-            h[j] -= band[j][i - j + 1] * step
+        h[i] = -step
+        if i < last:
+            h[i + 1] -= band[i + 1][0] * step
+        if i:
+            i -= 1
+            h[i] -= band[i][2] * step
     raise AssertionError("straightening failed to terminate within bound")
 
 

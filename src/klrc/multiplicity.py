@@ -10,15 +10,26 @@ Positive roots of the affine system are the finite-type positive roots and
 their null-root complements, shifted by multiples of the null root; imaginary
 multiples of the null root carry multiplicity equal to the finite rank.
 
-``weight_multiplicity`` validates its value objects, and the recursion
-``_mult`` runs on plain tuples, with every pairing a dot product: (Lambda, x)
-= sum m_i d_i x_i and (x, alpha) = x . (d.A.alpha).  Because A.delta = 0,
-(x, alpha + t*delta) = (x, alpha) for every root-lattice x, so one d.A.alpha
-serves a whole delta-string (``_root_table``).
+``weight_multiplicity`` validates its value objects, and the kernel runs on
+plain tuples, with every pairing a dot product: (Lambda - x, alpha) =
+sum alpha_i d_i hub(x)_i, hub(x) = m - A.x.  Because A.delta = 0,
+(x, alpha + t*delta) = (x, alpha) and hub(x - j*(alpha + t*delta)) =
+hub(x) + j*A.alpha for every root-lattice x, so one A.alpha serves a whole
+delta-string (``_root_table``), and the sum carries the hub of each of its
+terms along instead of computing it.
 
 The sum runs only at dominant Lambda - beta.  Multiplicities are Weyl
-invariant, so ``_mult`` straightens any other beta into the dominant chamber
-and reads the entry of the straightened beta', which its whole orbit shares.
+invariant, so any other beta is straightened into the dominant chamber, from
+the hub at hand, and reads the sum at the straightened beta', which its
+whole orbit shares.  A term whose hub is nonnegative is already dominant and
+reads its sum directly.  The cache ``_mult`` holds these sums and nothing
+else, so its misses count the sums run.
+
+Every key a sum reads has a lower height than the sum's own key, because
+straightening only raises a weight.  ``_evaluate`` therefore runs no
+recursion: it collects the keys whose sums are not cached from a worklist,
+then runs their sums in order of height, so the stack does not grow with
+the height.
 
 At a dominant Lambda - beta the sum runs over orbits of its stabilizer
 (Moody-Patera, Bull. AMS 1982).  The stabilizer is W_J, J = {j : hub_j = 0},
@@ -32,7 +43,8 @@ form orbits closed under alpha -> -alpha, and the terms of alpha and -alpha
 are equal at a weight fixed by s_alpha, so these count half their orbit.
 W_J fixes delta, so the imaginary roots count once each.  Each row of
 ``_root_table`` carries bitmasks of the j with (gamma, alpha_j) < 0 and = 0
-and of supp gamma, so one AND skips a row that is not J-dominant.
+and of supp gamma, so one AND skips a row that is not J-dominant, and one
+more a row whose roots all leave the support of beta.
 """
 
 from __future__ import annotations
@@ -70,7 +82,7 @@ def first_layer_roots(ell: int) -> tuple[RootVector, ...]:
     return tuple(sorted(set(layer), key=lambda r: r.coeffs))
 
 
-_Row = tuple[tuple[int, ...], int, tuple[int, ...], int, int, int]
+_Row = tuple[tuple[int, ...], int, tuple[int, ...], int, int, int, int]
 
 
 def _mask(flags) -> int:
@@ -81,15 +93,16 @@ def _mask(flags) -> int:
 @lru_cache(maxsize=RANK_CACHE_SIZE)
 def _root_table(ell: int) -> tuple[_Row, ...]:
     """One row per delta-string: (first-layer root or delta, root multiplicity,
-    d.A.alpha, then three bitmasks over I: {j : (d.A.alpha)_j < 0},
-    {j : (d.A.alpha)_j = 0} and the support of alpha)."""
+    A.alpha, (alpha, alpha), then three bitmasks over I: {j : (A.alpha)_j < 0},
+    {j : (A.alpha)_j = 0} and the support of alpha)."""
     datum = cartan(ell)
     strings = [(gamma.coeffs, 1) for gamma in first_layer_roots(ell)]
     rows = []
     for gamma, root_mult in strings + [(datum.delta_coeffs, ell)]:
-        dag = tuple(map(mul, datum.d, datum.apply_matrix(gamma)))
-        rows.append((gamma, root_mult, dag, _mask(v < 0 for v in dag),
-                     _mask(v == 0 for v in dag), _mask(gamma)))
+        ag = datum.apply_matrix(gamma)
+        aa = sum(map(mul, map(mul, gamma, datum.d), ag))
+        rows.append((gamma, root_mult, ag, aa, _mask(v < 0 for v in ag),
+                     _mask(v == 0 for v in ag), _mask(gamma)))
     return tuple(rows)
 
 
@@ -129,57 +142,109 @@ def weight_multiplicity(weight: DominantWeight, beta: RootVector, *,
         raise ValueError("beta must lie in the positive cone")
     if beta.height > max_height:
         raise GuardError(f"height {beta.height} exceeds the cap of {max_height}")
-    return _mult(weight.m, beta.coeffs)
+    return _multiplicity(weight.m, beta.coeffs)
 
 
-# A ``simples`` query leaves about ten entries, so the bound spans about a
-# hundred queries
-@lru_cache(maxsize=1024)
-def _mult(m: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
+def _multiplicity(m: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
+    """``weight_multiplicity`` on plain tuples: 0 when straightening leaves
+    the weight system, 1 at the highest weight, else the sum at the
+    straightened key."""
     beta = _straighten(m, coeffs)[0]
     if beta is None:
         return 0
     if not any(beta):
         return 1
-    if beta != coeffs:
-        return _mult(m, beta)  # Weyl invariance: the sum runs at dominant keys only
+    slot = _mult(m, beta)
+    if not slot:
+        _evaluate(m, beta, slot)
+    return slot[0]
+
+
+# A ``simples`` query runs about three sums, so the bound spans hundreds of
+# queries.  The cache holds a slot, not the sum itself, so that reading a key
+# runs no sum: a miss makes an empty slot, which the evaluation that read it
+# fills.  So the misses count the sums run, and no sum runs out of height
+# order.
+@lru_cache(maxsize=1024)
+def _mult(m: tuple[int, ...], beta: tuple[int, ...]) -> list[int]:
+    """The slot of the Freudenthal sum at the dominant nonzero ``beta``: empty
+    until ``_evaluate`` puts the sum in it."""
+    return []
+
+
+def _evaluate(m: tuple[int, ...], beta: tuple[int, ...], slot: list[int]) -> None:
+    """Put the sum at the dominant nonzero ``beta`` in its empty ``slot``.
+
+    The worklist collects every key whose slot is empty, from ``beta`` down
+    through the keys each sum reads; the sums then run in order of height,
+    so each reads only slots already filled.
+    """
+    slots = {(0,) * len(m): [1], beta: slot}  # every key read, with its slot
+    sums = {}
+    work = [beta]
+    while work:
+        key = work.pop()
+        terms, _ = sums[key] = _terms(m, key)
+        for inner in terms:
+            if inner not in slots:
+                slots[inner] = _mult(m, inner)
+                if not slots[inner]:
+                    work.append(inner)
+    for key in sorted(sums, key=sum):
+        terms, denom = sums.pop(key)
+        twice = sum([c * slots[inner][0] for inner, c in terms.items()])
+        assert twice % denom == 0
+        slots[key].append(twice // denom)
+
+
+def _terms(m: tuple[int, ...], beta: tuple[int, ...]) -> tuple[dict, int]:
+    """The Freudenthal sum at the dominant nonzero ``beta`` as (terms, denom):
+    the sum is sum(c * mult(key) for key, c in terms.items()) / denom, each
+    key the straightened beta' of a term, each c twice its coefficient."""
     ell = len(m) - 1
     datum = cartan(ell)
     ax = datum.apply_matrix(beta)
-    assert min(mi - v for mi, v in zip(m, ax)) >= 0
-    md = tuple(map(mul, m, datum.d))
+    hub = tuple(map(sub, m, ax))
+    assert min(hub) >= 0
     # 2(Lambda + rho, beta) - (beta, beta); rho pairs with roots like sum(Lambda_i)
     denom = sum(xi * di * (2 * mi + 2 - v) for xi, di, mi, v in zip(beta, datum.d, m, ax))
     assert denom > 0
     delta = datum.delta_coeffs
-    md_delta = sum(map(mul, md, delta))
+    dhub = tuple(map(mul, datum.d, hub))
+    md_delta = sum(map(mul, map(mul, m, datum.d), delta))  # (Lambda - beta, delta)
+    outside = ~_mask(beta)
+    terms: dict[tuple[int, ...], int] = {}
     # Lambda - beta is fixed by W_J, J = {j : hub_j = 0}; each W_J-orbit of
     # positive roots counts once, at its one J-dominant member
-    jmask = _mask(mi == v for mi, v in zip(m, ax))
+    jmask = _mask(h == 0 for h in hub)
     order = _weyl_order(ell, jmask)
-    twice = 0  # twice the Freudenthal sum, so that halved terms stay integers
-    for gamma, root_mult, dag, neg, zero, supp in _root_table(ell):
+    for gamma, root_mult, ag, aa, neg, zero, supp in _root_table(ell):
         if neg & jmask:
             continue
+        if supp & outside:
+            continue  # every root of the string leaves supp beta
         # gamma + t*delta has |W_J|/|W_J'| images, J' = {j in J : (gamma, alpha_j) = 0}
         weight = 2 * root_mult * order // _weyl_order(ell, zero & jmask)
         # Delta_J meets the string only at t = 0, when supp gamma is in J; its
         # orbits hold -alpha with alpha, whose terms are equal, so they count half
         count = weight if supp & ~jmask else weight // 2
-        # alpha runs over the delta-string gamma, gamma + delta, ... while it fits below beta
-        alpha, md_alpha = gamma, sum(map(mul, md, gamma))
-        below = tuple(map(sub, beta, gamma))
+        # (Lambda - beta + alpha, alpha) at alpha = gamma; alpha runs over the
+        # delta-string gamma, gamma + delta, ... while it fits below beta
+        pair = sum(map(mul, gamma, dhub)) + aa
+        alpha, below = gamma, tuple(map(sub, beta, gamma))
         while min(below) >= 0:
-            rest = below
+            rest, h, c, step = below, hub, count * pair, count * aa
             while min(rest) >= 0:
-                inner = _mult(m, rest)
-                if inner:
-                    # (Lambda - beta + j*alpha, alpha) with rest = beta - j*alpha
-                    twice += count * (md_alpha - sum(map(mul, rest, dag))) * inner
+                # rest = beta - j*alpha, whose hub is hub + j*A.gamma and whose
+                # coefficient (Lambda - beta + j*alpha, alpha) grows by (alpha, alpha)
+                h = tuple(map(add, h, ag))
+                key = rest if min(h) >= 0 else _straighten(m, rest, h)[0]
+                if key is not None:
+                    terms[key] = terms.get(key, 0) + c
                 rest = tuple(map(sub, rest, alpha))
+                c += step
             alpha = tuple(map(add, alpha, delta))
-            md_alpha += md_delta
             below = tuple(map(sub, below, delta))
+            pair += md_delta
             count = weight
-    assert twice % denom == 0
-    return twice // denom
+    return terms, denom

@@ -52,6 +52,7 @@ class Mutant(NamedTuple):
 
 
 MAXWEIGHTS = "klrc/maxweights.py"
+MULTIPLICITY = "klrc/multiplicity.py"
 CLASS_TESTS = ("tests/test_maxweights.py::test_class_pass_is_lexicographic",
                "tests/test_maxweights.py::test_class_pass_matches_the_stars_and_bars_route")
 ROW_TESTS = ("tests/test_quiver.py::test_build_quiver_rows_match_the_per_source_builder",)
@@ -78,7 +79,8 @@ MUTANTS = (
            ("tests/test_cartan.py::test_apply_matrix_matches_dense_row_product",
             "tests/test_cartan.py::test_null_root_and_row_sums")),
     Mutant("straighten-reads-the-band-at-j-i-1", MAXWEIGHTS,
-           "band[j][i - j + 1]", "band[j][j - i + 1]",
+           "band[i + 1][0] * step\n        if i:\n            i -= 1\n            h[i] -= band[i][2]",
+           "band[i + 1][2] * step\n        if i:\n            i -= 1\n            h[i] -= band[i][0]",
            ("tests/test_multiplicity.py::test_straightening_matches_value_object_route",)),
     # the quiver
     Mutant("move-increment-solves-plus-delta-m", "klrc/quiver.py",
@@ -112,19 +114,27 @@ MUTANTS = (
     Mutant("hom-count-dropped-from-the-sum", "klrc/fock.py",
            "total = sum(c * _widen(a", "total = sum(_widen(a", HOM_TESTS),
     # the Freudenthal sum over stabilizer orbits
-    Mutant("mult-no-delta-j-halving", "klrc/multiplicity.py",
+    Mutant("mult-no-delta-j-halving", MULTIPLICITY,
            "count = weight if supp & ~jmask else weight // 2", "count = weight", MULT_TESTS),
-    Mutant("mult-no-orbit-weight", "klrc/multiplicity.py",
+    Mutant("mult-no-orbit-weight", MULTIPLICITY,
            "weight = 2 * root_mult * order // _weyl_order(ell, zero & jmask)",
            "weight = 2 * root_mult", MULT_TESTS),
-    Mutant("mult-no-j-dominance-skip", "klrc/multiplicity.py",
+    Mutant("mult-no-j-dominance-skip", MULTIPLICITY,
            "        if neg & jmask:\n            continue\n", "", MULT_TESTS),
-    Mutant("mult-type-c-order-for-interior-runs", "klrc/multiplicity.py",
+    Mutant("mult-type-c-order-for-interior-runs", MULTIPLICITY,
            "2 ** n * factorial(n) if k in (0, len(runs) - 1) else factorial(n + 1)",
            "2 ** n * factorial(n)",
            ("tests/test_multiplicity.py::test_orbit_weights_match_breadth_first_orbits",)),
-    Mutant("mult-negative-mask-le", "klrc/multiplicity.py",
-           "_mask(v < 0 for v in dag)", "_mask(v <= 0 for v in dag)", MULT_TESTS),
+    Mutant("mult-negative-mask-le", MULTIPLICITY,
+           "_mask(v < 0 for v in ag)", "_mask(v <= 0 for v in ag)", MULT_TESTS),
+    # the sum at dominant keys, from the hub, run from a worklist
+    Mutant("mult-support-skip-inverted", MULTIPLICITY,
+           "if supp & outside:", "if not supp & outside:", MULT_TESTS),
+    Mutant("mult-hub-advanced-by-d-a-gamma", MULTIPLICITY,
+           "h = tuple(map(add, h, ag))", "h = tuple(map(add, h, map(mul, datum.d, ag)))",
+           MULT_TESTS),
+    Mutant("mult-worklist-highest-key-first", MULTIPLICITY,
+           "sorted(sums, key=sum)", "sorted(sums, key=sum, reverse=True)", MULT_TESTS),
     # the command line
     Mutant("cli-no-subcommand-dispatch", "klrc/cli.py",
            "args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])",

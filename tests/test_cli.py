@@ -715,6 +715,24 @@ def test_closed_stdout_ends_in_exit_zero(fmt):
     assert (code, err) == (0, "")
 
 
+DEEP_BUDGET_S = 60  # about 7 s on a 2-vCPU x86_64 VM
+
+
+@pytest.mark.deep
+def test_height_1000_ends_in_exit_zero():
+    """A ``simples`` query at height 1,000 ends in exit 0 with its answer and
+    an empty stderr within the budget: the sums run from a worklist, so the
+    stack does not grow with the height.  The answer is the one the recursive
+    evaluation gives with an unbounded cache and a raised stack."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["simples", "--ell", "2", "--m", "1,0,0", "--beta", "250,500,250", "--max-n", "100000"]
+    done = subprocess.run([sys.executable, "-m", "klrc.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=DEEP_BUDGET_S)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "442756902372368391813468\n", "")
+
+
 def test_import_builds_no_parser():
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,17 +1,22 @@
 import random
+import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from operator import sub
 
 import pytest
 
 from klrc.cartan import (RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, cartan,
                          hub, pairing)
 from klrc.classifier import case_table
+from klrc.cli import main
 from klrc.fock import Multipartition, expand, residue
 from klrc import multiplicity
 from klrc.maxweights import _straighten, beta_of, class_members, dominantify, reflection_word
-from klrc.multiplicity import (_mult, _root_table, _weyl_order, finite_positive_roots,
+from klrc.multiplicity import (DEFAULT_MAX_HEIGHT, _mult, _multiplicity, _root_table,
+                               _terms, _weyl_order, finite_positive_roots,
                                first_layer_roots, positive_roots_within, weight_multiplicity)
 from reference import add_node, evaluate, sigma_flip, stabilizer_orbit
 from test_golden_replay import golden
@@ -124,45 +129,57 @@ def test_guard():
 
 def test_non_dominant_beta_reads_its_straightened_key(monkeypatch):
     """On a cold cache, a non-dominant beta answers with the multiplicity of its
-    straightened beta' (Weyl invariance), leaves beta' cached, and the
-    Freudenthal sum runs only at keys that straighten to themselves."""
+    straightened beta' (Weyl invariance).  The cache holds sums only at
+    dominant nonzero keys, each run once, so its misses count the sums run,
+    and beta' then reads its sum with one hit and runs none."""
     m, coeffs = (0, 0, 2, 0), (1, 2, 3, 2)
     straightened = _straighten(m, coeffs)[0]
     assert straightened == (1, 2, 3, 1)
-    last, summed = [], []
+    summed = []
 
-    def straighten(m, coeffs):
-        result = _straighten(m, coeffs)
-        last[:] = [coeffs, result[0]]
-        return result
+    def terms(m, beta):
+        summed.append(beta)
+        return _terms(m, beta)
 
-    def root_table(ell):
-        # _mult straightens its key, then reads the root table only to run the sum
-        summed.append(tuple(last))
-        return _root_table(ell)
-
-    monkeypatch.setattr(multiplicity, "_straighten", straighten)
-    monkeypatch.setattr(multiplicity, "_root_table", root_table)
+    monkeypatch.setattr(multiplicity, "_terms", terms)
     _mult.cache_clear()
-    value = _mult(m, coeffs)
+    value = _multiplicity(m, coeffs)
     assert value == 11
-    hits = _mult.cache_info().hits
-    assert _mult(m, straightened) == value
-    assert _mult.cache_info().hits == hits + 1
-    assert (straightened, straightened) in summed
-    assert all(key == result for key, result in summed), summed
+    info = _mult.cache_info()
+    assert info.misses == info.currsize == len(summed) == len(set(summed)) > 1
+    assert straightened in summed and coeffs not in summed
+    datum = cartan(3)
+    for beta in summed:
+        assert any(beta) and min(map(sub, m, datum.apply_matrix(beta))) >= 0, beta
+    assert _multiplicity(m, straightened) == value
+    assert _mult.cache_info() == info._replace(hits=info.hits + 1)
+    assert len(summed) == info.misses
     _mult.cache_clear()
 
 
-def test_multiplicity_cache_is_bounded():
+def test_multiplicity_cache_is_bounded(monkeypatch):
     """No cache can grow without bound in a long-lived process; the caches
-    keyed by rank alone share one bound.  The Freudenthal cache keeps about
-    ten entries a ``simples`` query, so 1,024 spans about a hundred queries."""
+    keyed by rank alone share one bound.  The Freudenthal cache holds only
+    sums: replaying the blocks pool's ``simples`` queries on a cold cache runs
+    more sums than it holds, and its misses count them exactly."""
     assert _mult.cache_info().maxsize == 1024
     assert _weyl_order.cache_info().maxsize == 1024  # keyed by (rank, subset of I)
     for cached in (cartan, finite_positive_roots, first_layer_roots, case_table, _root_table):
         assert cached.cache_info().maxsize == RANK_CACHE_SIZE, cached.__name__
     assert RANK_CACHE_SIZE >= 15  # every rank 2..16 the command line allows by default
+    sums = []
+
+    def terms(m, beta):
+        sums.append(beta)
+        return _terms(m, beta)
+
+    monkeypatch.setattr(multiplicity, "_terms", terms)
+    _mult.cache_clear()
+    for m, beta in pool_cases(range(2, 9), DEFAULT_MAX_HEIGHT):
+        _multiplicity(m, beta)
+    info = _mult.cache_info()
+    assert info.misses == len(sums) > info.currsize == info.maxsize
+    _mult.cache_clear()
 
 
 # Reference routes on value objects, which the tuple kernel must match: the
@@ -254,7 +271,7 @@ def test_mult_matches_value_object_route():
             charges = (sorted(rng.randint(0, ell) for _ in range(level)), [ell] * level)
             for weight in (DominantWeight.from_charges(c, ell) for c in charges):
                 for coeffs in betas:
-                    assert _mult(weight.m, coeffs) == reference_mult(weight.m, coeffs), (
+                    assert _multiplicity(weight.m, coeffs) == reference_mult(weight.m, coeffs), (
                         weight.m, coeffs)
                     result = reference_straighten(weight, RootVector(coeffs))[0]
                     if result is None:
@@ -264,16 +281,16 @@ def test_mult_matches_value_object_route():
     assert straightened["none"] > 0 and straightened["zero"] > 0
 
 
-def pool_simples(ells, max_height):
-    """The distinct (m, beta) of the blocks pool's ``simples`` queries at the
-    ranks ``ells`` with beta of height at most ``max_height``."""
+def pool_cases(ells, max_height, commands=("simples",)):
+    """The distinct (m, beta) of the blocks pool's queries of ``commands`` at
+    the ranks ``ells`` with beta of height at most ``max_height``."""
     pool = golden("blocks")
     queries = [query for slot in pool["slots"] for variant in slot["variants"]
                for query in variant] + pool["fixed"]
     cases = set()
     for text, _, _ in queries:
         words = text.split()
-        if words[0] != "simples":
+        if words[0] not in commands:
             continue
         args = dict(zip(words[1::2], words[2::2]))
         ell = int(args["--ell"])
@@ -289,12 +306,12 @@ def test_mult_matches_value_object_route_at_the_pool_ranks():
     pool's ``simples`` queries at ell 6..8, where the stabilizers W_J of the
     orbit sum are largest: up to height 9, and up to height 10 at ell 8
     (about 2 s; height 10 at ell 6 and 7 would add about 3 s)."""
-    cases = pool_simples({6, 7}, 9) + pool_simples({8}, 10)
+    cases = pool_cases({6, 7}, 9) + pool_cases({8}, 10)
     assert len(cases) == 480
     _mult.cache_clear()
     nonzero = 0
     for m, beta in cases:
-        value = _mult(m, beta)
+        value = _multiplicity(m, beta)
         assert value == reference_mult(m, beta), (m, beta)
         nonzero += value > 0
     assert nonzero == len(cases)  # every pool query lies in the weight system
@@ -311,7 +328,7 @@ def test_orbit_weights_match_breadth_first_orbits():
         matrix = cartan(ell).matrix
         for jmask in range((1 << ell + 1) - 1):
             J = [j for j in range(ell + 1) if jmask >> j & 1]
-            for gamma, _, _, neg, zero, supp in _root_table(ell):
+            for gamma, _, _, _, neg, zero, supp in _root_table(ell):
                 pairs = [sum(a * c for a, c in zip(matrix[j], gamma)) for j in J]
                 assert (not neg & jmask) == all(p >= 0 for p in pairs)
                 if neg & jmask:
@@ -350,6 +367,69 @@ def test_straightening_matches_value_object_route():
         dominantify(W(1, 0, 0), R(0, 0, 0, 0))
     with pytest.raises(ValueError, match="level must be at least 1"):
         dominantify(W(0, 0, 0), R(1, 0, 0))
+
+
+def test_straightening_from_a_given_hub():
+    """``_straighten`` started from the hub the caller has gives the vector
+    and the word it gives from the band of A, and leaves the given hub as it
+    was: for every beta of the blocks pool, and for random beta at ell 2..8.
+    ``dominantify`` and ``reflection_word`` give what the value-object route
+    gives."""
+    rng = random.Random(29)
+    cases = pool_cases(range(2, 17), float("inf"), ("classify", "simples", "defect"))
+    assert len(cases) > 2000
+    for _ in range(1500):
+        ell = rng.randint(2, 8)
+        weight = DominantWeight.from_charges([rng.randint(0, ell)
+                                              for _ in range(rng.randint(1, 5))], ell)
+        cases.append((weight.m, tuple(rng.randint(0, 6) for _ in range(ell + 1))))
+    for m, x in cases:
+        hub = list(map(sub, m, cartan(len(m) - 1).apply_matrix(x)))
+        given = list(hub)
+        assert _straighten(m, x, given) == _straighten(m, x), (m, x)
+        assert given == hub
+        weight, beta = DominantWeight(m), RootVector(x)
+        result, word = reference_straighten(weight, beta)
+        assert dominantify(weight, beta) == result
+        assert reflection_word(weight, beta) == (word if result is not None else None)
+
+
+# Heights far beyond the default cap: the sums run from a worklist, so
+# neither time nor stack depth climbs with the height as recursion did.
+HEIGHT_320_BUDGET_S = 2
+
+
+def test_height_280_gives_the_recursive_answer():
+    """The value the recursive evaluation gives, checked with an unbounded
+    cache and a raised stack."""
+    _mult.cache_clear()
+    assert weight_multiplicity(W(1, 0, 0), R(70, 140, 70), max_height=280) == 161359833328
+
+
+def test_height_320_answers_within_budget(capsys):
+    _mult.cache_clear()
+    start = time.perf_counter()
+    code = main(["simples", "--ell", "2", "--m", "1,0,0", "--beta", "80,160,80",
+                 "--max-n", "100000"])
+    elapsed = time.perf_counter() - start
+    assert (code, capsys.readouterr()) == (0, ("1428969357581\n", ""))
+    assert elapsed < HEIGHT_320_BUDGET_S
+
+
+def test_deep_query_runs_a_few_frames_deep():
+    """On a cold cache, a height-320 query answers with the recursion limit
+    a few dozen frames above the caller's own depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    _mult.cache_clear()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        value = weight_multiplicity(W(1, 0, 0), R(80, 160, 80), max_height=320)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == 1428969357581
 
 
 def exact_rank(rows):
