@@ -18,7 +18,7 @@ from .maxweights import (MaximalWeightDatum, NotEquivalentError, beta_of,
 from .multiplicity import weight_multiplicity
 from .quiver import (Arrow, MaxWeightQuiver, MoveLabel, arrow_test, build_quiver,
                      delta_vector, export, witness_sequence)
-from .tableaux import graded_hom_dim, graded_hom_dim_block, kostka_q, multipartitions
+from .tableaux import graded_hom_dim, kostka_q, multipartitions
 
 __all__ = [
     "Arrow", "CartanDatum", "DominantWeight", "FockVector", "GuardError",
@@ -27,9 +27,9 @@ __all__ = [
     "apply_divided_f", "apply_f", "arrow_test", "beta_of", "build_quiver",
     "cartan", "class_members", "class_size", "classify", "defect",
     "delta_decompose", "delta_vector", "dominantify", "ev", "expand", "export",
-    "fold_residue", "graded_hom_dim", "graded_hom_dim_block", "hom_dim", "hub",
-    "kostka_q", "minimal_solution", "multipartitions", "pairing", "parse_word",
-    "residue", "weight_multiplicity", "wildness_criteria", "witness_sequence",
+    "fold_residue", "graded_hom_dim", "hom_dim", "hub", "kostka_q",
+    "minimal_solution", "multipartitions", "pairing", "parse_word", "residue",
+    "weight_multiplicity", "wildness_criteria", "witness_sequence",
 ]
 
 __version__ = "0.1.0"

@@ -112,7 +112,7 @@ def _cmd_dims(args) -> str:
     weight = _parse_weight(args)
     beta = _parse_beta(args)
     nu = _parse_nu(args.nu)
-    nu2 = _parse_nu(args.nu2) if args.nu2 else nu
+    nu2 = nu if args.nu2 is None else _parse_nu(args.nu2)
     value = graded_hom_dim(weight, beta, nu, nu2, max_n=args.max_n)
     if args.format == "json":
         return json.dumps({

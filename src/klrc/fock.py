@@ -57,7 +57,9 @@ offset so that none is negative, and the base exponent absorbs the offsets.
 At q=1 a divided power f_i^(r) is f_i^r / r!, so every coefficient met while
 expanding a word of n boxes with powers r_1, ..., r_k is nonnegative and at
 most n! / (r_1! ... r_k!) <= n! at q=1, and w = bits of that bound + 1 keeps
-every digit free of carries.
+every digit free of carries.  ``_expand`` is the one packed expansion of a
+word, at that width: ``expand`` runs it on a checked word, and
+``graded_hom_dim`` on each residue sequence read as single steps.
 
 Shapes are decoded only where a ``Multipartition`` is read:
 ``FockVector.terms`` (on first read, with the coefficients), the rendering
@@ -375,13 +377,15 @@ def _divided(terms: Terms, low: int, boxes: int, masks: tuple[int, int], d: int,
     return terms, low + drop
 
 
-def _expand(weight: DominantWeight, factors: Sequence[tuple[int, int]],
-            width: int) -> tuple[Terms, int]:
-    """The factors, in application order, on the vacuum at one width; the
-    keys are encoded at the number of boxes the factors add."""
+def _expand(weight: DominantWeight, factors: Sequence[tuple[int, int]]) -> _Packed:
+    """The factors, in application order, on the vacuum, packed at one width:
+    every coefficient met is at most n! / (r_1! ... r_k!) at q=1, n the
+    number of boxes the factors add and r_1, ..., r_k their powers, and the
+    keys are encoded at n."""
     charges, ell = weight.charges, weight.ell
     d = cartan(ell).d
     n = sum(power for _, power in factors)
+    width = _width(factorial(n) // prod(factorial(power) for _, power in factors))
     masks: dict[int, tuple[int, int]] = {}
     terms: Terms = {_key(((),) * len(charges), n): 1}
     low = boxes = 0
@@ -390,25 +394,7 @@ def _expand(weight: DominantWeight, factors: Sequence[tuple[int, int]],
             masks[i] = _masks(charges, ell, n, i)
         terms, low = _divided(terms, low, boxes, masks[i], d[i], power, width)
         boxes += power
-    return terms, low
-
-
-def _summed_expansion(weight: DominantWeight, words: Sequence[FWord]) -> _Packed:
-    """The expansions of single-step words of one length n, summed packed.
-
-    Each coefficient is at most n! at q=1, so the width covers the sum of
-    ``len(words)`` of them.
-    """
-    n = max(map(len, words), default=0)
-    width = _width(len(words) * factorial(n))
-    expansions = [_expand(weight, word[::-1], width) for word in words]
-    low = min((base for terms, base in expansions if terms), default=0)
-    acc: Terms = {}
-    for terms, base in expansions:
-        shift = width * (base - low)
-        for shape, coeff in terms.items():
-            acc[shape] = acc.get(shape, 0) + (coeff << shift)
-    return width, low, n, acc
+    return width, low, n, terms
 
 
 def _digits(packed: int, width: int, low: int) -> list[tuple[int, int]]:
@@ -508,19 +494,13 @@ def expand(weight: DominantWeight, word: Iterable[tuple[int, int]], *,
     """Apply a divided-power word to the vacuum, rightmost factor first.
 
     Every factor is checked, in application order, and then the component and
-    box caps (GuardError), before the first step.  Every coefficient met on
-    the way is nonnegative and at most n! / (r_1! ... r_k!) at q=1, n the
-    number of boxes the word adds and r_1, ..., r_k its powers, so one width
-    serves the whole word.
+    box caps (GuardError), before the first step.
     """
     factors = tuple(word)[::-1]
     for i, power in factors:
         _check_factor(i, power, weight.ell)
-    n = sum(power for _, power in factors)
-    _check_size(weight, n, max_n)
-    width = _width(factorial(n) // prod(factorial(power) for _, power in factors))
-    terms, low = _expand(weight, factors, width)
-    return FockVector(weight.charges, weight.ell, packed=(width, low, n, terms))
+    _check_size(weight, sum(power for _, power in factors), max_n)
+    return FockVector(weight.charges, weight.ell, packed=_expand(weight, factors))
 
 
 def word_content(word: Iterable[tuple[int, int]], ell: int) -> RootVector:

@@ -9,9 +9,8 @@ One prefix-and-shift rule gives every minimal solution.  ``_reduce`` is its
 single-vector form, which ``minimal_solution``, ``beta_of`` and
 ``delta_decompose`` run.  ``_class_columns`` is its class form: it runs the
 rule a coordinate at a time over all members of a class, one column of m_j
-and one of x_j per coordinate j, with every check asserted for every member;
-``_class_pass`` is its transpose, one (m, x) row per member.  The tests tie
-the two forms together through the stars-and-bars class pass of
+and one of x_j per coordinate j, with every check asserted for every member.
+The tests tie the two forms together through the stars-and-bars class pass of
 ``tests/reference.py``, which solves each member with ``_solve``.
 """
 
@@ -111,15 +110,6 @@ def _class_columns(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICE
     return m_cols, x_cols
 
 
-def _class_pass(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
-                ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """``(m, x)`` for every member m of the class of the multiplicities ``root``,
-    with x its minimal solution, in lexicographic order of m: the transpose of
-    ``_class_columns``, which raises the same GuardError."""
-    m_cols, x_cols = _class_columns(root, max_members)
-    return list(zip(zip(*m_cols), zip(*x_cols)))
-
-
 def class_members(weight: DominantWeight) -> list[DominantWeight]:
     """All level-k dominant weights equivalent to ``weight``.
 
@@ -127,7 +117,7 @@ def class_members(weight: DominantWeight) -> list[DominantWeight]:
     sorted lexicographically on the multiplicity vector.  A class of more than
     ``DEFAULT_MAX_VERTICES`` members raises GuardError before any is listed.
     """
-    return [DominantWeight(m) for m, _ in _class_pass(weight.m)]
+    return [DominantWeight(m) for m in zip(*_class_columns(weight.m)[0])]
 
 
 def _class_size(m: tuple[int, ...]) -> int:

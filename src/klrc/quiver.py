@@ -67,10 +67,9 @@ raising the solution vector, and the increments in closed form.
 
 ``render(quiver, fmt)`` is the one renderer of each format in ``FORMATS``
 (``text``, ``dot``, ``json``, ``tsv``): a generator of the document's text in
-order, one piece per line, vertex or arrow block.  ``export`` and
-``to_dot``/``to_json``/``to_tsv`` join the pieces; ``klrc quiver`` writes them
-one at a time as they are rendered, so its memory is set by the quiver and
-not by the size of its text.
+order, one piece per line, vertex or arrow block.  ``export`` joins the
+pieces; ``klrc quiver`` writes them one at a time as they are rendered, so
+its memory is set by the quiver and not by the size of its text.
 """
 
 from __future__ import annotations
@@ -488,16 +487,3 @@ def _tsv_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
 
 # each format's renderer, in the order ``klrc quiver --format`` lists them
 FORMATS = {"text": _text_lines, "dot": _dot_lines, "json": _json_lines, "tsv": _tsv_lines}
-
-
-def to_dot(quiver: MaxWeightQuiver) -> str:
-    """Graphviz text of the quiver."""
-    return "".join(_dot_lines(quiver))
-
-
-def to_json(quiver: MaxWeightQuiver) -> str:
-    return "".join(_json_lines(quiver))
-
-
-def to_tsv(quiver: MaxWeightQuiver) -> str:
-    return "".join(_tsv_lines(quiver))

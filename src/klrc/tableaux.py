@@ -18,8 +18,8 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .cartan import DominantWeight, RootVector
-from .fock import (DEFAULT_MAX_BOXES, FWord, Multipartition, Shape, _check_size, _hom,
-                   _summed_expansion, node_degree, residue, word_content)
+from .fock import (DEFAULT_MAX_BOXES, Multipartition, Shape, _check_size, _expand, _hom,
+                   node_degree, residue, word_content)
 from .laurent import ZERO, LaurentPolynomial
 
 
@@ -82,18 +82,16 @@ def multipartitions(n: int, k: int) -> Iterator[Multipartition]:
         yield Multipartition(comps)
 
 
-def _single_steps(ell: int, beta: RootVector, nus: Sequence[Sequence[int]],
-                  name: str) -> list[FWord]:
-    """Each residue sequence as a word of single steps, checked to have content beta."""
-    words = []
-    for nu in nus:
-        word = tuple([(r, 1) for r in reversed(nu)])
-        content = word_content(word, ell)
-        if content != beta:
-            raise ValueError(f"{name} {tuple(nu)} has content {content.coeffs}, "
-                             f"expected {beta.coeffs}")
-        words.append(word)
-    return words
+def _single_steps(ell: int, beta: RootVector, nu: Sequence[int],
+                  name: str) -> tuple[tuple[int, int], ...]:
+    """The residue sequence as single steps in application order, checked to
+    have content beta; the residues are checked as a word, last one first."""
+    factors = tuple([(r, 1) for r in nu])
+    content = word_content(reversed(factors), ell)
+    if content != beta:
+        raise ValueError(f"{name} {tuple(nu)} has content {content.coeffs}, "
+                         f"expected {beta.coeffs}")
+    return factors
 
 
 def graded_hom_dim(weight: DominantWeight, beta: RootVector,
@@ -102,27 +100,16 @@ def graded_hom_dim(weight: DominantWeight, beta: RootVector,
     """Graded dimension of the (nu, nu') idempotent truncation of the block at beta.
 
     Sums K(nu, shape) * K(nu', shape) over all multipartitions of |beta| with
-    one component per charge, as the Hom dimension of two Fock expansions.
-    """
-    return graded_hom_dim_block(weight, beta, [nu], None if nu_prime is None else [nu_prime],
-                                max_n=max_n)
-
-
-def graded_hom_dim_block(weight: DominantWeight, beta: RootVector,
-                         nus: Sequence[Sequence[int]],
-                         nus_prime: Sequence[Sequence[int]] | None = None, *,
-                         max_n: int = DEFAULT_MAX_BOXES) -> LaurentPolynomial:
-    """Graded dimension of a block truncation by sums of idempotents.
-
-    By bilinearity, the Hom dimension of the summed expansions of ``nus`` and
-    of ``nus_prime`` (``nus`` when omitted); equal sides are expanded once.
+    one component per charge, as the Hom dimension of the Fock expansions of
+    nu and nu' read as single steps; nu' defaults to nu, and equal sequences
+    are expanded once.  Checks beta, then the caps (GuardError), then the
+    content of nu and of nu', before the first expansion.
     """
     if not beta.in_positive_cone():
         raise ValueError("beta must lie in the positive cone")
     _check_size(weight, beta.height, max_n)
-    words = _single_steps(weight.ell, beta, nus, "nu")
-    words_prime = (words if nus_prime is None
-                   else _single_steps(weight.ell, beta, nus_prime, "nu'"))
-    left = _summed_expansion(weight, words)
-    right = left if words_prime == words else _summed_expansion(weight, words_prime)
-    return _hom(left, right)
+    factors = _single_steps(weight.ell, beta, nu, "nu")
+    factors_prime = (factors if nu_prime is None
+                     else _single_steps(weight.ell, beta, nu_prime, "nu'"))
+    left = _expand(weight, factors)
+    return _hom(left, left if factors_prime == factors else _expand(weight, factors_prime))

@@ -57,6 +57,8 @@ CLASS_TESTS = ("tests/test_maxweights.py::test_class_pass_is_lexicographic",
                "tests/test_maxweights.py::test_class_pass_matches_the_stars_and_bars_route")
 ROW_TESTS = ("tests/test_quiver.py::test_build_quiver_rows_match_the_per_source_builder",)
 HOM_TESTS = ("tests/test_fock.py::test_shared_coefficients_count_in_the_width",)
+GOLDEN_FOCK_DIMS = ("tests/test_golden_replay.py::test_replay_every_fock_and_dims_query",)
+READER_TESTS = ("tests/test_cli.py::test_reader_reads_like_argparse_or_not_at_all",)
 MULT_TESTS = ("tests/test_multiplicity.py::test_golden_counts",
               "tests/test_multiplicity.py::test_mult_matches_value_object_route")
 
@@ -108,6 +110,10 @@ MUTANTS = (
            "low -= d * (power * boxes + power * (power - 1) // 2)", "low -= d * power * boxes",
            ("tests/test_fock.py::test_divided_square_golden",
             "tests/test_fock.py::test_signed_fourth_and_fifth_divided_powers")),
+    # one digit width for a whole word, n! / (r_1! ... r_k!) at q=1
+    Mutant("fock-width-set-by-n-not-the-multinomial", "klrc/fock.py",
+           "_width(factorial(n) // prod(factorial(power) for _, power in factors))",
+           "_width(n)", GOLDEN_FOCK_DIMS),
     # the Hom dimension over distinct coefficient pairs
     Mutant("hom-count-dropped-from-the-width-bound", "klrc/fock.py",
            "bound = sum(c * (a % ml)", "bound = sum((a % ml)", HOM_TESTS),
@@ -140,6 +146,23 @@ MUTANTS = (
            "args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])",
            "args = parser.parse_args(argv)",
            ("tests/test_cli.py::test_argparse_errors",)),
+    # the option table's reader: each mutant drops one check of _read_args
+    Mutant("reader-no-choices-check", "klrc/cli.py",
+           "        if option.choices is not None and value not in option.choices:\n"
+           "            return None\n", "", READER_TESTS),
+    Mutant("reader-no-leading-dash-check", "klrc/cli.py",
+           '        if text.startswith("-"):\n            return None\n', "", READER_TESTS),
+    Mutant("reader-no-required-check", "klrc/cli.py",
+           "            if option.required:\n                return None\n", "", READER_TESTS),
+    Mutant("reader-no-int-check", "klrc/cli.py",
+           "        except ValueError:\n            return None\n",
+           "        except ValueError:\n            value = text\n", READER_TESTS),
+    Mutant("reader-no-undeclared-flag-check", "klrc/cli.py",
+           "    if given:  # an undeclared flag, or a value where a flag belongs\n"
+           "        return None\n", "", READER_TESTS),
+    Mutant("reader-no-flag-count-check", "klrc/cli.py",
+           "    if 2 * len(given) != len(argv) - 1:  # a flag without its value, or given twice\n"
+           "        return None\n", "", READER_TESTS),
     Mutant("cli-no-broken-pipe-handler", "klrc/cli.py",
            "except BrokenPipeError:", "except ZeroDivisionError:",
            ("tests/test_cli.py::test_closed_stdout_ends_in_exit_zero",)),

@@ -23,7 +23,8 @@ the package:
 * the stars-and-bars class pass (``class_pass_by_compositions``), which
   builds every weak composition of the level, keeps those whose ev has the
   root's parity and solves each with ``klrc.maxweights._solve``, where
-  ``klrc.maxweights._class_pass`` enumerates the finite parts;
+  ``klrc.maxweights._class_columns`` enumerates the finite parts, and
+  ``class_rows``, which reads those columns a member at a time;
 * the ε-coordinate class model (``finite_part``, ``class_model``,
   ``lowered_finite_part``), which lists a class by its finite parts as the
   engine's class pass does (the stars-and-bars pass is the independent check
@@ -51,8 +52,8 @@ from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, fold_res
 from klrc.classifier import CaseInstance, _holds
 from klrc.fock import Multipartition, Node, node_degree, residue
 from klrc.laurent import LaurentPolynomial, _wrap
-from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_pass, _class_size,
-                             _solve)
+from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns,
+                             _class_size, _solve)
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, STEPS,
                          MaxWeightQuiver, MoveLabel, _below_masks, _move_table)
 
@@ -257,7 +258,7 @@ def build_quiver(weight: DominantWeight) -> MaxWeightQuiver:
     move ``_candidate_keys`` lists for each member, the target is read off
     ``_shift``, and each source's arrows are sorted by target, then label
     text."""
-    members = _class_pass(weight.m)
+    members = class_rows(weight.m)
     index = {m: n for n, (m, _) in enumerate(members)}
     null = cartan(weight.ell).delta_coeffs
     table = _move_table(weight.ell)
@@ -326,6 +327,15 @@ def stabilizer_orbit(ell: int, J: Sequence[int], x: Sequence[int]) -> set[tuple[
 
 
 # -- the class by stars and bars -----------------------------------------
+
+
+def class_rows(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
+               ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(m, x)`` for every member m of the class of the multiplicities ``root``:
+    the columns of ``klrc.maxweights._class_columns``, which raises its
+    GuardError, read across, one row per member in its order."""
+    m_cols, x_cols = _class_columns(root, max_members)
+    return list(zip(zip(*m_cols), zip(*x_cols)))
 
 
 def class_pass_by_compositions(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES

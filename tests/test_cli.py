@@ -11,7 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from klrc import cli
 from klrc.cartan import DominantWeight
@@ -64,6 +64,19 @@ def test_dims_text(capsys):
                         "--beta", "1,2,1", "--nu", "0-1-2-1"], capsys)
     assert code == 0
     assert out == "1 + 2q^2 + 3q^4 + 2q^6 + q^8\n"
+
+
+@pytest.mark.parametrize("nu2", [["--nu2", ""], ["--nu2="]], ids=["table", "argparse"])
+def test_empty_nu2_is_refused_like_an_empty_nu(nu2, capsys):
+    """An empty --nu2, read from the option table or by argparse, is a
+    residue sequence that does not parse, as an empty --nu is: exit 2, the
+    same error and nothing on stdout, not the answer for nu' = nu."""
+    argv = ["dims", "--ell", "2", "--m", "1,0,0", "--beta", "1,0,0", "--nu"]
+    assert run(argv + ["0"], capsys) == (0, "1\n", "")
+    refused = run(argv + [""], capsys)
+    assert refused == (2, "", "error: invalid literal for int() with base 10: ''\n")
+    assert (cli._read_args(argv + ["0", *nu2]) is None) == (len(nu2) == 1)
+    assert run(argv + ["0", *nu2], capsys) == refused
 
 
 def test_quiver_dot(capsys):
@@ -513,8 +526,16 @@ def near_miss_argv(draw):
     return argv
 
 
+# one argv per check of the reader that only that check refuses, so that each
+# recorded mutant dropping one check is killed on every run
 @settings(max_examples=400, deadline=None, database=None)
 @given(near_miss_argv())
+@example(["defect", "--ell", "2", "--m", "1,0,0", "--beta", "1,0,0", "--format", "dot"])  # choice
+@example(["fock", "--ell", "2", "--weight", "0,0,1", "--word", "-x"])  # a leading "-"
+@example(["defect", "--m", "1,0,0", "--beta", "1,0,0"])  # no --ell
+@example(["defect", "--ell", "x", "--m", "1,0,0", "--beta", "1,0,0"])  # not an int
+@example(["defect", "--ell", "2", "--m", "1,0,0", "--beta", "1,0,0", "--bogus", "1"])  # undeclared
+@example(["defect", "--ell", "2", "--m", "1,0,0", "--beta", "1,0,0", "--format"])  # no value
 def test_reader_reads_like_argparse_or_not_at_all(argv):
     """On a near-miss argv the option table's reader gives nothing, or
     exactly the namespace of the subcommand's own parser."""

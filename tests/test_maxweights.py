@@ -8,11 +8,11 @@ import pytest
 import klrc.maxweights
 from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, hub
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, NotEquivalentError, _class_columns,
-                             _class_pass, _straighten, beta_of, class_members, class_size,
-                             defect, delta_decompose, dominantify, ev, minimal_solution,
+                             _straighten, beta_of, class_members, class_size, defect,
+                             delta_decompose, dominantify, ev, minimal_solution,
                              reflection_word)
-from reference import (class_model, class_pass_by_compositions, defect_model, finite_part,
-                       lowered_finite_part, sigma_flip, straighten_model)
+from reference import (class_model, class_pass_by_compositions, class_rows, defect_model,
+                       finite_part, lowered_finite_part, sigma_flip, straighten_model)
 from test_quiver import ROUTE_CASES, pool_roots
 
 
@@ -52,7 +52,7 @@ def test_class_pass_is_lexicographic():
         for level in range(1, 7):
             for parity in (0, 1):
                 root = (level - parity, parity) + (0,) * (ell - 1)
-                members = _class_pass(root)
+                members = class_rows(root)
                 ms = [m for m, _ in members]
                 assert ms == sorted(set(ms))
                 assert ms == [w.m for w in class_members(DominantWeight(root))]
@@ -69,13 +69,13 @@ MODEL_ROOTS = [root for ell in range(2, 7) for level in range(1, 6) for parity i
 
 
 def test_class_pass_matches_the_epsilon_model():
-    """``_class_pass`` against the ε-coordinate class model: the same members in
+    """The class pass against the ε-coordinate class model: the same members in
     the same lexicographic order of m, as many as ``class_size`` counts, and
     each member's x lowers the root's finite part to the member's own (Λ − β
     and the member differ by a multiple of δ)."""
     assert len(MODEL_ROOTS) == 100
     for root in MODEL_ROOTS:
-        members = _class_pass(root)
+        members = class_rows(root)
         assert [m for m, _ in members] == class_model(root), root
         assert len(members) == class_size(DominantWeight(root)), root
         for m, x in members:
@@ -83,7 +83,7 @@ def test_class_pass_matches_the_epsilon_model():
 
 
 def test_class_pass_matches_the_stars_and_bars_route():
-    """``_class_pass``, which enumerates the finite parts, against the stars-and-bars
+    """The class pass, which enumerates the finite parts, against the stars-and-bars
     route (``reference.class_pass_by_compositions``), which builds every weak
     composition, keeps those whose ev has the root's parity and solves each:
     the same members in the same order with the same x, on every root of the
@@ -92,7 +92,7 @@ def test_class_pass_matches_the_stars_and_bars_route():
                             for parity, level, ell in ROUTE_CASES] + MODEL_ROOTS
     assert len(set(roots)) > 250
     for root in roots:
-        assert _class_pass(root) == class_pass_by_compositions(root), root
+        assert class_rows(root) == class_pass_by_compositions(root), root
 
 
 def test_class_columns_are_the_class_pass_transposed():
@@ -110,7 +110,6 @@ def test_class_columns_are_the_class_pass_transposed():
         assert len(m_cols) == len(x_cols) == len(root)
         expected = class_pass_by_compositions(root)
         assert list(zip(zip(*m_cols), zip(*x_cols))) == expected, root
-        assert _class_pass(root) == expected, root
     assert len(expected) == 4_940 < DEFAULT_MAX_VERTICES
 
 
@@ -126,7 +125,7 @@ def test_class_columns_guard_runs_before_any_column(monkeypatch):
     with pytest.raises(GuardError, match="5340 members, cap is 5000"):
         _class_columns((38, 0, 0, 0))
     with pytest.raises(GuardError, match="5340 members"):
-        _class_pass((38, 0, 0, 0))
+        class_members(DominantWeight((38, 0, 0, 0)))
     with pytest.raises(AssertionError, match="enumerated"):
         _class_columns((37, 0, 0, 0))
 
@@ -136,7 +135,7 @@ def test_class_pass_at_a_deep_rank():
     route: the pass does not recurse, so its stack depth does not grow with the
     rank."""
     root = (1,) + (0,) * 1200
-    members = _class_pass(root)
+    members = class_rows(root)
     assert len(members) == 601
     assert members == class_pass_by_compositions(root)
 
@@ -347,7 +346,7 @@ def test_defect_matches_the_epsilon_model():
     checked = 0
     for parity, level, ell in ROUTE_CASES:
         root = (level - parity, parity) + (0,) * (ell - 1)
-        for m, x in _class_pass(root):
+        for m, x in class_rows(root):
             beta = RootVector(x)
             assert defect(DominantWeight(root), beta) == defect_model(root, x), (root, m)
             assert defect(DominantWeight(m), beta) == defect_model(m, x), (root, m)
