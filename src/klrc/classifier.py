@@ -3,8 +3,9 @@
 The decision pipeline straightens the root into the dominant chamber, splits
 off null-root multiples, dispatches level one to its complete trichotomy, and
 at higher level matches the reduced pair against the finite and tame case
-tables; anything unmatched is wild.  The case tables are data, shared between
-the classifier and its tests.
+tables; anything unmatched is wild.  The case list is generated once per rank
+(``_generate_cases``) straight into ``_case_index``, its cases grouped by beta
+in list order; the flat table the tests read lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -83,13 +84,8 @@ def _interval(a: int, b: int, coeff: int = 1) -> dict[int, int]:
     return {i: coeff for i in range(a, b + 1)}
 
 
-@lru_cache(maxsize=RANK_CACHE_SIZE)
-def case_table(ell: int) -> tuple[CaseInstance, ...]:
-    """All finite and tame case instances at the given rank, finite cases first."""
-    return tuple(_generate_cases(ell))
-
-
 def _generate_cases(ell: int) -> Iterator[CaseInstance]:
+    """All finite and tame case instances at the given rank, finite cases first."""
     F, T = RepType.FINITE, RepType.TAME
 
     # finite cases
@@ -174,9 +170,10 @@ def _generate_cases(ell: int) -> Iterator[CaseInstance]:
 
 @lru_cache(maxsize=RANK_CACHE_SIZE)
 def _case_index(ell: int) -> dict[tuple[int, ...], tuple[CaseInstance, ...]]:
-    """The cases of ``case_table`` grouped by beta, each group in table order."""
+    """The cases of ``_generate_cases`` grouped by beta, each group in the
+    order generated."""
     index: dict[tuple[int, ...], tuple[CaseInstance, ...]] = {}
-    for case in case_table(ell):
+    for case in _generate_cases(ell):
         index[case.beta] = index.get(case.beta, ()) + (case,)
     return index
 

@@ -38,6 +38,18 @@ EXIT_GUARD = 3
 WRITE_PIECES = 256
 
 
+def _ints(text: str, flag: str, sep: str = ",") -> list[int]:
+    """The entries of ``flag``'s value ``text``, split at ``sep``, as integers;
+    a ValueError names ``flag`` and the first bad entry, counted from 1."""
+    values = []
+    for n, entry in enumerate(text.split(sep), 1):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise ValueError(f"{flag} entry {n} is not an integer: {entry!r}") from None
+    return values
+
+
 def _parse_weight(args) -> DominantWeight:
     """The weight of --m or --weight, not both.  Only the rank is capped here:
     a weight stores its multiplicities alone, so a level of millions costs a
@@ -51,27 +63,23 @@ def _parse_weight(args) -> DominantWeight:
     if ell > args.max_rank:
         raise GuardError(f"rank {ell} exceeds the cap of {args.max_rank}")
     if args.m:
-        m = tuple([int(v) for v in args.m.split(",")])
+        m = tuple(_ints(args.m, "--m"))
         if len(m) != ell + 1:
             raise ValueError(f"--m needs {ell + 1} entries")
         return DominantWeight(m)
     if not args.weight:
         raise ValueError("a weight is required (--weight or --m)")
-    return DominantWeight.from_charges([int(v) for v in args.weight.split(",")], ell)
+    return DominantWeight.from_charges(_ints(args.weight, "--weight"), ell)
 
 
 def _parse_beta(args) -> RootVector:
-    coeffs = [int(v) for v in args.beta.split(",")]
+    coeffs = _ints(args.beta, "--beta")
     if len(coeffs) != args.ell + 1:
         raise ValueError(f"--beta needs {args.ell + 1} entries")
     beta = RootVector(tuple(coeffs))
     if not beta.in_positive_cone():
         raise ValueError("--beta must have nonnegative entries")
     return beta
-
-
-def _parse_nu(text: str) -> tuple[int, ...]:
-    return tuple([int(v) for v in text.split("-")])
 
 
 def _cmd_classify(args) -> str:
@@ -111,8 +119,8 @@ def _cmd_maxweights(args) -> str:
 def _cmd_dims(args) -> str:
     weight = _parse_weight(args)
     beta = _parse_beta(args)
-    nu = _parse_nu(args.nu)
-    nu2 = nu if args.nu2 is None else _parse_nu(args.nu2)
+    nu = tuple(_ints(args.nu, "--nu", "-"))
+    nu2 = nu if args.nu2 is None else tuple(_ints(args.nu2, "--nu2", "-"))
     value = graded_hom_dim(weight, beta, nu, nu2, max_n=args.max_n)
     if args.format == "json":
         return json.dumps({

@@ -6,7 +6,8 @@ weight-root and root-root pairings, so no normalization of weight-weight
 values ever enters; all arithmetic is exact and the dividing factor is
 asserted to divide exactly.
 
-Positive roots of the affine system are the finite-type positive roots and
+Positive roots of the affine system are the finite-type positive roots,
+eps_i - eps_j (i < j) and eps_i + eps_j (i <= j) of C_ell in closed form, and
 their null-root complements, shifted by multiples of the null root; imaginary
 multiples of the null root carry multiplicity equal to the finite rank.
 
@@ -59,29 +60,6 @@ from .maxweights import _straighten
 DEFAULT_MAX_HEIGHT = 14
 
 
-@lru_cache(maxsize=RANK_CACHE_SIZE)
-def finite_positive_roots(ell: int) -> tuple[RootVector, ...]:
-    """Positive roots of the rank-ell finite type C system, in affine coordinates.
-
-    eps_i - eps_j = alpha_i + ... + alpha_{j-1} for 1 <= i < j <= ell, then
-    eps_i + eps_j = (alpha_i + ... + alpha_{j-1}) + 2(alpha_j + ... + alpha_{ell-1})
-    + alpha_ell for 1 <= i <= j <= ell (2 eps_i at i = j).
-    """
-    pairs = [(i, j) for i in range(1, ell + 1) for j in range(i, ell + 1)]
-    minus = [(0,) * i + (1,) * (j - i) + (0,) * (ell + 1 - j) for i, j in pairs if i < j]
-    plus = [(0,) * i + (1,) * (j - i) + (2,) * (ell - j) + (1,) for i, j in pairs]
-    return tuple(RootVector(coeffs) for coeffs in minus + plus)
-
-
-@lru_cache(maxsize=RANK_CACHE_SIZE)
-def first_layer_roots(ell: int) -> tuple[RootVector, ...]:
-    """The positive real roots not exceeding the null root: gamma and delta - gamma."""
-    delta = RootVector.null_root(ell)
-    finite = finite_positive_roots(ell)
-    layer = list(finite) + [delta - gamma for gamma in finite]
-    return tuple(sorted(set(layer), key=lambda r: r.coeffs))
-
-
 _Row = tuple[tuple[int, ...], int, tuple[int, ...], int, int, int, int]
 
 
@@ -94,11 +72,24 @@ def _mask(flags) -> int:
 def _root_table(ell: int) -> tuple[_Row, ...]:
     """One row per delta-string: (first-layer root or delta, root multiplicity,
     A.alpha, (alpha, alpha), then three bitmasks over I: {j : (A.alpha)_j < 0},
-    {j : (A.alpha)_j = 0} and the support of alpha)."""
+    {j : (A.alpha)_j = 0} and the support of alpha).
+
+    The first-layer roots come first, in lexicographic order, each of
+    multiplicity 1: the positive roots gamma of the finite type C_ell system
+    and their null-root complements delta - gamma, where
+    eps_i - eps_j = alpha_i + ... + alpha_{j-1} for 1 <= i < j <= ell and
+    eps_i + eps_j = (alpha_i + ... + alpha_{j-1}) + 2(alpha_j + ... + alpha_{ell-1})
+    + alpha_ell for 1 <= i <= j <= ell (2 eps_i at i = j).  The last row is
+    delta itself, of multiplicity ell.
+    """
     datum = cartan(ell)
-    strings = [(gamma.coeffs, 1) for gamma in first_layer_roots(ell)]
+    delta = datum.delta_coeffs
+    pairs = [(i, j) for i in range(1, ell + 1) for j in range(i, ell + 1)]
+    finite = [(0,) * i + (1,) * (j - i) + (0,) * (ell + 1 - j) for i, j in pairs if i < j]
+    finite += [(0,) * i + (1,) * (j - i) + (2,) * (ell - j) + (1,) for i, j in pairs]
+    layer = sorted(finite + [tuple(map(sub, delta, gamma)) for gamma in finite])
     rows = []
-    for gamma, root_mult in strings + [(datum.delta_coeffs, ell)]:
+    for gamma, root_mult in [(gamma, 1) for gamma in layer] + [(delta, ell)]:
         ag = datum.apply_matrix(gamma)
         aa = sum(map(mul, map(mul, gamma, datum.d), ag))
         rows.append((gamma, root_mult, ag, aa, _mask(v < 0 for v in ag),

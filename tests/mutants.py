@@ -133,6 +133,17 @@ MUTANTS = (
            ("tests/test_multiplicity.py::test_orbit_weights_match_breadth_first_orbits",)),
     Mutant("mult-negative-mask-le", MULTIPLICITY,
            "_mask(v < 0 for v in ag)", "_mask(v <= 0 for v in ag)", MULT_TESTS),
+    # the root table built from the closed form of the first-layer roots
+    Mutant("root-table-without-null-root-complements", MULTIPLICITY,
+           "sorted(finite + [tuple(map(sub, delta, gamma)) for gamma in finite])",
+           "sorted(finite)",
+           ("tests/test_multiplicity.py::test_root_table_rows_match_the_move_table_route",
+            "tests/test_multiplicity.py::test_golden_counts")),
+    # the case index grouped straight from the generated case list
+    Mutant("case-index-groups-in-reverse-order", "klrc/classifier.py",
+           "index.get(case.beta, ()) + (case,)", "(case,) + index.get(case.beta, ())",
+           ("tests/test_classifier.py::test_case_index_keeps_table_order",
+            "tests/test_golden_replay.py::test_replay_every_classify_query")),
     # the sum at dominant keys, from the hub, run from a worklist
     Mutant("mult-support-skip-inverted", MULTIPLICITY,
            "if supp & outside:", "if not supp & outside:", MULT_TESTS),

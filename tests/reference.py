@@ -34,23 +34,31 @@ the package:
 * the diagram involution (``sigma_root``, ``sigma_weight``, ``sigma_flip``)
   and ``with_charges``, which the package itself never calls;
 * ``bead_masks``, the Fock step's masks one bit at a time;
+* the layered Fock-rank oracle (``fock_ranks``), which counts the simple
+  modules at every beta up to a height as the rank of the Fock space's weight
+  spaces at q=1, built one height at a time from a basis of words kept by
+  fraction-free elimination (``independent_columns``), where
+  ``klrc.multiplicity`` runs the Freudenthal recursion;
 * ``stabilizer_orbit``, the orbit of a root under a parabolic subgroup W_J,
   found breadth first by simple reflections, where ``klrc.multiplicity``
   weights each J-dominant root by |W_J|/|W_J'| from the orders of the
   diagram's components;
+* ``case_table``, the flat list of case instances at a rank, which
+  ``klrc.classifier._case_index`` holds only grouped by beta;
 * ``minimal_weight`` of a case instance, and ``residue_word``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement
 from operator import add, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, fold_residue
-from klrc.classifier import CaseInstance, _holds
-from klrc.fock import Multipartition, Node, node_degree, residue
+from klrc.classifier import CaseInstance, _generate_cases, _holds
+from klrc.fock import Multipartition, Node, _expand, node_degree, residue
 from klrc.laurent import LaurentPolynomial, _wrap
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns,
                              _class_size, _solve)
@@ -302,6 +310,81 @@ def bead_masks(charges: Sequence[int], ell: int, n: int, i: int) -> tuple[int, i
     return add, rem
 
 
+# -- the layered Fock-rank oracle -------------------------------------------
+
+
+def independent_columns(columns: Sequence[dict[int, int]]) -> list[int]:
+    """The indices of the first maximal set of linearly independent integer
+    columns, each a sparse dict, by fraction-free (Bareiss) elimination.
+
+    The columns are processed in order, and a column is kept when it has a
+    nonzero entry in a row not yet used as a pivot.  Every later entry of
+    every remaining row is then replaced by (p * a - f * b) / p', p the new
+    pivot, f the row's entry in the pivot column, b the pivot row's entry and
+    p' the previous pivot (1 at first).  Each entry stays a minor of the
+    matrix, so the division is exact (asserted), and no fraction enters.
+    """
+    keys = sorted(set().union(*columns))
+    rows = [[column.get(key, 0) for column in columns] for key in keys]
+    kept, last = [], 1
+    for c in range(len(columns)):
+        at = next((r for r, row in enumerate(rows) if row[c]), None)
+        if at is None:
+            continue
+        kept.append(c)
+        pivot = rows.pop(at)
+        p = pivot[c]
+        for row in rows:
+            f = row[c]
+            for j in range(c + 1, len(columns)):
+                value, rest = divmod(p * row[j] - f * pivot[j], last)
+                assert rest == 0
+                row[j] = value
+            row[c] = 0
+        last = p
+    return kept
+
+
+def at_q_one(weight: DominantWeight, word: tuple[int, ...]) -> dict[int, int]:
+    """f_word applied to the vacuum at q=1, by bead key: ``klrc.fock._expand``
+    of the residues in application order, each packed coefficient read as its
+    digit sum, which is the coefficient mod 2^width - 1 (the width keeps the
+    sum below that)."""
+    width, _, _, terms = _expand(weight, [(i, 1) for i in word])
+    modulus = (1 << width) - 1
+    return {key: coeff % modulus for key, coeff in terms.items()}
+
+
+def fock_ranks(weight: DominantWeight, height: int) -> dict[tuple[int, ...], int]:
+    """dim V(Lambda)_{Lambda - beta} for every beta of height at most
+    ``height`` at which it is nonzero, as the rank of the weight space of the
+    Fock space at q=1 that the vacuum generates (Kang-Kashiwara; the type C
+    Fock space of Ariki-Park-Speyer).
+
+    The weight spaces of height h + 1 are spanned by f_i applied to the
+    weight spaces of height h, so the words i.w, for w in the basis kept at
+    height h, span them.  Vectors of one height share their box count, so
+    their bead keys match across words, and each beta keeps the words of an
+    independent subset of its candidates as its basis.
+    """
+    ell = weight.ell
+    basis = {(0,) * (ell + 1): [()]}
+    ranks = {(0,) * (ell + 1): 1}
+    for _ in range(height):
+        candidates: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for beta, words in basis.items():
+            for i in range(ell + 1):
+                raised = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                candidates.setdefault(raised, []).extend(word + (i,) for word in words)
+        basis = {}
+        for beta, words in candidates.items():
+            kept = independent_columns([at_q_one(weight, word) for word in words])
+            if kept:
+                basis[beta] = [words[c] for c in kept]
+                ranks[beta] = len(kept)
+    return ranks
+
+
 # -- orbits of a parabolic subgroup --------------------------------------
 
 
@@ -469,6 +552,13 @@ def sigma_flip(weight: DominantWeight, beta: RootVector) -> tuple[DominantWeight
 def with_charges(weight: DominantWeight, charges: Sequence[int]) -> DominantWeight:
     """The same weight with its charges in the order ``charges``."""
     return DominantWeight(weight.m, tuple(charges))
+
+
+@lru_cache(maxsize=None)
+def case_table(ell: int) -> tuple[CaseInstance, ...]:
+    """All finite and tame case instances at rank ``ell``, finite cases first,
+    in the order ``klrc.classifier._generate_cases`` lists them."""
+    return tuple(_generate_cases(ell))
 
 
 def minimal_weight(case: CaseInstance) -> DominantWeight:

@@ -70,13 +70,39 @@ def test_dims_text(capsys):
 def test_empty_nu2_is_refused_like_an_empty_nu(nu2, capsys):
     """An empty --nu2, read from the option table or by argparse, is a
     residue sequence that does not parse, as an empty --nu is: exit 2, the
-    same error and nothing on stdout, not the answer for nu' = nu."""
+    same error naming its own option and nothing on stdout, not the answer
+    for nu' = nu."""
     argv = ["dims", "--ell", "2", "--m", "1,0,0", "--beta", "1,0,0", "--nu"]
     assert run(argv + ["0"], capsys) == (0, "1\n", "")
     refused = run(argv + [""], capsys)
-    assert refused == (2, "", "error: invalid literal for int() with base 10: ''\n")
+    assert refused == (2, "", "error: --nu entry 1 is not an integer: ''\n")
     assert (cli._read_args(argv + ["0", *nu2]) is None) == (len(nu2) == 1)
-    assert run(argv + ["0", *nu2], capsys) == refused
+    assert run(argv + ["0", *nu2], capsys) == \
+        (2, "", "error: --nu2 entry 1 is not an integer: ''\n")
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--m", "1,x,0", "--m entry 2 is not an integer: 'x'"),
+    ("--weight", "0,1.5", "--weight entry 2 is not an integer: '1.5'"),
+    ("--beta", "1,0,", "--beta entry 3 is not an integer: ''"),
+    ("--nu", "0-a", "--nu entry 2 is not an integer: 'a'"),
+    ("--nu2", "0 0", "--nu2 entry 1 is not an integer: '0 0'"),
+], ids=["m", "weight", "beta", "nu", "nu2"])
+@pytest.mark.parametrize("form", ["table", "argparse"])
+def test_a_list_entry_that_is_not_an_integer_is_named(flag, value, error, form, capsys):
+    """Every integer-list option names itself and the first entry, counted
+    from 1, that is not an integer: exit 2 and nothing on stdout, whether the
+    option table or argparse reads the argv."""
+    options = {"--ell": "2", "--m": "1,0,0", "--beta": "1,0,0", "--nu": "0"}
+    if flag == "--weight":
+        del options["--m"]
+    options[flag] = value
+    if form == "table":
+        argv = ["dims", *[part for pair in options.items() for part in pair]]
+    else:
+        argv = ["dims", *[f"{name}={text}" for name, text in options.items()]]
+    assert (cli._read_args(argv) is None) == (form == "argparse")
+    assert run(argv, capsys) == (2, "", f"error: {error}\n")
 
 
 def test_quiver_dot(capsys):

@@ -4,8 +4,8 @@
 pool, its exit status and the first 16 hex digits of the SHA-256 of its
 stdout.  Replaying the first variant of every slot and the fixed queries of
 every pool in-process, every query of the quiver, fock and dims pools and
-every ``simples`` query of the blocks pool, makes any drift in their output
-fail here, not only in a benchmark run.
+every ``simples`` and ``classify`` query of the blocks pool, makes any drift
+in their output fail here, not only in a benchmark run.
 """
 
 import contextlib
@@ -75,14 +75,30 @@ def test_replay_every_quiver_variant():
             assert err.startswith("guard exceeded: class has"), (text, err)
 
 
-def test_replay_every_simples_query():
-    """Every ``simples`` query of the blocks pool, every slot and variant and
-    the fixed queries: the Freudenthal recursion answers each one as recorded."""
+def every_blocks_query(command):
+    """Every ``command`` query of the blocks pool, every slot and variant and
+    the fixed queries."""
     pool = golden("blocks")
     queries = [query for slot in pool["slots"] for variant in slot["variants"]
                for query in variant] + pool["fixed"]
-    queries = [query for query in queries if query[0].split()[0] == "simples"]
+    return [query for query in queries if query[0].split()[0] == command]
+
+
+def test_replay_every_simples_query():
+    """Every ``simples`` query of the blocks pool: the Freudenthal recursion
+    answers each one as recorded."""
+    queries = every_blocks_query("simples")
     assert len(queries) == 2689
+    for text, status, digest in queries:
+        assert run(text.split()) == (status, digest), text
+
+
+def test_replay_every_classify_query():
+    """Every ``classify`` query of the blocks pool: the verdict and its tag
+    are as recorded, also where a pair matches two cases at its beta and the
+    first in table order names it."""
+    queries = every_blocks_query("classify")
+    assert len(queries) == 8066
     for text, status, digest in queries:
         assert run(text.split()) == (status, digest), text
 

@@ -3,22 +3,22 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import sub
 
 import pytest
 
 from klrc.cartan import (RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, cartan,
                          hub, pairing)
-from klrc.classifier import case_table
+from klrc.classifier import _case_index
 from klrc.cli import main
 from klrc.fock import Multipartition, expand, residue
 from klrc import multiplicity
 from klrc.maxweights import _straighten, beta_of, class_members, dominantify, reflection_word
 from klrc.multiplicity import (DEFAULT_MAX_HEIGHT, _mult, _multiplicity, _root_table,
-                               _terms, _weyl_order, finite_positive_roots,
-                               first_layer_roots, positive_roots_within, weight_multiplicity)
-from reference import add_node, evaluate, sigma_flip, stabilizer_orbit
+                               _terms, _weyl_order, positive_roots_within, weight_multiplicity)
+from klrc.quiver import _move_table
+from reference import add_node, evaluate, fock_ranks, sigma_flip, stabilizer_orbit
 from test_golden_replay import golden
 
 
@@ -31,14 +31,16 @@ def R(*x):
 
 
 def test_finite_root_count():
-    # type C rank ell has 2*ell^2 roots, half positive
+    # type C rank ell has 2*ell^2 roots, half positive; a finite root is a
+    # first-layer row with gamma_0 = 0, the rest are their complements
     for ell in (2, 3, 4):
-        assert len(finite_positive_roots(ell)) == ell * ell
-        assert len(first_layer_roots(ell)) == 2 * ell * ell
+        real = [gamma for gamma, root_mult, *_ in _root_table(ell) if root_mult == 1]
+        assert len([gamma for gamma in real if gamma[0] == 0]) == ell * ell
+        assert len(real) == 2 * ell * ell
 
 
 def test_first_layer_contents():
-    layer = {r.coeffs for r in first_layer_roots(2)}
+    layer = {gamma for gamma, root_mult, *_ in _root_table(2) if root_mult == 1}
     assert (0, 1, 0) in layer          # a simple root
     assert (1, 1, 0) in layer          # delta minus a finite root
     assert (1, 2, 1) not in layer      # the null root itself is not real
@@ -164,7 +166,7 @@ def test_multiplicity_cache_is_bounded(monkeypatch):
     more sums than it holds, and its misses count them exactly."""
     assert _mult.cache_info().maxsize == 1024
     assert _weyl_order.cache_info().maxsize == 1024  # keyed by (rank, subset of I)
-    for cached in (cartan, finite_positive_roots, first_layer_roots, case_table, _root_table):
+    for cached in (cartan, _root_table, _case_index, _move_table):
         assert cached.cache_info().maxsize == RANK_CACHE_SIZE, cached.__name__
     assert RANK_CACHE_SIZE >= 15  # every rank 2..16 the command line allows by default
     sums = []
@@ -214,7 +216,8 @@ def reference_roots_within(ell, bound):
     def fits(r):
         return all(c <= b for c, b in zip(r.coeffs, bound))
 
-    for gamma in first_layer_roots(ell):
+    for gamma in sorted((move.delta for move in _move_table(ell).values()),
+                        key=lambda r: r.coeffs):
         root = gamma
         while fits(root):
             out.append((root, 1))
@@ -315,6 +318,28 @@ def test_mult_matches_value_object_route_at_the_pool_ranks():
         assert value == reference_mult(m, beta), (m, beta)
         nonzero += value > 0
     assert nonzero == len(cases)  # every pool query lies in the weight system
+
+
+def test_root_table_rows_match_the_move_table_route():
+    """The root table, rebuilt from the quiver's move increments (each the
+    minimal solution of A.d = -Δm, one per first-layer root), in
+    lexicographic order and then delta of multiplicity ell: A.gamma by
+    ``apply_matrix``, (gamma, gamma) from d, and the three masks a bit at a
+    time.  Row for row, in order, for ell 2..16."""
+    for ell in range(2, 17):
+        datum = cartan(ell)
+        layer = sorted(move.delta.coeffs for move in _move_table(ell).values())
+        rows = []
+        for gamma, root_mult in [(gamma, 1) for gamma in layer] + [(datum.delta_coeffs, ell)]:
+            ag = datum.apply_matrix(gamma)
+            aa = sum(g * d * a for g, d, a in zip(gamma, datum.d, ag))
+            neg = zero = supp = 0
+            for j in range(ell + 1):
+                neg |= (ag[j] < 0) << j
+                zero |= (ag[j] == 0) << j
+                supp |= (gamma[j] != 0) << j
+            rows.append((gamma, root_mult, ag, aa, neg, zero, supp))
+        assert rows == list(_root_table(ell)), ell
 
 
 def test_orbit_weights_match_breadth_first_orbits():
@@ -478,3 +503,45 @@ def test_counts_match_fock_rank():
                 multiple += count >= 2
     assert cases == 72
     assert multiple >= 40
+
+
+def check_layered_fock_ranks(m, height):
+    """The layered Fock rank equals ``weight_multiplicity`` at every beta of
+    height at most ``height``, zero where the oracle finds no word; returns
+    the largest rank met."""
+    weight = DominantWeight(m)
+    ranks = fock_ranks(weight, height)
+    ell = weight.ell
+    # beta's entries are the gaps between ell + 1 bars among height + ell + 1 places
+    for bars in combinations(range(height + ell + 1), ell + 1):
+        beta = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
+        count = weight_multiplicity(weight, RootVector(beta))
+        assert ranks.get(beta, 0) == count, (m, beta)
+    return max(ranks.values())
+
+
+def layered_sweep(heights):
+    """``check_layered_fock_ranks`` for every weight of level 1..3 at each
+    rank ell of ``heights``, up to the height it maps ell to; returns the
+    largest rank met."""
+    return max(check_layered_fock_ranks(m, height)
+               for ell, height in heights.items()
+               for m in product(range(4), repeat=ell + 1) if 1 <= sum(m) <= 3)
+
+
+def test_counts_match_layered_fock_rank():
+    """The simples count at every beta up to a height, for every weight of
+    level 1..3 at ell 2..4, is the rank of the Fock space's weight space at
+    q=1, built a height at a time (``reference.fock_ranks``)."""
+    assert layered_sweep({2: 7, 3: 6, 4: 5}) >= 20
+
+
+@pytest.mark.deep
+def test_counts_match_layered_fock_rank_deep():
+    """The layered Fock rank at greater heights, and at levels 4 and 5 and
+    ranks 5 and 6 for a few weights, with multiplicities up to 96."""
+    largest = max(layered_sweep({2: 9, 3: 8, 4: 6}),
+                  *(check_layered_fock_ranks(m, height) for m, height in
+                    (((1, 1, 1, 1, 1), 8), ((2, 2, 1), 8), ((1, 0, 2, 0, 1, 0, 1), 7),
+                     ((2, 0, 0, 0, 0, 0, 2), 8))))
+    assert largest == 96

@@ -10,7 +10,7 @@ from klrc.cartan import DominantWeight, RootVector, cartan, hub
 from klrc.cli import main
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns, beta_of,
                              class_members, class_size, minimal_solution)
-from klrc.multiplicity import first_layer_roots
+from klrc.multiplicity import _root_table
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, STEPS,
                          Arrow, MoveLabel, _below_masks, _move_table, arrow_test, build_quiver,
                          candidate_moves, delta_vector, export, witness_sequence)
@@ -98,7 +98,8 @@ def test_move_increments_are_the_first_layer_roots():
     for ell in range(2, 17):
         increments = [move.delta for move in _move_table(ell).values()]
         assert len(increments) == len(set(increments)) == 2 * ell * ell
-        assert set(increments) == set(first_layer_roots(ell)), ell
+        layer = {RootVector(gamma) for gamma, root_mult, *_ in _root_table(ell) if root_mult == 1}
+        assert set(increments) == layer, ell
 
 
 def test_delta_vector_range_errors():
@@ -260,7 +261,7 @@ def test_quiver_properties_small_ranks():
     k <= 3 and ell <= 5."""
     arrows_checked = 0
     for ell in range(2, 6):
-        layer = {r.coeffs for r in first_layer_roots(ell)}
+        layer = {gamma for gamma, root_mult, *_ in _root_table(ell) if root_mult == 1}
         for k in range(1, 4):
             for weight in all_weights(k, ell):
                 quiver = build_quiver(weight)
