@@ -40,13 +40,22 @@ WRITE_PIECES = 256
 
 def _ints(text: str, flag: str, sep: str = ",") -> list[int]:
     """The entries of ``flag``'s value ``text``, split at ``sep``, as integers;
-    a ValueError names ``flag`` and the first bad entry, counted from 1."""
+    a ValueError names ``flag`` and the first bad entry, counted from 1, and
+    echoes at most its first 20 characters.  An entry of more digits than
+    ``int`` reads (``sys.get_int_max_str_digits()``) is reported as such."""
     values = []
     for n, entry in enumerate(text.split(sep), 1):
         try:
             values.append(int(entry))
         except ValueError:
-            raise ValueError(f"{flag} entry {n} is not an integer: {entry!r}") from None
+            digits = entry.strip().lstrip("+-").replace("_", "")
+            limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (< 3.10.7)
+            if digits.isdecimal() and 0 < limit < len(digits):
+                raise ValueError(f"{flag} entry {n} has {len(digits)} digits, more than the "
+                                 f"limit of {limit} (sys.get_int_max_str_digits())") from None
+            shown = (repr(entry) if len(entry) <= 20
+                     else f"{entry[:20]!r}... ({len(entry)} characters)")
+            raise ValueError(f"{flag} entry {n} is not an integer: {shown}") from None
     return values
 
 

@@ -54,12 +54,18 @@ one digit width w and one base exponent b, and the int P stands for the
 polynomial whose coefficient of q^(b + j) is digit j of P in base 2^w.  A
 degree shift is then a left shift and a sum an int add; every shift is
 offset so that none is negative, and the base exponent absorbs the offsets.
+A node's running count never drops below minus the number of i-boxes
+already placed, since every removable i-node is one of them, so in a word
+each factor's shifts are offset by the boxes of its residue that the
+factors before it placed.
 At q=1 a divided power f_i^(r) is f_i^r / r!, so every coefficient met while
 expanding a word of n boxes with powers r_1, ..., r_k is nonnegative and at
 most n! / (r_1! ... r_k!) <= n! at q=1, and w = bits of that bound + 1 keeps
 every digit free of carries.  ``_expand`` is the one packed expansion of a
 word, at that width: ``expand`` runs it on a checked word, and
-``graded_hom_dim`` on each residue sequence read as single steps.
+``graded_hom_dim`` on each residue sequence read as its runs, a run of r
+residues i one divided power f_i^(r), with ``_hom`` scaling the sum by the
+[r]! of the runs.
 
 Shapes are decoded only where a ``Multipartition`` is read:
 ``FockVector.terms`` (on first read, with the coefficients), the rendering
@@ -321,16 +327,17 @@ def _masks(charges: Sequence[int], ell: int, n: int, i: int) -> tuple[int, int]:
 
 def _step(terms: Terms, add: int, rem: int, unit: int, boxes: int, power: int) -> Terms:
     """The divided power f_i^(power), ``add`` and ``rem`` the masks of i, on
-    packed shapes of at most ``boxes`` boxes, up to the factor
+    packed shapes of at most ``boxes`` i-boxes, up to the factor
     q^(-d * power * (power - 1) / 2) that the caller applies.
 
     One ascending walk over the i-nodes of each shape meets its addable ones
     with their shifts: ``unit`` (width * d) bits per unit of the running
-    count.  The count never drops below minus the number of boxes, so every
-    shift is offset by ``d * boxes`` units, and the caller lowers the base
-    exponent by as much.  Power 1 adds each node at its shift as the walk
-    meets it.  A higher power lists the nodes and adds each ``power``-set of
-    them at once, shifted by the sum of its nodes' shifts.
+    count.  Every removable i-node is an i-box, so the count never drops
+    below minus ``boxes``; every shift is offset by ``d * boxes`` units, and
+    the caller lowers the base exponent by as much.
+    Power 1 adds each node at its shift as the walk meets it.  A higher
+    power lists the nodes and adds each ``power``-set of them at once,
+    shifted by the sum of its nodes' shifts.
     """
     acc: Terms = {}
     offset = unit * boxes
@@ -364,8 +371,9 @@ def _step(terms: Terms, add: int, rem: int, unit: int, boxes: int, power: int) -
 
 def _divided(terms: Terms, low: int, boxes: int, masks: tuple[int, int], d: int,
              power: int, width: int) -> tuple[Terms, int]:
-    """The divided power in one pass, then the digits every term has as trailing
-    zeros dropped; returns the terms and their base exponent."""
+    """The divided power in one pass on shapes of at most ``boxes`` i-boxes,
+    then the digits every term has as trailing zeros dropped; returns the
+    terms and their base exponent."""
     terms = _step(terms, *masks, width * d, boxes, power)
     low -= d * (power * boxes + power * (power - 1) // 2)
     used = 0
@@ -381,19 +389,24 @@ def _expand(weight: DominantWeight, factors: Sequence[tuple[int, int]]) -> _Pack
     """The factors, in application order, on the vacuum, packed at one width:
     every coefficient met is at most n! / (r_1! ... r_k!) at q=1, n the
     number of boxes the factors add and r_1, ..., r_k their powers, and the
-    keys are encoded at n."""
+    keys are encoded at n.  Each factor's shifts are offset by the boxes of
+    its residue placed before it.  The vacuum has every row empty, beads at
+    bits 0..n of each window."""
     charges, ell = weight.charges, weight.ell
     d = cartan(ell).d
     n = sum(power for _, power in factors)
     width = _width(factorial(n) // prod(factorial(power) for _, power in factors))
     masks: dict[int, tuple[int, int]] = {}
-    terms: Terms = {_key(((),) * len(charges), n): 1}
-    low = boxes = 0
+    size = 2 * n + 2
+    terms: Terms = {((1 << n + 1) - 1) * ((1 << size * len(charges)) - 1)
+                    // ((1 << size) - 1): 1}
+    low = 0
+    placed = [0] * (ell + 1)
     for i, power in factors:
         if i not in masks:
             masks[i] = _masks(charges, ell, n, i)
-        terms, low = _divided(terms, low, boxes, masks[i], d[i], power, width)
-        boxes += power
+        terms, low = _divided(terms, low, placed[i], masks[i], d[i], power, width)
+        placed[i] += power
     return width, low, n, terms
 
 
@@ -534,8 +547,11 @@ def _signed(vector: FockVector, n: int) -> tuple[_Packed, _Packed]:
     return _encode(vector, n)
 
 
-def _hom(left: _Packed, right: _Packed) -> LaurentPolynomial:
-    """Sum of coefficient products over the shared shapes, decoded once.
+def _hom(left: _Packed, right: _Packed,
+         scale: Sequence[tuple[int, int]] = ()) -> LaurentPolynomial:
+    """Sum of coefficient products over the shared shapes, times the product
+    of the quantum factorials [r]! in q^d over the (r, d) pairs of ``scale``,
+    decoded once.
 
     Both sides are keyed at the same n.  Most shapes share a coefficient, so
     the sum runs over the distinct pairs (a, b) of packed coefficients, each
@@ -545,7 +561,10 @@ def _hom(left: _Packed, right: _Packed) -> LaurentPolynomial:
     the width keeps below 2^width - 1, so it is the term mod 2^width - 1.
     Every digit of the sum is at most the sum of c times the product of
     those values, so a width of that bound's bit length leaves the sum free
-    of carries.
+    of carries.  [r]! is r! at q=1 and has nonnegative coefficients, so the
+    bound times the product of the r! does the same for the scaled sum.
+    Each [s] in q^d is q^(-d(s-1)) times 1 + q^(2d) + ... + q^(2d(s-1)), a
+    packed geometric sum, so the scale is one packed product.
     """
     (wl, ll, _, tl), (wr, lr, _, tr) = left, right
     if not (tl and tr):
@@ -553,9 +572,15 @@ def _hom(left: _Packed, right: _Packed) -> LaurentPolynomial:
     pairs = Counter(zip(tl.values(), map(tr.get, tl, repeat(0)))).items()
     ml, mr = (1 << wl) - 1, (1 << wr) - 1
     bound = sum(c * (a % ml) * (b % mr) for (a, b), c in pairs)
-    width = max(wl, wr, bound.bit_length())
+    width = max(wl, wr, (bound * prod(factorial(r) for r, _ in scale)).bit_length())
     total = sum(c * _widen(a, wl, width) * _widen(b, wr, width) for (a, b), c in pairs)
-    return _decode(total, width, ll + lr)
+    factor, low = 1, ll + lr
+    for r, d in scale:
+        step = width * 2 * d
+        for s in range(2, r + 1):
+            factor *= ((1 << step * s) - 1) // ((1 << step) - 1)
+            low -= d * (s - 1)
+    return _decode(total * factor, width, low)
 
 
 def parse_word(text: str) -> FWord:

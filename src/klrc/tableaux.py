@@ -4,6 +4,9 @@ dim_q e(nu) A e(nu') for the block at beta is the sum over multipartitions of
 K(nu, shape) * K(nu', shape), K the degree generating function of standard
 fillings.  ``graded_hom_dim`` computes it with the Fock engine, where K(nu,
 shape) is the coefficient of the shape in the expansion of nu as single steps.
+It expands nu by its runs instead, each run i^r one divided power f_i^(r),
+and scales the sum by the product of the quantum factorials [r]_i! (in
+q^(d_i)) of the runs of nu and nu', since f_i^r = [r]_i! f_i^(r).
 The tableau route (``multipartitions``, ``kostka_q`` with its cache
 ``_kostka_peel``, and ``node_degree``) enumerates every shape and peels each
 one.  The package never calls it: it stays here, as the reference the tests
@@ -15,11 +18,12 @@ these names.  The filling-by-filling route (``standard_tableaux``,
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterator, Sequence
 
-from .cartan import DominantWeight, RootVector
-from .fock import (DEFAULT_MAX_BOXES, Multipartition, Shape, _check_size, _expand, _hom,
-                   node_degree, residue, word_content)
+from .cartan import DominantWeight, RootVector, cartan
+from .fock import (DEFAULT_MAX_BOXES, FWord, Multipartition, Shape, _check_size, _expand,
+                   _hom, node_degree, residue, word_content)
 from .laurent import ZERO, LaurentPolynomial
 
 
@@ -82,16 +86,15 @@ def multipartitions(n: int, k: int) -> Iterator[Multipartition]:
         yield Multipartition(comps)
 
 
-def _single_steps(ell: int, beta: RootVector, nu: Sequence[int],
-                  name: str) -> tuple[tuple[int, int], ...]:
-    """The residue sequence as single steps in application order, checked to
-    have content beta; the residues are checked as a word, last one first."""
-    factors = tuple([(r, 1) for r in nu])
-    content = word_content(reversed(factors), ell)
+def _runs(ell: int, beta: RootVector, nu: Sequence[int], name: str) -> FWord:
+    """The residue sequence as its runs (i, r) of r equal residues, in
+    application order, once it is checked as single steps to have content
+    beta; the residues are checked as a word, last one first."""
+    content = word_content([(r, 1) for r in reversed(nu)], ell)
     if content != beta:
         raise ValueError(f"{name} {tuple(nu)} has content {content.coeffs}, "
                          f"expected {beta.coeffs}")
-    return factors
+    return tuple([(i, len(list(run))) for i, run in groupby(nu)])
 
 
 def graded_hom_dim(weight: DominantWeight, beta: RootVector,
@@ -101,15 +104,19 @@ def graded_hom_dim(weight: DominantWeight, beta: RootVector,
 
     Sums K(nu, shape) * K(nu', shape) over all multipartitions of |beta| with
     one component per charge, as the Hom dimension of the Fock expansions of
-    nu and nu' read as single steps; nu' defaults to nu, and equal sequences
-    are expanded once.  Checks beta, then the caps (GuardError), then the
-    content of nu and of nu', before the first expansion.
+    nu and nu'.  Each sequence is expanded by its runs: a run of r residues i
+    acts as f_i^r = [r]_i! f_i^(r), one divided power, and the Hom dimension
+    is scaled by [r]_i! for every run of both sides, [r]_i! the quantum
+    factorial in q^(d_i).  nu' defaults to nu, and equal sequences are
+    expanded once.  Checks beta, then the caps (GuardError), then the
+    content of nu and of nu' as single steps, before the first expansion.
     """
     if not beta.in_positive_cone():
         raise ValueError("beta must lie in the positive cone")
     _check_size(weight, beta.height, max_n)
-    factors = _single_steps(weight.ell, beta, nu, "nu")
-    factors_prime = (factors if nu_prime is None
-                     else _single_steps(weight.ell, beta, nu_prime, "nu'"))
-    left = _expand(weight, factors)
-    return _hom(left, left if factors_prime == factors else _expand(weight, factors_prime))
+    runs = _runs(weight.ell, beta, nu, "nu")
+    runs_prime = runs if nu_prime is None else _runs(weight.ell, beta, nu_prime, "nu'")
+    left = _expand(weight, runs)
+    right = left if runs_prime == runs else _expand(weight, runs_prime)
+    d = cartan(weight.ell).d
+    return _hom(left, right, [(r, d[i]) for i, r in runs + runs_prime if r > 1])

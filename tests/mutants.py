@@ -59,6 +59,8 @@ ROW_TESTS = ("tests/test_quiver.py::test_build_quiver_rows_match_the_per_source_
 HOM_TESTS = ("tests/test_fock.py::test_shared_coefficients_count_in_the_width",)
 GOLDEN_FOCK_DIMS = ("tests/test_golden_replay.py::test_replay_every_fock_and_dims_query",)
 READER_TESTS = ("tests/test_cli.py::test_reader_reads_like_argparse_or_not_at_all",)
+DIMS_RUNS = ("tests/test_tableaux.py::test_runs_match_the_single_step_route_on_the_dims_pool",
+             "tests/test_tableaux.py::test_runs_match_the_single_step_route_on_a_seeded_sweep")
 MULT_TESTS = ("tests/test_multiplicity.py::test_golden_counts",
               "tests/test_multiplicity.py::test_mult_matches_value_object_route")
 
@@ -114,6 +116,24 @@ MUTANTS = (
     Mutant("fock-width-set-by-n-not-the-multinomial", "klrc/fock.py",
            "_width(factorial(n) // prod(factorial(power) for _, power in factors))",
            "_width(n)", GOLDEN_FOCK_DIMS),
+    # the shift offset by the boxes of the factor's residue, and the vacuum in closed form
+    Mutant("fock-offset-one-box-short", "klrc/fock.py",
+           "_divided(terms, low, placed[i], masks[i]",
+           "_divided(terms, low, placed[i] - 1, masks[i]",
+           ("tests/test_fock.py::test_shift_offset_is_reached_at_minus_the_i_boxes_placed",
+            "tests/test_golden_replay.py::test_replay_golden_digests[fock]")),
+    Mutant("fock-vacuum-window-one-bit-short", "klrc/fock.py",
+           "((1 << n + 1) - 1) * ", "((1 << n) - 1) * ",
+           ("tests/test_golden_replay.py::test_replay_golden_digests[fock]",)),
+    # graded dimensions by runs, each run one divided power scaled by [r]!
+    Mutant("dims-scale-by-the-runs-of-nu-only", "klrc/tableaux.py",
+           "for i, r in runs + runs_prime if r > 1]", "for i, r in runs if r > 1]", DIMS_RUNS),
+    Mutant("dims-scale-built-in-q-not-q-to-the-d", "klrc/tableaux.py",
+           "[(r, d[i]) for i, r in", "[(r, 1) for i, r in", DIMS_RUNS),
+    Mutant("hom-scale-dropped-from-the-width-bound", "klrc/fock.py",
+           "(bound * prod(factorial(r) for r, _ in scale)).bit_length()", "bound.bit_length()",
+           ("tests/test_tableaux.py::"
+            "test_a_long_run_at_level_five_keeps_the_scaled_sum_free_of_carries",)),
     # the Hom dimension over distinct coefficient pairs
     Mutant("hom-count-dropped-from-the-width-bound", "klrc/fock.py",
            "bound = sum(c * (a % ml)", "bound = sum((a % ml)", HOM_TESTS),

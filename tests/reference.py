@@ -45,7 +45,11 @@ the package:
   diagram's components;
 * ``case_table``, the flat list of case instances at a rank, which
   ``klrc.classifier._case_index`` holds only grouped by beta;
-* ``minimal_weight`` of a case instance, and ``residue_word``.
+* ``minimal_weight`` of a case instance, and ``residue_word``;
+* ``graded_hom_dim_by_single_steps``, the graded dimension with ν and ν′
+  expanded one residue at a time and matched unscaled, where
+  ``klrc.tableaux.graded_hom_dim`` expands each run of equal residues as one
+  divided power and scales by the quantum factorials of the runs.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from typing import Iterable, Iterator, Sequence
 
 from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, fold_residue
 from klrc.classifier import CaseInstance, _generate_cases, _holds
-from klrc.fock import Multipartition, Node, _expand, node_degree, residue
+from klrc.fock import Multipartition, Node, _expand, _hom, node_degree, residue
 from klrc.laurent import LaurentPolynomial, _wrap
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns,
                              _class_size, _solve)
@@ -584,3 +588,13 @@ def residue_word(word: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     for i, power in reversed(tuple(word)):
         out.extend([i] * power)
     return tuple(out)
+
+
+def graded_hom_dim_by_single_steps(weight: DominantWeight, nu: Sequence[int],
+                                   nu_prime: Sequence[int] | None = None) -> LaurentPolynomial:
+    """The graded dimension of the (nu, nu') truncation as the unscaled Hom
+    dimension of the two expansions one residue at a time, nu' defaulting to
+    nu; the sequences are taken to have the same content."""
+    left = _expand(weight, [(i, 1) for i in nu])
+    right = left if nu_prime is None else _expand(weight, [(i, 1) for i in nu_prime])
+    return _hom(left, right)

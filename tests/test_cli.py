@@ -105,6 +105,32 @@ def test_a_list_entry_that_is_not_an_integer_is_named(flag, value, error, form, 
     assert run(argv, capsys) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python reads integers of any length")
+@pytest.mark.parametrize("form", ["table", "argparse"])
+def test_an_entry_past_the_digit_limit_names_the_limit(form, capsys):
+    """A --beta entry that ``int`` refuses only for its length names the
+    digit limit, ``sys.get_int_max_str_digits()``, not a bad literal, and an
+    entry that is not an integer echoes no more than its first 20
+    characters: exit 2, nothing on stdout and a short stderr, whether the
+    option table or argparse reads the argv."""
+    limit = sys.get_int_max_str_digits()
+    for beta, error in [
+            ("1" + "0" * limit + ",0,0",
+             f"--beta entry 1 has {limit + 1} digits, more than the limit of {limit} "
+             f"(sys.get_int_max_str_digits())"),
+            ("1,x" + "0" * limit + ",0",
+             f"--beta entry 2 is not an integer: 'x0000000000000000000'... "
+             f"({limit + 1} characters)")]:
+        options = {"--ell": "2", "--m": "1,0,0", "--beta": beta}
+        if form == "table":
+            argv = ["simples", *[part for pair in options.items() for part in pair]]
+        else:
+            argv = ["simples", *[f"{name}={text}" for name, text in options.items()]]
+        assert (cli._read_args(argv) is None) == (form == "argparse")
+        assert run(argv, capsys) == (2, "", f"error: {error}\n")
+
+
 def test_quiver_dot(capsys):
     code, out, _ = run(["quiver", "--ell", "4", "--weight", "2,2", "--format", "dot"], capsys)
     assert code == 0

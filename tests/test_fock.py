@@ -627,3 +627,30 @@ def test_equal_charges_at_level_five_reach_the_width_bound():
         assert hom_dim(vector, vector) == reference.hom_dim(vector, vector)
         biggest = max(biggest, max(evaluate(c, 1) for _, c in vector.terms))
     assert biggest >= 300_000
+
+
+def test_shift_offset_is_reached_at_minus_the_i_boxes_placed(monkeypatch):
+    """Charges (0, 0) and the word 0,0: the second 0-node added, the box of
+    component 1 over the 0-box of component 2, has that removable 0-node
+    below it and no addable one, so its count is -1, minus the one 0-box
+    placed.  Offset by that one box its shift is 0, the lowest digit, and
+    offset by none it would be negative.  ``_expand`` offsets each factor by
+    the boxes of its residue placed before it."""
+    from klrc import fock
+
+    n, width = 2, 3
+    add, rem = fock._masks((0, 0), 2, n, 0)
+    unit = width * 2  # d_0 = 2
+    grown = fock._step({fock._key(((), (1,)), n): 1}, add, rem, unit, 1, 1)
+    assert grown == {fock._key(((1,), (1,)), n): 1}
+    with pytest.raises(ValueError, match="negative shift count"):
+        fock._step({fock._key(((), (1,)), n): 1}, add, rem, unit, 0, 1)
+    step, offsets = fock._step, []
+
+    def recording(terms, add, rem, unit, boxes, power):
+        offsets.append(boxes)
+        return step(terms, add, rem, unit, boxes, power)
+
+    monkeypatch.setattr(fock, "_step", recording)
+    fock._expand(W(2, 0, 0), ((0, 1), (1, 1), (0, 2), (2, 1), (1, 1)))
+    assert offsets == [0, 0, 1, 0, 1]

@@ -4,8 +4,8 @@
 pool, its exit status and the first 16 hex digits of the SHA-256 of its
 stdout.  Replaying the first variant of every slot and the fixed queries of
 every pool in-process, every query of the quiver, fock and dims pools and
-every ``simples`` and ``classify`` query of the blocks pool, makes any drift
-in their output fail here, not only in a benchmark run.
+every ``simples``, ``classify`` and ``defect`` query of the blocks pool,
+makes any drift in their output fail here, not only in a benchmark run.
 """
 
 import contextlib
@@ -99,6 +99,16 @@ def test_replay_every_classify_query():
     first in table order names it."""
     queries = every_blocks_query("classify")
     assert len(queries) == 8066
+    for text, status, digest in queries:
+        assert run(text.split()) == (status, digest), text
+
+
+def test_replay_every_defect_query():
+    """Every ``defect`` query of the blocks pool: each block's defect is as
+    recorded, where the first variant of each slot alone would miss a change
+    to the others."""
+    queries = every_blocks_query("defect")
+    assert len(queries) == 2689
     for text, status, digest in queries:
         assert run(text.split()) == (status, digest), text
 

@@ -1,13 +1,19 @@
+import json
 import random
+from itertools import groupby
+from pathlib import Path
 
 import pytest
 
+from klrc import cli
 from klrc.cartan import DominantWeight, GuardError, RootVector
 from klrc.laurent import LaurentPolynomial
 from klrc.fock import content_vector
 from klrc.tableaux import Multipartition, graded_hom_dim, kostka_q, multipartitions, residue
-from reference import (StdTableau, add_node, degree, evaluate, sigma_flip, standard_tableaux,
-                       with_charges)
+from reference import (StdTableau, add_node, degree, evaluate, graded_hom_dim_by_single_steps,
+                       sigma_flip, standard_tableaux, with_charges)
+
+DIMS_POOL = Path(__file__).resolve().parents[1] / "bench" / "golden" / "dims.json"
 
 
 def poly(*pairs):
@@ -250,3 +256,79 @@ def test_tensor_factorization():
     left = graded_hom_dim(DominantWeight((1, 0, 0, 0, 0)), RootVector((1, 1, 0, 0, 0)), (0, 1))
     right = graded_hom_dim(DominantWeight((0, 0, 0, 0, 1)), RootVector((0, 0, 0, 1, 1)), (4, 3))
     assert graded_hom_dim(weight, beta, nu) == left * right
+
+
+def _long_runs(nu):
+    """The residues of the runs of two or more in ``nu``."""
+    return [i for i, run in groupby(nu) if len(list(run)) > 1]
+
+
+def test_runs_match_the_single_step_route_on_the_dims_pool():
+    """Every (nu, nu') of the benchmark's dims pool, every slot and variant
+    and the fixed queries, read as the CLI reads them: expanded by runs and
+    scaled, the graded dimension is the single-step route's."""
+    pool = json.loads(DIMS_POOL.read_text(encoding="utf-8"))
+    queries = [text for slot in pool["slots"] for variant in slot["variants"]
+               for text, _, _ in variant] + [text for text, _, _ in pool["fixed"]]
+    assert len(queries) == 802
+    runs = 0
+    for text in queries:
+        args = cli._read_args(text.split())
+        weight, beta = cli._parse_weight(args), cli._parse_beta(args)
+        nu = tuple(cli._ints(args.nu, "--nu", "-"))
+        nu2 = None if args.nu2 is None else tuple(cli._ints(args.nu2, "--nu2", "-"))
+        expected = graded_hom_dim_by_single_steps(weight, nu, nu2)
+        assert graded_hom_dim(weight, beta, nu, nu2) == expected, text
+        runs += len(_long_runs(nu)) + len(_long_runs(nu2 or ()))
+    assert runs >= 500
+
+
+def _fill(rng, charges, ell, n, target=None):
+    """A random standard filling of ``n`` boxes, of ``target`` when given: the
+    shape and its residue sequence.  Each box is drawn from the addable boxes
+    (inside ``target``), from those of the last box's residue with
+    probability 3/4 when there are any, so that runs are common."""
+    shape, nu = Multipartition.empty(len(charges)), []
+    for _ in range(n):
+        nodes = [(s, a, b) for s, a, b in shape.addable_nodes()
+                 if target is None or (a <= len(target.components[s - 1])
+                                       and target.components[s - 1][a - 1] >= b)]
+        same = [node for node in nodes if nu and residue(charges, node, ell) == nu[-1]]
+        node = rng.choice(same if same and rng.random() < 0.75 else nodes)
+        nu.append(residue(charges, node, ell))
+        shape = add_node(shape, node)
+    return shape, tuple(nu)
+
+
+def test_runs_match_the_single_step_route_on_a_seeded_sweep():
+    """Rank 2-5, level 1-3, 2-8 boxes, nu and nu' two random fillings of one
+    shape rich in runs: expanded by runs and scaled, the graded dimension is
+    the single-step route's.  The sweep meets runs of two or more at both
+    end residues (d_i = 2) and at interior ones (d_i = 1)."""
+    rng = random.Random(28)
+    ends = interior = 0
+    for _ in range(400):
+        ell = rng.randint(2, 5)
+        charges = sorted(rng.randint(0, ell) for _ in range(rng.randint(1, 3)))
+        weight = DominantWeight.from_charges(charges, ell)
+        shape, nu = _fill(rng, charges, ell, rng.randint(2, 8))
+        _, nu2 = _fill(rng, charges, ell, shape.size, shape)
+        beta = content_vector(charges, shape, ell)
+        for other in (None, nu2):
+            assert (graded_hom_dim(weight, beta, nu, other)
+                    == graded_hom_dim_by_single_steps(weight, nu, other)), (charges, ell, nu, other)
+        for i in _long_runs(nu) + _long_runs(nu2):
+            ends += i in (0, ell)
+            interior += i not in (0, ell)
+    assert ends >= 100 and interior >= 100
+
+
+def test_a_long_run_at_level_five_keeps_the_scaled_sum_free_of_carries():
+    """Five equal charges and nu = 0^r: each side's coefficients are single
+    powers of q, so the unscaled sum is narrow, and only the r! of the runs in
+    the width bound keeps the scaled sum free of carries."""
+    weight = DominantWeight.from_charges([0] * 5, 2)
+    for r in range(2, 6):
+        nu = (0,) * r
+        assert (graded_hom_dim(weight, RootVector((r, 0, 0)), nu)
+                == graded_hom_dim_by_single_steps(weight, nu))
