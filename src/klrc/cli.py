@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from .cartan import (DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, root_text,
                      weight_text)
 from .classifier import classify
-from .fock import DEFAULT_MAX_BOXES, expand, hom_dim, parse_word
+from .fock import DEFAULT_MAX_BOXES, FWord, expand, hom_dim, parse_word
 from .laurent import polynomial_text
 from .maxweights import DEFAULT_MAX_VERTICES, _class_columns, _defect, defect
 from .multiplicity import DEFAULT_MAX_HEIGHT, weight_multiplicity
@@ -38,25 +38,42 @@ EXIT_GUARD = 3
 WRITE_PIECES = 256
 
 
+def _int(entry: str, name: str) -> int:
+    """``entry`` as an integer; a ValueError calls it ``name`` and echoes at
+    most its first 20 characters.  An entry of more digits than ``int`` reads
+    (``sys.get_int_max_str_digits()``) is reported as such."""
+    try:
+        return int(entry)
+    except ValueError:
+        digits = entry.strip().lstrip("+-").replace("_", "")
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (< 3.10.7)
+        if digits.isdecimal() and 0 < limit < len(digits):
+            raise ValueError(f"{name} has {len(digits)} digits, more than the "
+                             f"limit of {limit} (sys.get_int_max_str_digits())") from None
+        shown = (repr(entry) if len(entry) <= 20
+                 else f"{entry[:20]!r}... ({len(entry)} characters)")
+        raise ValueError(f"{name} is not an integer: {shown}") from None
+
+
 def _ints(text: str, flag: str, sep: str = ",") -> list[int]:
     """The entries of ``flag``'s value ``text``, split at ``sep``, as integers;
-    a ValueError names ``flag`` and the first bad entry, counted from 1, and
-    echoes at most its first 20 characters.  An entry of more digits than
-    ``int`` reads (``sys.get_int_max_str_digits()``) is reported as such."""
-    values = []
-    for n, entry in enumerate(text.split(sep), 1):
-        try:
-            values.append(int(entry))
-        except ValueError:
-            digits = entry.strip().lstrip("+-").replace("_", "")
-            limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (< 3.10.7)
-            if digits.isdecimal() and 0 < limit < len(digits):
-                raise ValueError(f"{flag} entry {n} has {len(digits)} digits, more than the "
-                                 f"limit of {limit} (sys.get_int_max_str_digits())") from None
-            shown = (repr(entry) if len(entry) <= 20
-                     else f"{entry[:20]!r}... ({len(entry)} characters)")
-            raise ValueError(f"{flag} entry {n} is not an integer: {shown}") from None
-    return values
+    ``_int`` names a refused one by ``flag`` and its place, counted from 1."""
+    entries = text.split(sep)
+    try:
+        return list(map(int, entries))
+    except ValueError:
+        return [_int(entry, f"{flag} entry {n}") for n, entry in enumerate(entries, 1)]
+
+
+def _word(text: str) -> FWord:
+    """``--word`` read by ``parse_word``, once ``_int`` reads the residue and
+    power of each factor, counted from 1, up to the first empty one."""
+    for n, factor in enumerate(text.split(","), 1):
+        if not factor.strip():
+            break  # parse_word refuses it as an empty factor
+        for part, name in zip(factor.split("^", 1), ("residue", "power")):
+            _int(part, f"--word factor {n} {name}")
+    return parse_word(text)
 
 
 def _parse_weight(args) -> DominantWeight:
@@ -143,7 +160,7 @@ def _cmd_dims(args) -> str:
 
 def _cmd_fock(args) -> str:
     weight = _parse_weight(args)
-    vector = expand(weight, parse_word(args.word), max_n=args.max_n)
+    vector = expand(weight, _word(args.word), max_n=args.max_n)
     end = hom_dim(vector, vector)
     if args.format == "json":
         rows, parts = vector._rendered(polynomial_text)

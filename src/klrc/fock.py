@@ -71,15 +71,14 @@ Shapes are decoded only where a ``Multipartition`` is read:
 ``FockVector.terms`` (on first read, with the coefficients), the rendering
 of ``str`` and ``klrc fock`` (coefficients straight from the packed digits),
 and ``FockVector.content``, one window at a time, each distinct window once
-per call.  ``hom_dim`` and the graded dimensions match int keys, count each
-distinct pair of packed coefficients over the shared shapes, and widen and
-multiply each pair once, times its count, at a width set by the exact values
-at q=1 with the count in the bound.  The packed form
-carries the n its keys are encoded at.  Vectors built by hand are encoded at
-the boundary, by sign as a positive part and a negated negative part, so the
-engine only ever sees nonnegative ints: the input of ``apply_f`` and
-``apply_divided_f`` at n = its size + the power, and a hand-built side of
-``hom_dim`` at its partner's n.
+per call.  The packed form carries the n its keys are encoded at.  ``_hom``
+matches the int keys of two packed forms, for ``hom_dim`` of two engine
+vectors and for the graded dimensions; ``hom_dim`` pairs a vector built by
+hand, on either side, as Laurent polynomials.  ``apply_f`` and
+``apply_divided_f`` step each term's shape alone, at coefficient 1 and digit
+width 1: a divided power reaches each output shape from one input shape
+through at most one set of nodes, so each packed coefficient is one bit, a
+monomial q^e, and the term's Laurent coefficient times q^e is added there.
 """
 
 from __future__ import annotations
@@ -442,64 +441,27 @@ def _widen(packed: int, width: int, wider: int) -> int:
     return out
 
 
-def _encode(vector: FockVector, n: int) -> tuple[_Packed, _Packed]:
-    """The positive part and the negated negative part of the coefficients,
-    keyed at ``n`` boxes, each packed at a width that holds a divided power
-    of it.
-
-    A divided power reaches each output shape from each input shape through
-    at most one set of nodes, so every output digit is at most the sum of a
-    part's coefficients at q=1, which sets the part's width.
-    """
-    low = min((c.min_exponent for _, c in vector.terms if c), default=0)
-    parts: tuple[dict, dict] = ({}, {})
-    totals = [0, 0]
-    for mp, c in vector.terms:
-        key = _key(mp.components, n)
-        for e, v in c.items():
-            negative = v < 0
-            parts[negative].setdefault(key, []).append((e - low, abs(v)))
-            totals[negative] += abs(v)
-    out = []
-    for part, total in zip(parts, totals):
-        width = _width(total)
-        out.append((width, low, n, {key: sum(v << width * e for e, v in items)
-                                    for key, items in part.items()}))
-    return out[0], out[1]
-
-
-def _size(vector: FockVector) -> int:
-    """The number of boxes of every term, 0 for the zero vector."""
-    if vector._packed is not None:
-        return vector._packed[2]
-    return vector._terms[0][0].size if vector._terms else 0
-
-
-def _apply(vector: FockVector, i: int, power: int) -> FockVector:
-    """Encode by sign, run the divided power on each part, decode the difference."""
-    _check_factor(i, power, vector.ell)
-    charges, ell = vector.charges, vector.ell
-    boxes = _size(vector)
-    n = boxes + power
-    masks = _masks(charges, ell, n, i)
-    d = cartan(ell).d[i]
-    acc: dict[Multipartition, LaurentPolynomial] = {}
-    for sign, (width, low, _, terms) in zip((1, -1), _encode(vector, n)):
-        terms, low = _divided(terms, low, boxes, masks, d, power, width)
-        for shape, coeff in zip(_shapes(terms, len(charges), n), terms.values()):
-            mp = _multipartition(shape)
-            acc[mp] = acc.get(mp, ZERO) + _decode(coeff, width, low) * sign
-    return FockVector.from_dict(charges, ell, acc)
-
-
 def apply_f(vector: FockVector, i: int) -> FockVector:
     """One residue-i box-adding step."""
-    return _apply(vector, i, 1)
+    return apply_divided_f(vector, i, 1)
 
 
 def apply_divided_f(vector: FockVector, i: int, power: int) -> FockVector:
-    """The divided power f_i^(power) = f_i^power / [power]!, in one pass."""
-    return _apply(vector, i, power)
+    """The divided power f_i^(power) = f_i^power / [power]!, in one pass on
+    each term's shape alone (see the module docstring)."""
+    _check_factor(i, power, vector.ell)
+    charges, ell = vector.charges, vector.ell
+    boxes = vector.terms[0][0].size if vector.terms else 0
+    n = boxes + power
+    masks = _masks(charges, ell, n, i)
+    d = cartan(ell).d[i]
+    acc: dict[int, LaurentPolynomial] = {}
+    for mp, c in vector.terms:
+        terms, low = _divided({_key(mp.components, n): 1}, 0, boxes, masks, d, power, 1)
+        for key, bit in terms.items():
+            acc[key] = acc.get(key, ZERO) + c * LaurentPolynomial.q(low + bit.bit_length() - 1)
+    shapes = map(_multipartition, _shapes(acc, len(charges), n))
+    return FockVector.from_dict(charges, ell, dict(zip(shapes, acc.values())))
 
 
 def expand(weight: DominantWeight, word: Iterable[tuple[int, int]], *,
@@ -532,19 +494,10 @@ def hom_dim(left: FockVector, right: FockVector) -> LaurentPolynomial:
         return ZERO
     if left is not right and left.content() != right.content():
         raise ValueError("expansions have different contents")
-    n = _size(left)  # equal contents, so both sides have n boxes
-    plus, minus = _signed(left, n)
-    plus_r, minus_r = _signed(right, n)
-    same = _hom(plus, plus_r) + _hom(minus, minus_r)
-    return same - (_hom(plus, minus_r) + _hom(minus, plus_r))
-
-
-def _signed(vector: FockVector, n: int) -> tuple[_Packed, _Packed]:
-    """The engine's packed terms, or the sign parts of a vector built by hand
-    encoded at ``n`` boxes."""
-    if vector._packed is not None:
-        return vector._packed, (1, 0, n, {})
-    return _encode(vector, n)
+    if left._packed is not None and right._packed is not None:
+        return _hom(left._packed, right._packed)
+    other = dict(right.terms)
+    return sum([c * other[mp] for mp, c in left.terms if mp in other], ZERO)
 
 
 def _hom(left: _Packed, right: _Packed,

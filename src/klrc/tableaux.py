@@ -88,13 +88,13 @@ def multipartitions(n: int, k: int) -> Iterator[Multipartition]:
 
 def _runs(ell: int, beta: RootVector, nu: Sequence[int], name: str) -> FWord:
     """The residue sequence as its runs (i, r) of r equal residues, in
-    application order, once it is checked as single steps to have content
-    beta; the residues are checked as a word, last one first."""
-    content = word_content([(r, 1) for r in reversed(nu)], ell)
-    if content != beta:
+    application order, once they are checked as a word, last run first, to
+    have content beta."""
+    runs = tuple([(i, len(list(run))) for i, run in groupby(nu)])
+    if (content := word_content(runs[::-1], ell)) != beta:
         raise ValueError(f"{name} {tuple(nu)} has content {content.coeffs}, "
                          f"expected {beta.coeffs}")
-    return tuple([(i, len(list(run))) for i, run in groupby(nu)])
+    return runs
 
 
 def graded_hom_dim(weight: DominantWeight, beta: RootVector,
@@ -109,7 +109,7 @@ def graded_hom_dim(weight: DominantWeight, beta: RootVector,
     is scaled by [r]_i! for every run of both sides, [r]_i! the quantum
     factorial in q^(d_i).  nu' defaults to nu, and equal sequences are
     expanded once.  Checks beta, then the caps (GuardError), then the
-    content of nu and of nu' as single steps, before the first expansion.
+    content of nu and of nu' on their runs, before the first expansion.
     """
     if not beta.in_positive_cone():
         raise ValueError("beta must lie in the positive cone")

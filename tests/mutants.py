@@ -139,6 +139,20 @@ MUTANTS = (
            "bound = sum(c * (a % ml)", "bound = sum((a % ml)", HOM_TESTS),
     Mutant("hom-count-dropped-from-the-sum", "klrc/fock.py",
            "total = sum(c * _widen(a", "total = sum(_widen(a", HOM_TESTS),
+    # vectors built by hand: stepped a shape at a time, paired as Laurent polynomials
+    Mutant("apply-exponent-one-digit-high", "klrc/fock.py",
+           "low + bit.bit_length() - 1", "low + bit.bit_length()",
+           ("tests/test_fock.py::test_single_step_golden",
+            "tests/test_fock.py::test_step_matches_value_object_route",
+            "tests/test_fock.py::test_signed_fourth_and_fifth_divided_powers")),
+    Mutant("hom-packed-route-with-one-engine-side", "klrc/fock.py",
+           "if left._packed is not None and right._packed is not None:",
+           "if left._packed is not None or right._packed is not None:",
+           ("tests/test_fock.py::test_packed_hom_dim_matches_reference_on_signed_vectors",
+            "tests/test_fock.py::test_hom_dim_of_two_engine_vectors_is_one_packed_hom")),
+    Mutant("hom-by-hand-squares-the-left-side", "klrc/fock.py",
+           "c * other[mp] for mp, c in", "c * c for mp, c in",
+           ("tests/test_fock.py::test_packed_hom_dim_matches_reference_on_signed_vectors",)),
     # the Freudenthal sum over stabilizer orbits
     Mutant("mult-no-delta-j-halving", MULTIPLICITY,
            "count = weight if supp & ~jmask else weight // 2", "count = weight", MULT_TESTS),

@@ -131,6 +131,34 @@ def test_an_entry_past_the_digit_limit_names_the_limit(form, capsys):
         assert run(argv, capsys) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("form", ["table", "argparse"])
+def test_a_word_factor_that_is_not_an_integer_is_named(form, capsys):
+    """A --word residue or power that ``int`` refuses names --word and the
+    factor, counted from 1, echoes at most its first 20 characters, and, if
+    it is refused only for its length, names the digit limit: exit 2 and
+    nothing on stdout, whether the option table or argparse reads the argv.
+    An empty factor before it is refused first, as ``parse_word`` refuses it."""
+    cases = [("0,1^x", "--word factor 2 power is not an integer: 'x'"),
+             ("y^2,0", "--word factor 1 residue is not an integer: 'y'"),
+             ("0,1^2^3", "--word factor 2 power is not an integer: '2^3'"),
+             ("0,1," + "z" * 25, f"--word factor 3 residue is not an integer: "
+                                 f"{'z' * 20!r}... (25 characters)"),
+             ("0,,x", "empty factor in word")]
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (< 3.10.7)
+    if limit:
+        cases.append(("0,1^1" + "0" * limit,
+                      f"--word factor 2 power has {limit + 1} digits, more than the limit "
+                      f"of {limit} (sys.get_int_max_str_digits())"))
+    for word, error in cases:
+        options = {"--ell": "2", "--m": "1,0,0", "--word": word}
+        if form == "table":
+            argv = ["fock", *[part for pair in options.items() for part in pair]]
+        else:
+            argv = ["fock", *[f"{name}={text}" for name, text in options.items()]]
+        assert (cli._read_args(argv) is None) == (form == "argparse")
+        assert run(argv, capsys) == (2, "", f"error: {error}\n")
+
+
 def test_quiver_dot(capsys):
     code, out, _ = run(["quiver", "--ell", "4", "--weight", "2,2", "--format", "dot"], capsys)
     assert code == 0

@@ -181,15 +181,18 @@ def test_hom_dim_q_one_is_sum_of_squares():
 
 
 def test_shared_coefficients_count_in_the_width():
-    """Four shapes with coefficient 5 are one distinct pair counted 4 times:
-    the End is 4 * 25 = 100, which a width of 6 bits holds only once the
-    count enters the bound."""
-    from klrc.fock import _encode
+    """Four shapes with coefficient 5, packed at width 4, are one distinct
+    pair counted 4 times: the End is 4 * 25 = 100, which fits a digit only
+    once the count enters the width bound (25 alone gives 5 bits, and 100
+    needs 7).  The same vector built by hand is paired as Laurent
+    polynomials to the same End."""
+    from klrc.fock import _hom, _key
 
     shapes = [((2,), (), ()), ((1, 1), (), ()), ((), (2,), ()), ((), (), (1, 1))]
+    packed = (4, 0, 2, {_key(shape, 2): 5 for shape in shapes})
+    assert _hom(packed, packed) == poly((0, 100))
     terms = {MP(*shape): poly((0, 5)) for shape in shapes}
     vector = FockVector.from_dict((0, 0, 0), 2, terms)
-    assert _encode(vector, 2)[0][0] == 6
     assert hom_dim(vector, vector) == poly((0, 100))
     assert hom_dim(vector, FockVector.from_dict((0, 0, 0), 2, terms)) == poly((0, 100))
 
@@ -447,6 +450,25 @@ def test_packed_hom_dim_matches_reference_on_signed_vectors():
         a, b = signed(left, rng), signed(right, rng)
         for x, y in [(a, b), (a, a), (left, b), (a, right)]:
             assert hom_dim(x, y) == reference.hom_dim(x, y)
+
+
+def test_hom_dim_of_two_engine_vectors_is_one_packed_hom(monkeypatch):
+    """Two engine vectors are paired in one ``_hom`` call; with a vector
+    built by hand on either side, the Laurent products are summed instead,
+    to the same value."""
+    import klrc.fock
+
+    calls = []
+    hom = klrc.fock._hom
+    monkeypatch.setattr(klrc.fock, "_hom", lambda *args: calls.append(args) or hom(*args))
+    weight = W(2, 0, 1, 0)
+    left = expand(weight, [(2, 1), (1, 2), (0, 2)])
+    right = expand(weight, [(1, 2), (2, 1), (0, 2)])
+    value = hom_dim(left, right)
+    assert len(calls) == 1 and not value.is_zero()
+    by_hand = FockVector.from_dict(right.charges, right.ell, dict(right.terms))
+    assert hom_dim(left, by_hand) == hom_dim(by_hand, left) == value
+    assert len(calls) == 1
 
 
 @st.composite
