@@ -9,8 +9,8 @@ counts), and the finite/tame/wild representation type of a block.
 from .cartan import (CartanDatum, DominantWeight, GuardError, RootVector,
                      cartan, fold_residue, hub, pairing)
 from .classifier import RepType, Verdict, classify, wildness_criteria
-from .fock import (FockVector, Multipartition, apply_divided_f, apply_f, expand, hom_dim,
-                   parse_word, residue)
+from .fock import (FockVector, Multipartition, apply_divided_f, apply_f, expand,
+                   graded_hom_dim, hom_dim, parse_word, residue)
 from .laurent import LaurentPolynomial
 from .maxweights import (MaximalWeightDatum, NotEquivalentError, beta_of,
                          class_members, class_size, defect, delta_decompose,
@@ -18,7 +18,7 @@ from .maxweights import (MaximalWeightDatum, NotEquivalentError, beta_of,
 from .multiplicity import weight_multiplicity
 from .quiver import (Arrow, MaxWeightQuiver, MoveLabel, arrow_test, build_quiver,
                      delta_vector, export, witness_sequence)
-from .tableaux import graded_hom_dim, kostka_q, multipartitions
+from .tableaux import kostka_q, multipartitions
 
 __all__ = [
     "Arrow", "CartanDatum", "DominantWeight", "FockVector", "GuardError",

@@ -24,12 +24,11 @@ from types import SimpleNamespace
 from .cartan import (DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, root_text,
                      weight_text)
 from .classifier import classify
-from .fock import DEFAULT_MAX_BOXES, FWord, expand, hom_dim, parse_word
+from .fock import DEFAULT_MAX_BOXES, FWord, expand, graded_hom_dim, hom_dim, parse_word
 from .laurent import polynomial_text
 from .maxweights import DEFAULT_MAX_VERTICES, _class_columns, _defect, defect
 from .multiplicity import DEFAULT_MAX_HEIGHT, weight_multiplicity
 from .quiver import FORMATS, build_quiver, render
-from .tableaux import graded_hom_dim
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3

@@ -1,30 +1,46 @@
-"""Graded dimensions of idempotent truncations, and their tableau reference.
+"""The tableau reference route for graded dimensions.
 
 dim_q e(nu) A e(nu') for the block at beta is the sum over multipartitions of
 K(nu, shape) * K(nu', shape), K the degree generating function of standard
-fillings.  ``graded_hom_dim`` computes it with the Fock engine, where K(nu,
-shape) is the coefficient of the shape in the expansion of nu as single steps.
-It expands nu by its runs instead, each run i^r one divided power f_i^(r),
-and scales the sum by the product of the quantum factorials [r]_i! (in
-q^(d_i)) of the runs of nu and nu', since f_i^r = [r]_i! f_i^(r).
-The tableau route (``multipartitions``, ``kostka_q`` with its cache
-``_kostka_peel``, and ``node_degree``) enumerates every shape and peels each
-one.  The package never calls it: it stays here, as the reference the tests
-compare against, because the benchmark's tracer (``bench/tracing.py``) binds
-these names.  The filling-by-filling route (``standard_tableaux``,
-``degree``) lives in ``tests/reference.py``.
+fillings.  The package computes it with the Fock engine, ``klrc.fock``'s
+``graded_hom_dim``.  The tableau route here enumerates every shape
+(``multipartitions``) and peels each one (``kostka_q`` with its cache
+``_kostka_peel``), weighting each box by ``node_degree``, the per-node form of
+the engine's degree rule.  The package never calls it: it stays here, as the
+reference the tests compare against, because the benchmark's tracer
+(``bench/tracing.py``) binds these names.  For the same reason
+``graded_hom_dim`` is re-exported here, the same object as ``fock``'s.  The
+filling-by-filling route (``standard_tableaux``, ``degree``) lives in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
 from typing import Iterator, Sequence
 
-from .cartan import DominantWeight, RootVector, cartan
-from .fock import (DEFAULT_MAX_BOXES, FWord, Multipartition, Shape, _check_size, _expand,
-                   _hom, node_degree, residue, word_content)
+from .cartan import cartan
+from .fock import Multipartition, Node, Shape, residue
+from .fock import graded_hom_dim  # noqa: F401  (the tracer binds tableaux.graded_hom_dim)
 from .laurent import ZERO, LaurentPolynomial
+
+
+def _is_below(node: Node, p: Node) -> bool:
+    """Below = strictly lower row of the same component, or any later component."""
+    s, a, _ = node
+    ps, pa, _ = p
+    return s > ps or (s == ps and a > pa)
+
+
+def node_degree(charges: Sequence[int], shape: Multipartition, p: Node, ell: int) -> int:
+    """d_p of a removable node: d_res(p) * (#addable - #removable) of the same residue below p."""
+    res = residue(charges, p, ell)
+    d = cartan(ell).d[res]
+    add = sum(1 for n in shape.addable_nodes()
+              if _is_below(n, p) and residue(charges, n, ell) == res)
+    rem = sum(1 for n in shape.removable_nodes()
+              if _is_below(n, p) and residue(charges, n, ell) == res)
+    return d * (add - rem)
 
 
 def kostka_q(charges: Sequence[int], nu: Sequence[int], shape: Multipartition,
@@ -84,39 +100,3 @@ def multipartitions(n: int, k: int) -> Iterator[Multipartition]:
 
     for comps in split(n, k):
         yield Multipartition(comps)
-
-
-def _runs(ell: int, beta: RootVector, nu: Sequence[int], name: str) -> FWord:
-    """The residue sequence as its runs (i, r) of r equal residues, in
-    application order, once they are checked as a word, last run first, to
-    have content beta."""
-    runs = tuple([(i, len(list(run))) for i, run in groupby(nu)])
-    if (content := word_content(runs[::-1], ell)) != beta:
-        raise ValueError(f"{name} {tuple(nu)} has content {content.coeffs}, "
-                         f"expected {beta.coeffs}")
-    return runs
-
-
-def graded_hom_dim(weight: DominantWeight, beta: RootVector,
-                   nu: Sequence[int], nu_prime: Sequence[int] | None = None, *,
-                   max_n: int = DEFAULT_MAX_BOXES) -> LaurentPolynomial:
-    """Graded dimension of the (nu, nu') idempotent truncation of the block at beta.
-
-    Sums K(nu, shape) * K(nu', shape) over all multipartitions of |beta| with
-    one component per charge, as the Hom dimension of the Fock expansions of
-    nu and nu'.  Each sequence is expanded by its runs: a run of r residues i
-    acts as f_i^r = [r]_i! f_i^(r), one divided power, and the Hom dimension
-    is scaled by [r]_i! for every run of both sides, [r]_i! the quantum
-    factorial in q^(d_i).  nu' defaults to nu, and equal sequences are
-    expanded once.  Checks beta, then the caps (GuardError), then the
-    content of nu and of nu' on their runs, before the first expansion.
-    """
-    if not beta.in_positive_cone():
-        raise ValueError("beta must lie in the positive cone")
-    _check_size(weight, beta.height, max_n)
-    runs = _runs(weight.ell, beta, nu, "nu")
-    runs_prime = runs if nu_prime is None else _runs(weight.ell, beta, nu_prime, "nu'")
-    left = _expand(weight, runs)
-    right = left if runs_prime == runs else _expand(weight, runs_prime)
-    d = cartan(weight.ell).d
-    return _hom(left, right, [(r, d[i]) for i, r in runs + runs_prime if r > 1])

@@ -112,6 +112,17 @@ MUTANTS = (
            "low -= d * (power * boxes + power * (power - 1) // 2)", "low -= d * power * boxes",
            ("tests/test_fock.py::test_divided_square_golden",
             "tests/test_fock.py::test_signed_fourth_and_fifth_divided_powers")),
+    Mutant("fock-divided-keeps-trailing-zero-digits", "klrc/fock.py",
+           "if drop:", "if False:",
+           ("tests/test_fock.py::"
+            "test_expansions_drop_the_trailing_zero_digits_their_terms_share",)),
+    # the bead encoding: the two residues a mask picks, and the addable bits
+    Mutant("fock-masks-without-the-mirrored-residue", "klrc/fock.py",
+           "pattern = 1 << i | 1 << -i % period", "pattern = 1 << i",
+           ("tests/test_tableaux.py::test_graded_hom_dim_golden",)),
+    Mutant("fock-addable-read-from-the-bit-below", "klrc/fock.py",
+           "grow = shape & ~(shape >> 1) & add", "grow = shape & ~(shape << 1) & add",
+           ("tests/test_tableaux.py::test_graded_hom_dim_golden",)),
     # one digit width for a whole word, n! / (r_1! ... r_k!) at q=1
     Mutant("fock-width-set-by-n-not-the-multinomial", "klrc/fock.py",
            "_width(factorial(n) // prod(factorial(power) for _, power in factors))",
@@ -126,9 +137,9 @@ MUTANTS = (
            "((1 << n + 1) - 1) * ", "((1 << n) - 1) * ",
            ("tests/test_golden_replay.py::test_replay_golden_digests[fock]",)),
     # graded dimensions by runs, each run one divided power scaled by [r]!
-    Mutant("dims-scale-by-the-runs-of-nu-only", "klrc/tableaux.py",
+    Mutant("dims-scale-by-the-runs-of-nu-only", "klrc/fock.py",
            "for i, r in runs + runs_prime if r > 1]", "for i, r in runs if r > 1]", DIMS_RUNS),
-    Mutant("dims-scale-built-in-q-not-q-to-the-d", "klrc/tableaux.py",
+    Mutant("dims-scale-built-in-q-not-q-to-the-d", "klrc/fock.py",
            "[(r, d[i]) for i, r in", "[(r, 1) for i, r in", DIMS_RUNS),
     Mutant("hom-scale-dropped-from-the-width-bound", "klrc/fock.py",
            "(bound * prod(factorial(r) for r, _ in scale)).bit_length()", "bound.bit_length()",
@@ -153,6 +164,15 @@ MUTANTS = (
     Mutant("hom-by-hand-squares-the-left-side", "klrc/fock.py",
            "c * other[mp] for mp, c in", "c * c for mp, c in",
            ("tests/test_fock.py::test_packed_hom_dim_matches_reference_on_signed_vectors",)),
+    # a node's residue, and the per-node degree rule of the tableau route
+    Mutant("residue-content-negated", "klrc/fock.py",
+           "fold_residue(b - a + charges[s - 1], ell)",
+           "fold_residue(a - b + charges[s - 1], ell)",
+           ("tests/test_tableaux.py::test_residue", "tests/test_tableaux.py::test_kostka_values")),
+    Mutant("node-degree-counts-above", "klrc/tableaux.py",
+           "return s > ps or (s == ps and a > pa)", "return s < ps or (s == ps and a < pa)",
+           ("tests/test_tableaux.py::test_degree_chain_values",
+            "tests/test_tableaux.py::test_kostka_values")),
     # the Freudenthal sum over stabilizer orbits
     Mutant("mult-no-delta-j-halving", MULTIPLICITY,
            "count = weight if supp & ~jmask else weight // 2", "count = weight", MULT_TESTS),

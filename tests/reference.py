@@ -48,7 +48,7 @@ the package:
 * ``minimal_weight`` of a case instance, and ``residue_word``;
 * ``graded_hom_dim_by_single_steps``, the graded dimension with ν and ν′
   expanded one residue at a time and matched unscaled, where
-  ``klrc.tableaux.graded_hom_dim`` expands each run of equal residues as one
+  ``klrc.fock.graded_hom_dim`` expands each run of equal residues as one
   divided power and scales by the quantum factorials of the runs.
 """
 
@@ -62,12 +62,13 @@ from typing import Iterable, Iterator, Sequence
 
 from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, fold_residue
 from klrc.classifier import CaseInstance, _generate_cases, _holds
-from klrc.fock import Multipartition, Node, _expand, _hom, node_degree, residue
+from klrc.fock import Multipartition, Node, _expand, _hom, residue
 from klrc.laurent import LaurentPolynomial, _wrap
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns,
                              _class_size, _solve)
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, STEPS,
                          MaxWeightQuiver, MoveLabel, _below_masks, _move_table)
+from klrc.tableaux import node_degree
 
 # -- Laurent polynomials -------------------------------------------------
 

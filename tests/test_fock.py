@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import fock_reference as reference
 from klrc.cartan import DominantWeight, GuardError, RootVector
-from klrc.fock import (FockVector, apply_divided_f, apply_f, expand, hom_dim, node_degree,
-                       parse_word, residue, word_content)
+from klrc.fock import (FockVector, apply_divided_f, apply_f, expand, hom_dim, parse_word,
+                       residue, word_content)
 from klrc.laurent import LaurentPolynomial
-from klrc.tableaux import Multipartition, kostka_q, multipartitions, graded_hom_dim
+from klrc.tableaux import Multipartition, kostka_q, multipartitions, graded_hom_dim, node_degree
 from reference import (add_node, bead_masks, evaluate, is_bar_symmetric_about, power,
                        quantum_factorial, residue_word, shift)
 
@@ -542,8 +542,7 @@ def test_key_order_is_the_shape_order():
     order, on every multipartition of at most 6 boxes with 1 to 3
     components: a window's int order is the zero-padded lexicographic order
     of its rows, and component 0 sits in the top window."""
-    from klrc._shapes import _shape_key
-    from klrc.fock import _key
+    from klrc.fock import _key, _shape_key
 
     for k in range(1, 4):
         shapes = [mp.components for size in range(7) for mp in multipartitions(size, k)]
@@ -649,6 +648,30 @@ def test_equal_charges_at_level_five_reach_the_width_bound():
         assert hom_dim(vector, vector) == reference.hom_dim(vector, vector)
         biggest = max(biggest, max(evaluate(c, 1) for _, c in vector.terms))
     assert biggest >= 300_000
+
+
+def test_expansions_drop_the_trailing_zero_digits_their_terms_share():
+    """Every nonempty ``_expand`` output is normalized: the OR of its packed
+    coefficients has a nonzero digit 0, because ``_divided`` drops the
+    trailing zero digits all terms share after each pass.  Rank 2-4, level
+    1-3, words of 1 to 10 boxes with powers up to 3 (runs of repeated
+    residues)."""
+    from klrc.fock import _expand
+
+    rng = random.Random(30)
+    divided = 0
+    for _ in range(200):
+        ell = rng.randint(2, 4)
+        charges = sorted(rng.randint(0, ell) for _ in range(rng.randint(1, 3)))
+        weight = DominantWeight.from_charges(charges, ell)
+        word = grown_word(rng, charges, ell, rng.randint(1, 10))
+        width, _, _, terms = _expand(weight, word[::-1])
+        used = 0
+        for coeff in terms.values():
+            used |= coeff
+        assert used & (1 << width) - 1, (charges, ell, word)
+        divided += any(power > 1 for _, power in word)
+    assert divided >= 100
 
 
 def test_shift_offset_is_reached_at_minus_the_i_boxes_placed(monkeypatch):
