@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_MAX_RANK = 16
 # Bound of every cache keyed by rank alone: room for each rank up to twice the
@@ -78,6 +78,19 @@ def _terms(coeffs: Sequence[int], symbol: str) -> str:
     coefficient of 1 left out; "0" when every coefficient is zero."""
     return "+".join([f"{'' if c == 1 else c}{symbol}{i}"
                      for i, c in enumerate(coeffs) if c]) or "0"
+
+
+def _column_terms(columns: Iterable[Iterable[int]], symbol: str) -> list[str]:
+    """``_terms`` of every member of a class, from its coordinate columns:
+    column i's distinct values are each rendered once, as ``+c<symbol>i``
+    with a coefficient of 1 left out and a zero as the empty text, and a
+    member's text is its terms joined, the leading "+" dropped; "0" when
+    every coefficient is zero."""
+    parts = []
+    for i, column in enumerate(columns):
+        table = {c: f"+{'' if c == 1 else c}{symbol}{i}" if c else "" for c in set(column)}
+        parts.append(map(table.__getitem__, column))
+    return [text[1:] or "0" for text in map("".join, zip(*parts))]
 
 
 def root_text(coeffs: Sequence[int]) -> str:

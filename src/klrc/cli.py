@@ -21,12 +21,11 @@ from functools import lru_cache
 from itertools import islice
 from types import SimpleNamespace
 
-from .cartan import (DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, root_text,
-                     weight_text)
+from .cartan import DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, _column_terms
 from .classifier import classify
 from .fock import DEFAULT_MAX_BOXES, FWord, expand, graded_hom_dim, hom_dim, parse_word
 from .laurent import polynomial_text
-from .maxweights import DEFAULT_MAX_VERTICES, _class_columns, _defect, defect
+from .maxweights import DEFAULT_MAX_VERTICES, _class_columns, _defects, defect
 from .multiplicity import DEFAULT_MAX_HEIGHT, weight_multiplicity
 from .quiver import FORMATS, build_quiver, render
 
@@ -128,17 +127,19 @@ def _cmd_quiver(args) -> Iterator[str]:
 
 def _cmd_maxweights(args) -> str:
     weight = _parse_weight(args)
-    # the class as columns, read a member at a time: it is held once, not
-    # also as rows
+    # the class as columns: the defects and the texts are computed a column
+    # at a time, and the members read back one at a time, so the class is
+    # held once, not also as rows
     m_cols, x_cols = _class_columns(weight.m)
-    members = zip(zip(*m_cols), zip(*x_cols))
+    defects = _defects(weight.m, m_cols, x_cols)
     if args.format == "json":
-        rows = [{"m": list(m), "X": list(x), "beta": root_text(x), "defect": _defect(weight.m, x)}
-                for m, x in members]
+        rows = [{"m": list(m), "X": list(x), "beta": beta, "defect": value}
+                for m, x, beta, value in zip(zip(*m_cols), zip(*x_cols),
+                                             _column_terms(x_cols, "a"), defects)]
         return json.dumps({"ell": weight.ell, "root": list(weight.m), "members": rows},
                           ensure_ascii=False)
-    return "\n".join([f"{weight_text(m)}\tX={x}\tdefect={_defect(weight.m, x)}"
-                      for m, x in members])
+    return "\n".join(map("{}\tX={}\tdefect={}".format,
+                         _column_terms(m_cols, "Λ"), zip(*x_cols), defects))
 
 
 def _cmd_dims(args) -> str:

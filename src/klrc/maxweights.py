@@ -12,6 +12,17 @@ rule a coordinate at a time over all members of a class, one column of m_j
 and one of x_j per coordinate j, with every check asserted for every member.
 The tests tie the two forms together through the stars-and-bars class pass of
 ``tests/reference.py``, which solves each member with ``_solve``.
+
+The defect (Lambda, beta) - (beta, beta)/2 has one identity in the same two
+forms.  With (Lambda, alpha_j) = d_j m_j, (alpha_i, alpha_j) = d_i a_ij and
+the hub h = m - A.x of Lambda - beta, twice the defect is
+sum_j d_j x_j (2 m_j - (A.x)_j) = sum_j d_j x_j (m_j + h_j).  ``_defect`` is
+its single-vector form, which ``defect`` runs, with h read from the band of
+A.  ``_defects`` is its class form: on every member m' of the class of the
+root Lambda, with x its minimal solution, A.x = m - m', so the hub is m'
+itself and the sum is sum_j d_j x_j (m_j + m'_j), taken a column at a time
+over the columns of ``_class_columns`` with no product by A.  The tests check
+both forms against the ε-coordinate model of ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -213,13 +224,30 @@ def beta_of(weight: DominantWeight, other: DominantWeight) -> MaximalWeightDatum
 
 
 def _defect(m: tuple[int, ...], x: tuple[int, ...]) -> int:
-    """``defect`` on plain tuples: (Lambda, beta) - (beta, beta)/2 from the
-    multiplicities m of Lambda and the coefficients x of beta."""
+    """``defect`` on plain tuples, from the multiplicities m of Lambda and the
+    coefficients x of beta: half of sum_j d_j x_j (m_j + h_j), with the hub
+    entry h_j = m_j - (A.x)_j read from row j of the band of A (the module
+    docstring's identity)."""
     datum = cartan(len(m) - 1)
-    dx = tuple(map(mul, datum.d, x))
-    bb = sum(map(mul, dx, datum.apply_matrix(x)))
-    assert bb % 2 == 0
-    return sum(map(mul, m, dx)) - bb // 2
+    p = (0, *x, 0)  # x_j at p[j + 1], with 0 past either end
+    twice = sum([d * p[j + 1] * (mj + (mj - a * p[j] - b * p[j + 1] - c * p[j + 2]))
+                 for j, ((a, b, c), d, mj) in enumerate(zip(datum._band, datum.d, m))])
+    assert twice % 2 == 0
+    return twice // 2
+
+
+def _defects(root: tuple[int, ...], m_cols: Sequence[Sequence[int]],
+             x_cols: Sequence[Sequence[int]]) -> list[int]:
+    """``_defect`` of ``root`` and each member's x, from the columns of
+    ``_class_columns``, a coordinate at a time: on a member the hub
+    root - A.x is the member's m, which the class pass asserts, so twice the
+    defect is sum_j d_j x_j (root_j + m_j), summed column by column and
+    asserted even for every member."""
+    twice: Iterable[int] = repeat(0)
+    for r, d, hub, x in zip(root, cartan(len(root) - 1).d, m_cols, x_cols):
+        twice = list(map(add, twice, map(mul, map(mul, x, repeat(d)), map(add, repeat(r), hub))))
+    assert not any(map(mod, twice, repeat(2)))
+    return list(map(floordiv, twice, repeat(2)))
 
 
 def defect(weight: DominantWeight, beta: RootVector) -> int:

@@ -69,7 +69,15 @@ raising the solution vector, and the increments in closed form.
 (``text``, ``dot``, ``json``, ``tsv``): a generator of the document's text in
 order, one piece per line, vertex or arrow block.  ``export`` joins the
 pieces; ``klrc quiver`` writes them one at a time as they are rendered, so
-its memory is set by the quiver and not by the size of its text.
+its memory is set by the quiver and not by the size of its text.  The
+renderers work a class at a time, as the class pass does: the vertex names
+and the JSON betas come from ``cartan._column_terms`` over the columns of
+``ms`` and ``xs``, each column's distinct entries rendered once.  Each
+move's tail, the text after the target (the label and delta of a text or
+tsv line; the label, delta and witness that close a JSON arrow block), is
+rendered once per quiver and cached by label text, so every arrow is one
+f-string around a cached tail.  A JSON vertex or arrow block opens with the
+text before it in its list, the bracket or the comma, in the same f-string.
 """
 
 from __future__ import annotations
@@ -81,7 +89,8 @@ from itertools import chain, count, product, repeat
 from operator import add, and_, ge, lshift, lt, neg
 from typing import Iterable, Iterator, NamedTuple
 
-from .cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, cartan, root_text, weight_text
+from .cartan import (RANK_CACHE_SIZE, DominantWeight, RootVector, _column_terms, cartan,
+                     root_text)
 from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns, _solve
 
 KIND_UP = "+"              # one index raised by 2
@@ -398,91 +407,79 @@ def export(quiver: MaxWeightQuiver, fmt: str) -> str:
     return "".join(render(quiver, fmt))
 
 
+def _arrow_lines(quiver: MaxWeightQuiver, head: str, arrow: str, sep: str) -> Iterator[str]:
+    """``head``, then one line per arrow,
+    ``<source><arrow><target><sep><label><sep><delta>``.
+
+    The vertex names are rendered a column at a time, and each move's tail,
+    its label and delta, once per quiver."""
+    yield head
+    names = _column_terms(zip(*quiver.ms), "Λ")
+    tails: dict[str, str] = {}
+    for s, t, move in quiver.rows:
+        tail = tails.get(move.text)
+        if tail is None:
+            tail = tails[move.text] = f"{sep}{move.text}{sep}{root_text(move.delta.coeffs)}\n"
+        yield f"{names[s]}{arrow}{names[t]}{tail}"
+
+
 def _text_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
     """A summary line, then one line per arrow: source, target, label and delta."""
-    yield f"root {quiver.root}  vertices {len(quiver.ms)}  arrows {len(quiver.rows)}\n"
-    for source, target, label, delta in _arrow_rows(quiver):
-        yield f"{source} -> {target}  {label}  {delta}\n"
+    return _arrow_lines(quiver, f"root {quiver.root}  vertices {len(quiver.ms)}  "
+                                f"arrows {len(quiver.rows)}\n", " -> ", "  ")
+
+
+def _tsv_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
+    """A header, then one tab-separated line per arrow."""
+    return _arrow_lines(quiver, "#source\ttarget\tlabel\tdelta\n", "\t", "\t")
 
 
 def _dot_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
     """Graphviz text of the quiver."""
     yield "digraph maxweights {\n"
-    for n, m in enumerate(quiver.ms):
-        yield f'  v{n} [label="{weight_text(m)}"];\n'
+    for n, name in enumerate(_column_terms(zip(*quiver.ms), "Λ")):
+        yield f'  v{n} [label="{name}"];\n'
     for s, t, move in quiver.rows:
         yield f'  v{s} -> v{t} [label="{move.text}"];\n'
     yield "}\n"
 
 
-def _json_items(items: Iterable[str], indent: str) -> Iterator[str]:
-    """``_json_block(items, indent)`` in pieces: the opening bracket with the
-    first item, then each later item with its separator, then the closing
-    bracket, so that a long list is never held whole."""
-    head, sep = f"[\n{indent}  ", f",\n{indent}  "
-    for item in items:
-        yield head + item
-        head = sep
-    yield f"\n{indent}]" if head is sep else "[]"
-
-
-def _json_block(items: Iterable[str], indent: str, brackets: str = "[]") -> str:
-    """Rendered items as ``json.dumps(..., indent=2)`` lays out a list at ``indent``,
-    or with ``brackets="{}"`` an object of rendered ``"key": value`` items."""
-    body = f",\n{indent}  ".join(items)
-    return f"{brackets[0]}\n{indent}  {body}\n{indent}{brackets[1]}" if body else brackets
-
-
 def _json_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
     """``json.dumps(payload, indent=2, ensure_ascii=False)`` of the quiver, laid
-    out here so that the encoder sees only strings; each label with its delta
-    and witness is rendered once per quiver."""
+    out here so that the encoder sees only strings.
+
+    Each vertex block and each arrow block is one f-string, which opens with
+    the text before it: the list's opening bracket before the first block, a
+    comma before each later one.  The betas are rendered a column at a time,
+    and each move's label, delta and witness once per quiver, as the tail of
+    its arrow blocks."""
     def ints(values: Iterable[int], indent: str = "      ") -> str:
-        return _json_block(map(str, values), indent)
+        # every list of ints here, a vector or a witness, has an entry
+        body = f",\n{indent}  ".join(map(str, values))
+        return f"[\n{indent}  {body}\n{indent}]"
 
-    def text(value: str) -> str:
-        return json.dumps(value, ensure_ascii=False)
+    def openings() -> Iterator[str]:
+        return chain(["[\n    "], repeat(",\n    "))
 
-    def arrows() -> Iterator[str]:
-        tails: dict[str, str] = {}
-        for s, t, move in quiver.rows:
-            tail = tails.get(move.text)
-            if tail is None:
-                tail = tails[move.text] = ",\n      ".join([
-                    f'"label": {text(move.text)}', f'"delta": {ints(move.delta.coeffs)}',
-                    f'"witness": {ints(move.witness)}'])
-            yield _json_block([f'"src": {s}', f'"dst": {t}', tail], "    ", "{}")
-
-    vertices = (_json_block([f'"m": {ints(m)}', f'"X": {ints(x)}',
-                             f'"beta": {text(root_text(x))}'], "    ", "{}")
-                for m, x in zip(quiver.ms, quiver.xs))
     yield (f'{{\n  "ell": {quiver.ell},\n  "level": {quiver.root.level},\n'
            f'  "root": {ints(quiver.root.m, "  ")},\n  "vertices": ')
-    yield from _json_items(vertices, "  ")
-    yield ',\n  "arrows": '
-    yield from _json_items(arrows(), "  ")
-    yield "\n}\n"
-
-
-def _arrow_rows(quiver: MaxWeightQuiver) -> Iterator[tuple[str, str, str, str]]:
-    """Source, target, label and delta of each arrow, as text.
-
-    Each vertex and each delta is rendered once per quiver.
-    """
-    names = [weight_text(m) for m in quiver.ms]
-    deltas: dict[str, str] = {}
-    for s, t, move in quiver.rows:
-        delta = deltas.get(move.text)
-        if delta is None:
-            delta = deltas[move.text] = root_text(move.delta.coeffs)
-        yield names[s], names[t], move.text, delta
-
-
-def _tsv_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
-    """A header, then one tab-separated line per arrow."""
-    yield "#source\ttarget\tlabel\tdelta\n"
-    for source, target, label, delta in _arrow_rows(quiver):
-        yield f"{source}\t{target}\t{label}\t{delta}\n"
+    # a class has at least one member, and a root text is digits, "a" and
+    # "+", which a JSON string holds unescaped
+    betas = _column_terms(zip(*quiver.xs), "a")
+    for opening, m, x, beta in zip(openings(), quiver.ms, quiver.xs, betas):
+        yield (f'{opening}{{\n      "m": {ints(m)},\n      "X": {ints(x)},'
+               f'\n      "beta": "{beta}"\n    }}')
+    yield '\n  ],\n  "arrows": '
+    tails: dict[str, str] = {}
+    for opening, (s, t, move) in zip(openings(), quiver.rows):
+        tail = tails.get(move.text)
+        if tail is None:
+            tail = tails[move.text] = (
+                f',\n      "label": {json.dumps(move.text, ensure_ascii=False)},'
+                f'\n      "delta": {ints(move.delta.coeffs)},'
+                f'\n      "witness": {ints(move.witness)}\n    }}')
+        yield f'{opening}{{\n      "src": {s},\n      "dst": {t}{tail}'
+    yield "\n  ]\n}\n" if quiver.rows else "[]\n}\n"
 
 
 # each format's renderer, in the order ``klrc quiver --format`` lists them

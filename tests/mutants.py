@@ -76,6 +76,13 @@ MUTANTS = (
     Mutant("class-shift-over-columns-1-to-ell", MAXWEIGHTS,
            "for col, d in zip(x_cols, delta)]))",
            "for col, d in zip(x_cols[1:], delta[1:])]))", CLASS_TESTS),
+    # the defect identity, in its single-vector and class forms
+    Mutant("defect-m-minus-hub", MAXWEIGHTS, "(mj + (mj - a", "(mj - (mj - a",
+           ("tests/test_maxweights.py::test_defect_values",
+            "tests/test_maxweights.py::test_defect_matches_the_epsilon_model")),
+    Mutant("class-defects-root-minus-hub", MAXWEIGHTS,
+           "map(add, repeat(r), hub)", "map(sub, repeat(r), hub)",
+           ("tests/test_maxweights.py::test_class_defects_match_the_epsilon_model_and_defect",)),
     # the Cartan band and what reads it
     Mutant("band-minus-two-in-the-wrong-row", "klrc/cartan.py",
            "(0 if i == 0 else -2 if i == 1 else -1, 2,",
@@ -86,6 +93,11 @@ MUTANTS = (
            "band[i + 1][0] * step\n        if i:\n            i -= 1\n            h[i] -= band[i][2]",
            "band[i + 1][2] * step\n        if i:\n            i -= 1\n            h[i] -= band[i][0]",
            ("tests/test_multiplicity.py::test_straightening_matches_value_object_route",)),
+    # the class form of the vector texts
+    Mutant("column-terms-print-a-coefficient-of-one", "klrc/cartan.py",
+           "f\"+{'' if c == 1 else c}", "f\"+{c}",
+           ("tests/test_cartan.py::test_column_terms_by_hand",
+            "tests/test_cartan.py::test_column_terms_match_the_vector_texts")),
     # the quiver
     Mutant("move-increment-solves-plus-delta-m", "klrc/quiver.py",
            "_solve(tuple(map(neg, shift)), ell)", "_solve(tuple(shift), ell)",
@@ -95,6 +107,13 @@ MUTANTS = (
            'bytes.maketrans(b"\\0\\1", b"01")', 'bytes.maketrans(b"\\0\\1", b"10")', ROW_TESTS),
     Mutant("arrow-walk-from-the-top-bit", "klrc/quiver.py",
            "bits = bin(sources)[:1:-1]", "bits = bin(sources)[2:]", ROW_TESTS),
+    # each move's rendered tail, cached once per quiver
+    Mutant("arrow-line-tail-without-its-delta", "klrc/quiver.py",
+           'f"{sep}{move.text}{sep}{root_text(move.delta.coeffs)}\\n"', 'f"{sep}{move.text}\\n"',
+           ("tests/test_quiver.py::test_export_tsv",)),
+    Mutant("json-arrow-tail-without-its-delta", "klrc/quiver.py",
+           "                f'\\n      \"delta\": {ints(move.delta.coeffs)},'\n", "",
+           ("tests/test_quiver.py::test_export_json_round_trip",)),
     # the Fock step
     Mutant("fock-rem-zeroed", "klrc/fock.py", "return add, add << 1", "return add, 0",
            ("tests/test_fock.py::test_masks_match_the_per_position_rule",
@@ -148,6 +167,9 @@ MUTANTS = (
     # the Hom dimension over distinct coefficient pairs
     Mutant("hom-count-dropped-from-the-width-bound", "klrc/fock.py",
            "bound = sum(c * (a % ml)", "bound = sum((a % ml)", HOM_TESTS),
+    Mutant("hom-digit-mask-one-past-the-width", "klrc/fock.py",
+           "ml, mr = (1 << wl) - 1,", "ml, mr = (1 << wl) + 1,",
+           ("tests/test_fock.py::test_multi_digit_coefficients_are_read_mod_the_digit_mask",)),
     Mutant("hom-count-dropped-from-the-sum", "klrc/fock.py",
            "total = sum(c * _widen(a", "total = sum(_widen(a", HOM_TESTS),
     # vectors built by hand: stepped a shape at a time, paired as Laurent polynomials

@@ -462,8 +462,13 @@ def class_pass_by_compositions(root: tuple[int, ...], max_members: int = DEFAULT
 
 def finite_part(m: Sequence[int]) -> tuple[int, ...]:
     """The ε-coordinates λ_j = Σ_{i≥j} m_i, j = 1..ell, of the finite part of
-    the weight with multiplicities ``m`` (every comark of C_ell^(1) is 1)."""
-    return tuple(sum(m[j:]) for j in range(1, len(m)))
+    the weight with multiplicities ``m`` (every comark of C_ell^(1) is 1),
+    as a running sum down from j = ell, so that deep ranks cost linear time."""
+    lam, total = [], 0
+    for v in m[:0:-1]:  # m_ell, ..., m_1
+        total += v
+        lam.append(total)
+    return tuple(lam[::-1])
 
 
 def class_model(root: Sequence[int]) -> list[tuple[int, ...]]:

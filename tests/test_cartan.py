@@ -1,11 +1,14 @@
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
-from klrc.cartan import (CartanDatum, DominantWeight, RootVector, cartan,
-                         fold_residue, hub, pairing)
+from klrc.cartan import (CartanDatum, DominantWeight, RootVector, _column_terms, cartan,
+                         fold_residue, hub, pairing, root_text, weight_text)
+from klrc.maxweights import _class_columns
 from reference import sigma_root, sigma_weight, with_charges
+from test_quiver import pool_roots
 
 
 def test_matrix_shape():
@@ -178,6 +181,32 @@ def test_root_vector_helpers():
     assert not (r - RootVector((2, 0, 0))).in_positive_cone()
     assert (2 * r).coeffs == (2, 4, 2)
     assert str(r) == "a0+2a1+a2"
+
+
+def test_column_terms_by_hand():
+    """The class form of the vector texts on four members: the zero vector
+    reads "0", a coefficient of 1 is left out, and entries past 2^31, here
+    in int64 columns such as the class pass gives, are written out whole."""
+    columns = [array("q", [0, 1, 2 ** 31 + 5, 0]), array("q", [0, 1, 1, 2 ** 40]),
+               array("q", [0, 0, 3, 1])]
+    expected = ["0", "a0+a1", "2147483653a0+a1+3a2", "1099511627776a1+a2"]
+    assert _column_terms(columns, "a") == expected
+    assert [root_text(x) for x in zip(*columns)] == expected
+    assert _column_terms([[0, 2], [1, 0], [0, 1]], "Λ") == ["Λ1", "2Λ0+Λ2"]
+
+
+def test_column_terms_match_the_vector_texts():
+    """``_column_terms`` against ``weight_text`` and ``root_text``, member by
+    member, over the columns of every class of the quiver pool within the
+    vertex cap."""
+    checked = 0
+    for root in pool_roots():
+        m_cols, x_cols = _class_columns(root)
+        ms, xs = list(zip(*m_cols)), list(zip(*x_cols))
+        assert _column_terms(m_cols, "Λ") == [weight_text(m) for m in ms], root
+        assert _column_terms(x_cols, "a") == [root_text(x) for x in xs], root
+        checked += len(ms)
+    assert checked > 20_000
 
 
 def test_rank_guard():

@@ -197,6 +197,22 @@ def test_shared_coefficients_count_in_the_width():
     assert hom_dim(vector, FockVector.from_dict((0, 0, 0), 2, terms)) == poly((0, 100))
 
 
+def test_multi_digit_coefficients_are_read_mod_the_digit_mask():
+    """Eight shapes with coefficient 1 + q, packed at width 2 as 0b101, paired
+    with themselves give 8(1 + q)^2 = 8 + 16q + 8q^2.  The width bound reads
+    each coefficient's value at q=1 as the packed int mod 2^2 - 1, here 2, so
+    the bound 8 * 2 * 2 = 32 widens the digits to 6 bits; read mod 2^2 + 1
+    instead, 0b101 would count 0, the width would stay 2, and the sum 200
+    would carry into 2q + 3q^3."""
+    from klrc.fock import _hom, _key
+
+    shapes = [((2,), (), ()), ((1, 1), (), ()), ((), (2,), ()), ((), (1, 1), ()),
+              ((), (), (2,)), ((), (), (1, 1)), ((1,), (1,), ()), ((1,), (), (1,))]
+    packed = (2, 0, 2, {_key(shape, 2): 0b101 for shape in shapes})
+    assert len(packed[3]) == 8
+    assert _hom(packed, packed) == poly((0, 8), (1, 16), (2, 8))
+
+
 def test_end_bar_symmetry():
     """Self-Hom dimensions are symmetric about their degree midpoint."""
     for m, word in [((2, 1, 0), [(0, 1), (1, 2), (0, 1)]),

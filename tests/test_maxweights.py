@@ -8,7 +8,7 @@ import pytest
 import klrc.maxweights
 from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, hub
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, NotEquivalentError, _class_columns,
-                             _straighten, beta_of, class_members, class_size, defect,
+                             _defects, _straighten, beta_of, class_members, class_size, defect,
                              delta_decompose, dominantify, ev, minimal_solution,
                              reflection_word)
 from reference import (class_model, class_pass_by_compositions, class_rows, defect_model,
@@ -352,6 +352,23 @@ def test_defect_matches_the_epsilon_model():
             assert defect(DominantWeight(m), beta) == defect_model(m, x), (root, m)
             checked += 1
     assert checked > 12_000
+
+
+def test_class_defects_match_the_epsilon_model_and_defect():
+    """``_defects``, the class form of the defect identity, against
+    ``reference.defect_model`` and the single-vector ``defect``, member by
+    member: every class of the quiver pool within the vertex cap, and the
+    601 members of the class of Λ0 at ell = 1,200."""
+    checked = 0
+    for root in pool_roots() + [(1,) + (0,) * 1200]:
+        weight = DominantWeight(root)
+        m_cols, x_cols = _class_columns(root)
+        values = _defects(root, m_cols, x_cols)
+        assert len(values) == len(m_cols[0])
+        for x, value in zip(zip(*x_cols), values):
+            assert value == defect_model(root, x) == defect(weight, RootVector(x)), (root, x)
+        checked += len(values)
+    assert checked > 20_000
 
 
 def test_delta_decompose():
