@@ -1,4 +1,4 @@
-"""Affine type C Cartan data: matrix, residue folding, bilinear form, hubs.
+"""Affine type C Cartan data: matrix, first-layer roots, residue folding, bilinear form, hubs.
 
 The index set is I = {0, 1, ..., ell} with ell >= 2.  Roots and weights are
 held as exact integer coefficient vectors over I; the symmetrizing vector is
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import sub
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_MAX_RANK = 16
 # Bound of every cache keyed by rank alone: room for each rank up to twice the
@@ -71,6 +72,21 @@ class CartanDatum:
 
     def __repr__(self) -> str:
         return f"CartanDatum(ell={self.ell})"
+
+
+def _first_layer(ell: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each first-layer root gamma with A.gamma, the one source of the root
+    and move tables: the 2 ell^2 positive real roots below delta, which are
+    the finite type C_ell roots eps_i - eps_j = alpha_i + ... + alpha_{j-1}
+    (1 <= i < j <= ell) and eps_i + eps_j = that interval + 2(alpha_j + ...
+    + alpha_{ell-1}) + alpha_ell (i <= j), each followed by delta - gamma."""
+    datum = cartan(ell)
+    pairs = [(i, j) for i in range(1, ell + 1) for j in range(i, ell + 1)]
+    finite = [(0,) * i + (1,) * (j - i) + (0,) * (ell + 1 - j) for i, j in pairs if i < j]
+    finite += [(0,) * i + (1,) * (j - i) + (2,) * (ell - j) + (1,) for i, j in pairs]
+    for gamma in finite:
+        for root in (gamma, tuple(map(sub, datum.delta_coeffs, gamma))):
+            yield root, datum.apply_matrix(root)
 
 
 def _terms(coeffs: Sequence[int], symbol: str) -> str:

@@ -513,7 +513,7 @@ def _expand(weight: DominantWeight, factors: Sequence[tuple[int, int]]) -> _Pack
     number of boxes the factors add and r_1, ..., r_k their powers, and the
     keys are encoded at n.  Each factor's shifts are offset by the boxes of
     its residue placed before it.  The vacuum has every row empty, beads at
-    bits 0..n of each window."""
+    bits 0..n of each window.  A factor that leaves no term ends the word."""
     charges, ell = weight.charges, weight.ell
     d = cartan(ell).d
     n = sum(power for _, power in factors)
@@ -528,6 +528,8 @@ def _expand(weight: DominantWeight, factors: Sequence[tuple[int, int]]) -> _Pack
         if i not in masks:
             masks[i] = _masks(charges, ell, n, i)
         terms, low = _divided(terms, low, placed[i], masks[i], d[i], power, width)
+        if not terms:
+            break
         placed[i] += power
     return width, low, n, terms
 
@@ -681,14 +683,14 @@ def graded_hom_dim(weight: DominantWeight, beta: RootVector,
     acts as f_i^r = [r]_i! f_i^(r), one divided power, and the Hom dimension
     is scaled by [r]_i! for every run of both sides, [r]_i! the quantum
     factorial in q^(d_i).  nu' defaults to nu, and equal sequences are
-    expanded once.  Checks beta, then the caps (GuardError), then the
-    content of nu and of nu' on their runs, before the first expansion.
+    checked and expanded once.  Checks beta, then the caps (GuardError), then
+    the content of nu and of nu' on their runs, before the first expansion.
     """
     if not beta.in_positive_cone():
         raise ValueError("beta must lie in the positive cone")
     _check_size(weight, beta.height, max_n)
     runs = _runs(weight.ell, beta, nu, "nu")
-    runs_prime = runs if nu_prime is None else _runs(weight.ell, beta, nu_prime, "nu'")
+    runs_prime = runs if nu_prime in (None, nu) else _runs(weight.ell, beta, nu_prime, "nu'")
     left = _expand(weight, runs)
     right = left if runs_prime == runs else _expand(weight, runs_prime)
     d = cartan(weight.ell).d

@@ -6,9 +6,8 @@ weight-root and root-root pairings, so no normalization of weight-weight
 values ever enters; all arithmetic is exact and the dividing factor is
 asserted to divide exactly.
 
-Positive roots of the affine system are the finite-type positive roots,
-eps_i - eps_j (i < j) and eps_i + eps_j (i <= j) of C_ell in closed form, and
-their null-root complements, shifted by multiples of the null root; imaginary
+Positive real roots of the affine system are the first-layer roots of
+``cartan._first_layer`` shifted by multiples of the null root; imaginary
 multiples of the null root carry multiplicity equal to the finite rank.
 
 ``weight_multiplicity`` validates its value objects, and the kernel runs on
@@ -54,7 +53,7 @@ from functools import lru_cache
 from math import factorial
 from operator import add, mul, sub
 
-from .cartan import RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, cartan
+from .cartan import RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, _first_layer, cartan
 from .maxweights import _straighten
 
 DEFAULT_MAX_HEIGHT = 14
@@ -74,23 +73,15 @@ def _root_table(ell: int) -> tuple[_Row, ...]:
     A.alpha, (alpha, alpha), then three bitmasks over I: {j : (A.alpha)_j < 0},
     {j : (A.alpha)_j = 0} and the support of alpha).
 
-    The first-layer roots come first, in lexicographic order, each of
-    multiplicity 1: the positive roots gamma of the finite type C_ell system
-    and their null-root complements delta - gamma, where
-    eps_i - eps_j = alpha_i + ... + alpha_{j-1} for 1 <= i < j <= ell and
-    eps_i + eps_j = (alpha_i + ... + alpha_{j-1}) + 2(alpha_j + ... + alpha_{ell-1})
-    + alpha_ell for 1 <= i <= j <= ell (2 eps_i at i = j).  The last row is
-    delta itself, of multiplicity ell.
+    The first-layer roots of ``cartan._first_layer`` come first, in
+    lexicographic order, each of multiplicity 1; the last row is delta
+    itself, of multiplicity ell.
     """
     datum = cartan(ell)
     delta = datum.delta_coeffs
-    pairs = [(i, j) for i in range(1, ell + 1) for j in range(i, ell + 1)]
-    finite = [(0,) * i + (1,) * (j - i) + (0,) * (ell + 1 - j) for i, j in pairs if i < j]
-    finite += [(0,) * i + (1,) * (j - i) + (2,) * (ell - j) + (1,) for i, j in pairs]
-    layer = sorted(finite + [tuple(map(sub, delta, gamma)) for gamma in finite])
     rows = []
-    for gamma, root_mult in [(gamma, 1) for gamma in layer] + [(delta, ell)]:
-        ag = datum.apply_matrix(gamma)
+    for gamma, ag in sorted(_first_layer(ell)) + [(delta, datum.apply_matrix(delta))]:
+        root_mult = ell if gamma == delta else 1
         aa = sum(map(mul, map(mul, gamma, datum.d), ag))
         rows.append((gamma, root_mult, ag, aa, _mask(v < 0 for v in ag),
                      _mask(v == 0 for v in ag), _mask(gamma)))

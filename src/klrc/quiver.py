@@ -4,12 +4,14 @@ Vertices are the class members with their minimal solution vectors.  A move
 takes one fundamental multiplicity off each of its indices (one or two) and
 puts it back the step ``STEPS`` lists for that index; an arrow is a move that
 raises the solution vector by the move's increment d, the minimal solution of
-A.d = -Δm for the move's change Δm to the multiplicities
-(``maxweights._solve``, the rule that gives every vertex its vector).  These
-increments are the first-layer roots, the positive real roots not exceeding
-the null root, one move per root.  Arrows always point toward the larger
-vector, the fixed root has in-degree zero, and every vertex is reachable from
-it by a directed path.
+A.d = -Δm for the move's change Δm to the multiplicities.  These increments
+are the first-layer roots, one move per root, so each root gamma of
+``cartan._first_layer`` gives the move with Δm = -A.gamma and d = gamma:
+its takes (the indices of Δm's negative entries, with multiplicity) paired
+in order with its puts (of the positive entries) spell its label, the sign
+of each put minus its take giving the kind.  Arrows always point toward the
+larger vector, the fixed root has in-degree zero, and every vertex is
+reachable from it by a directed path.
 
 Each move is stored once in a per-rank move table (``_move_table``), keyed
 by its label, with its increment d, witness, rendered label, its change Δm to
@@ -63,7 +65,8 @@ benchmark's tracer (``bench/tracing.py``) and the tests bind them.
 two masks, and the tests call it too.
 ``tests/reference.py`` keeps the per-source builder, with its own list of the
 moves a weight can take, the value-object route that decides an arrow by
-raising the solution vector, and the increments in closed form.
+raising the solution vector, the increments in closed form, and the move
+table built label by label, each increment solved by ``maxweights._solve``.
 
 ``render(quiver, fmt)`` is the one renderer of each format in ``FORMATS``
 (``text``, ``dot``, ``json``, ``tsv``): a generator of the document's text in
@@ -85,13 +88,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, count, product, repeat
+from itertools import chain, count, repeat
 from operator import add, and_, ge, lshift, lt, neg
 from typing import Iterable, Iterator, NamedTuple
 
-from .cartan import (RANK_CACHE_SIZE, DominantWeight, RootVector, _column_terms, cartan,
-                     root_text)
-from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns, _solve
+from .cartan import (RANK_CACHE_SIZE, DominantWeight, RootVector, _column_terms, _first_layer,
+                     cartan, root_text)
+from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns
 
 KIND_UP = "+"              # one index raised by 2
 KIND_DOWN = "-"            # one index lowered by 2
@@ -137,9 +140,8 @@ class MoveLabel:
 
 
 def delta_vector(label: MoveLabel, ell: int) -> RootVector:
-    """The root-lattice increment attached to a move: the minimal solution d of
-    A.d = -Δm, read off the move table.  These increments are the first-layer
-    roots, one move per root."""
+    """The root-lattice increment of a move, the first-layer root gamma with
+    A.gamma = -Δm, read off the move table."""
     label.validate(ell)
     return _move_table(ell)[label].delta
 
@@ -171,27 +173,23 @@ class _Move(NamedTuple):
 
 @lru_cache(maxsize=RANK_CACHE_SIZE)
 def _move_table(ell: int) -> dict[MoveLabel, _Move]:
-    """Every move valid at rank ``ell``, keyed by its label and stored in
-    lexicographic order of its Δm, then of its label text."""
+    """Every move valid at rank ``ell``, one per first-layer root, keyed by
+    its label, in lexicographic order of its Δm, then of its label text."""
     moves = []
-    for kind, steps in STEPS.items():
-        for index in product(range(ell + 1), repeat=len(steps)):
-            label = MoveLabel(kind, *index)
-            try:
-                label.validate(ell)
-            except ValueError:
-                continue
-            shift = [0] * (ell + 1)
-            for n, step in zip(index, steps):
-                shift[n] -= 1
-                shift[n + step] += 1
-            delta = RootVector(_solve(tuple(map(neg, shift)), ell))
-            # the two-mask arrow test is exact only for increments in {0, 1, 2}
-            assert set(delta.coeffs) <= {0, 1, 2}, label
-            moves.append(_Move(
-                label, delta, witness_sequence(label, ell), str(label), tuple(shift),
-                sum(1 << n for n, d in enumerate(delta.coeffs) if d == 0),
-                sum(1 << n for n, d in enumerate(delta.coeffs) if d <= 1)))
+    for gamma, ag in _first_layer(ell):
+        shift = tuple(map(neg, ag))
+        takes = [n for n, s in enumerate(shift) for _ in range(-s)]
+        puts = [n for n, s in enumerate(shift) for _ in range(s)]
+        kind = "".join(["+" if put > take else "-" for take, put in zip(takes, puts)])
+        # "+-" is a raised index below a lowered one: the lowered one comes first
+        label = (MoveLabel(KIND_DOWN_UP, takes[1], takes[0]) if kind == "+-"
+                 else MoveLabel(kind, *takes))
+        # the two-mask arrow test is exact only for increments in {0, 1, 2}
+        assert set(gamma) <= {0, 1, 2}, label
+        moves.append(_Move(
+            label, RootVector(gamma), witness_sequence(label, ell), str(label), shift,
+            sum(1 << n for n, d in enumerate(gamma) if d == 0),
+            sum(1 << n for n, d in enumerate(gamma) if d <= 1)))
     moves.sort(key=lambda move: (move.shift, move.text))
     return {move.label: move for move in moves}
 

@@ -99,10 +99,19 @@ MUTANTS = (
            ("tests/test_cartan.py::test_column_terms_by_hand",
             "tests/test_cartan.py::test_column_terms_match_the_vector_texts")),
     # the quiver
-    Mutant("move-increment-solves-plus-delta-m", "klrc/quiver.py",
-           "_solve(tuple(map(neg, shift)), ell)", "_solve(tuple(shift), ell)",
+    Mutant("move-shift-plus-a-gamma", "klrc/quiver.py",
+           "shift = tuple(map(neg, ag))", "shift = tuple(ag)",
            ("tests/test_quiver.py::test_delta_vectors",
-            "tests/test_quiver.py::test_move_increments_are_the_first_layer_roots")),
+            "tests/test_quiver.py::test_move_table_matches_the_enumerate_and_solve_route")),
+    # the label read off a move's Δm
+    Mutant("label-takes-and-puts-swapped", "klrc/quiver.py",
+           "for take, put in zip(takes, puts)", "for take, put in zip(puts, takes)",
+           ("tests/test_quiver.py::test_move_table_entries",
+            "tests/test_quiver.py::test_move_table_matches_the_enumerate_and_solve_route")),
+    Mutant("label-down-up-indices-kept-in-order", "klrc/quiver.py",
+           "MoveLabel(KIND_DOWN_UP, takes[1], takes[0])", "MoveLabel(KIND_DOWN_UP, *takes)",
+           ("tests/test_quiver.py::test_move_table_entries",
+            "tests/test_quiver.py::test_move_table_matches_the_enumerate_and_solve_route")),
     Mutant("column-digits-swapped", "klrc/quiver.py",
            'bytes.maketrans(b"\\0\\1", b"01")', 'bytes.maketrans(b"\\0\\1", b"10")', ROW_TESTS),
     Mutant("arrow-walk-from-the-top-bit", "klrc/quiver.py",
@@ -209,12 +218,13 @@ MUTANTS = (
            ("tests/test_multiplicity.py::test_orbit_weights_match_breadth_first_orbits",)),
     Mutant("mult-negative-mask-le", MULTIPLICITY,
            "_mask(v < 0 for v in ag)", "_mask(v <= 0 for v in ag)", MULT_TESTS),
-    # the root table built from the closed form of the first-layer roots
-    Mutant("root-table-without-null-root-complements", MULTIPLICITY,
-           "sorted(finite + [tuple(map(sub, delta, gamma)) for gamma in finite])",
-           "sorted(finite)",
+    # the first-layer roots from their closed form, behind both tables
+    Mutant("first-layer-without-null-root-complements", "klrc/cartan.py",
+           "for root in (gamma, tuple(map(sub, datum.delta_coeffs, gamma))):",
+           "for root in (gamma,):",
            ("tests/test_multiplicity.py::test_root_table_rows_match_the_move_table_route",
-            "tests/test_multiplicity.py::test_golden_counts")),
+            "tests/test_multiplicity.py::test_golden_counts",
+            "tests/test_quiver.py::test_move_table_matches_the_enumerate_and_solve_route")),
     # the case index grouped straight from the generated case list
     Mutant("case-index-groups-in-reverse-order", "klrc/classifier.py",
            "index.get(case.beta, ()) + (case,)", "(case,) + index.get(case.beta, ())",

@@ -13,8 +13,12 @@ the package:
   ``_raised``, ``arrow_test``), which decides an arrow by raising the
   solution vector instead of by the two bitmasks of ``klrc.quiver``, and
   raises it by the closed-form increments (``delta_closed_form``), six
-  branches by the move's kind, where ``klrc.quiver`` solves A.d = -Δm with
-  ``klrc.maxweights._solve``;
+  branches by the move's kind, where ``klrc.quiver`` reads them off the
+  first-layer roots of ``klrc.cartan._first_layer``;
+* the move table built label by label (``move_table``): every label that
+  validates, its Δm from the steps of its kind, and its increment solved
+  from A.d = -Δm with ``klrc.maxweights._solve``, where
+  ``klrc.quiver._move_table`` reads each move off a first-layer root;
 * the per-source quiver builder (``build_quiver``), which lists each
   source's moves from the validity rules of each kind (``_candidate_keys``),
   runs the two-mask test once per move and sorts each source's arrows, where
@@ -56,8 +60,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement
-from operator import add, lt, sub
+from itertools import accumulate, combinations, combinations_with_replacement, product
+from operator import add, lt, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, fold_residue
@@ -67,7 +71,8 @@ from klrc.laurent import LaurentPolynomial, _wrap
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns,
                              _class_size, _solve)
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, STEPS,
-                         MaxWeightQuiver, MoveLabel, _below_masks, _move_table)
+                         MaxWeightQuiver, MoveLabel, _below_masks, _Move, _move_table,
+                         witness_sequence)
 from klrc.tableaux import node_degree
 
 # -- Laurent polynomials -------------------------------------------------
@@ -203,6 +208,32 @@ def delta_closed_form(label: MoveLabel, ell: int) -> RootVector:
     else:
         coeffs = (1,) + (2,) * j + (1,) * (i - j - 1) + (2,) * (ell - i) + (1,)
     return RootVector(coeffs)
+
+
+def move_table(ell: int) -> dict[MoveLabel, _Move]:
+    """Every label valid at rank ``ell`` with its ``klrc.quiver._Move`` entry,
+    in lexicographic order of its Δm, then of its label text: each kind's
+    labels enumerated over all indices, those that validate kept, Δm taken
+    from the kind's steps and the increment solved from A.d = -Δm."""
+    moves = []
+    for kind, steps in STEPS.items():
+        for index in product(range(ell + 1), repeat=len(steps)):
+            label = MoveLabel(kind, *index)
+            try:
+                label.validate(ell)
+            except ValueError:
+                continue
+            shift = [0] * (ell + 1)
+            for n, step in zip(index, steps):
+                shift[n] -= 1
+                shift[n + step] += 1
+            delta = RootVector(_solve(tuple(map(neg, shift)), ell))
+            moves.append(_Move(
+                label, delta, witness_sequence(label, ell), str(label), tuple(shift),
+                sum(1 << n for n, d in enumerate(delta.coeffs) if d == 0),
+                sum(1 << n for n, d in enumerate(delta.coeffs) if d <= 1)))
+    moves.sort(key=lambda move: (move.shift, move.text))
+    return {move.label: move for move in moves}
 
 
 def _shift(m: tuple[int, ...], label: MoveLabel) -> tuple[int, ...] | None:

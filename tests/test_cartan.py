@@ -4,8 +4,8 @@ from array import array
 
 import pytest
 
-from klrc.cartan import (CartanDatum, DominantWeight, RootVector, _column_terms, cartan,
-                         fold_residue, hub, pairing, root_text, weight_text)
+from klrc.cartan import (CartanDatum, DominantWeight, RootVector, _column_terms, _first_layer,
+                         cartan, fold_residue, hub, pairing, root_text, weight_text)
 from klrc.maxweights import _class_columns
 from reference import sigma_root, sigma_weight, with_charges
 from test_quiver import pool_roots
@@ -44,6 +44,25 @@ def test_apply_matrix_matches_dense_row_product():
             assert datum.apply_matrix(x) == dense, (ell, x)
         with pytest.raises(ValueError):
             datum.apply_matrix(x[:-1])
+
+
+@pytest.mark.parametrize("ell", range(2, 17))
+def test_first_layer_roots_and_their_images(ell):
+    """The generator yields 2 ell^2 distinct first-layer roots, each a real
+    root ((gamma, gamma) > 0) in the positive cone below the null root, with
+    its complement; each comes with A.gamma as ``apply_matrix`` and the dense
+    matrix compute it, and no two roots share A.gamma."""
+    datum = cartan(ell)
+    matrix, delta = datum.matrix, datum.delta_coeffs
+    layer = list(_first_layer(ell))
+    roots = {gamma for gamma, _ in layer}
+    assert len(roots) == len({ag for _, ag in layer}) == len(layer) == 2 * ell * ell
+    for gamma, ag in layer:
+        assert ag == datum.apply_matrix(gamma), gamma
+        assert ag == tuple(sum(a * g for a, g in zip(row, gamma)) for row in matrix), gamma
+        assert all(0 <= g <= n for g, n in zip(gamma, delta)) and gamma != delta, gamma
+        assert tuple(n - g for g, n in zip(gamma, delta)) in roots, gamma
+        assert pairing(RootVector(gamma), RootVector(gamma)) > 0, gamma
 
 
 def test_only_the_band_is_stored():

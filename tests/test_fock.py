@@ -696,7 +696,8 @@ def test_shift_offset_is_reached_at_minus_the_i_boxes_placed(monkeypatch):
     below it and no addable one, so its count is -1, minus the one 0-box
     placed.  Offset by that one box its shift is 0, the lowest digit, and
     offset by none it would be negative.  ``_expand`` offsets each factor by
-    the boxes of its residue placed before it."""
+    the boxes of its residue placed before it, and stops at a factor that
+    leaves no term."""
     from klrc import fock
 
     n, width = 2, 3
@@ -714,4 +715,44 @@ def test_shift_offset_is_reached_at_minus_the_i_boxes_placed(monkeypatch):
 
     monkeypatch.setattr(fock, "_step", recording)
     fock._expand(W(2, 0, 0), ((0, 1), (1, 1), (0, 2), (2, 1), (1, 1)))
-    assert offsets == [0, 0, 1, 0, 1]
+    assert offsets == [0, 0, 1]  # f_0^(2) leaves no term
+    offsets.clear()
+    assert fock._expand(W(2, 0, 0), ((0, 1), (1, 1), (0, 1), (1, 2), (2, 1), (1, 1)))[3]
+    assert offsets == [0, 0, 1, 1, 0, 3]
+
+
+def test_a_word_that_leaves_no_term_steps_once(monkeypatch, capsys):
+    """A residue sequence and a word whose first factor has no addable node
+    on the vacuum of Λ0 stop after that factor: ``_divided`` runs once for
+    each, and ``dims`` and ``fock`` print the text they printed when every
+    later factor stepped an empty dict."""
+    from klrc import fock
+    from klrc.cli import main
+
+    divided, calls = fock._divided, []
+    monkeypatch.setattr(fock, "_divided", lambda *args: calls.append(args) or divided(*args))
+    assert main(["dims", "--ell", "2", "--m", "1,0,0", "--beta", "2,2,1",
+                 "--nu", "1-0-1-0-2"]) == 0
+    assert len(calls) == 1
+    assert main(["fock", "--ell", "2", "--weight", "0", "--word", "2,0,1,0,1"]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == "0\n0\nEnd = 0\n"
+
+
+def test_an_equal_nu_prime_is_checked_once(monkeypatch):
+    """ν′ equal to ν, as ``klrc dims`` passes it without ``--nu2``, is checked
+    and expanded once, as an absent ν′ is; a different ν′ is checked on its
+    own."""
+    from klrc import fock
+
+    runs, names = fock._runs, []
+    monkeypatch.setattr(fock, "_runs", lambda *args: names.append(args[3]) or runs(*args))
+    weight, beta = DominantWeight.from_charges((1, 3, 4), 4), RootVector((1, 1, 1, 3, 1))
+    nu = (4, 1, 3, 2, 0, 3, 3)
+    value = graded_hom_dim(weight, beta, nu)
+    assert str(value) == "q^-4 + 6q^-2 + 16 + 25q^2 + 25q^4 + 16q^6 + 6q^8 + q^10"
+    assert graded_hom_dim(weight, beta, nu, nu) == value
+    assert graded_hom_dim(weight, beta, nu, tuple(list(nu))) == value
+    assert names == ["nu"] * 3
+    graded_hom_dim(weight, beta, nu, (4, 1, 3, 2, 3, 0, 3))
+    assert names == ["nu"] * 4 + ["nu'"]

@@ -18,7 +18,7 @@ from klrc.maxweights import _straighten, beta_of, class_members, dominantify, re
 from klrc.multiplicity import (DEFAULT_MAX_HEIGHT, _mult, _multiplicity, _root_table,
                                _terms, _weyl_order, positive_roots_within, weight_multiplicity)
 from klrc.quiver import _move_table
-from reference import add_node, evaluate, fock_ranks, sigma_flip, stabilizer_orbit
+from reference import add_node, evaluate, fock_ranks, move_table, sigma_flip, stabilizer_orbit
 from test_golden_replay import golden
 
 
@@ -216,7 +216,7 @@ def reference_roots_within(ell, bound):
     def fits(r):
         return all(c <= b for c, b in zip(r.coeffs, bound))
 
-    for gamma in sorted((move.delta for move in _move_table(ell).values()),
+    for gamma in sorted((move.delta for move in move_table(ell).values()),
                         key=lambda r: r.coeffs):
         root = gamma
         while fits(root):
@@ -321,14 +321,14 @@ def test_mult_matches_value_object_route_at_the_pool_ranks():
 
 
 def test_root_table_rows_match_the_move_table_route():
-    """The root table, rebuilt from the quiver's move increments (each the
-    minimal solution of A.d = -Δm, one per first-layer root), in
-    lexicographic order and then delta of multiplicity ell: A.gamma by
+    """The root table, rebuilt from the move increments of the reference move
+    table (each the minimal solution of A.d = -Δm, one per first-layer root),
+    in lexicographic order and then delta of multiplicity ell: A.gamma by
     ``apply_matrix``, (gamma, gamma) from d, and the three masks a bit at a
     time.  Row for row, in order, for ell 2..16."""
     for ell in range(2, 17):
         datum = cartan(ell)
-        layer = sorted(move.delta.coeffs for move in _move_table(ell).values())
+        layer = sorted(move.delta.coeffs for move in move_table(ell).values())
         rows = []
         for gamma, root_mult in [(gamma, 1) for gamma in layer] + [(datum.delta_coeffs, ell)]:
             ag = datum.apply_matrix(gamma)

@@ -102,6 +102,15 @@ def test_move_increments_are_the_first_layer_roots():
         assert set(increments) == layer, ell
 
 
+@pytest.mark.parametrize("ell", range(2, 17))
+def test_move_table_matches_the_enumerate_and_solve_route(ell):
+    """Each move read off a first-layer root equals the reference table's
+    move, built label by label with its increment solved from A.d = -Δm, on
+    label, delta, witness, text, shift and both masks, entry by entry and
+    in order."""
+    assert list(_move_table(ell).items()) == list(reference.move_table(ell).items())
+
+
 def test_delta_vector_range_errors():
     with pytest.raises(ValueError):
         delta_vector(up(3), 4)
