@@ -3,9 +3,11 @@
 The decision pipeline straightens the root into the dominant chamber, splits
 off null-root multiples, dispatches level one to its complete trichotomy, and
 at higher level matches the reduced pair against the finite and tame case
-tables; anything unmatched is wild.  The case list is generated once per rank
-(``_generate_cases``) straight into ``_case_index``, its cases grouped by beta
-in list order; the flat table the tests read lives in ``tests/reference.py``.
+tables; anything unmatched is wild.  Past its checks, ``classify`` runs on
+plain tuples (``maxweights._straighten``, ``_reduce``, ``apply_matrix``).
+The case list is generated once per rank (``_generate_cases``) straight into
+``_case_index``, its cases grouped by beta in list order; the flat table the
+tests read lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from operator import sub
 from typing import Iterator, Sequence
 
-from .cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, hub
+from .cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, cartan
 from .laurent import LaurentPolynomial
-from .maxweights import delta_decompose, dominantify
+from .maxweights import _reduce, _straighten
 
 
 class RepType(enum.Enum):
@@ -210,20 +213,20 @@ def classify(weight: DominantWeight, beta: RootVector, characteristic: int = 0) 
     if not beta.in_positive_cone():
         raise ValueError("beta must lie in the positive cone")
 
-    straightened = dominantify(weight, beta)
+    straightened = _straighten(weight.m, beta.coeffs)[0]
     if straightened is None:
         return Verdict(RepType.ZERO, "zero")
-    core, null_multiple = delta_decompose(straightened)
+    core, null_multiple = _reduce(straightened, cartan(ell).delta_coeffs)
 
     if weight.level == 1:
-        return _classify_level_one(weight, core, null_multiple)
+        return _classify_level_one(weight.m, core, null_multiple)
 
     if null_multiple >= 1:
         return Verdict(RepType.WILD, "non-maximal-wild")
-    if core.is_zero():
+    if not any(core):
         return Verdict(RepType.FINITE, "trivial")
 
-    case = match_case(weight.m, core.coeffs, ell)
+    case = match_case(weight.m, core, ell)
     if case is None:
         return Verdict(RepType.WILD, "wild-otherwise")
     if case.char_ne is not None:
@@ -233,11 +236,11 @@ def classify(weight: DominantWeight, beta: RootVector, characteristic: int = 0) 
     return Verdict(case.rep_type, case.tag)
 
 
-def _classify_level_one(weight: DominantWeight, core: RootVector,
+def _classify_level_one(m: tuple[int, ...], core: tuple[int, ...],
                         null_multiple: int) -> Verdict:
-    ell = weight.ell
-    s = weight.m.index(1)
-    target_hub = hub(weight, core)
+    ell = len(m) - 1
+    s = m.index(1)
+    target_hub = tuple(map(sub, m, cartan(ell).apply_matrix(core)))
     assert min(target_hub) >= 0 and sum(target_hub) == 1
     t = target_hub.index(1)
     if null_multiple == 0 and t in {s, s - 2, s + 2}:

@@ -2,7 +2,7 @@
 
 Vertices are the class members with their minimal solution vectors.  A move
 takes one fundamental multiplicity off each of its indices (one or two) and
-puts it back the step ``STEPS`` lists for that index; an arrow is a move that
+puts it back a fixed step away, signed as its kind; an arrow is a move that
 raises the solution vector by the move's increment d, the minimal solution of
 A.d = -Δm for the move's change Δm to the multiplicities.  These increments
 are the first-layer roots, one move per root, so each root gamma of
@@ -16,8 +16,10 @@ reachable from it by a directed path.
 Each move is stored once in a per-rank move table (``_move_table``), keyed
 by its label, with its increment d, witness, rendered label, its change Δm to
 the multiplicities, and the coordinate bitmasks ``zero = {j : d_j = 0}`` and
-``low = {j : d_j <= 1}``.  The table is the move set: no move puts a
-multiplicity back where it takes one off, so a weight m holds what a move
+``low = {j : d_j <= 1}``.  The table is the move set and the only rule for
+which labels are moves, read through ``_entry``, which raises ValueError for
+a label it lacks; each witness is built once, by ``_witness``.  No move puts
+a multiplicity back where it takes one off, so a weight m holds what a move
 takes off exactly when m + Δm >= 0, and ``candidate_moves`` lists the labels
 that pass, in table order.  For a source x and null-root coefficients n, the
 move is an arrow when x + d drops below n somewhere, exactly when
@@ -59,14 +61,11 @@ m, that is the order of target indices, and moves with equal Δm share their
 target.  So the arrows appended to a source's bucket move by move come in
 (target, label) order, and the buckets joined in source order are the rows.
 
-``candidate_moves``, ``arrow_test`` and ``delta_vector`` stay because the
-benchmark's tracer (``bench/tracing.py``) and the tests bind them.
-``_below_masks``, which the tracer does not bind, computes ``arrow_test``'s
-two masks, and the tests call it too.
-``tests/reference.py`` keeps the per-source builder, with its own list of the
-moves a weight can take, the value-object route that decides an arrow by
-raising the solution vector, the increments in closed form, and the move
-table built label by label, each increment solved by ``maxweights._solve``.
+``tests/reference.py`` keeps the second routes: the rule that decides from
+each kind's steps and index ranges which labels are moves, the move table
+built label by label by that rule with ``maxweights._solve``, the increments
+in closed form, the value-object arrow test that raises the solution vector,
+and the per-source builder, with its own list of the moves a weight can take.
 
 ``render(quiver, fmt)`` is the one renderer of each format in ``FORMATS``
 (``text``, ``dot``, ``json``, ``tsv``): a generator of the document's text in
@@ -102,10 +101,6 @@ KIND_UP_UP = "++"          # two indices raised by 1
 KIND_DOWN_DOWN = "--"      # two indices lowered by 1
 KIND_DOWN_UP = "-+"        # one lowered, one raised by 1
 
-# the step each index of a move takes; the signs spell the kind
-STEPS = {KIND_UP: (2,), KIND_DOWN: (-2,), KIND_UP_UP: (1, 1),
-         KIND_DOWN_DOWN: (-1, -1), KIND_DOWN_UP: (-1, 1)}
-
 
 @dataclass(frozen=True)
 class MoveLabel:
@@ -115,25 +110,6 @@ class MoveLabel:
     i: int
     j: int | None = None
 
-    @property
-    def index(self) -> tuple[int, ...]:
-        return (self.i,) if self.j is None else (self.i, self.j)
-
-    def validate(self, ell: int) -> None:
-        """Each index and its target lie in 0..ell, a same-sign pair is ordered,
-        and no step lands on the other index (that pair is one move or none)."""
-        steps = STEPS.get(self.kind)
-        if steps is None:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        index = self.index
-        ok = (len(index) == len(steps)
-              and all(0 <= n <= ell and 0 <= n + s <= ell for n, s in zip(index, steps)))
-        if ok and len(index) == 2:
-            (i, j), (s, t) = index, steps
-            ok = (s != t or i <= j) and i + s != j and j + t != i
-        if not ok:
-            raise ValueError(f"move {self} is out of range for rank {ell}")
-
     def __str__(self) -> str:
         parts = ",".join(f"{n}^{sign}" for sign, n in zip(self.kind, (self.i, self.j)))
         return f"Δ_{{{parts}}}"
@@ -142,8 +118,7 @@ class MoveLabel:
 def delta_vector(label: MoveLabel, ell: int) -> RootVector:
     """The root-lattice increment of a move, the first-layer root gamma with
     A.gamma = -Δm, read off the move table."""
-    label.validate(ell)
-    return _move_table(ell)[label].delta
+    return _entry(label, ell).delta
 
 
 def candidate_moves(weight: DominantWeight) -> list[MoveLabel]:
@@ -187,11 +162,20 @@ def _move_table(ell: int) -> dict[MoveLabel, _Move]:
         # the two-mask arrow test is exact only for increments in {0, 1, 2}
         assert set(gamma) <= {0, 1, 2}, label
         moves.append(_Move(
-            label, RootVector(gamma), witness_sequence(label, ell), str(label), shift,
+            label, RootVector(gamma), _witness(label, ell), str(label), shift,
             sum(1 << n for n, d in enumerate(gamma) if d == 0),
             sum(1 << n for n, d in enumerate(gamma) if d <= 1)))
     moves.sort(key=lambda move: (move.shift, move.text))
     return {move.label: move for move in moves}
+
+
+def _entry(label: MoveLabel, ell: int) -> _Move:
+    """The move table's entry for ``label``; ValueError when ``label`` is no
+    move at rank ``ell``."""
+    move = _move_table(ell).get(label)
+    if move is None:
+        raise ValueError(f"move {label} is out of range for rank {ell}")
+    return move
 
 
 def witness_sequence(label: MoveLabel, ell: int) -> tuple[int, ...]:
@@ -200,7 +184,11 @@ def witness_sequence(label: MoveLabel, ell: int) -> tuple[int, ...]:
     The sequence has length equal to the increment's height, and adding its
     simple roots in order keeps the coroot pairing at each step positive.
     """
-    label.validate(ell)
+    return _entry(label, ell).witness
+
+
+def _witness(label: MoveLabel, ell: int) -> tuple[int, ...]:
+    """``witness_sequence`` of a move of the table, by the move's kind."""
     i, j = label.i, label.j
     if label.kind == KIND_UP:
         if i == 0:
@@ -214,18 +202,18 @@ def witness_sequence(label: MoveLabel, ell: int) -> tuple[int, ...]:
         if i <= j:
             return tuple(range(i, j + 1))
         # j <= i - 2: raise j by 2, then run up to ell and back down to i
-        return (witness_sequence(MoveLabel(KIND_UP, j), ell)
+        return (_witness(MoveLabel(KIND_UP, j), ell)
                 + tuple(range(j + 2, ell + 1)) + tuple(range(ell - 1, i - 1, -1)))
     if label.kind == KIND_UP_UP:
         if i == j:
             return tuple(range(i, -1, -1)) + tuple(range(1, i + 1))
         # j >= i + 2: raise i by 2, then trade down at i+2 and up at j
-        return witness_sequence(MoveLabel(KIND_UP, i), ell) + tuple(range(i + 2, j + 1))
+        return _witness(MoveLabel(KIND_UP, i), ell) + tuple(range(i + 2, j + 1))
     # KIND_DOWN_DOWN
     if i == j:
         return tuple(range(j, ell + 1)) + tuple(range(ell - 1, j - 1, -1))
     # i <= j - 2: lower j by 2, then trade down at i and up at j-2
-    return witness_sequence(MoveLabel(KIND_DOWN, j), ell) + tuple(range(i, j - 1))
+    return _witness(MoveLabel(KIND_DOWN, j), ell) + tuple(range(i, j - 1))
 
 
 @dataclass(frozen=True)
@@ -292,14 +280,16 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
 
     The move is decided by the two-mask test that ``build_quiver`` runs, which
     is exact only for x >= 0, as every minimal solution vector such as
-    ``beta_of`` gives is.  A label out of range, a negative entry of x, or a
-    weight without the multiplicity the move takes off raises ValueError.
+    ``beta_of`` gives is.  An x of another rank than the weight, a label out
+    of range, a negative entry of x, or a weight without the multiplicity the
+    move takes off raises ValueError.
     """
     weight = source.weight
-    label.validate(weight.ell)
+    if len(source.x.coeffs) != weight.ell + 1:
+        raise ValueError("rank mismatch")
+    move = _entry(label, weight.ell)
     if min(source.x.coeffs) < 0:
         raise ValueError(f"x = {source.x.coeffs} has a negative entry")
-    move = _move_table(weight.ell)[label]
     m = tuple(map(add, weight.m, move.shift))
     if min(m) < 0:
         raise ValueError(f"{weight} lacks the multiplicity for move {label}")

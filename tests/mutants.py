@@ -56,6 +56,7 @@ MULTIPLICITY = "klrc/multiplicity.py"
 CLASS_TESTS = ("tests/test_maxweights.py::test_class_pass_is_lexicographic",
                "tests/test_maxweights.py::test_class_pass_matches_the_stars_and_bars_route")
 ROW_TESTS = ("tests/test_quiver.py::test_build_quiver_rows_match_the_per_source_builder",)
+LABEL_TESTS = ("tests/test_quiver.py::test_the_move_table_is_the_reference_label_rule",)
 HOM_TESTS = ("tests/test_fock.py::test_shared_coefficients_count_in_the_width",)
 GOLDEN_FOCK_DIMS = ("tests/test_golden_replay.py::test_replay_every_fock_and_dims_query",)
 READER_TESTS = ("tests/test_cli.py::test_reader_reads_like_argparse_or_not_at_all",)
@@ -112,6 +113,18 @@ MUTANTS = (
            "MoveLabel(KIND_DOWN_UP, takes[1], takes[0])", "MoveLabel(KIND_DOWN_UP, *takes)",
            ("tests/test_quiver.py::test_move_table_entries",
             "tests/test_quiver.py::test_move_table_matches_the_enumerate_and_solve_route")),
+    # the move table as the only rule for which labels are moves
+    Mutant("move-lookup-without-its-miss-check", "klrc/quiver.py",
+           "if move is None:", "if False:", LABEL_TESTS),
+    Mutant("move-lookup-answers-the-first-entry-on-a-miss", "klrc/quiver.py",
+           "move = _move_table(ell).get(label)",
+           "move = _move_table(ell).get(label, next(iter(_move_table(ell).values())))",
+           LABEL_TESTS),
+    Mutant("arrow-test-without-its-rank-check", "klrc/quiver.py",
+           "    if len(source.x.coeffs) != weight.ell + 1:\n"
+           '        raise ValueError("rank mismatch")\n', "",
+           ("tests/test_quiver.py::"
+            "test_arrow_test_rejects_a_solution_vector_of_another_rank",)),
     Mutant("column-digits-swapped", "klrc/quiver.py",
            'bytes.maketrans(b"\\0\\1", b"01")', 'bytes.maketrans(b"\\0\\1", b"10")', ROW_TESTS),
     Mutant("arrow-walk-from-the-top-bit", "klrc/quiver.py",
@@ -225,6 +238,15 @@ MUTANTS = (
            ("tests/test_multiplicity.py::test_root_table_rows_match_the_move_table_route",
             "tests/test_multiplicity.py::test_golden_counts",
             "tests/test_quiver.py::test_move_table_matches_the_enumerate_and_solve_route")),
+    # classify on plain tuples
+    Mutant("classify-non-maximal-from-two-null-roots", "klrc/classifier.py",
+           "if null_multiple >= 1:", "if null_multiple > 1:",
+           ("tests/test_classifier.py::test_non_maximal_family_is_wild",
+            "tests/test_golden_replay.py::test_replay_every_classify_query")),
+    Mutant("classify-level-one-finite-without-s-minus-2", "klrc/classifier.py",
+           "t in {s, s - 2, s + 2}", "t in {s, s + 2}",
+           ("tests/test_classifier.py::test_level_one_trichotomy",
+            "tests/test_golden_replay.py::test_replay_every_classify_query")),
     # the case index grouped straight from the generated case list
     Mutant("case-index-groups-in-reverse-order", "klrc/classifier.py",
            "index.get(case.beta, ()) + (case,)", "(case,) + index.get(case.beta, ())",

@@ -15,6 +15,9 @@ the package:
   raises it by the closed-form increments (``delta_closed_form``), six
   branches by the move's kind, where ``klrc.quiver`` reads them off the
   first-layer roots of ``klrc.cartan._first_layer``;
+* the rule that decides which labels are moves (``validate``), from each
+  kind's steps (``STEPS``) and index ranges, where ``klrc.quiver`` asks
+  its move table;
 * the move table built label by label (``move_table``): every label that
   validates, its Δm from the steps of its kind, and its increment solved
   from A.d = -Δm with ``klrc.maxweights._solve``, where
@@ -70,9 +73,8 @@ from klrc.fock import Multipartition, Node, _expand, _hom, residue
 from klrc.laurent import LaurentPolynomial, _wrap
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns,
                              _class_size, _solve)
-from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, STEPS,
-                         MaxWeightQuiver, MoveLabel, _below_masks, _Move, _move_table,
-                         witness_sequence)
+from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP,
+                         MaxWeightQuiver, MoveLabel, _below_masks, _Move, _move_table, _witness)
 from klrc.tableaux import node_degree
 
 # -- Laurent polynomials -------------------------------------------------
@@ -191,9 +193,35 @@ def degree(charges: Sequence[int], tableau: StdTableau, ell: int) -> int:
 # -- the value-object arrow test -----------------------------------------
 
 
+# the step each index of a move takes; the signs spell the kind
+STEPS = {KIND_UP: (2,), KIND_DOWN: (-2,), KIND_UP_UP: (1, 1),
+         KIND_DOWN_DOWN: (-1, -1), KIND_DOWN_UP: (-1, 1)}
+
+
+def label_index(label: MoveLabel) -> tuple[int, ...]:
+    """The one or two indices of a move."""
+    return (label.i,) if label.j is None else (label.i, label.j)
+
+
+def validate(label: MoveLabel, ell: int) -> None:
+    """Each index and its target lie in 0..ell, a same-sign pair is ordered,
+    and no step lands on the other index (that pair is one move or none)."""
+    steps = STEPS.get(label.kind)
+    if steps is None:
+        raise ValueError(f"unknown move kind {label.kind!r}")
+    index = label_index(label)
+    ok = (len(index) == len(steps)
+          and all(0 <= n <= ell and 0 <= n + s <= ell for n, s in zip(index, steps)))
+    if ok and len(index) == 2:
+        (i, j), (s, t) = index, steps
+        ok = (s != t or i <= j) and i + s != j and j + t != i
+    if not ok:
+        raise ValueError(f"move {label} is out of range for rank {ell}")
+
+
 def delta_closed_form(label: MoveLabel, ell: int) -> RootVector:
     """The root-lattice increment attached to a move."""
-    label.validate(ell)
+    validate(label, ell)
     i, j = label.i, label.j
     if label.kind == KIND_UP:
         coeffs = (1,) + (2,) * i + (1,) + (0,) * (ell - i - 1)
@@ -213,14 +241,15 @@ def delta_closed_form(label: MoveLabel, ell: int) -> RootVector:
 def move_table(ell: int) -> dict[MoveLabel, _Move]:
     """Every label valid at rank ``ell`` with its ``klrc.quiver._Move`` entry,
     in lexicographic order of its Δm, then of its label text: each kind's
-    labels enumerated over all indices, those that validate kept, Δm taken
-    from the kind's steps and the increment solved from A.d = -Δm."""
+    labels enumerated over all indices and kept when ``validate`` accepts
+    them, Δm taken from the kind's steps, the increment solved from
+    A.d = -Δm and the witness built by ``klrc.quiver._witness``."""
     moves = []
     for kind, steps in STEPS.items():
         for index in product(range(ell + 1), repeat=len(steps)):
             label = MoveLabel(kind, *index)
             try:
-                label.validate(ell)
+                validate(label, ell)
             except ValueError:
                 continue
             shift = [0] * (ell + 1)
@@ -229,7 +258,7 @@ def move_table(ell: int) -> dict[MoveLabel, _Move]:
                 shift[n + step] += 1
             delta = RootVector(_solve(tuple(map(neg, shift)), ell))
             moves.append(_Move(
-                label, delta, witness_sequence(label, ell), str(label), tuple(shift),
+                label, delta, _witness(label, ell), str(label), tuple(shift),
                 sum(1 << n for n, d in enumerate(delta.coeffs) if d == 0),
                 sum(1 << n for n, d in enumerate(delta.coeffs) if d <= 1)))
     moves.sort(key=lambda move: (move.shift, move.text))
@@ -239,7 +268,7 @@ def move_table(ell: int) -> dict[MoveLabel, _Move]:
 def _shift(m: tuple[int, ...], label: MoveLabel) -> tuple[int, ...] | None:
     """The multiplicities ``m`` re-indexed by the move, or None when ``m`` lacks
     the multiplicity the move removes.  The label is not validated."""
-    index = label.index
+    index = label_index(label)
     shifted = list(m)
     for n in index:
         shifted[n] -= 1
@@ -252,7 +281,7 @@ def _shift(m: tuple[int, ...], label: MoveLabel) -> tuple[int, ...] | None:
 
 def apply_move(weight: DominantWeight, label: MoveLabel) -> DominantWeight:
     """Re-index fundamental weights according to the move."""
-    label.validate(weight.ell)
+    validate(label, weight.ell)
     m = _shift(weight.m, label)
     if m is None:
         raise ValueError(f"{weight} lacks the multiplicity for move {label}")

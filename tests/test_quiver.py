@@ -11,8 +11,8 @@ from klrc.cli import main
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns, beta_of,
                              class_members, class_size, minimal_solution)
 from klrc.multiplicity import _root_table
-from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, STEPS,
-                         Arrow, MoveLabel, _below_masks, _move_table, arrow_test, build_quiver,
+from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, Arrow,
+                         MoveLabel, _below_masks, _move_table, arrow_test, build_quiver,
                          candidate_moves, delta_vector, export, witness_sequence)
 from reference import _raised, apply_move
 
@@ -59,7 +59,7 @@ def test_delta_vector_complements():
 
 
 def in_range_labels(ell):
-    """Every label that validates at rank ell."""
+    """Every label that the reference rule validates at rank ell."""
     labels = [MoveLabel(kind, i) for kind in (KIND_UP, KIND_DOWN) for i in range(ell + 1)]
     labels += [MoveLabel(kind, i, j)
                for kind in (KIND_UP_UP, KIND_DOWN_DOWN, KIND_DOWN_UP)
@@ -67,7 +67,7 @@ def in_range_labels(ell):
     in_range = []
     for label in labels:
         try:
-            label.validate(ell)
+            reference.validate(label, ell)
         except ValueError:
             continue
         in_range.append(label)
@@ -82,7 +82,7 @@ def test_delta_vectors_are_minimal_solutions():
     for ell in range(2, 11):
         for label in in_range_labels(ell):
             y = [0] * (ell + 1)
-            for n, step in zip(label.index, STEPS[label.kind]):
+            for n, step in zip(reference.label_index(label), reference.STEPS[label.kind]):
                 y[n] += 1
                 y[n + step] -= 1
             closed = reference.delta_closed_form(label, ell)
@@ -120,6 +120,37 @@ def test_delta_vector_range_errors():
         delta_vector(downup(2, 1), 4)  # i - 1 == j
 
 
+def test_the_move_table_is_the_reference_label_rule():
+    """For ell 2-16, every kind, the unknown "+-" and "x", i in -2..ell+2 and
+    j None or in -2..ell+2, the reference rule accepts a label exactly when
+    the move table holds it; delta_vector, witness_sequence and arrow_test
+    answer for the table's labels and raise the range error for the others."""
+    checked = 0
+    for ell in range(2, 17):
+        table = _move_table(ell)
+        # every move leaves every multiplicity of m = 2 nonnegative
+        source = MaximalWeightDatum(W(*(2,) * (ell + 1)), RootVector.zero(ell))
+        span = range(-2, ell + 3)
+        for kind, i, j in product([*reference.STEPS, "+-", "x"], span, [None, *span]):
+            label = MoveLabel(kind, i, j)
+            try:
+                reference.validate(label, ell)
+            except ValueError:
+                valid = False
+            else:
+                valid = True
+            assert valid == (label in table), (label, ell)
+            for route in (lambda: delta_vector(label, ell), lambda: witness_sequence(label, ell),
+                          lambda: arrow_test(source, label)):
+                if valid:
+                    route()
+                else:
+                    with pytest.raises(ValueError, match="out of range"):
+                        route()
+            checked += 1
+    assert checked == 24010
+
+
 def test_apply_move():
     assert apply_move(W(0, 0, 2, 0, 0), downup(2, 2)).m == (0, 1, 0, 1, 0)
     assert apply_move(W(0, 1, 1, 0, 0), up(1)).m == (0, 0, 1, 1, 0)
@@ -151,6 +182,14 @@ def test_arrow_test_rejects_a_missing_multiplicity():
                 route(source, label)
         with pytest.raises(ValueError, match="out of range"):
             route(beta_of(root, root), up(3))
+
+
+def test_arrow_test_rejects_a_solution_vector_of_another_rank():
+    """An x longer or shorter than the weight's rank raises, where zip would
+    drop the extra entries or the missing ones and answer a datum."""
+    for m, x in [((1, 0, 0), (0, 0, 0, 5)), ((1, 0, 0, 0), (0, 0, 0))]:
+        with pytest.raises(ValueError, match="rank mismatch"):
+            arrow_test(MaximalWeightDatum(W(*m), RootVector(x)), up(0))
 
 
 def test_arrow_test_rejects_a_negative_solution_entry():
