@@ -310,9 +310,10 @@ def main(argv: list[str] | None = None) -> int:
 
     The answer is written only after the query's checks and guards have
     passed, so an error writes nothing to stdout.  A handler returns its text
-    without the final newline, or, for ``quiver``, the pieces of
-    ``quiver.render``, which are written as they are rendered, at most
-    ``WRITE_PIECES`` pieces joined into each write.
+    without the final newline, which is written with it in one write, or,
+    for ``quiver``, the pieces of ``quiver.render``, which are written as
+    they are rendered, at most ``WRITE_PIECES`` pieces joined into each
+    write.
     A reader that closes stdout early ends the query with exit 0."""
     if argv is None:
         argv = sys.argv[1:]
@@ -332,11 +333,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    pieces = iter((output, "\n")) if isinstance(output, str) else output
     write = sys.stdout.write
     try:
-        while chunk := list(islice(pieces, WRITE_PIECES)):
-            write("".join(chunk))
+        if isinstance(output, str):
+            write(output + "\n")
+        else:
+            while chunk := list(islice(output, WRITE_PIECES)):
+                write("".join(chunk))
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left: the rest, now and at shutdown, goes nowhere
         devnull = os.open(os.devnull, os.O_WRONLY)

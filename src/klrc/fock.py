@@ -690,7 +690,8 @@ def graded_hom_dim(weight: DominantWeight, beta: RootVector,
         raise ValueError("beta must lie in the positive cone")
     _check_size(weight, beta.height, max_n)
     runs = _runs(weight.ell, beta, nu, "nu")
-    runs_prime = runs if nu_prime in (None, nu) else _runs(weight.ell, beta, nu_prime, "nu'")
+    same = nu_prime is None or tuple(nu_prime) == tuple(nu)  # a list may equal a tuple
+    runs_prime = runs if same else _runs(weight.ell, beta, nu_prime, "nu'")
     left = _expand(weight, runs)
     right = left if runs_prime == runs else _expand(weight, runs_prime)
     d = cartan(weight.ell).d

@@ -7,11 +7,17 @@ weight, and every dominant maximal weight arises this way.
 
 One prefix-and-shift rule gives every minimal solution.  ``_reduce`` is its
 single-vector form, which ``minimal_solution``, ``beta_of`` and
-``delta_decompose`` run.  ``_class_columns`` is its class form: it runs the
+``delta_decompose`` run.  ``_class_packed`` is its class form: it runs the
 rule a coordinate at a time over all members of a class, one column of m_j
 and one of x_j per coordinate j, with every check asserted for every member.
-The tests tie the two forms together through the stars-and-bars class pass of
-``tests/reference.py``, which solves each member with ``_solve``.
+Each column is one int, every member's entry one 64-bit digit of it (SWAR,
+"SIMD within a register"), so a step of the rule is a few exact big-int
+operations for all members at once; the prefix sums, which can be negative,
+carry a bias of 2^61 in every digit, so that no digit borrows.
+``_class_columns`` unpacks the columns, and ``build_quiver`` reads its vertex
+bitsets off the packed ones.  The tests tie the two forms together through
+the stars-and-bars class pass of ``tests/reference.py``, which solves each
+member with ``_solve``.
 
 The defect (Lambda, beta) - (beta, beta)/2 has one identity in the same two
 forms.  With (Lambda, alpha_j) = d_j m_j, (alpha_i, alpha_j) = d_i a_ij and
@@ -30,10 +36,9 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate, combinations_with_replacement, compress, repeat, tee
 from math import comb
-from operator import add, eq, floordiv, lt, mod, mul, neg, or_, sub
+from operator import add, eq, floordiv, mod, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .cartan import DominantWeight, GuardError, RootVector, cartan
@@ -50,10 +55,106 @@ def ev(weight: DominantWeight) -> int:
     return sum(weight.m[i] for i in range(1, weight.ell + 1, 2))
 
 
-def _digits(column: Sequence[int]) -> int:
+def _digits(column: Iterable[int]) -> int:
     """The entries of ``column``, each in 0..2^63 - 1, as the base-2^64
     digits of one int, in one digit order for every column of a length."""
     return int.from_bytes(array("q", column).tobytes(), sys.byteorder)
+
+
+def _unpack(packed: int, size: int) -> array:
+    """The ``size`` digits of ``packed``, each in 0..2^63 - 1, as an int64
+    array: ``_digits`` undone."""
+    return array("q", packed.to_bytes(8 * size, sys.byteorder))
+
+
+def _class_packed(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
+                  ) -> tuple[int, list[int], list[int]]:
+    """``(size, m_cols, x_cols)``: the columns of ``_class_columns``, each
+    packed by ``_digits`` into one int, one 64-bit digit per member.
+
+    Each step of the rule is a few big-int operations on all members at once
+    (SWAR: every digit of an int is one member's entry).  With ONES the int
+    of a 1 in every digit, G its top bits and LOW its low 63 bits, an int
+    whose digits all lie in 0..2^63 - 1 behaves as its column:
+
+    * m_j = mu_j - mu_{j+1}, with mu_0 = k and mu_{ell+1} = 0, is one
+      subtraction.  It never borrows, since mu descends.
+    * The prefix columns xhat_j can be negative, so they are held with the
+      bias B = 2^61 added to every digit.  ell*k < 2^57 is asserted up front;
+      every |xhat_j| and the shift |n| are at most ell*k, so a biased digit
+      lies in 2^61 +- 2^57 and none borrows.
+    * Halving at j = ell and floor(xhat_j / delta_j) at delta_j = 2 are both
+      ``((v >> 1) & LOW) + B/2``: the shift moves each digit's bit 0 into the
+      top bit of the digit below, which LOW clears, and halves the bias,
+      which B/2 restores.
+    * n = min_j floor(xhat_j / delta_j) is a digitwise min: for digits below
+      2^63, digit i of (a | G) - b is a_i + 2^63 - b_i, in 1..2^64 - 1, whose
+      top bit is set exactly when a_i >= b_i.  Spread over the digit's low
+      63 bits, that bit selects b_i.
+    * x_j = xhat_j - delta_j*n, with the biases cancelled.
+
+    ``_reduce``'s checks are asserted for every member, in packed form.
+    0 <= x < 2^59: every true digit x_j = xhat_j - delta_j*n lies within
+    3*ell*k < 2^59 of 0, the int is the sum of the true digits, and digits
+    in (-2^63, 2^63) are unique to it.  So every true digit is in
+    0..2^59 - 1 exactly when the int is >= 0 and no digit of it has a bit
+    at or above 59 (a negative digit borrows, which sets its top bits).
+    x - delta < 0 somewhere: the OR over j of the top bits of
+    ~((x_j | G) - delta_j*ONES) is G.  A.x + m = root, row by row of the
+    band of A.
+    """
+    size = _class_size(root)
+    if size > max_members:
+        raise GuardError(f"class has {size} members, cap is {max_members}")
+    k, ell = sum(root), len(root) - 1
+    assert ell * k < 2 ** 57, "the class is too deep for 64-bit digits"
+    datum = cartan(ell)
+    lam = tuple(accumulate(root[:0:-1]))[::-1]  # lam_j = sum_{i>=j} m_i, j = 1..ell
+    parity = sum(lam) % 2
+    mus, sums = tee(combinations_with_replacement(range(k, -1, -1), ell))
+    kept = compress(mus, map(eq, map(mod, map(sum, sums), repeat(2)), repeat(parity)))
+    ones = _digits(repeat(1, size))
+    top = ones << 63
+    low = top - ones
+    bias = ones << 61
+
+    def half(v: int) -> int:
+        return ((v >> 1) & low) + (bias >> 1)
+
+    m_cols, x_cols = [], [bias]
+    left = k * ones
+    for lam_s, mu_s in zip(lam, zip(*kept)):
+        mu = _digits(mu_s)
+        m_cols.append(left - mu)
+        x_cols.append(x_cols[-1] + lam_s * ones - mu)
+        left = mu
+    m_cols.append(left)
+    x_cols[-1] = half(x_cols[-1])
+    delta = datum.delta_coeffs
+    floors = (xhat if d == 1 else half(xhat) for xhat, d in zip(x_cols, delta))
+    n = next(floors)
+    for q in floors:
+        at_least = ((n | top) - q) & top  # top bit of each digit where n >= q
+        n ^= (n ^ q) & (at_least - (at_least >> 63))
+    shifts = {d: d * n - (d - 1) * bias for d in set(delta)}
+    for j, d in enumerate(delta):
+        x_cols[j] -= shifts[d]
+    if __debug__:
+        high = ones * ((1 << 64) - (1 << 59))
+        below = 0
+        for x, d in zip(x_cols, delta):
+            assert x >= 0 and not x & high
+            below |= ~((x | top) - d * ones) & top
+        assert below == top
+        # A.x + m = root: every x and m is below 2^59, so each member's entry
+        # of row i of A.x + m, and its difference from root_i, lies within
+        # 2^63 of 0: the row is root_i * ONES exactly when every member's
+        # entry is root_i
+        padded = [0, *x_cols, 0]
+        for i, (a, b, c) in enumerate(datum._band):
+            assert (a * padded[i] + b * padded[i + 1] + c * padded[i + 2] + m_cols[i]
+                    == root[i] * ones), i
+    return size, m_cols, x_cols
 
 
 def _class_columns(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
@@ -70,54 +171,16 @@ def _class_columns(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICE
     ``combinations_with_replacement`` over k, k-1, ..., 0 yields the mu in
     descending lexicographic order, which is ascending lexicographic order
     of m.  x is ``_minimal`` of lam - mu, run a coordinate at a time over
-    all members: the prefix columns xhat_j, halved at j = ell, the shift
-    column n = min_j floor(xhat_j / delta_j), and x_j = xhat_j - n*delta_j.
-    ``_reduce``'s checks, x >= 0 and x - delta < 0 somewhere, and
-    A.x = root - m, read from the band of A, are asserted for every member.
+    all members by ``_class_packed``, which asserts ``_reduce``'s checks and
+    A.x = root - m for every member.  Its columns hold one member's entry in
+    each 64-bit digit, every entry in 0..2^59 - 1 (the bias of the prefix
+    sums cancelled, and the digits shown unique to the int), and are
+    unpacked here in place, so each column is held once, packed or not.
     """
-    size = _class_size(root)
-    if size > max_members:
-        raise GuardError(f"class has {size} members, cap is {max_members}")
-    k, ell = sum(root), len(root) - 1
-    datum = cartan(ell)
-    lam = tuple(accumulate(root[:0:-1]))[::-1]  # lam_j = sum_{i>=j} m_i, j = 1..ell
-    parity = sum(lam) % 2
-    mus, sums = tee(combinations_with_replacement(range(k, -1, -1), ell))
-    kept = compress(mus, map(eq, map(mod, map(sum, sums), repeat(2)), repeat(parity)))
-    # m_j = mu_j - mu_{j+1}, with mu_0 = k and mu_{ell+1} = 0, and the prefix
-    # columns xhat_j, which are shifted to x_j below.  xhat and x are int64
-    # arrays: at deep rank most of their entries lie outside the small ints,
-    # and in lists each would be an object of its own
-    m_cols, x_cols = [], [array("q", bytes(8 * size))]
-    left = (k,) * size
-    for lam_s, mu_s in zip(lam, zip(*kept)):
-        m_cols.append(list(map(sub, left, mu_s)))
-        x_cols.append(array("q", map(add, x_cols[-1], map(sub, repeat(lam_s), mu_s))))
-        left = mu_s
-    m_cols.append(list(left))
-    assert len(left) == size
-    x_cols[-1] = array("q", map(floordiv, x_cols[-1], repeat(2)))
-    delta = datum.delta_coeffs
-    n = list(map(min, *[map(floordiv, col, repeat(d)) for col, d in zip(x_cols, delta)]))
-    shifts = {d: list(map(mul, n, repeat(d))) for d in set(delta)}
-    for j, d in enumerate(delta):
-        x_cols[j] = array("q", map(sub, x_cols[j], shifts[d]))
-    if __debug__:
-        assert min(map(min, x_cols)) >= 0 and max(k, max(map(max, x_cols))) < 2 ** 59
-        # x - delta < 0 somewhere: one byte per member, set where x_j < delta_j
-        below = [int.from_bytes(bytes(map(lt, col, repeat(d))), "little")
-                 for col, d in zip(x_cols, delta)]
-        assert reduce(or_, below) == int.from_bytes(b"\1" * size, "little")
-        # A.x + m = root: with each column packed into one int by ``_digits``,
-        # row i of A.x + m over all members is one sum of ints.  Every x and m
-        # is below 2^59, so each member's entry of the row, and its difference
-        # from root_i, lies within 2^63 of 0: the sum is root_i times the
-        # packed column of ones exactly when every member's entry is root_i
-        packed = [0, *map(_digits, x_cols), 0]
-        ones = _digits([1] * size)
-        for i, (a, b, c) in enumerate(datum._band):
-            assert (a * packed[i] + b * packed[i + 1] + c * packed[i + 2] + _digits(m_cols[i])
-                    == root[i] * ones), i
+    size, m_cols, x_cols = _class_packed(root, max_members)
+    for j in range(len(m_cols)):
+        m_cols[j] = _unpack(m_cols[j], size).tolist()
+        x_cols[j] = _unpack(x_cols[j], size)
     return m_cols, x_cols
 
 

@@ -35,12 +35,17 @@ bitsets over the vertices per coordinate j: m_j >= 1, m_j >= 2, x_j < n_j and
 x_j + 1 < n_j.  A move's sources are the AND of the bitsets its Δm reads
 (m_j >= 1 where Δm_j = -1, m_j >= 2 where Δm_j = -2) with the OR of the
 x_j < n_j bitsets over ``zero`` and the x_j + 1 < n_j bitsets over ``low``.
-The class comes from ``maxweights._class_columns`` as coordinate columns,
-and everything before the arrow loop runs a column at a time: each bitset
-is one column of flags read as a binary numeral, and each member's m and x
-are packed into an int, first coordinate in the lowest digit.  The arrow
-loop walks the set bits of a move's sources with ``str.find`` over their
-binary text, and an arrow costs one dict lookup and two int checks:
+The class comes from ``maxweights._class_packed`` as packed coordinate
+columns, one 64-bit digit per member, and everything before the arrow loop
+runs a column at a time.  The bitsets are read off the packed columns by the
+class pass's own digitwise compare: digit i of (col | G) - d*ONES, G the top
+bits and ONES a 1 in every digit, has its top bit set exactly when
+col_i >= d.  That bit, shifted to bit 0 of its digit, is member i's flag;
+the low byte of each digit, one flag byte per member, read as a binary
+numeral is the bitset.  The columns are then unpacked, and each member's m
+and x are packed into an int, first coordinate in the lowest digit.  The
+arrow loop walks the set bits of a move's sources with ``str.find`` over
+their binary text, and an arrow costs one dict lookup and two int checks:
 
 * m at digit width bits(k) + 1, k the level.  A source holds what the move
   takes off and the level stays k, so every digit of m + Δm lies in 0..k:
@@ -85,15 +90,16 @@ text before it in its list, the bracket or the comma, in the same f-string.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, count, repeat
-from operator import add, and_, ge, lshift, lt, neg
+from operator import add, and_, lshift, neg
 from typing import Iterable, Iterator, NamedTuple
 
 from .cartan import (RANK_CACHE_SIZE, DominantWeight, RootVector, _column_terms, _first_layer,
                      cartan, root_text)
-from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns
+from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_packed, _digits, _unpack
 
 KIND_UP = "+"              # one index raised by 2
 KIND_DOWN = "-"            # one index lowered by 2
@@ -302,11 +308,8 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
 
 # bytes of 0/1 flags to the ASCII digits "0"/"1"
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _column(flags: Iterable[bool]) -> int:
-    """The bitset over vertices with bit n set when flag n is true."""
-    return int(bytes(flags)[::-1].translate(_DIGITS), 2)
+# the byte of a 64-bit digit of ``maxweights._digits`` that holds its bit 0
+_LOW_BYTE = 0 if sys.byteorder == "little" else 7
 
 
 def _packed(columns: Iterable[Iterable[int]], offsets: range) -> list[int]:
@@ -316,22 +319,46 @@ def _packed(columns: Iterable[Iterable[int]], offsets: range) -> list[int]:
     return list(map(sum, zip(*shifted)))
 
 
+def _vertex_bitsets(size: int, m_cols: list[int], x_cols: list[int], null: tuple[int, ...]
+                    ) -> tuple[dict[int, list[int]], list[int], list[int]]:
+    """``(has, one, two)``: the per-coordinate vertex bitsets of m_j >= d
+    (``has[d]``, d = 1, 2), x_j < n_j and x_j + 1 < n_j, read off the packed
+    columns of ``maxweights._class_packed`` by the digitwise compare of the
+    module docstring."""
+    ones = _digits(repeat(1, size))
+    top = ones << 63
+    everyone = (1 << size) - 1
+
+    def at_least(col: int, d: int) -> int:
+        flags = (((col | top) - d * ones) >> 63 & ones).to_bytes(8 * size, sys.byteorder)
+        return int(flags[_LOW_BYTE::8][::-1].translate(_DIGITS), 2)
+
+    has = {d: [at_least(col, d) for col in m_cols] for d in (1, 2)}
+    one = [everyone ^ at_least(col, n) for col, n in zip(x_cols, null)]
+    two = [everyone ^ at_least(col, n - 1) for col, n in zip(x_cols, null)]
+    return has, one, two
+
+
 def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICES) -> MaxWeightQuiver:
     """The full directed quiver on the equivalence class of ``weight``.
 
     Each move is decided for all vertices at once by the two-mask test of the
     module docstring, run over vertex bitsets, which the assertion x >= 0 of
-    the class pass ``maxweights._class_columns`` makes exact.  The class
+    the class pass ``maxweights._class_packed`` makes exact.  The class
     pass raises the vertex cap.  Everything before the arrow loop runs a
-    coordinate at a time over the members' columns; the loop walks a move's
-    sources by ``str.find`` over the bits of their bitset.
+    coordinate at a time over the members' columns, the bitsets over the
+    packed ones; the loop walks a move's sources by ``str.find`` over the
+    bits of their bitset.
     """
-    m_cols, x_cols = _class_columns(weight.m, max_vertices)
+    size, m_packed, x_packed = _class_packed(weight.m, max_vertices)
     ell = weight.ell
     null = cartan(ell).delta_coeffs
+    has, one, two = _vertex_bitsets(size, m_packed, x_packed, null)
+    m_cols = [_unpack(col, size) for col in m_packed]
+    x_cols = [_unpack(col, size) for col in x_packed]
+    del m_packed, x_packed  # each column is held once, packed or unpacked
     # digit offsets of the packed m and x (widths and no-carry argument in the
-    # module docstring); has[d], one and two are the per-coordinate vertex
-    # bitsets of m_j >= d, x_j < n_j and x_j + 1 < n_j
+    # module docstring)
     wm = weight.level.bit_length() + 1
     wx = (max(map(max, x_cols)) + 2).bit_length() + 1
     at_m = range(0, wm * (ell + 1), wm)
@@ -341,9 +368,6 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
     index = dict(zip(packed_m, count()))
     guard = sum([1 << (n + wx - 1) for n in at_x])
     lift = guard - sum(map(lshift, null, at_x))
-    has = {d: [_column(map(ge, col, repeat(d))) for col in m_cols] for d in (1, 2)}
-    one = [_column(map(lt, col, repeat(n))) for col, n in zip(x_cols, null)]
-    two = [_column(map(lt, col, repeat(n - 1))) for col, n in zip(x_cols, null)]
     ms, xs = tuple(zip(*m_cols)), tuple(zip(*x_cols))
     buckets: list[list[tuple[int, int, _Move]]] = [[] for _ in ms]
     for move in _move_table(ell).values():

@@ -73,10 +73,20 @@ MUTANTS = (
     Mutant("class-flipped-parity", MAXWEIGHTS,
            "repeat(2)), repeat(parity)))", "repeat(2)), repeat(1 - parity)))", CLASS_TESTS),
     Mutant("class-no-halving-at-ell", MAXWEIGHTS,
-           '    x_cols[-1] = array("q", map(floordiv, x_cols[-1], repeat(2)))\n', "", CLASS_TESTS),
+           "    x_cols[-1] = half(x_cols[-1])\n", "", CLASS_TESTS),
     Mutant("class-shift-over-columns-1-to-ell", MAXWEIGHTS,
-           "for col, d in zip(x_cols, delta)]))",
-           "for col, d in zip(x_cols[1:], delta[1:])]))", CLASS_TESTS),
+           "for xhat, d in zip(x_cols, delta))", "for xhat, d in zip(x_cols[1:], delta[1:]))",
+           CLASS_TESTS),
+    # the packed digit operations of the class pass
+    Mutant("class-min-keeps-the-larger-digit", MAXWEIGHTS,
+           "((n | top) - q) & top", "((q | top) - n) & top", CLASS_TESTS),
+    Mutant("class-halving-without-its-low-mask", MAXWEIGHTS,
+           "return ((v >> 1) & low) + (bias >> 1)", "return (v >> 1) + (bias >> 1)", CLASS_TESTS),
+    Mutant("class-halving-without-its-bias", MAXWEIGHTS,
+           "return ((v >> 1) & low) + (bias >> 1)", "return (v >> 1) & low", CLASS_TESTS),
+    Mutant("class-below-test-at-delta-minus-one", MAXWEIGHTS,
+           "below |= ~((x | top) - d * ones) & top", "below |= ~((x | top) - (d - 1) * ones) & top",
+           CLASS_TESTS),
     # the defect identity, in its single-vector and class forms
     Mutant("defect-m-minus-hub", MAXWEIGHTS, "(mj + (mj - a", "(mj - (mj - a",
            ("tests/test_maxweights.py::test_defect_values",
@@ -125,6 +135,9 @@ MUTANTS = (
            '        raise ValueError("rank mismatch")\n', "",
            ("tests/test_quiver.py::"
             "test_arrow_test_rejects_a_solution_vector_of_another_rank",)),
+    Mutant("vertex-bitsets-has-at-d-plus-one", "klrc/quiver.py",
+           "[at_least(col, d) for col in m_cols]", "[at_least(col, d + 1) for col in m_cols]",
+           ROW_TESTS + ("tests/test_quiver.py::test_vertex_bitsets_match_the_flag_columns",)),
     Mutant("column-digits-swapped", "klrc/quiver.py",
            'bytes.maketrans(b"\\0\\1", b"01")', 'bytes.maketrans(b"\\0\\1", b"10")', ROW_TESTS),
     Mutant("arrow-walk-from-the-top-bit", "klrc/quiver.py",

@@ -756,3 +756,20 @@ def test_an_equal_nu_prime_is_checked_once(monkeypatch):
     assert names == ["nu"] * 3
     graded_hom_dim(weight, beta, nu, (4, 1, 3, 2, 3, 0, 3))
     assert names == ["nu"] * 4 + ["nu'"]
+
+
+def test_a_nu_prime_list_equal_to_a_nu_tuple_is_checked_once(monkeypatch):
+    """ν′ and ν with the same entries, one a list and one a tuple, count as
+    equal: ``_runs`` checks the sequence once, whichever of the two is the
+    list."""
+    from klrc import fock
+
+    calls = []
+    runs = fock._runs
+    monkeypatch.setattr(fock, "_runs", lambda *args: calls.append(args[3]) or runs(*args))
+    weight, beta = DominantWeight.from_charges((1, 3, 4), 4), RootVector((1, 1, 1, 3, 1))
+    nu = (4, 1, 3, 2, 0, 3, 3)
+    value = graded_hom_dim(weight, beta, nu)
+    assert graded_hom_dim(weight, beta, nu, list(nu)) == value
+    assert graded_hom_dim(weight, beta, list(nu), nu) == value
+    assert calls == ["nu"] * 3

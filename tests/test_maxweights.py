@@ -13,7 +13,7 @@ from klrc.maxweights import (DEFAULT_MAX_VERTICES, NotEquivalentError, _class_co
                              reflection_word)
 from reference import (class_model, class_pass_by_compositions, class_rows, defect_model,
                        finite_part, lowered_finite_part, sigma_flip, straighten_model)
-from test_quiver import ROUTE_CASES, pool_roots
+from test_quiver import CAP_ROOTS, ROUTE_CASES, pool_roots
 
 
 def W(*m):
@@ -138,6 +138,42 @@ def test_class_pass_at_a_deep_rank():
     members = class_rows(root)
     assert len(members) == 601
     assert members == class_pass_by_compositions(root)
+
+
+def test_class_pass_matches_the_stars_and_bars_route_at_every_level_within_the_cap():
+    """The packed class pass against the stars-and-bars route on CAP_ROOTS:
+    ell 2-16 at every level whose class is within the member cap, with either
+    parity of ev."""
+    assert len(CAP_ROOTS) == 545
+    for root in CAP_ROOTS:
+        assert class_rows(root) == class_pass_by_compositions(root), root
+
+
+def test_class_pass_at_a_high_level_with_a_raised_cap():
+    """At ell = 2 and level 200, past the member cap, the class of 200Λ0 and
+    that of 199Λ0 + Λ1 against the stars-and-bars route.  The finite part of
+    root is 0 or (1, 0), so the prefix sums xhat_j = (lam_1 - mu_1) + ... +
+    (lam_j - mu_j) go down to -400 before the halving and the shift n to
+    -200: the biased digits of the class pass run below their bias."""
+    for root, size in (((200, 0, 0), 10_201), ((199, 1, 0), 10_100)):
+        rows = class_rows(root, 20_000)
+        assert len(rows) == size > DEFAULT_MAX_VERTICES
+        assert rows == class_pass_by_compositions(root, 20_000), root
+
+
+def test_class_pass_at_a_deep_rank_within_its_memory_budget():
+    """The class of Λ0 at ell = 1,200 (601 members, 1,201 columns of each of
+    m and x) peaks under 15 MiB of traced allocations: each column is held
+    once, packed or unpacked, beside the enumerated finite parts."""
+    root = (1,) + (0,) * 1200
+    tracemalloc.start()
+    try:
+        m_cols, x_cols = _class_columns(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(m_cols) == len(x_cols) == 1201 and len(m_cols[0]) == 601
+    assert peak < 15 * 2 ** 20, peak
 
 
 def test_class_members_guard_runs_before_any_member():

@@ -1,5 +1,6 @@
 import json
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from operator import ge, lt
 from pathlib import Path
 
 import pytest
@@ -8,12 +9,12 @@ import klrc.quiver
 import reference
 from klrc.cartan import DominantWeight, RootVector, cartan, hub
 from klrc.cli import main
-from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns, beta_of,
-                             class_members, class_size, minimal_solution)
+from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_packed, _digits,
+                             _unpack, beta_of, class_members, class_size, minimal_solution)
 from klrc.multiplicity import _root_table
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, Arrow,
-                         MoveLabel, _below_masks, _move_table, arrow_test, build_quiver,
-                         candidate_moves, delta_vector, export, witness_sequence)
+                         MoveLabel, _below_masks, _move_table, _vertex_bitsets, arrow_test,
+                         build_quiver, candidate_moves, delta_vector, export, witness_sequence)
 from reference import _raised, apply_move
 
 
@@ -433,6 +434,12 @@ def test_candidate_moves_are_the_applicable_labels():
 ROUTE_CASES = [(parity, level, ell) for parity in (0, 1) for level in range(1, 6)
                for ell in range(2, 11)]
 
+# (k-p)Λ0 + pΛ1 for ell 2-16, p in {0, 1} and every level k whose class is
+# within the vertex cap: levels up to 140 at ell = 2, up to 4 at ell = 16
+CAP_ROOTS = [root for ell in range(2, 17) for level in range(1, 141) for parity in (0, 1)
+             for root in [(level - parity, parity) + (0,) * (ell - 1)]
+             if class_size(DominantWeight(root)) <= DEFAULT_MAX_VERTICES]
+
 
 def dot_text(vertices, arrows):
     """The dot export rendered from value objects."""
@@ -507,14 +514,35 @@ def test_build_quiver_rows_match_the_per_source_builder():
 
 
 def test_build_quiver_checks_each_arrow_against_the_target(monkeypatch):
-    """With one member's x corrupted, the per-arrow check that x + d is the
-    target's own minimal solution fails."""
+    """With one member's x corrupted, one digit of the packed x_0 column of the
+    class pass, the per-arrow check that x + d is the target's own minimal
+    solution fails."""
     root = (0, 0, 2, 0, 0)
-    m_cols, x_cols = _class_columns(root)
-    x_cols[0][4] += 1
-    monkeypatch.setattr(klrc.quiver, "_class_columns", lambda *_: (m_cols, x_cols))
+    size, m_packed, x_packed = _class_packed(root)
+    x_packed[0] += _digits([0, 0, 0, 0, 1] + [0] * (size - 5))
+    monkeypatch.setattr(klrc.quiver, "_class_packed", lambda *_: (size, m_packed, x_packed))
     with pytest.raises(AssertionError, match="not the target's minimal solution"):
         build_quiver(DominantWeight(root))
+
+
+def test_vertex_bitsets_match_the_flag_columns():
+    """The vertex bitsets read off the packed columns against bitsets built a
+    flag at a time over the unpacked columns, with ``ge`` and ``lt``, one
+    flag byte per member read as a binary numeral, on every class of
+    CAP_ROOTS."""
+    def column(flags):
+        return int(bytes(flags)[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
+
+    for root in CAP_ROOTS:
+        null = cartan(len(root) - 1).delta_coeffs
+        size, m_packed, x_packed = _class_packed(root)
+        has, one, two = _vertex_bitsets(size, m_packed, x_packed, null)
+        m_cols = [_unpack(col, size) for col in m_packed]
+        x_cols = [_unpack(col, size) for col in x_packed]
+        assert has == {d: [column(map(ge, col, repeat(d))) for col in m_cols]
+                       for d in (1, 2)}, root
+        assert one == [column(map(lt, col, repeat(n))) for col, n in zip(x_cols, null)], root
+        assert two == [column(map(lt, col, repeat(n - 1))) for col, n in zip(x_cols, null)], root
 
 
 def test_build_quiver_checks_each_arrow_drops_below_the_null_root(monkeypatch):
