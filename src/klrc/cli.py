@@ -138,8 +138,14 @@ def _cmd_maxweights(args) -> str:
                                              _column_terms(x_cols, "a"), defects)]
         return json.dumps({"ell": weight.ell, "root": list(weight.m), "members": rows},
                           ensure_ascii=False)
-    return "\n".join(map("{}\tX={}\tdefect={}".format,
-                         _column_terms(m_cols, "Λ"), zip(*x_cols), defects))
+    # each X as the repr of its tuple, a column at a time: a column's distinct
+    # entries are rendered once
+    x_texts = []
+    for col in x_cols:
+        table = {c: str(c) for c in set(col)}
+        x_texts.append(map(table.__getitem__, col))
+    return "\n".join(map("{}\tX=({})\tdefect={}".format, _column_terms(m_cols, "Λ"),
+                         map(", ".join, zip(*x_texts)), defects))
 
 
 def _cmd_dims(args) -> str:

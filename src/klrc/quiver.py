@@ -15,49 +15,62 @@ reachable from it by a directed path.
 
 Each move is stored once in a per-rank move table (``_move_table``), keyed
 by its label, with its increment d, witness, rendered label, its change Δm to
-the multiplicities, and the coordinate bitmasks ``zero = {j : d_j = 0}`` and
-``low = {j : d_j <= 1}``.  The table is the move set and the only rule for
-which labels are moves, read through ``_entry``, which raises ValueError for
-a label it lacks; each witness is built once, by ``_witness``.  No move puts
-a multiplicity back where it takes one off, so a weight m holds what a move
-takes off exactly when m + Δm >= 0, and ``candidate_moves`` lists the labels
-that pass, in table order.  For a source x and null-root coefficients n, the
-move is an arrow when x + d drops below n somewhere, exactly when
-``one & zero or two & low`` is nonzero, with ``one = {j : x_j < n_j}`` and
-``two = {j : x_j + 1 < n_j}``.  This is exact because x >= 0 and n_j <= 2
-leave n_j - x_j <= 2 and every d_j lies in {0, 1, 2}: x_j + d_j < n_j needs
-n_j - x_j = 1 and d_j = 0 (j in ``one``), or n_j - x_j = 2 and d_j <= 1
-(j in ``two``).  ``arrow_test`` decides one move on value objects by this
-test.
+the multiplicities, the coordinate bitmasks ``zero = {j : d_j = 0}`` and
+``low = {j : d_j <= 1}``, and the coordinate lists ``needs`` and ``drops``
+that ``build_quiver`` reads (below).  The table is the move set and the only
+rule for which labels are moves, read through ``_entry``, which raises
+ValueError for a label it lacks; each witness is built once, by
+``_witness``.  No move puts a multiplicity back where it takes one off, so a
+weight m holds what a move takes off exactly when m + Δm >= 0, and
+``candidate_moves`` lists the labels that pass, in table order.  For a
+source x and null-root coefficients n, the move is an arrow when x + d drops
+below n somewhere, exactly when ``one & zero or two & low`` is nonzero, with
+``one = {j : x_j < n_j}`` and ``two = {j : x_j + 1 < n_j}``.  This is exact
+because x >= 0 and n_j <= 2 leave n_j - x_j <= 2 and every d_j lies in
+{0, 1, 2}: x_j + d_j < n_j needs n_j - x_j = 1 and d_j = 0 (j in ``one``),
+or n_j - x_j = 2 and d_j <= 1 (j in ``two``).  ``arrow_test`` decides one
+move on value objects by this test.
 
 ``build_quiver`` runs the test once per move over all vertices, with four
 bitsets over the vertices per coordinate j: m_j >= 1, m_j >= 2, x_j < n_j and
-x_j + 1 < n_j.  A move's sources are the AND of the bitsets its Δm reads
-(m_j >= 1 where Δm_j = -1, m_j >= 2 where Δm_j = -2) with the OR of the
-x_j < n_j bitsets over ``zero`` and the x_j + 1 < n_j bitsets over ``low``.
-The class comes from ``maxweights._class_packed`` as packed coordinate
-columns, one 64-bit digit per member, and everything before the arrow loop
-runs a column at a time.  The bitsets are read off the packed columns by the
-class pass's own digitwise compare: digit i of (col | G) - d*ONES, G the top
-bits and ONES a 1 in every digit, has its top bit set exactly when
-col_i >= d.  That bit, shifted to bit 0 of its digit, is member i's flag;
-the low byte of each digit, one flag byte per member, read as a binary
-numeral is the bitset.  The columns are then unpacked, and each member's m
-and x are packed into an int, first coordinate in the lowest digit.  The
-arrow loop walks the set bits of a move's sources with ``str.find`` over
-their binary text, and an arrow costs one dict lookup and two int checks:
+x_j + 1 < n_j, laid out flat in two lists, ``has = has[1] + has[2]`` and
+``below = one + two``, coordinate j of a second half at index ell + 1 + j.
+Each move lists the flat indices it reads, built once per rank with the
+table:
+``needs`` indexes ``has`` at its takes (m_j >= 1 where Δm_j = -1, m_j >= 2
+where Δm_j = -2), and ``drops`` indexes ``below`` at x_j < n_j where d_j = 0
+and at x_j + 1 < n_j where d_j = 1.  Where d_j = 0 the mask test reads both
+x_j < n_j and x_j + 1 < n_j, but the second is a subset of the first, so
+``drops`` reads the first alone.  A move's sources are one AND over its
+``needs`` with one OR over its ``drops``, the same set as the two masks
+give; neither list is empty, as every move takes a multiplicity off and d
+lies below the null root, so d_j < n_j <= 2 somewhere.  The class comes from
+``maxweights._class_packed`` as packed coordinate columns, one 64-bit digit
+per member, and everything before the arrow loop runs a column at a time.
+The bitsets are read off the packed columns by the class pass's own
+digitwise compare: digit i of (col | G) - d*ONES, G the top bits and ONES a
+1 in every digit, has its top bit set exactly when col_i >= d.  That bit,
+shifted to bit 0 of its digit, is member i's flag; the low byte of each
+digit, one flag byte per member, read as a binary numeral is the bitset.
+The columns are then unpacked, and each member's x alone is packed into an
+int, first coordinate in the lowest digit; the vertex index is keyed by it.
+The arrow loop walks the set bits of a move's sources with ``str.find`` over
+their binary text, and an arrow costs one add, one int check and one dict
+lookup:
 
-* m at digit width bits(k) + 1, k the level.  A source holds what the move
-  takes off and the level stays k, so every digit of m + Δm lies in 0..k:
-  adding the packed Δm (signed digits) neither borrows nor carries, and gives
-  the target's packed m.
 * x at digit width w = bits(max x + 2) + 1.  A raised digit x_j + d_j is at
   most max x + 2 < 2^(w-1), so R = X + D has no carry and every digit stays
   below its top (guard) bit.  With G the guard bits and N the packed n,
   digit j of R + G - N is r_j + 2^(w-1) - n_j, in 0..2^w - 1 as
   1 <= n_j <= 2 < 2^(w-1); its guard bit is set exactly when r_j >= n_j.  So
-  "x + d drops below n somewhere" is ``(R + G - N) & G != G`` and "x + d is
-  the target's minimal solution" is ``R == X_t``; both are asserted.
+  "x + d drops below n somewhere" is ``(R + G - N) & G != G``; it is
+  asserted.
+* m is not packed: x fixes it.  The class pass asserts A.x + m = root for
+  every member, so m = root - A.x, and the move table defines Δm = -A.d.  A
+  member t with x_t = x + d therefore has m_t = root - A.x - A.d = m + Δm,
+  the move's target, and two members never share an x.  So the target is
+  the member whose packed x is R, and "x + d is the target's minimal
+  solution" is ``R`` being a key of the index; it is asserted.
 
 The table lists its moves in lexicographic order of Δm, then of label text.
 For one source the target of a move is m + Δm, and adding a fixed m keeps
@@ -81,20 +94,25 @@ renderers work a class at a time, as the class pass does: the vertex names
 and the JSON betas come from ``cartan._column_terms`` over the columns of
 ``ms`` and ``xs``, each column's distinct entries rendered once.  Each
 move's tail, the text after the target (the label and delta of a text or
-tsv line; the label, delta and witness that close a JSON arrow block), is
-rendered once per quiver and cached by label text, so every arrow is one
-f-string around a cached tail.  A JSON vertex or arrow block opens with the
-text before it in its list, the bracket or the comma, in the same f-string.
+tsv line; the label, delta and witness that close a JSON arrow block),
+depends only on the rank and the format.  A per-rank store (``_tails``,
+``RANK_CACHE_SIZE`` ranks) keeps it per format by label text, rendered the
+first time the move fires in that format, so a process renders no tail it
+does not write and each at most once per rank and format; every arrow is
+one f-string around a stored tail.  A JSON vertex or arrow block opens with
+the text before it in its list, the bracket or the comma, in the same
+f-string.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, count, repeat
-from operator import add, and_, lshift, neg
+from operator import add, and_, lshift, neg, or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .cartan import (RANK_CACHE_SIZE, DominantWeight, RootVector, _column_terms, _first_layer,
@@ -150,6 +168,9 @@ class _Move(NamedTuple):
     shift: tuple[int, ...]  # the change Δm the move makes to the multiplicities
     zero: int           # bitmask of the coordinates j with delta_j = 0
     low: int            # bitmask of the coordinates j with delta_j <= 1
+    # the flat bitset indices ``build_quiver`` reads, in coordinate order:
+    needs: tuple[int, ...]  # j where Δm_j = -1, ell + 1 + j where Δm_j = -2
+    drops: tuple[int, ...]  # j where delta_j = 0, ell + 1 + j where delta_j = 1
 
 
 @lru_cache(maxsize=RANK_CACHE_SIZE)
@@ -170,7 +191,9 @@ def _move_table(ell: int) -> dict[MoveLabel, _Move]:
         moves.append(_Move(
             label, RootVector(gamma), _witness(label, ell), str(label), shift,
             sum(1 << n for n, d in enumerate(gamma) if d == 0),
-            sum(1 << n for n, d in enumerate(gamma) if d <= 1)))
+            sum(1 << n for n, d in enumerate(gamma) if d <= 1),
+            tuple([(-s - 1) * (ell + 1) + n for n, s in enumerate(shift) if s < 0]),
+            tuple([d * (ell + 1) + n for n, d in enumerate(gamma) if d <= 1])))
     moves.sort(key=lambda move: (move.shift, move.text))
     return {move.label: move for move in moves}
 
@@ -344,53 +367,47 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
 
     Each move is decided for all vertices at once by the two-mask test of the
     module docstring, run over vertex bitsets, which the assertion x >= 0 of
-    the class pass ``maxweights._class_packed`` makes exact.  The class
-    pass raises the vertex cap.  Everything before the arrow loop runs a
-    coordinate at a time over the members' columns, the bitsets over the
-    packed ones; the loop walks a move's sources by ``str.find`` over the
-    bits of their bitset.
+    the class pass ``maxweights._class_packed`` makes exact: one AND over the
+    bitsets its ``needs`` index and one OR over those its ``drops`` index.
+    The class pass raises the vertex cap.  Everything before the arrow loop
+    runs a coordinate at a time over the members' columns, the bitsets over
+    the packed ones; the loop walks a move's sources by ``str.find`` over the
+    bits of their bitset, and finds each target by its packed x, which fixes
+    its m (module docstring).
     """
     size, m_packed, x_packed = _class_packed(weight.m, max_vertices)
     ell = weight.ell
     null = cartan(ell).delta_coeffs
     has, one, two = _vertex_bitsets(size, m_packed, x_packed, null)
+    # flat, as the move table's ``needs`` and ``drops`` index them
+    has, below = has[1] + has[2], one + two
     m_cols = [_unpack(col, size) for col in m_packed]
     x_cols = [_unpack(col, size) for col in x_packed]
     del m_packed, x_packed  # each column is held once, packed or unpacked
-    # digit offsets of the packed m and x (widths and no-carry argument in the
-    # module docstring)
-    wm = weight.level.bit_length() + 1
+    # digit offsets of the packed x (width and no-carry argument in the module
+    # docstring)
     wx = (max(map(max, x_cols)) + 2).bit_length() + 1
-    at_m = range(0, wm * (ell + 1), wm)
     at_x = range(0, wx * (ell + 1), wx)
-    packed_m = _packed(m_cols, at_m)
     packed_x = _packed(x_cols, at_x)
-    index = dict(zip(packed_m, count()))
+    index = dict(zip(packed_x, count()))
     guard = sum([1 << (n + wx - 1) for n in at_x])
     lift = guard - sum(map(lshift, null, at_x))
     ms, xs = tuple(zip(*m_cols)), tuple(zip(*x_cols))
     buckets: list[list[tuple[int, int, _Move]]] = [[] for _ in ms]
     for move in _move_table(ell).values():
-        sources = reduce(and_, [has[-s][n] for n, s in enumerate(move.shift) if s < 0])
-        fire = 0
-        for n in range(ell + 1):
-            if move.zero >> n & 1:
-                fire |= one[n]
-            if move.low >> n & 1:
-                fire |= two[n]
-        sources &= fire
+        sources = (reduce(and_, map(has.__getitem__, move.needs))
+                   & reduce(or_, map(below.__getitem__, move.drops)))
         if not sources:
             continue
-        dm = sum(map(lshift, move.shift, at_m))
         dx = sum(map(lshift, move.delta.coeffs, at_x))
         bits = bin(sources)[:1:-1]  # bit s of sources at position s
         s = bits.find("1")
         while s >= 0:
-            t = index[packed_m[s] + dm]
             raised = packed_x[s] + dx
             assert (raised + lift) & guard != guard, \
                 f"{move.text} from {ms[s]}: x + d stays above the null root"
-            assert raised == packed_x[t], \
+            t = index.get(raised)
+            assert t is not None, \
                 f"{move.text} from {ms[s]}: x + d is not the target's minimal solution"
             buckets[s].append((s, t, move))
             s = bits.find("1", s + 1)
@@ -419,15 +436,24 @@ def export(quiver: MaxWeightQuiver, fmt: str) -> str:
     return "".join(render(quiver, fmt))
 
 
-def _arrow_lines(quiver: MaxWeightQuiver, head: str, arrow: str, sep: str) -> Iterator[str]:
+@lru_cache(maxsize=RANK_CACHE_SIZE)
+def _tails(ell: int) -> defaultdict[str, dict[str, str]]:
+    """The rendered tails of rank ``ell``'s moves: per format, a move's label
+    text to its tail.  The renderers fill it as they go, a move the first
+    time it fires in that format, so it holds no tail that was not written."""
+    return defaultdict(dict)
+
+
+def _arrow_lines(quiver: MaxWeightQuiver, fmt: str, head: str, arrow: str, sep: str
+                 ) -> Iterator[str]:
     """``head``, then one line per arrow,
     ``<source><arrow><target><sep><label><sep><delta>``.
 
     The vertex names are rendered a column at a time, and each move's tail,
-    its label and delta, once per quiver."""
+    its label and delta, once per rank and format."""
     yield head
     names = _column_terms(zip(*quiver.ms), "Λ")
-    tails: dict[str, str] = {}
+    tails = _tails(quiver.ell)[fmt]
     for s, t, move in quiver.rows:
         tail = tails.get(move.text)
         if tail is None:
@@ -437,13 +463,13 @@ def _arrow_lines(quiver: MaxWeightQuiver, head: str, arrow: str, sep: str) -> It
 
 def _text_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
     """A summary line, then one line per arrow: source, target, label and delta."""
-    return _arrow_lines(quiver, f"root {quiver.root}  vertices {len(quiver.ms)}  "
-                                f"arrows {len(quiver.rows)}\n", " -> ", "  ")
+    return _arrow_lines(quiver, "text", f"root {quiver.root}  vertices {len(quiver.ms)}  "
+                                        f"arrows {len(quiver.rows)}\n", " -> ", "  ")
 
 
 def _tsv_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
     """A header, then one tab-separated line per arrow."""
-    return _arrow_lines(quiver, "#source\ttarget\tlabel\tdelta\n", "\t", "\t")
+    return _arrow_lines(quiver, "tsv", "#source\ttarget\tlabel\tdelta\n", "\t", "\t")
 
 
 def _dot_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
@@ -463,7 +489,7 @@ def _json_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
     Each vertex block and each arrow block is one f-string, which opens with
     the text before it: the list's opening bracket before the first block, a
     comma before each later one.  The betas are rendered a column at a time,
-    and each move's label, delta and witness once per quiver, as the tail of
+    and each move's label, delta and witness once per rank, as the tail of
     its arrow blocks."""
     def ints(values: Iterable[int], indent: str = "      ") -> str:
         # every list of ints here, a vector or a witness, has an entry
@@ -482,7 +508,7 @@ def _json_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
         yield (f'{opening}{{\n      "m": {ints(m)},\n      "X": {ints(x)},'
                f'\n      "beta": "{beta}"\n    }}')
     yield '\n  ],\n  "arrows": '
-    tails: dict[str, str] = {}
+    tails = _tails(quiver.ell)["json"]
     for opening, (s, t, move) in zip(openings(), quiver.rows):
         tail = tails.get(move.text)
         if tail is None:

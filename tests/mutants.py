@@ -57,6 +57,8 @@ CLASS_TESTS = ("tests/test_maxweights.py::test_class_pass_is_lexicographic",
                "tests/test_maxweights.py::test_class_pass_matches_the_stars_and_bars_route")
 ROW_TESTS = ("tests/test_quiver.py::test_build_quiver_rows_match_the_per_source_builder",)
 LABEL_TESTS = ("tests/test_quiver.py::test_the_move_table_is_the_reference_label_rule",)
+MOVE_LISTS = ("tests/test_quiver.py::test_move_coordinate_lists_match_the_masks",
+              "tests/test_quiver.py::test_move_table_matches_the_enumerate_and_solve_route")
 HOM_TESTS = ("tests/test_fock.py::test_shared_coefficients_count_in_the_width",)
 GOLDEN_FOCK_DIMS = ("tests/test_golden_replay.py::test_replay_every_fock_and_dims_query",)
 READER_TESTS = ("tests/test_cli.py::test_reader_reads_like_argparse_or_not_at_all",)
@@ -142,7 +144,20 @@ MUTANTS = (
            'bytes.maketrans(b"\\0\\1", b"01")', 'bytes.maketrans(b"\\0\\1", b"10")', ROW_TESTS),
     Mutant("arrow-walk-from-the-top-bit", "klrc/quiver.py",
            "bits = bin(sources)[:1:-1]", "bits = bin(sources)[2:]", ROW_TESTS),
-    # each move's rendered tail, cached once per quiver
+    # each move's coordinate lists, and the target found by its packed x
+    Mutant("move-needs-reads-one-where-two-are-taken", "klrc/quiver.py",
+           "tuple([(-s - 1) * (ell + 1) + n for n, s in enumerate(shift) if s < 0])",
+           "tuple([n for n, s in enumerate(shift) if s < 0])", ROW_TESTS + MOVE_LISTS),
+    Mutant("move-drops-reads-one-where-d-is-one", "klrc/quiver.py",
+           "tuple([d * (ell + 1) + n for n, d in enumerate(gamma) if d <= 1])",
+           "tuple([n for n, d in enumerate(gamma) if d <= 1])", ROW_TESTS + MOVE_LISTS),
+    Mutant("arrow-target-looked-up-on-the-unraised-x", "klrc/quiver.py",
+           "t = index.get(raised)", "t = index.get(packed_x[s])", ROW_TESTS),
+    # each move's rendered tail, stored once per rank and format
+    Mutant("tail-store-keyed-without-the-format", "klrc/quiver.py",
+           "tails = _tails(quiver.ell)[fmt]", 'tails = _tails(quiver.ell)["text"]',
+           ("tests/test_quiver.py::test_text_and_tsv_tails_never_mix",
+            "tests/test_quiver.py::test_two_roots_at_one_rank_render_as_from_an_empty_store")),
     Mutant("arrow-line-tail-without-its-delta", "klrc/quiver.py",
            'f"{sep}{move.text}{sep}{root_text(move.delta.coeffs)}\\n"', 'f"{sep}{move.text}\\n"',
            ("tests/test_quiver.py::test_export_tsv",)),

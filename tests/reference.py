@@ -243,7 +243,8 @@ def move_table(ell: int) -> dict[MoveLabel, _Move]:
     in lexicographic order of its Δm, then of its label text: each kind's
     labels enumerated over all indices and kept when ``validate`` accepts
     them, Δm taken from the kind's steps, the increment solved from
-    A.d = -Δm and the witness built by ``klrc.quiver._witness``."""
+    A.d = -Δm, the witness built by ``klrc.quiver._witness`` and the
+    coordinate lists read off Δm and the solved increment."""
     moves = []
     for kind, steps in STEPS.items():
         for index in product(range(ell + 1), repeat=len(steps)):
@@ -260,7 +261,11 @@ def move_table(ell: int) -> dict[MoveLabel, _Move]:
             moves.append(_Move(
                 label, delta, _witness(label, ell), str(label), tuple(shift),
                 sum(1 << n for n, d in enumerate(delta.coeffs) if d == 0),
-                sum(1 << n for n, d in enumerate(delta.coeffs) if d <= 1)))
+                sum(1 << n for n, d in enumerate(delta.coeffs) if d <= 1),
+                tuple([n if step == -1 else ell + 1 + n
+                       for n, step in enumerate(shift) if step < 0]),
+                tuple([n if d == 0 else ell + 1 + n
+                       for n, d in enumerate(delta.coeffs) if d <= 1])))
     moves.sort(key=lambda move: (move.shift, move.text))
     return {move.label: move for move in moves}
 

@@ -7,14 +7,15 @@ import pytest
 
 import klrc.quiver
 import reference
-from klrc.cartan import DominantWeight, RootVector, cartan, hub
+from klrc.cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, cartan, hub
 from klrc.cli import main
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_packed, _digits,
                              _unpack, beta_of, class_members, class_size, minimal_solution)
 from klrc.multiplicity import _root_table
-from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP, Arrow,
-                         MoveLabel, _below_masks, _move_table, _vertex_bitsets, arrow_test,
-                         build_quiver, candidate_moves, delta_vector, export, witness_sequence)
+from klrc.quiver import (FORMATS, KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP,
+                         Arrow, MoveLabel, _below_masks, _move_table, _tails, _vertex_bitsets,
+                         arrow_test, build_quiver, candidate_moves, delta_vector, export,
+                         witness_sequence)
 from reference import _raised, apply_move
 
 
@@ -107,9 +108,26 @@ def test_move_increments_are_the_first_layer_roots():
 def test_move_table_matches_the_enumerate_and_solve_route(ell):
     """Each move read off a first-layer root equals the reference table's
     move, built label by label with its increment solved from A.d = -Δm, on
-    label, delta, witness, text, shift and both masks, entry by entry and
-    in order."""
+    label, delta, witness, text, shift, both masks and both coordinate
+    lists, entry by entry and in order."""
     assert list(_move_table(ell).items()) == list(reference.move_table(ell).items())
+
+
+@pytest.mark.parametrize("ell", range(2, 17))
+def test_move_coordinate_lists_match_the_masks(ell):
+    """Each move's coordinate lists against the ones read off its Δm and its
+    masks: ``needs`` indexes has[1] + has[2] at j where Δm_j = -1 and -2,
+    ``drops`` indexes one + two at the coordinates of ``zero`` and at those
+    of ``low`` outside ``zero`` (two_j ⊆ one_j, so one_j alone where
+    d_j = 0)."""
+    size = ell + 1
+    for move in _move_table(ell).values():
+        needs = ([n for n in range(size) if move.shift[n] == -1]
+                 + [size + n for n in range(size) if move.shift[n] == -2])
+        drops = ([n for n in range(size) if move.zero >> n & 1]
+                 + [size + n for n in range(size) if (move.low & ~move.zero) >> n & 1])
+        assert sorted(move.needs) == needs, move.label
+        assert sorted(move.drops) == drops, move.label
 
 
 def test_delta_vector_range_errors():
@@ -546,11 +564,10 @@ def test_vertex_bitsets_match_the_flag_columns():
 
 
 def test_build_quiver_checks_each_arrow_drops_below_the_null_root(monkeypatch):
-    """With every move's masks corrupted to all coordinates, the bitsets pass
-    moves that are no arrows, and the per-arrow check that x + d drops below
-    the null root fails."""
-    table = {key: move._replace(zero=(1 << 5) - 1, low=(1 << 5) - 1)
-             for key, move in _move_table(4).items()}
+    """With every move's ``drops`` corrupted to the x_j < n_j bitsets of all
+    coordinates, the bitsets pass moves that are no arrows, and the
+    per-arrow check that x + d drops below the null root fails."""
+    table = {key: move._replace(drops=tuple(range(5))) for key, move in _move_table(4).items()}
     monkeypatch.setattr(klrc.quiver, "_move_table", lambda _: table)
     with pytest.raises(AssertionError, match="stays above the null root"):
         build_quiver(DominantWeight((0, 0, 2, 0, 0)))
@@ -643,6 +660,70 @@ def test_export_tsv():
     assert lines[0].startswith("#")
     assert len(lines) == 1 + 10
     assert all(len(line.split("\t")) == 4 for line in lines[1:])
+
+
+@pytest.fixture
+def empty_tails():
+    """An empty per-rank tail store before the test and after it."""
+    _tails.cache_clear()
+    yield
+    _tails.cache_clear()
+
+
+def cold(quiver, fmt):
+    """``export`` of ``quiver`` from an empty tail store, as in a fresh process."""
+    _tails.cache_clear()
+    return export(quiver, fmt)
+
+
+def test_the_tail_store_is_bounded_by_the_rank_cache(empty_tails):
+    """Quivers rendered at one rank more than RANK_CACHE_SIZE leave
+    RANK_CACHE_SIZE ranks in the store, the first rank dropped, and each
+    rank holds the tails of the moves that fired in the format rendered."""
+    ranks = range(2, 3 + RANK_CACHE_SIZE)
+    fired = {}
+    for ell in ranks:
+        quiver = build_quiver(DominantWeight.fundamental(0, ell))
+        export(quiver, "text")
+        fired[ell] = {move.text for _, _, move in quiver.rows}
+    info = _tails.cache_info()
+    assert info.maxsize == RANK_CACHE_SIZE and info.currsize == RANK_CACHE_SIZE
+    for ell in ranks[1:]:
+        tails = _tails(ell)
+        assert list(tails) == ["text"] and set(tails["text"]) == fired[ell] != set(), ell
+    assert _tails.cache_info().misses == info.misses
+    _tails(ranks[0])
+    assert _tails.cache_info().misses == info.misses + 1
+
+
+def test_text_and_tsv_tails_never_mix(empty_tails):
+    """A move's text and tsv tails share its label and delta and differ in
+    the separator; rendered one after the other at one rank, in either
+    order, each format gives the bytes it gives from an empty store."""
+    quiver = build_quiver(DominantWeight((0, 1, 1, 0, 0)))
+    text, tsv = cold(quiver, "text"), cold(quiver, "tsv")
+    assert "\t" not in text and all(line.count("\t") == 3 for line in tsv.splitlines())
+    for first, second in (("text", "tsv"), ("tsv", "text")):
+        _tails.cache_clear()
+        assert [export(quiver, first), export(quiver, second)] == \
+            [{"text": text, "tsv": tsv}[fmt] for fmt in (first, second)]
+
+
+def test_two_roots_at_one_rank_render_as_from_an_empty_store(empty_tails):
+    """Two roots of rank 4 whose quivers share moves, rendered in every
+    format, alternately and twice over, give the bytes each gives from an
+    empty store, as in a fresh process: the tails one quiver stored serve
+    the other."""
+    quivers = [build_quiver(DominantWeight(m)) for m in ((0, 0, 2, 0, 0), (0, 1, 1, 0, 0))]
+    first, second = ({move.text for _, _, move in quiver.rows} for quiver in quivers)
+    assert first & second and first != second
+    expected = {(n, fmt): cold(quiver, fmt) for n, quiver in enumerate(quivers)
+                for fmt in FORMATS}
+    _tails.cache_clear()
+    for _ in range(2):
+        for fmt in FORMATS:
+            for n, quiver in enumerate(quivers):
+                assert export(quiver, fmt) == expected[n, fmt], (n, fmt)
 
 
 def test_export_unknown_format():
