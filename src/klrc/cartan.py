@@ -89,7 +89,7 @@ def _first_layer(ell: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
             yield root, datum.apply_matrix(root)
 
 
-def _terms(coeffs: Sequence[int], symbol: str) -> str:
+def _sum_text(coeffs: Sequence[int], symbol: str) -> str:
     """``c0<symbol>0+c1<symbol>1+...`` over the nonzero coefficients, a
     coefficient of 1 left out; "0" when every coefficient is zero."""
     return "+".join([f"{'' if c == 1 else c}{symbol}{i}"
@@ -97,7 +97,7 @@ def _terms(coeffs: Sequence[int], symbol: str) -> str:
 
 
 def _column_terms(columns: Iterable[Iterable[int]], symbol: str) -> list[str]:
-    """``_terms`` of every member of a class, from its coordinate columns:
+    """``_sum_text`` of every member of a class, from its coordinate columns:
     column i's distinct values are each rendered once, as ``+c<symbol>i``
     with a coefficient of 1 left out and a zero as the empty text, and a
     member's text is its terms joined, the leading "+" dropped; "0" when
@@ -112,13 +112,13 @@ def _column_terms(columns: Iterable[Iterable[int]], symbol: str) -> list[str]:
 def root_text(coeffs: Sequence[int]) -> str:
     """The text of the root-lattice vector with these coefficients, e.g. ``a0+2a1``;
     ``str(RootVector(coeffs))``."""
-    return _terms(coeffs, "a")
+    return _sum_text(coeffs, "a")
 
 
 def weight_text(m: Sequence[int]) -> str:
     """The text of the weight with these fundamental multiplicities, e.g.
     ``2Λ0+Λ3``; ``str(DominantWeight(m))``."""
-    return _terms(m, "Λ")
+    return _sum_text(m, "Λ")
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,11 @@ single-vector form, which ``minimal_solution``, ``beta_of`` and
 ``delta_decompose`` run.  ``_class_packed`` is its class form: it runs the
 rule a coordinate at a time over all members of a class, one column of m_j
 and one of x_j per coordinate j, with every check asserted for every member.
-Each column is one int, every member's entry one 64-bit digit of it (SWAR,
-"SIMD within a register"), so a step of the rule is a few exact big-int
-operations for all members at once; the prefix sums, which can be negative,
-carry a bias of 2^61 in every digit, so that no digit borrows.
-``_class_columns`` unpacks the columns, and ``build_quiver`` reads its vertex
-bitsets off the packed ones.  The tests tie the two forms together through
-the stars-and-bars class pass of ``tests/reference.py``, which solves each
-member with ``_solve``.
+Each column is one lane int of ``klrc._lanes``, one digit per member, whose
+docstring shows each packed step exact.  ``_class_columns`` unpacks the
+columns, and ``build_quiver`` reads its vertex bitsets off the packed ones.
+The tests tie the two forms together through the stars-and-bars class pass
+of ``tests/reference.py``, which solves each member with ``_solve``.
 
 The defect (Lambda, beta) - (beta, beta)/2 has one identity in the same two
 forms.  With (Lambda, alpha_j) = d_j m_j, (alpha_i, alpha_j) = d_i a_ij and
@@ -33,14 +30,15 @@ both forms against the ε-coordinate model of ``tests/reference.py``.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, combinations_with_replacement, compress, repeat, tee
 from math import comb
-from operator import add, eq, floordiv, mod, mul, neg, sub
+from operator import add, and_, eq, floordiv, mod, mul, neg, sub
 from typing import Iterable, Sequence
 
+from . import _lanes as lanes
 from .cartan import DominantWeight, GuardError, RootVector, cartan
 
 DEFAULT_MAX_VERTICES = 5000
@@ -55,97 +53,49 @@ def ev(weight: DominantWeight) -> int:
     return sum(weight.m[i] for i in range(1, weight.ell + 1, 2))
 
 
-def _digits(column: Iterable[int]) -> int:
-    """The entries of ``column``, each in 0..2^63 - 1, as the base-2^64
-    digits of one int, in one digit order for every column of a length."""
-    return int.from_bytes(array("q", column).tobytes(), sys.byteorder)
-
-
-def _unpack(packed: int, size: int) -> array:
-    """The ``size`` digits of ``packed``, each in 0..2^63 - 1, as an int64
-    array: ``_digits`` undone."""
-    return array("q", packed.to_bytes(8 * size, sys.byteorder))
-
-
 def _class_packed(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
                   ) -> tuple[int, list[int], list[int]]:
     """``(size, m_cols, x_cols)``: the columns of ``_class_columns``, each
-    packed by ``_digits`` into one int, one 64-bit digit per member.
+    one 64-bit lane int of ``klrc._lanes``, one digit per member.
 
-    Each step of the rule is a few big-int operations on all members at once
-    (SWAR: every digit of an int is one member's entry).  With ONES the int
-    of a 1 in every digit, G its top bits and LOW its low 63 bits, an int
-    whose digits all lie in 0..2^63 - 1 behaves as its column:
-
-    * m_j = mu_j - mu_{j+1}, with mu_0 = k and mu_{ell+1} = 0, is one
-      subtraction.  It never borrows, since mu descends.
-    * The prefix columns xhat_j can be negative, so they are held with the
-      bias B = 2^61 added to every digit.  ell*k < 2^57 is asserted up front;
-      every |xhat_j| and the shift |n| are at most ell*k, so a biased digit
-      lies in 2^61 +- 2^57 and none borrows.
-    * Halving at j = ell and floor(xhat_j / delta_j) at delta_j = 2 are both
-      ``((v >> 1) & LOW) + B/2``: the shift moves each digit's bit 0 into the
-      top bit of the digit below, which LOW clears, and halves the bias,
-      which B/2 restores.
-    * n = min_j floor(xhat_j / delta_j) is a digitwise min: for digits below
-      2^63, digit i of (a | G) - b is a_i + 2^63 - b_i, in 1..2^64 - 1, whose
-      top bit is set exactly when a_i >= b_i.  Spread over the digit's low
-      63 bits, that bit selects b_i.
-    * x_j = xhat_j - delta_j*n, with the biases cancelled.
-
-    ``_reduce``'s checks are asserted for every member, in packed form.
-    0 <= x < 2^59: every true digit x_j = xhat_j - delta_j*n lies within
-    3*ell*k < 2^59 of 0, the int is the sum of the true digits, and digits
-    in (-2^63, 2^63) are unique to it.  So every true digit is in
-    0..2^59 - 1 exactly when the int is >= 0 and no digit of it has a bit
-    at or above 59 (a negative digit borrows, which sets its top bits).
-    x - delta < 0 somewhere: the OR over j of the top bits of
-    ~((x_j | G) - delta_j*ONES) is G.  A.x + m = root, row by row of the
-    band of A.
+    m_j = mu_j - mu_{j+1} (mu_0 = k, mu_{ell+1} = 0) is one subtraction, as
+    mu descends.  The prefix columns xhat_j, which can be negative, carry
+    the lane bias; every |xhat_j| and the shift |n| are at most ell*k, the
+    depth ``_lanes.check_depth`` bounds.  ``_reduce``'s checks are asserted
+    for every member, in packed form: 0 <= x < 2^59, x - delta < 0
+    somewhere, and A.x + m = root, row by row of the band of A.
     """
     size = _class_size(root)
     if size > max_members:
         raise GuardError(f"class has {size} members, cap is {max_members}")
     k, ell = sum(root), len(root) - 1
-    assert ell * k < 2 ** 57, "the class is too deep for 64-bit digits"
+    lanes.check_depth(ell * k)
     datum = cartan(ell)
     lam = tuple(accumulate(root[:0:-1]))[::-1]  # lam_j = sum_{i>=j} m_i, j = 1..ell
     parity = sum(lam) % 2
     mus, sums = tee(combinations_with_replacement(range(k, -1, -1), ell))
     kept = compress(mus, map(eq, map(mod, map(sum, sums), repeat(2)), repeat(parity)))
-    ones = _digits(repeat(1, size))
-    top = ones << 63
-    low = top - ones
-    bias = ones << 61
-
-    def half(v: int) -> int:
-        return ((v >> 1) & low) + (bias >> 1)
-
+    ones, top, low = lanes.masks(size)
+    bias = lanes.BIAS * ones
     m_cols, x_cols = [], [bias]
     left = k * ones
     for lam_s, mu_s in zip(lam, zip(*kept)):
-        mu = _digits(mu_s)
+        mu = lanes.pack(mu_s)
         m_cols.append(left - mu)
         x_cols.append(x_cols[-1] + lam_s * ones - mu)
         left = mu
     m_cols.append(left)
-    x_cols[-1] = half(x_cols[-1])
+    x_cols[-1] = lanes.halve(x_cols[-1], low, bias)
     delta = datum.delta_coeffs
-    floors = (xhat if d == 1 else half(xhat) for xhat, d in zip(x_cols, delta))
-    n = next(floors)
-    for q in floors:
-        at_least = ((n | top) - q) & top  # top bit of each digit where n >= q
-        n ^= (n ^ q) & (at_least - (at_least >> 63))
+    floors = (xhat if d == 1 else lanes.halve(xhat, low, bias) for xhat, d in zip(x_cols, delta))
+    n = reduce(lambda n, q: lanes.lane_min(n, q, top), floors)
     shifts = {d: d * n - (d - 1) * bias for d in set(delta)}
     for j, d in enumerate(delta):
         x_cols[j] -= shifts[d]
     if __debug__:
-        high = ones * ((1 << 64) - (1 << 59))
-        below = 0
-        for x, d in zip(x_cols, delta):
-            assert x >= 0 and not x & high
-            below |= ~((x | top) - d * ones) & top
-        assert below == top
+        assert all(lanes.in_range(x, 59, ones) for x in x_cols)
+        # x - delta < 0 somewhere: no member has x_j >= delta_j at every j
+        assert not reduce(and_, [lanes.at_least(x, d * ones, top) for x, d in zip(x_cols, delta)])
         # A.x + m = root: every x and m is below 2^59, so each member's entry
         # of row i of A.x + m, and its difference from root_i, lies within
         # 2^63 of 0: the row is root_i * ONES exactly when every member's
@@ -164,7 +114,8 @@ def _class_columns(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICE
     x the minimal solution of m, with the members in lexicographic order of m.
 
     GuardError when the class has more than ``max_members`` members, counted
-    by ``_class_size`` before any member is built.  A member is a finite part
+    by ``_class_size``, or when rank times level reaches ``_lanes.DEPTH_CAP``,
+    both before any member is built.  A member is a finite part
     mu with k >= mu_1 >= ... >= mu_ell >= 0 and sum(mu) = sum(lam) modulo 2,
     lam the finite part of ``root`` (the parity of sum(mu) is that of ev),
     read back as m = (k - mu_1, mu_1 - mu_2, ..., mu_ell).
@@ -172,15 +123,13 @@ def _class_columns(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICE
     descending lexicographic order, which is ascending lexicographic order
     of m.  x is ``_minimal`` of lam - mu, run a coordinate at a time over
     all members by ``_class_packed``, which asserts ``_reduce``'s checks and
-    A.x = root - m for every member.  Its columns hold one member's entry in
-    each 64-bit digit, every entry in 0..2^59 - 1 (the bias of the prefix
-    sums cancelled, and the digits shown unique to the int), and are
-    unpacked here in place, so each column is held once, packed or not.
+    A.x = root - m for every member.  Its columns are unpacked here in
+    place, so each column is held once, packed or not.
     """
     size, m_cols, x_cols = _class_packed(root, max_members)
     for j in range(len(m_cols)):
-        m_cols[j] = _unpack(m_cols[j], size).tolist()
-        x_cols[j] = _unpack(x_cols[j], size)
+        m_cols[j] = lanes.unpack(m_cols[j], size).tolist()
+        x_cols[j] = lanes.unpack(x_cols[j], size)
     return m_cols, x_cols
 
 

@@ -15,56 +15,43 @@ reachable from it by a directed path.
 
 Each move is stored once in a per-rank move table (``_move_table``), keyed
 by its label, with its increment d, witness, rendered label, its change Δm to
-the multiplicities, the coordinate bitmasks ``zero = {j : d_j = 0}`` and
-``low = {j : d_j <= 1}``, and the coordinate lists ``needs`` and ``drops``
-that ``build_quiver`` reads (below).  The table is the move set and the only
-rule for which labels are moves, read through ``_entry``, which raises
-ValueError for a label it lacks; each witness is built once, by
-``_witness``.  No move puts a multiplicity back where it takes one off, so a
-weight m holds what a move takes off exactly when m + Δm >= 0, and
-``candidate_moves`` lists the labels that pass, in table order.  For a
-source x and null-root coefficients n, the move is an arrow when x + d drops
-below n somewhere, exactly when ``one & zero or two & low`` is nonzero, with
-``one = {j : x_j < n_j}`` and ``two = {j : x_j + 1 < n_j}``.  This is exact
-because x >= 0 and n_j <= 2 leave n_j - x_j <= 2 and every d_j lies in
-{0, 1, 2}: x_j + d_j < n_j needs n_j - x_j = 1 and d_j = 0 (j in ``one``),
-or n_j - x_j = 2 and d_j <= 1 (j in ``two``).  ``arrow_test`` decides one
-move on value objects by this test.
+the multiplicities, and the flat index lists ``needs`` and ``drops`` that
+decide it (below).  The table is the move set and the only rule for which
+labels are moves, read through ``_entry``, which raises ValueError for a
+label it lacks; each witness is built once, by ``_witness``.  No move puts a
+multiplicity back where it takes one off, so a weight m holds what a move
+takes off exactly when m + Δm >= 0, and ``candidate_moves`` lists the labels
+that pass, in table order.
 
-``build_quiver`` runs the test once per move over all vertices, with four
-bitsets over the vertices per coordinate j: m_j >= 1, m_j >= 2, x_j < n_j and
-x_j + 1 < n_j, laid out flat in two lists, ``has = has[1] + has[2]`` and
-``below = one + two``, coordinate j of a second half at index ell + 1 + j.
-Each move lists the flat indices it reads, built once per rank with the
-table:
-``needs`` indexes ``has`` at its takes (m_j >= 1 where Δm_j = -1, m_j >= 2
-where Δm_j = -2), and ``drops`` indexes ``below`` at x_j < n_j where d_j = 0
-and at x_j + 1 < n_j where d_j = 1.  Where d_j = 0 the mask test reads both
-x_j < n_j and x_j + 1 < n_j, but the second is a subset of the first, so
-``drops`` reads the first alone.  A move's sources are one AND over its
-``needs`` with one OR over its ``drops``, the same set as the two masks
-give; neither list is empty, as every move takes a multiplicity off and d
-lies below the null root, so d_j < n_j <= 2 somewhere.  The class comes from
-``maxweights._class_packed`` as packed coordinate columns, one 64-bit digit
-per member, and everything before the arrow loop runs a column at a time.
-The bitsets are read off the packed columns by the class pass's own
-digitwise compare: digit i of (col | G) - d*ONES, G the top bits and ONES a
-1 in every digit, has its top bit set exactly when col_i >= d.  That bit,
-shifted to bit 0 of its digit, is member i's flag; the low byte of each
-digit, one flag byte per member, read as a binary numeral is the bitset.
-The columns are then unpacked, and each member's x alone is packed into an
-int, first coordinate in the lowest digit; the vertex index is keyed by it.
-The arrow loop walks the set bits of a move's sources with ``str.find`` over
-their binary text, and an arrow costs one add, one int check and one dict
-lookup:
+From a source x the move is an arrow when x + d drops below the null-root
+coefficients n somewhere.  As x >= 0, n_j <= 2 and every d_j lies in
+{0, 1, 2}, x_j + d_j < n_j holds exactly when d_j = 0 and x_j < n_j, or
+d_j = 1 and x_j + 1 < n_j.  So one rule decides a move, over flags laid out
+flat, coordinate j of a second half at index ell + 1 + j: ``has`` holds
+m_j >= 1, then m_j >= 2, and ``below`` holds x_j < n_j, then x_j + 1 < n_j.
+``needs`` indexes ``has`` at the move's takes (m_j >= 1 where Δm_j = -1,
+m_j >= 2 where Δm_j = -2), and ``drops`` indexes ``below`` at x_j < n_j
+where d_j = 0 and at x_j + 1 < n_j where d_j = 1: the move is an arrow
+exactly when a flag its ``drops`` index is set.  Neither list is empty, as
+every move takes a multiplicity off and d lies below the null root, so
+d_j < n_j <= 2 somewhere.  ``arrow_test`` decides one move by this rule,
+over one source's flags.
 
-* x at digit width w = bits(max x + 2) + 1.  A raised digit x_j + d_j is at
-  most max x + 2 < 2^(w-1), so R = X + D has no carry and every digit stays
-  below its top (guard) bit.  With G the guard bits and N the packed n,
-  digit j of R + G - N is r_j + 2^(w-1) - n_j, in 0..2^w - 1 as
-  1 <= n_j <= 2 < 2^(w-1); its guard bit is set exactly when r_j >= n_j.  So
-  "x + d drops below n somewhere" is ``(R + G - N) & G != G``; it is
-  asserted.
+``build_quiver`` runs the rule once per move over all vertices, each flag a
+bitset over the vertices: a move's sources are one AND over the bitsets its
+``needs`` index with one OR over those its ``drops`` index.  The class comes
+from ``maxweights._class_packed`` as packed coordinate columns, and the
+bitsets are read off them by the digitwise compare of ``klrc._lanes``.  The
+columns are then unpacked, and each member's x alone is packed into a lane
+int of its own; the vertex index is keyed by it.  The arrow loop walks the
+set bits of a move's sources with ``str.find`` over their binary text, and
+an arrow costs one add, one int check and one dict lookup:
+
+* x at digit width w = bits(max x + 2) + 1, so that every raised digit
+  x_j + d_j <= max x + 2 stays clear of its guard bit and R = X + D is the
+  lane int of x + d.  With G the guard bits and N the packed n, R + (G - N)
+  is the digitwise compare (R | G) - N, as R is clear of G, so "x + d drops
+  below n somewhere" is ``(R + G - N) & G != G``; it is asserted.
 * m is not packed: x fixes it.  The class pass asserts A.x + m = root for
   every member, so m = root - A.x, and the move table defines Δm = -A.d.  A
   member t with x_t = x + d therefore has m_t = root - A.x - A.d = m + Δm,
@@ -83,7 +70,8 @@ target.  So the arrows appended to a source's bucket move by move come in
 each kind's steps and index ranges which labels are moves, the move table
 built label by label by that rule with ``maxweights._solve``, the increments
 in closed form, the value-object arrow test that raises the solution vector,
-and the per-source builder, with its own list of the moves a weight can take.
+the two-mask arrow test on the masks of x and d, and the per-source builder,
+with its own list of the moves a weight can take.
 
 ``render(quiver, fmt)`` is the one renderer of each format in ``FORMATS``
 (``text``, ``dot``, ``json``, ``tsv``): a generator of the document's text in
@@ -107,17 +95,17 @@ f-string.
 from __future__ import annotations
 
 import json
-import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, count, repeat
-from operator import add, and_, lshift, neg, or_
+from operator import add, and_, neg, or_
 from typing import Iterable, Iterator, NamedTuple
 
+from . import _lanes as lanes
 from .cartan import (RANK_CACHE_SIZE, DominantWeight, RootVector, _column_terms, _first_layer,
                      cartan, root_text)
-from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_packed, _digits, _unpack
+from .maxweights import DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_packed
 
 KIND_UP = "+"              # one index raised by 2
 KIND_DOWN = "-"            # one index lowered by 2
@@ -166,9 +154,8 @@ class _Move(NamedTuple):
     witness: tuple[int, ...]
     text: str           # str(label)
     shift: tuple[int, ...]  # the change Δm the move makes to the multiplicities
-    zero: int           # bitmask of the coordinates j with delta_j = 0
-    low: int            # bitmask of the coordinates j with delta_j <= 1
-    # the flat bitset indices ``build_quiver`` reads, in coordinate order:
+    # the flat indices of the vertex bitsets or flags a move reads, in
+    # coordinate order:
     needs: tuple[int, ...]  # j where Δm_j = -1, ell + 1 + j where Δm_j = -2
     drops: tuple[int, ...]  # j where delta_j = 0, ell + 1 + j where delta_j = 1
 
@@ -186,12 +173,10 @@ def _move_table(ell: int) -> dict[MoveLabel, _Move]:
         # "+-" is a raised index below a lowered one: the lowered one comes first
         label = (MoveLabel(KIND_DOWN_UP, takes[1], takes[0]) if kind == "+-"
                  else MoveLabel(kind, *takes))
-        # the two-mask arrow test is exact only for increments in {0, 1, 2}
+        # the arrow rule is exact only for increments in {0, 1, 2}
         assert set(gamma) <= {0, 1, 2}, label
         moves.append(_Move(
             label, RootVector(gamma), _witness(label, ell), str(label), shift,
-            sum(1 << n for n, d in enumerate(gamma) if d == 0),
-            sum(1 << n for n, d in enumerate(gamma) if d <= 1),
             tuple([(-s - 1) * (ell + 1) + n for n, s in enumerate(shift) if s < 0]),
             tuple([d * (ell + 1) + n for n, d in enumerate(gamma) if d <= 1])))
     moves.sort(key=lambda move: (move.shift, move.text))
@@ -292,26 +277,15 @@ class MaxWeightQuiver:
         return self.vertices[n]
 
 
-def _below_masks(x: tuple[int, ...], null: tuple[int, ...]) -> tuple[int, int]:
-    """The bitmasks ``one = {j : x_j < n_j}`` and ``two = {j : x_j + 1 < n_j}``
-    of the two-mask arrow test, for n the null-root coefficients ``null``."""
-    one = two = 0
-    for n, (xn, dn) in enumerate(zip(x, null)):
-        if xn < dn:
-            one |= 1 << n
-            if xn + 1 < dn:
-                two |= 1 << n
-    return one, two
-
-
 def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDatum | None:
     """The target datum when the move is an arrow out of ``source``, else None.
 
-    The move is decided by the two-mask test that ``build_quiver`` runs, which
-    is exact only for x >= 0, as every minimal solution vector such as
-    ``beta_of`` gives is.  An x of another rank than the weight, a label out
-    of range, a negative entry of x, or a weight without the multiplicity the
-    move takes off raises ValueError.
+    The move is decided by the rule that ``build_quiver`` runs, over the flat
+    flags x_j < n_j and x_j + 1 < n_j, which is exact only for x >= 0, as
+    every minimal solution vector such as ``beta_of`` gives is.  An x of
+    another rank than the weight, a label out of range, a negative entry of
+    x, or a weight without the multiplicity the move takes off raises
+    ValueError.
     """
     weight = source.weight
     if len(source.x.coeffs) != weight.ell + 1:
@@ -322,76 +296,38 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
     m = tuple(map(add, weight.m, move.shift))
     if min(m) < 0:
         raise ValueError(f"{weight} lacks the multiplicity for move {label}")
-    one, two = _below_masks(source.x.coeffs, cartan(weight.ell).delta_coeffs)
-    if not (one & move.zero or two & move.low):
+    null = cartan(weight.ell).delta_coeffs
+    below = [xj + e < n for e in (0, 1) for xj, n in zip(source.x.coeffs, null)]
+    if not any(map(below.__getitem__, move.drops)):
         return None
     return MaximalWeightDatum(DominantWeight(m),
                               RootVector(tuple(map(add, source.x.coeffs, move.delta.coeffs))))
 
 
-# bytes of 0/1 flags to the ASCII digits "0"/"1"
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-# the byte of a 64-bit digit of ``maxweights._digits`` that holds its bit 0
-_LOW_BYTE = 0 if sys.byteorder == "little" else 7
-
-
-def _packed(columns: Iterable[Iterable[int]], offsets: range) -> list[int]:
-    """Each member's coordinates packed into one int, coordinate j shifted
-    left by ``offsets[j]``, from the coordinate columns."""
-    shifted = [map(lshift, col, repeat(at)) for col, at in zip(columns, offsets)]
-    return list(map(sum, zip(*shifted)))
-
-
-def _vertex_bitsets(size: int, m_cols: list[int], x_cols: list[int], null: tuple[int, ...]
-                    ) -> tuple[dict[int, list[int]], list[int], list[int]]:
-    """``(has, one, two)``: the per-coordinate vertex bitsets of m_j >= d
-    (``has[d]``, d = 1, 2), x_j < n_j and x_j + 1 < n_j, read off the packed
-    columns of ``maxweights._class_packed`` by the digitwise compare of the
-    module docstring."""
-    ones = _digits(repeat(1, size))
-    top = ones << 63
-    everyone = (1 << size) - 1
-
-    def at_least(col: int, d: int) -> int:
-        flags = (((col | top) - d * ones) >> 63 & ones).to_bytes(8 * size, sys.byteorder)
-        return int(flags[_LOW_BYTE::8][::-1].translate(_DIGITS), 2)
-
-    has = {d: [at_least(col, d) for col in m_cols] for d in (1, 2)}
-    one = [everyone ^ at_least(col, n) for col, n in zip(x_cols, null)]
-    two = [everyone ^ at_least(col, n - 1) for col, n in zip(x_cols, null)]
-    return has, one, two
-
-
 def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICES) -> MaxWeightQuiver:
-    """The full directed quiver on the equivalence class of ``weight``.
-
-    Each move is decided for all vertices at once by the two-mask test of the
-    module docstring, run over vertex bitsets, which the assertion x >= 0 of
-    the class pass ``maxweights._class_packed`` makes exact: one AND over the
-    bitsets its ``needs`` index and one OR over those its ``drops`` index.
-    The class pass raises the vertex cap.  Everything before the arrow loop
-    runs a coordinate at a time over the members' columns, the bitsets over
-    the packed ones; the loop walks a move's sources by ``str.find`` over the
-    bits of their bitset, and finds each target by its packed x, which fixes
-    its m (module docstring).
-    """
+    """The full directed quiver on the equivalence class of ``weight``,
+    each move decided for all vertices at once over vertex bitsets (module
+    docstring).  The class pass ``maxweights._class_packed`` raises the
+    vertex cap, and asserts x >= 0, which makes the rule exact."""
     size, m_packed, x_packed = _class_packed(weight.m, max_vertices)
     ell = weight.ell
     null = cartan(ell).delta_coeffs
-    has, one, two = _vertex_bitsets(size, m_packed, x_packed, null)
-    # flat, as the move table's ``needs`` and ``drops`` index them
-    has, below = has[1] + has[2], one + two
-    m_cols = [_unpack(col, size) for col in m_packed]
-    x_cols = [_unpack(col, size) for col in x_packed]
+    ones, top, _ = lanes.masks(size)
+    # flat, as the move table's ``needs`` and ``drops`` index them: m_j >= d,
+    # then x_j + e < n_j
+    has = [lanes.bitset(lanes.at_least(col, d * ones, top), size)
+           for d in (1, 2) for col in m_packed]
+    below = [lanes.bitset(top ^ lanes.at_least(col, (n - e) * ones, top), size)
+             for e in (0, 1) for col, n in zip(x_packed, null)]
+    m_cols = [lanes.unpack(col, size) for col in m_packed]
+    x_cols = [lanes.unpack(col, size) for col in x_packed]
     del m_packed, x_packed  # each column is held once, packed or unpacked
-    # digit offsets of the packed x (width and no-carry argument in the module
-    # docstring)
+    # the packed x, its width and the per-arrow check (module docstring)
     wx = (max(map(max, x_cols)) + 2).bit_length() + 1
-    at_x = range(0, wx * (ell + 1), wx)
-    packed_x = _packed(x_cols, at_x)
+    packed_x = lanes.pack_rows(x_cols, wx)
     index = dict(zip(packed_x, count()))
-    guard = sum([1 << (n + wx - 1) for n in at_x])
-    lift = guard - sum(map(lshift, null, at_x))
+    guard = lanes.masks(ell + 1, wx)[1]
+    lift = guard - lanes.pack(null, wx)
     ms, xs = tuple(zip(*m_cols)), tuple(zip(*x_cols))
     buckets: list[list[tuple[int, int, _Move]]] = [[] for _ in ms]
     for move in _move_table(ell).values():
@@ -399,7 +335,7 @@ def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICE
                    & reduce(or_, map(below.__getitem__, move.drops)))
         if not sources:
             continue
-        dx = sum(map(lshift, move.delta.coeffs, at_x))
+        dx = lanes.pack(move.delta.coeffs, wx)
         bits = bin(sources)[:1:-1]  # bit s of sources at position s
         s = bits.find("1")
         while s >= 0:

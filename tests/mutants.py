@@ -52,6 +52,7 @@ class Mutant(NamedTuple):
 
 
 MAXWEIGHTS = "klrc/maxweights.py"
+LANES = "klrc/_lanes.py"
 MULTIPLICITY = "klrc/multiplicity.py"
 CLASS_TESTS = ("tests/test_maxweights.py::test_class_pass_is_lexicographic",
                "tests/test_maxweights.py::test_class_pass_matches_the_stars_and_bars_route")
@@ -75,20 +76,28 @@ MUTANTS = (
     Mutant("class-flipped-parity", MAXWEIGHTS,
            "repeat(2)), repeat(parity)))", "repeat(2)), repeat(1 - parity)))", CLASS_TESTS),
     Mutant("class-no-halving-at-ell", MAXWEIGHTS,
-           "    x_cols[-1] = half(x_cols[-1])\n", "", CLASS_TESTS),
+           "    x_cols[-1] = lanes.halve(x_cols[-1], low, bias)\n", "", CLASS_TESTS),
     Mutant("class-shift-over-columns-1-to-ell", MAXWEIGHTS,
            "for xhat, d in zip(x_cols, delta))", "for xhat, d in zip(x_cols[1:], delta[1:]))",
            CLASS_TESTS),
-    # the packed digit operations of the class pass
-    Mutant("class-min-keeps-the-larger-digit", MAXWEIGHTS,
-           "((n | top) - q) & top", "((q | top) - n) & top", CLASS_TESTS),
-    Mutant("class-halving-without-its-low-mask", MAXWEIGHTS,
-           "return ((v >> 1) & low) + (bias >> 1)", "return (v >> 1) + (bias >> 1)", CLASS_TESTS),
-    Mutant("class-halving-without-its-bias", MAXWEIGHTS,
-           "return ((v >> 1) & low) + (bias >> 1)", "return (v >> 1) & low", CLASS_TESTS),
+    # the lane operations of the class pass, and its packed checks
+    Mutant("class-min-keeps-the-larger-digit", LANES,
+           "flags = at_least(a, b, guard)", "flags = at_least(b, a, guard)",
+           CLASS_TESTS + ("tests/test_lanes.py::test_lane_min",)),
+    Mutant("class-halving-without-its-low-mask", LANES,
+           "return ((v >> 1) & low) + (bias >> 1)", "return (v >> 1) + (bias >> 1)",
+           CLASS_TESTS + ("tests/test_lanes.py::test_halve",)),
+    Mutant("class-halving-without-its-bias", LANES,
+           "return ((v >> 1) & low) + (bias >> 1)", "return (v >> 1) & low",
+           CLASS_TESTS + ("tests/test_lanes.py::test_halve_a_biased_column",)),
     Mutant("class-below-test-at-delta-minus-one", MAXWEIGHTS,
-           "below |= ~((x | top) - d * ones) & top", "below |= ~((x | top) - (d - 1) * ones) & top",
+           "lanes.at_least(x, d * ones, top)", "lanes.at_least(x, (d - 1) * ones, top)",
            CLASS_TESTS),
+    # the depth the lane bias admits, checked before any member is built
+    Mutant("class-depth-guard-admits-the-cap", LANES,
+           "if depth >= DEPTH_CAP:", "if depth > DEPTH_CAP:",
+           ("tests/test_cli.py::test_a_class_too_deep_for_its_lanes_exits_3_before_any_member",
+            "tests/test_lanes.py::test_depth_at_the_cap_is_refused")),
     # the defect identity, in its single-vector and class forms
     Mutant("defect-m-minus-hub", MAXWEIGHTS, "(mj + (mj - a", "(mj - (mj - a",
            ("tests/test_maxweights.py::test_defect_values",
@@ -138,10 +147,12 @@ MUTANTS = (
            ("tests/test_quiver.py::"
             "test_arrow_test_rejects_a_solution_vector_of_another_rank",)),
     Mutant("vertex-bitsets-has-at-d-plus-one", "klrc/quiver.py",
-           "[at_least(col, d) for col in m_cols]", "[at_least(col, d + 1) for col in m_cols]",
-           ROW_TESTS + ("tests/test_quiver.py::test_vertex_bitsets_match_the_flag_columns",)),
-    Mutant("column-digits-swapped", "klrc/quiver.py",
-           'bytes.maketrans(b"\\0\\1", b"01")', 'bytes.maketrans(b"\\0\\1", b"10")', ROW_TESTS),
+           "lanes.at_least(col, d * ones, top)", "lanes.at_least(col, (d + 1) * ones, top)",
+           ROW_TESTS),
+    Mutant("column-digits-swapped", LANES,
+           'bytes.maketrans(b"\\0\\1", b"01")', 'bytes.maketrans(b"\\0\\1", b"10")',
+           ROW_TESTS + ("tests/test_quiver.py::test_vertex_bitsets_match_the_flag_columns",
+                        "tests/test_lanes.py::test_bitset")),
     Mutant("arrow-walk-from-the-top-bit", "klrc/quiver.py",
            "bits = bin(sources)[:1:-1]", "bits = bin(sources)[2:]", ROW_TESTS),
     # each move's coordinate lists, and the target found by its packed x

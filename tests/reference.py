@@ -11,10 +11,14 @@ the package:
   their degrees, the filling-by-filling route to the graded dimensions;
 * the value-object arrow test of the quiver (``apply_move``, ``_shift``,
   ``_raised``, ``arrow_test``), which decides an arrow by raising the
-  solution vector instead of by the two bitmasks of ``klrc.quiver``, and
-  raises it by the closed-form increments (``delta_closed_form``), six
-  branches by the move's kind, where ``klrc.quiver`` reads them off the
-  first-layer roots of ``klrc.cartan._first_layer``;
+  solution vector instead of by the flags each move's ``drops`` index in
+  ``klrc.quiver``, and raises it by the closed-form increments
+  (``delta_closed_form``), six branches by the move's kind, where
+  ``klrc.quiver`` reads them off the first-layer roots of
+  ``klrc.cartan._first_layer``;
+* the two-mask arrow test (``below_masks``, ``delta_masks``): the masks of
+  the coordinates where x_j < n_j and x_j + 1 < n_j, and of those where
+  d_j = 0 and d_j <= 1, computed from each move's increment;
 * the rule that decides which labels are moves (``validate``), from each
   kind's steps (``STEPS``) and index ranges, where ``klrc.quiver`` asks
   its move table;
@@ -26,7 +30,7 @@ the package:
   source's moves from the validity rules of each kind (``_candidate_keys``),
   runs the two-mask test once per move and sorts each source's arrows, where
   ``klrc.quiver.build_quiver`` reads the move set off the move table and runs
-  the test once per move over vertex bitsets;
+  each move's ``needs`` and ``drops`` once over vertex bitsets;
 * the stars-and-bars class pass (``class_pass_by_compositions``), which
   builds every weak composition of the level, keeps those whose ev has the
   root's parity and solves each with ``klrc.maxweights._solve``, where
@@ -74,7 +78,7 @@ from klrc.laurent import LaurentPolynomial, _wrap
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns,
                              _class_size, _solve)
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP,
-                         MaxWeightQuiver, MoveLabel, _below_masks, _Move, _move_table, _witness)
+                         MaxWeightQuiver, MoveLabel, _Move, _move_table, _witness)
 from klrc.tableaux import node_degree
 
 # -- Laurent polynomials -------------------------------------------------
@@ -260,8 +264,6 @@ def move_table(ell: int) -> dict[MoveLabel, _Move]:
             delta = RootVector(_solve(tuple(map(neg, shift)), ell))
             moves.append(_Move(
                 label, delta, _witness(label, ell), str(label), tuple(shift),
-                sum(1 << n for n, d in enumerate(delta.coeffs) if d == 0),
-                sum(1 << n for n, d in enumerate(delta.coeffs) if d <= 1),
                 tuple([n if step == -1 else ell + 1 + n
                        for n, step in enumerate(shift) if step < 0]),
                 tuple([n if d == 0 else ell + 1 + n
@@ -298,6 +300,27 @@ def _raised(x: tuple[int, ...], delta: tuple[int, ...],
     """``x + delta`` when it still drops below ``null`` somewhere, else None."""
     raised = tuple(map(add, x, delta))
     return raised if any(map(lt, raised, null)) else None
+
+
+def below_masks(x: tuple[int, ...], null: tuple[int, ...]) -> tuple[int, int]:
+    """The bitmasks ``one = {j : x_j < n_j}`` and ``two = {j : x_j + 1 < n_j}``
+    of the two-mask arrow test, for n the null-root coefficients ``null``."""
+    one = two = 0
+    for n, (xn, dn) in enumerate(zip(x, null)):
+        if xn < dn:
+            one |= 1 << n
+            if xn + 1 < dn:
+                two |= 1 << n
+    return one, two
+
+
+def delta_masks(delta: Sequence[int]) -> tuple[int, int]:
+    """The bitmasks ``zero = {j : d_j = 0}`` and ``low = {j : d_j <= 1}`` of
+    the two-mask arrow test, for d a move's increment ``delta``: the move is
+    an arrow out of x exactly when ``one & zero or two & low`` is nonzero,
+    with ``one`` and ``two`` from ``below_masks``."""
+    return (sum(1 << n for n, d in enumerate(delta) if d == 0),
+            sum(1 << n for n, d in enumerate(delta) if d <= 1))
 
 
 def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDatum | None:
@@ -342,11 +365,12 @@ def build_quiver(weight: DominantWeight) -> MaxWeightQuiver:
     table = _move_table(weight.ell)
     rows = []
     for s, (m, x) in enumerate(members):
-        one, two = _below_masks(x, null)
+        one, two = below_masks(x, null)
         found = []
         for key in _candidate_keys(m):
             move = table[MoveLabel(*key)]
-            if not (one & move.zero or two & move.low):
+            zero, low = delta_masks(move.delta.coeffs)
+            if not (one & zero or two & low):
                 continue
             t = index[_shift(m, move.label)]
             raised = tuple(map(add, x, move.delta.coeffs))

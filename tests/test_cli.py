@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import klrc.maxweights
 from klrc import cli
 from klrc.cartan import DominantWeight
 from klrc.cli import main
@@ -358,6 +359,20 @@ def test_class_guard_runs_before_the_weight_is_built(command, message, capsys):
     and the class-size cap exits 3 on the class count, before any member is
     enumerated."""
     guarded_run([command, "--ell", "2", "--m", "0,0,3000000"], message, capsys)
+
+
+def test_a_class_too_deep_for_its_lanes_exits_3_before_any_member(monkeypatch, capsys):
+    """The class of 2^56 Λ0 at rank 2 has about 2^109 members, within a raised
+    vertex cap, but rank times level is 2^57, the depth at which the class
+    pass's biased 64-bit digits could reach their guard bits: the lane bound
+    exits 3 on the class's rank and level, before any member is built, and
+    so under ``python -O`` too."""
+    def enumerated(*_):
+        raise AssertionError("the class was enumerated")
+
+    monkeypatch.setattr(klrc.maxweights, "combinations_with_replacement", enumerated)
+    guarded_run(["quiver", "--ell", "2", "--m", f"{2 ** 56},0,0", "--max-vertices", f"{10 ** 40}"],
+                "rank times level is 144115188075855872, cap is 144115188075855871", capsys)
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,16 +7,16 @@ import pytest
 
 import klrc.quiver
 import reference
+from klrc import _lanes as lanes
 from klrc.cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, cartan, hub
 from klrc.cli import main
-from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_packed, _digits,
-                             _unpack, beta_of, class_members, class_size, minimal_solution)
+from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_packed, beta_of,
+                             class_members, class_size, minimal_solution)
 from klrc.multiplicity import _root_table
 from klrc.quiver import (FORMATS, KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP,
-                         Arrow, MoveLabel, _below_masks, _move_table, _tails, _vertex_bitsets,
-                         arrow_test, build_quiver, candidate_moves, delta_vector, export,
-                         witness_sequence)
-from reference import _raised, apply_move
+                         Arrow, MoveLabel, _move_table, _tails, arrow_test, build_quiver,
+                         candidate_moves, delta_vector, export, witness_sequence)
+from reference import _raised, apply_move, below_masks, delta_masks
 
 
 def W(*m):
@@ -108,24 +108,25 @@ def test_move_increments_are_the_first_layer_roots():
 def test_move_table_matches_the_enumerate_and_solve_route(ell):
     """Each move read off a first-layer root equals the reference table's
     move, built label by label with its increment solved from A.d = -Δm, on
-    label, delta, witness, text, shift, both masks and both coordinate
-    lists, entry by entry and in order."""
+    label, delta, witness, text, shift and both coordinate lists, entry by
+    entry and in order."""
     assert list(_move_table(ell).items()) == list(reference.move_table(ell).items())
 
 
 @pytest.mark.parametrize("ell", range(2, 17))
 def test_move_coordinate_lists_match_the_masks(ell):
-    """Each move's coordinate lists against the ones read off its Δm and its
-    masks: ``needs`` indexes has[1] + has[2] at j where Δm_j = -1 and -2,
-    ``drops`` indexes one + two at the coordinates of ``zero`` and at those
-    of ``low`` outside ``zero`` (two_j ⊆ one_j, so one_j alone where
-    d_j = 0)."""
+    """Each move's coordinate lists against the ones read off its Δm and the
+    two masks of its increment: ``needs`` indexes has[1] + has[2] at j where
+    Δm_j = -1 and -2, ``drops`` indexes one + two at the coordinates of
+    ``zero`` and at those of ``low`` outside ``zero`` (two_j ⊆ one_j, so
+    one_j alone where d_j = 0)."""
     size = ell + 1
     for move in _move_table(ell).values():
+        zero, low = delta_masks(move.delta.coeffs)
         needs = ([n for n in range(size) if move.shift[n] == -1]
                  + [size + n for n in range(size) if move.shift[n] == -2])
-        drops = ([n for n in range(size) if move.zero >> n & 1]
-                 + [size + n for n in range(size) if (move.low & ~move.zero) >> n & 1])
+        drops = ([n for n in range(size) if zero >> n & 1]
+                 + [size + n for n in range(size) if (low & ~zero) >> n & 1])
         assert sorted(move.needs) == needs, move.label
         assert sorted(move.drops) == drops, move.label
 
@@ -378,29 +379,41 @@ def _inverse(label: MoveLabel) -> MoveLabel:
 
 @pytest.mark.parametrize("ell", range(2, 5))
 def test_two_mask_arrow_test_is_exact(ell):
-    """``one & zero or two & low`` decides ``any(x + d < n)`` for every move and
-    every x in {0, 1, 2, 3}^(ell+1).  Both masks decide arrows on real classes
-    (``test_second_mask_alone_decides_an_arrow``)."""
+    """The rule of ``build_quiver`` and ``arrow_test``, a flag set among those
+    a move's ``drops`` index in the flat flags x_j < n_j, then
+    x_j + 1 < n_j, decides ``any(x + d < n)`` for every move and every x in
+    {0, 1, 2, 3}^(ell+1), and so does the two-mask test ``one & zero or
+    two & low`` of ``tests/reference.py``.  Both masks decide arrows on real
+    classes (``test_second_mask_alone_decides_an_arrow``)."""
     null = cartan(ell).delta_coeffs
     table = _move_table(ell)
     assert {move.label for move in table.values()} == set(in_range_labels(ell))
     for x in product(range(4), repeat=ell + 1):
-        one, two = _below_masks(x, null)
+        below = [xj + e < n for e in (0, 1) for xj, n in zip(x, null)]
+        one, two = below_masks(x, null)
         for move in table.values():
-            rule = bool(one & move.zero or two & move.low)
-            assert rule == (_raised(x, move.delta.coeffs, null) is not None), (x, move.label)
+            raised = _raised(x, move.delta.coeffs, null) is not None
+            assert any(below[i] for i in move.drops) == raised, (x, move.label)
+            zero, low = delta_masks(move.delta.coeffs)
+            assert bool(one & zero or two & low) == raised, (x, move.label)
 
 
 def test_second_mask_alone_decides_an_arrow(capsys):
     """Out of the root of the class of Λ0+Λ2 at rank 2 (x = 0), the move
     Δ_{2^-,0^+} raises x by d = (1, 1, 1), and x + d drops below n = (1, 2, 1)
     only at the coordinate where n_j − x_j = 2: ``one & zero`` is 0, and the
-    arrow is found by ``two & low`` alone."""
+    arrow is found by ``two & low`` alone, as ``drops`` finds it at the flag
+    x_1 + 1 < n_1 alone."""
     root = W(1, 0, 1)
     move = _move_table(2)[downup(2, 0)]
-    one, two = _below_masks(beta_of(root, root).x.coeffs, cartan(2).delta_coeffs)
-    assert (one, two, move.zero, move.low) == (0b111, 0b010, 0, 0b111)
-    assert one & move.zero == 0 and two & move.low == 0b010
+    x, null = beta_of(root, root).x.coeffs, cartan(2).delta_coeffs
+    one, two = below_masks(x, null)
+    zero, low = delta_masks(move.delta.coeffs)
+    assert (one, two, zero, low) == (0b111, 0b010, 0, 0b111)
+    assert one & zero == 0 and two & low == 0b010
+    # ``drops`` reads x_j + 1 < n_j at every j, and finds it at j = 1 alone
+    below = [xj + e < n for e in (0, 1) for xj, n in zip(x, null)]
+    assert move.drops == (3, 4, 5) and [i for i in move.drops if below[i]] == [4]
     assert arrow_test(beta_of(root, root), move.label) == beta_of(root, W(0, 2, 0))
     assert main(["quiver", "--ell", "2", "--m", "1,0,1"]) == 0
     assert "Λ0+Λ2 -> 2Λ1  Δ_{2^-,0^+}  a0+a1+a2" in capsys.readouterr().out.splitlines()
@@ -537,30 +550,35 @@ def test_build_quiver_checks_each_arrow_against_the_target(monkeypatch):
     solution fails."""
     root = (0, 0, 2, 0, 0)
     size, m_packed, x_packed = _class_packed(root)
-    x_packed[0] += _digits([0, 0, 0, 0, 1] + [0] * (size - 5))
+    x_packed[0] += lanes.pack([0, 0, 0, 0, 1] + [0] * (size - 5))
     monkeypatch.setattr(klrc.quiver, "_class_packed", lambda *_: (size, m_packed, x_packed))
     with pytest.raises(AssertionError, match="not the target's minimal solution"):
         build_quiver(DominantWeight(root))
 
 
 def test_vertex_bitsets_match_the_flag_columns():
-    """The vertex bitsets read off the packed columns against bitsets built a
-    flag at a time over the unpacked columns, with ``ge`` and ``lt``, one
-    flag byte per member read as a binary numeral, on every class of
+    """The vertex bitsets of m_j >= 1, m_j >= 2, x_j < n_j and x_j + 1 < n_j,
+    read off the packed class columns by the lane compare as ``build_quiver``
+    reads them, against bitsets built a flag at a time over the unpacked
+    columns, with ``ge`` and ``lt``, bit i for member i, on every class of
     CAP_ROOTS."""
     def column(flags):
-        return int(bytes(flags)[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
+        return sum(flag << i for i, flag in enumerate(flags))
 
     for root in CAP_ROOTS:
         null = cartan(len(root) - 1).delta_coeffs
         size, m_packed, x_packed = _class_packed(root)
-        has, one, two = _vertex_bitsets(size, m_packed, x_packed, null)
-        m_cols = [_unpack(col, size) for col in m_packed]
-        x_cols = [_unpack(col, size) for col in x_packed]
-        assert has == {d: [column(map(ge, col, repeat(d))) for col in m_cols]
-                       for d in (1, 2)}, root
-        assert one == [column(map(lt, col, repeat(n))) for col, n in zip(x_cols, null)], root
-        assert two == [column(map(lt, col, repeat(n - 1))) for col, n in zip(x_cols, null)], root
+        ones, top, _ = lanes.masks(size)
+        m_cols = [lanes.unpack(col, size) for col in m_packed]
+        x_cols = [lanes.unpack(col, size) for col in x_packed]
+        for d in (1, 2):
+            assert ([lanes.bitset(lanes.at_least(col, d * ones, top), size) for col in m_packed]
+                    == [column(map(ge, col, repeat(d))) for col in m_cols]), (root, d)
+        for e in (0, 1):
+            assert ([lanes.bitset(top ^ lanes.at_least(col, (n - e) * ones, top), size)
+                     for col, n in zip(x_packed, null)]
+                    == [column(map(lt, col, repeat(n - e))) for col, n in zip(x_cols, null)]), \
+                (root, e)
 
 
 def test_build_quiver_checks_each_arrow_drops_below_the_null_root(monkeypatch):
