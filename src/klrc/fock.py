@@ -57,31 +57,53 @@ one digit width w and one base exponent b, and the int P stands for the
 polynomial whose coefficient of q^(b + j) is digit j of P in base 2^w.  A
 degree shift is then a left shift and a sum an int add; every shift is
 offset so that none is negative, and the base exponent absorbs the offsets.
-A node's running count never drops below minus the number of i-boxes
-already placed, since every removable i-node is one of them, so in a word
-each factor's shifts are offset by the boxes of its residue that the
-factors before it placed.
-At q=1 a divided power f_i^(r) is f_i^r / r!, so every coefficient met while
-expanding a word of n boxes with powers r_1, ..., r_k is nonnegative and at
-most n! / (r_1! ... r_k!) <= n! at q=1, and w = bits of that bound + 1 keeps
-every digit free of carries.  ``_expand`` is the one packed expansion of a
-word, at that width: ``expand`` runs it on a checked word, and
-``graded_hom_dim`` on each residue sequence read as its runs, a run of r
-residues i one divided power f_i^(r), with ``_hom`` scaling the sum by the
-[r]! of the runs.
+A node's running count never drops below minus the number of i-boxes already
+placed, since every removable i-node is one of them, so in a word each
+factor's shifts are offset by the boxes of its residue that the factors
+before it placed.  At q=1 a divided power f_i^(r) is f_i^r / r!, so every
+coefficient met while expanding a word of n boxes with powers r_1, ..., r_k
+is nonnegative and at most n! / (r_1! ... r_k!) <= n! at q=1, and w = bits
+of that bound + 1 keeps every digit free of carries.  ``_expand`` is the one
+packed expansion of a word, at that width: ``expand`` runs it on a checked
+word, and ``graded_hom_dim`` on each residue sequence read as its runs, a
+run of r residues i acting as f_i^r = [r]! f_i^(r), one divided power, with
+``_hom`` scaling the sum by the [r]! of the runs of both sides.
+
+The offset is a bound, not the least shift, so after each pass
+(``_divided``) the low digits that no term uses move into the base
+exponent.  Kept, they would widen every int to the end of the word:
+``klrc dims --ell 2 --weight 0,1 --beta 4,8,4`` with nu = (0,1,2,1) four
+times (16 boxes) takes about 29 ms without the drop against 14 ms with it
+(Python 3.11 on 2 shared CPUs, in-process, best of 7), while the 802 queries
+of the benchmark's dims pool (at most 10 boxes) take 0.13 s either way.
+
+``_hom`` pairs two packed forms keyed at the same n.  Most shapes share a
+coefficient, so it sums over the distinct pairs (a, b) of packed
+coefficients, each with its count c over the left side's shapes, as
+c * a * b: each pair is widened and multiplied once, and a shape missing on
+the right pairs with b = 0.  A term's value at q=1 is its digit sum, which
+the width keeps below 2^w - 1, so it is the term mod 2^w - 1.  Every digit
+of the sum is at most the sum of c times the product of those values, so a
+width of that bound's bit length leaves the sum free of carries.  [r]! is
+r! at q=1 and has nonnegative coefficients, so the bound times the product
+of the r! does the same for the scaled sum.  Each [s] in q^d is
+q^(-d(s-1)) times 1 + q^(2d) + ... + q^(2d(s-1)), a packed geometric sum,
+so the scale is one packed product, and the sum is decoded once.
 
 Shapes are decoded only where a ``Multipartition`` is read:
 ``FockVector.terms`` (on first read, with the coefficients), the rendering
-of ``str`` and ``klrc fock`` (coefficients straight from the packed digits),
-and ``FockVector.content``, one window at a time, each distinct window once
-per call.  The packed form carries the n its keys are encoded at.  ``_hom``
-matches the int keys of two packed forms, for ``hom_dim`` of two engine
-vectors and for the graded dimensions; ``hom_dim`` pairs a vector built by
-hand, on either side, as Laurent polynomials.  ``apply_f`` and
-``apply_divided_f`` step each term's shape alone, at coefficient 1 and digit
-width 1: a divided power reaches each output shape from one input shape
-through at most one set of nodes, so each packed coefficient is one bit, a
-monomial q^e, and the term's Laurent coefficient times q^e is added there.
+of ``str`` and ``klrc fock`` (coefficients straight from the packed digits,
+each distinct one once, through the ``laurent.polynomial_text`` that ``str``
+of a Laurent polynomial uses), and ``FockVector.content``, one window at a
+time, each distinct window once per call.  The packed form carries the n its
+keys are encoded at.  ``_hom`` matches the int keys of two packed forms, for
+``hom_dim`` of two engine vectors and for the graded dimensions; ``hom_dim``
+pairs a vector built by hand, on either side, as Laurent polynomials.
+``apply_f`` and ``apply_divided_f`` step each term's shape alone, at
+coefficient 1 and digit width 1: a divided power reaches each output shape
+from one input shape through at most one set of nodes, so each packed
+coefficient is one bit, a monomial q^e, and the term's Laurent coefficient
+times q^e is added there.
 """
 
 from __future__ import annotations
@@ -484,18 +506,9 @@ def _step(terms: Terms, add: int, rem: int, unit: int, boxes: int, power: int) -
 
 def _divided(terms: Terms, low: int, boxes: int, masks: tuple[int, int], d: int,
              power: int, width: int) -> tuple[Terms, int]:
-    """The divided power in one pass on shapes of at most ``boxes`` i-boxes,
-    then the digits every term has as trailing zeros dropped; returns the
-    terms and their base exponent.
-
-    The offset is a bound, not the least shift a pass makes, so a pass can
-    leave low digits that no term uses.  Kept, they would stay in every
-    packed int to the end of the word, and each later pass would add its
-    own: ``klrc dims --ell 2 --weight 0,1 --beta 4,8,4`` with nu = (0,1,2,1)
-    four times (16 boxes) takes about 29 ms without the drop against 14 ms
-    with it (Python 3.11 on 2 shared CPUs, in-process, best of 7), while the
-    802 queries of the benchmark's dims pool (at most 10 boxes) take 0.13 s
-    either way."""
+    """The divided power of ``_step`` on shapes of at most ``boxes`` i-boxes,
+    with the digits every term has as trailing zeros dropped (module
+    docstring); returns the terms and their base exponent."""
     terms = _step(terms, *masks, width * d, boxes, power)
     low -= d * (power * boxes + power * (power - 1) // 2)
     used = 0
@@ -508,12 +521,11 @@ def _divided(terms: Terms, low: int, boxes: int, masks: tuple[int, int], d: int,
 
 
 def _expand(weight: DominantWeight, factors: Sequence[tuple[int, int]]) -> _Packed:
-    """The factors, in application order, on the vacuum, packed at one width:
-    every coefficient met is at most n! / (r_1! ... r_k!) at q=1, n the
-    number of boxes the factors add and r_1, ..., r_k their powers, and the
-    keys are encoded at n.  Each factor's shifts are offset by the boxes of
-    its residue placed before it.  The vacuum has every row empty, beads at
-    bits 0..n of each window.  A factor that leaves no term ends the word."""
+    """The factors, in application order, on the vacuum, as the packed form
+    ``(width, base exponent, n, terms)`` at the width of the module
+    docstring, keyed at n, the boxes the factors add.  The vacuum has every
+    row empty, beads at bits 0..n of each window.  A factor that leaves no
+    term ends the word."""
     charges, ell = weight.charges, weight.ell
     d = cartan(ell).d
     n = sum(power for _, power in factors)
@@ -627,23 +639,9 @@ def hom_dim(left: FockVector, right: FockVector) -> LaurentPolynomial:
 
 def _hom(left: _Packed, right: _Packed,
          scale: Sequence[tuple[int, int]] = ()) -> LaurentPolynomial:
-    """Sum of coefficient products over the shared shapes, times the product
-    of the quantum factorials [r]! in q^d over the (r, d) pairs of ``scale``,
-    decoded once.
-
-    Both sides are keyed at the same n.  Most shapes share a coefficient, so
-    the sum runs over the distinct pairs (a, b) of packed coefficients, each
-    with its count c over the left side's shapes, as c * a * b: each pair is
-    widened and multiplied once.  A shape missing on the right pairs with
-    b = 0, which adds nothing.  A term's value at q=1 is its digit sum, which
-    the width keeps below 2^width - 1, so it is the term mod 2^width - 1.
-    Every digit of the sum is at most the sum of c times the product of
-    those values, so a width of that bound's bit length leaves the sum free
-    of carries.  [r]! is r! at q=1 and has nonnegative coefficients, so the
-    bound times the product of the r! does the same for the scaled sum.
-    Each [s] in q^d is q^(-d(s-1)) times 1 + q^(2d) + ... + q^(2d(s-1)), a
-    packed geometric sum, so the scale is one packed product.
-    """
+    """The sum of coefficient products over the shapes two packed forms
+    share, times the product of the quantum factorials [r]! in q^d over the
+    (r, d) pairs of ``scale``, as a Laurent polynomial (module docstring)."""
     (wl, ll, _, tl), (wr, lr, _, tr) = left, right
     if not (tl and tr):
         return ZERO
@@ -679,12 +677,10 @@ def graded_hom_dim(weight: DominantWeight, beta: RootVector,
 
     Sums K(nu, shape) * K(nu', shape) over all multipartitions of |beta| with
     one component per charge, as the Hom dimension of the Fock expansions of
-    nu and nu'.  Each sequence is expanded by its runs: a run of r residues i
-    acts as f_i^r = [r]_i! f_i^(r), one divided power, and the Hom dimension
-    is scaled by [r]_i! for every run of both sides, [r]_i! the quantum
-    factorial in q^(d_i).  nu' defaults to nu, and equal sequences are
-    checked and expanded once.  Checks beta, then the caps (GuardError), then
-    the content of nu and of nu' on their runs, before the first expansion.
+    nu and nu', each expanded by its runs (module docstring).  nu' defaults
+    to nu, and equal sequences are checked and expanded once.  Checks beta,
+    then the caps (GuardError), then the content of nu and of nu' on their
+    runs, before the first expansion.
     """
     if not beta.in_positive_cone():
         raise ValueError("beta must lie in the positive cone")

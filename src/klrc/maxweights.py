@@ -5,27 +5,59 @@ A.X^t = hub(Lambda) - hub(Lambda') that is nonnegative and drops below the
 null-root coefficients somewhere; Lambda - beta(X) is then a dominant maximal
 weight, and every dominant maximal weight arises this way.
 
-One prefix-and-shift rule gives every minimal solution.  ``_reduce`` is its
-single-vector form, which ``minimal_solution``, ``beta_of`` and
-``delta_decompose`` run.  ``_class_packed`` is its class form: it runs the
-rule a coordinate at a time over all members of a class, one column of m_j
-and one of x_j per coordinate j, with every check asserted for every member.
-Each column is one lane int of ``klrc._lanes``, one digit per member, whose
-docstring shows each packed step exact.  ``_class_columns`` unpacks the
-columns, and ``build_quiver`` reads its vertex bitsets off the packed ones.
-The tests tie the two forms together through the stars-and-bars class pass
-of ``tests/reference.py``, which solves each member with ``_solve``.
+The class pass works in ε-coordinates (Kac, *Infinite-dimensional Lie
+algebras*, §6.5).  Every comark is 1, so a level-k weight with
+multiplicities m has the finite part lam_j = m_j + ... + m_ell, j = 1..ell.
+The class of a root is the finite parts mu with
+k >= mu_1 >= ... >= mu_ell >= 0 and sum(mu) = sum(lam) modulo 2 (the parity
+of sum(mu) is that of ev), read back as m = (k - mu_1, mu_1 - mu_2, ...,
+mu_ell).  ``combinations_with_replacement`` over k, k-1, ..., 0 yields the
+mu in descending lexicographic order, which is ascending lexicographic
+order of m, with no recursion at any rank.
+
+One prefix-and-shift rule gives every minimal solution: the prefix form
+xhat_0 = 0, xhat_j = (lam_1 - mu_1) + ... + (lam_j - mu_j), halved at
+j = ell (an integer on the class), then the shift x = xhat - n*delta with
+n = min_j floor(xhat_j / delta_j), which leaves x >= 0 and x_j < delta_j
+for some j.  ``_minimal`` is the rule's single-vector form and ``_reduce``
+its shift, which asserts both conditions: ``minimal_solution`` and
+``beta_of`` enter it through ``_solve`` with
+lam_s - mu_s = -(y_0 + ... + y_{s-1}), and ``delta_decompose`` runs the
+shift alone.  ``_straighten`` is the one straightening routine, which
+``dominantify``, ``reflection_word``, the classifier and the Freudenthal
+sum run.
+
+``_class_packed`` is the rule's class form, run a coordinate at a time over
+all members: each column of m_j and of x_j is one lane int of
+``klrc._lanes``, one 64-bit digit per member, whose docstring shows each
+packed step exact.  m_j = mu_j - mu_{j+1} (mu_0 = k, mu_{ell+1} = 0) is one
+subtraction as mu descends.  The prefix columns, which can be negative,
+carry the lane bias; every |xhat_j| and the shift |n| are at most ell*k,
+which ``_lanes.check_depth`` keeps below 2^57.  The member cap, counted by
+``_class_size``, and then the depth are checked before any member is built.
+``_reduce``'s checks hold for every member, asserted in packed form:
+0 <= x < 2^59, x - delta < 0 somewhere, and A.x + m = root, row by row of
+the band of A.  ``_class_columns`` unpacks the columns in place, m_j to
+lists and x_j to int64 arrays (at deep rank most x entries lie outside the
+small ints, and a list would hold each as an object of its own), so each
+column is held once, packed or not: the class of Λ0 at ell = 1,200 peaks
+under 15 MiB of traced allocations.  ``class_members`` and the
+``maxweights`` subcommand read the columns a member at a time, and
+``build_quiver`` reads its vertex bitsets off the packed columns with the
+lane masks the pass returns.  The tests tie the two forms together through
+the stars-and-bars class pass of ``tests/reference.py``.
 
 The defect (Lambda, beta) - (beta, beta)/2 has one identity in the same two
 forms.  With (Lambda, alpha_j) = d_j m_j, (alpha_i, alpha_j) = d_i a_ij and
 the hub h = m - A.x of Lambda - beta, twice the defect is
 sum_j d_j x_j (2 m_j - (A.x)_j) = sum_j d_j x_j (m_j + h_j).  ``_defect`` is
 its single-vector form, which ``defect`` runs, with h read from the band of
-A.  ``_defects`` is its class form: on every member m' of the class of the
-root Lambda, with x its minimal solution, A.x = m - m', so the hub is m'
-itself and the sum is sum_j d_j x_j (m_j + m'_j), taken a column at a time
-over the columns of ``_class_columns`` with no product by A.  The tests check
-both forms against the ε-coordinate model of ``tests/reference.py``.
+A.  ``_defects`` is its class form, which the ``maxweights`` subcommand
+runs: on every member m' of the class of the root Lambda, with x its
+minimal solution, A.x = m - m', so the hub is m' itself and the sum is
+sum_j d_j x_j (m_j + m'_j), taken a column at a time over the columns of
+``_class_columns`` with no product by A.  The tests check both forms
+against the ε-coordinate model of ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -54,17 +86,10 @@ def ev(weight: DominantWeight) -> int:
 
 
 def _class_packed(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
-                  ) -> tuple[int, list[int], list[int]]:
-    """``(size, m_cols, x_cols)``: the columns of ``_class_columns``, each
-    one 64-bit lane int of ``klrc._lanes``, one digit per member.
-
-    m_j = mu_j - mu_{j+1} (mu_0 = k, mu_{ell+1} = 0) is one subtraction, as
-    mu descends.  The prefix columns xhat_j, which can be negative, carry
-    the lane bias; every |xhat_j| and the shift |n| are at most ell*k, the
-    depth ``_lanes.check_depth`` bounds.  ``_reduce``'s checks are asserted
-    for every member, in packed form: 0 <= x < 2^59, x - delta < 0
-    somewhere, and A.x + m = root, row by row of the band of A.
-    """
+                  ) -> tuple[int, tuple[int, int, int], list[int], list[int]]:
+    """``(size, masks, m_cols, x_cols)``: the columns of ``_class_columns``,
+    each one 64-bit lane int, and ``masks`` the ``_lanes.masks(size)`` they
+    were built with (module docstring).  GuardError as ``_class_columns``."""
     size = _class_size(root)
     if size > max_members:
         raise GuardError(f"class has {size} members, cap is {max_members}")
@@ -75,7 +100,7 @@ def _class_packed(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
     parity = sum(lam) % 2
     mus, sums = tee(combinations_with_replacement(range(k, -1, -1), ell))
     kept = compress(mus, map(eq, map(mod, map(sum, sums), repeat(2)), repeat(parity)))
-    ones, top, low = lanes.masks(size)
+    masks = ones, top, low = lanes.masks(size)
     bias = lanes.BIAS * ones
     m_cols, x_cols = [], [bias]
     left = k * ones
@@ -104,29 +129,18 @@ def _class_packed(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
         for i, (a, b, c) in enumerate(datum._band):
             assert (a * padded[i] + b * padded[i + 1] + c * padded[i + 2] + m_cols[i]
                     == root[i] * ones), i
-    return size, m_cols, x_cols
+    return size, masks, m_cols, x_cols
 
 
 def _class_columns(root: tuple[int, ...], max_members: int = DEFAULT_MAX_VERTICES
                    ) -> tuple[list[list[int]], list[array]]:
     """The class of the multiplicities ``root`` as coordinate columns: the
     ell+1 lists of m_j and the ell+1 int64 arrays of x_j over all members m,
-    x the minimal solution of m, with the members in lexicographic order of m.
-
-    GuardError when the class has more than ``max_members`` members, counted
-    by ``_class_size``, or when rank times level reaches ``_lanes.DEPTH_CAP``,
-    both before any member is built.  A member is a finite part
-    mu with k >= mu_1 >= ... >= mu_ell >= 0 and sum(mu) = sum(lam) modulo 2,
-    lam the finite part of ``root`` (the parity of sum(mu) is that of ev),
-    read back as m = (k - mu_1, mu_1 - mu_2, ..., mu_ell).
-    ``combinations_with_replacement`` over k, k-1, ..., 0 yields the mu in
-    descending lexicographic order, which is ascending lexicographic order
-    of m.  x is ``_minimal`` of lam - mu, run a coordinate at a time over
-    all members by ``_class_packed``, which asserts ``_reduce``'s checks and
-    A.x = root - m for every member.  Its columns are unpacked here in
-    place, so each column is held once, packed or not.
-    """
-    size, m_cols, x_cols = _class_packed(root, max_members)
+    x the minimal solution of m, with the members in lexicographic order of m
+    (module docstring).  GuardError, before any member is built, when the
+    class has more than ``max_members`` members or rank times level reaches
+    ``_lanes.DEPTH_CAP``."""
+    size, _, m_cols, x_cols = _class_packed(root, max_members)
     for j in range(len(m_cols)):
         m_cols[j] = lanes.unpack(m_cols[j], size).tolist()
         x_cols[j] = lanes.unpack(x_cols[j], size)
@@ -195,9 +209,8 @@ def _reduce(v: Sequence[int], delta: tuple[int, ...]) -> tuple[tuple[int, ...], 
 
 def _minimal(diff: Iterable[int], delta: tuple[int, ...]) -> tuple[int, ...]:
     """The minimal solution from diff_s = lam_s - mu_s, s = 1..ell, the
-    difference of the finite parts of Lambda and Lambda': the prefix form
-    xhat_0 = 0, xhat_j = diff_1 + ... + diff_j, halved at j = ell (an integer
-    on the class), brought down by ``_reduce``."""
+    difference of the finite parts of Lambda and Lambda', by the prefix rule
+    (module docstring)."""
     xhat = [0, *accumulate(diff)]
     xhat[-1] //= 2
     return _reduce(xhat, delta)[0]
@@ -217,13 +230,9 @@ def _solve(y: tuple[int, ...], ell: int) -> tuple[int, ...]:
 
 
 def minimal_solution(y: tuple[int, ...], ell: int) -> RootVector:
-    """The unique X with A.X^t = y^t, min X >= 0 and min(X - delta) < 0.
-
-    Requires sum(y) = 0 and sum(i*y_i) even.  The particular solution is the
-    closed-form prefix-sum vector; the general solution shifts it by integer
-    multiples of the null-root coefficients, and exactly one shift meets both
-    minimality conditions.
-    """
+    """The unique X with A.X^t = y^t, min X >= 0 and min(X - delta) < 0, by the
+    prefix-and-shift rule of the module docstring.  NotEquivalentError
+    unless sum(y) = 0 and sum(i*y_i) is even."""
     return RootVector(_solve(tuple(y), ell))
 
 

@@ -24,28 +24,30 @@ takes off exactly when m + Δm >= 0, and ``candidate_moves`` lists the labels
 that pass, in table order.
 
 From a source x the move is an arrow when x + d drops below the null-root
-coefficients n somewhere.  As x >= 0, n_j <= 2 and every d_j lies in
-{0, 1, 2}, x_j + d_j < n_j holds exactly when d_j = 0 and x_j < n_j, or
-d_j = 1 and x_j + 1 < n_j.  So one rule decides a move, over flags laid out
-flat, coordinate j of a second half at index ell + 1 + j: ``has`` holds
-m_j >= 1, then m_j >= 2, and ``below`` holds x_j < n_j, then x_j + 1 < n_j.
-``needs`` indexes ``has`` at the move's takes (m_j >= 1 where Δm_j = -1,
-m_j >= 2 where Δm_j = -2), and ``drops`` indexes ``below`` at x_j < n_j
-where d_j = 0 and at x_j + 1 < n_j where d_j = 1: the move is an arrow
-exactly when a flag its ``drops`` index is set.  Neither list is empty, as
-every move takes a multiplicity off and d lies below the null root, so
-d_j < n_j <= 2 somewhere.  ``arrow_test`` decides one move by this rule,
-over one source's flags.
+coefficients n somewhere.  As x >= 0 (asserted for every minimal solution,
+by ``maxweights._reduce`` or the class pass), n_j <= 2 and every d_j lies in
+{0, 1, 2} (asserted when the table is built), x_j + d_j < n_j holds exactly
+when d_j = 0 and x_j < n_j, or d_j = 1 and x_j + 1 < n_j.  So one rule
+decides a move, over flags laid out flat, coordinate j of a second half at
+index ell + 1 + j: ``has`` holds m_j >= 1, then m_j >= 2, and ``below``
+holds x_j < n_j, then x_j + 1 < n_j.  ``needs`` indexes ``has`` at the
+move's takes (m_j >= 1 where Δm_j = -1, m_j >= 2 where Δm_j = -2), and
+``drops`` indexes ``below`` at x_j < n_j where d_j = 0 and at x_j + 1 < n_j
+where d_j = 1: the move is an arrow exactly when a flag its ``drops`` index
+is set.  Neither list is empty, as every move takes a multiplicity off and d
+lies below the null root, so d_j < n_j <= 2 somewhere.  ``arrow_test``
+decides one move by this rule, over one source's flags.
 
 ``build_quiver`` runs the rule once per move over all vertices, each flag a
 bitset over the vertices: a move's sources are one AND over the bitsets its
 ``needs`` index with one OR over those its ``drops`` index.  The class comes
-from ``maxweights._class_packed`` as packed coordinate columns, and the
-bitsets are read off them by the digitwise compare of ``klrc._lanes``.  The
-columns are then unpacked, and each member's x alone is packed into a lane
-int of its own; the vertex index is keyed by it.  The arrow loop walks the
-set bits of a move's sources with ``str.find`` over their binary text, and
-an arrow costs one add, one int check and one dict lookup:
+from ``maxweights._class_packed`` as packed coordinate columns with their
+lane masks, and the bitsets are read off them by the digitwise compare of
+``klrc._lanes``.  The columns are then unpacked, ``ms`` and ``xs`` are
+their transposes, and each member's x alone is packed into a lane int of
+its own; the vertex index is keyed by it.  The arrow loop walks the set
+bits of a move's sources with ``str.find`` over their binary text, and an
+arrow costs one add, one int check and one dict lookup:
 
 * x at digit width w = bits(max x + 2) + 1, so that every raised digit
   x_j + d_j <= max x + 2 stays clear of its guard bit and R = X + D is the
@@ -65,13 +67,6 @@ the order of the Δm; since the members are listed in lexicographic order of
 m, that is the order of target indices, and moves with equal Δm share their
 target.  So the arrows appended to a source's bucket move by move come in
 (target, label) order, and the buckets joined in source order are the rows.
-
-``tests/reference.py`` keeps the second routes: the rule that decides from
-each kind's steps and index ranges which labels are moves, the move table
-built label by label by that rule with ``maxweights._solve``, the increments
-in closed form, the value-object arrow test that raises the solution vector,
-the two-mask arrow test on the masks of x and d, and the per-source builder,
-with its own list of the moves a weight can take.
 
 ``render(quiver, fmt)`` is the one renderer of each format in ``FORMATS``
 (``text``, ``dot``, ``json``, ``tsv``): a generator of the document's text in
@@ -278,15 +273,10 @@ class MaxWeightQuiver:
 
 
 def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDatum | None:
-    """The target datum when the move is an arrow out of ``source``, else None.
-
-    The move is decided by the rule that ``build_quiver`` runs, over the flat
-    flags x_j < n_j and x_j + 1 < n_j, which is exact only for x >= 0, as
-    every minimal solution vector such as ``beta_of`` gives is.  An x of
-    another rank than the weight, a label out of range, a negative entry of
-    x, or a weight without the multiplicity the move takes off raises
-    ValueError.
-    """
+    """The target datum when the move is an arrow out of ``source`` by the
+    rule of the module docstring, else None.  ValueError for an x of another
+    rank than the weight, a label out of range, a negative entry of x, or a
+    weight without the multiplicity the move takes off."""
     weight = source.weight
     if len(source.x.coeffs) != weight.ell + 1:
         raise ValueError("rank mismatch")
@@ -305,14 +295,13 @@ def arrow_test(source: MaximalWeightDatum, label: MoveLabel) -> MaximalWeightDat
 
 
 def build_quiver(weight: DominantWeight, max_vertices: int = DEFAULT_MAX_VERTICES) -> MaxWeightQuiver:
-    """The full directed quiver on the equivalence class of ``weight``,
-    each move decided for all vertices at once over vertex bitsets (module
-    docstring).  The class pass ``maxweights._class_packed`` raises the
-    vertex cap, and asserts x >= 0, which makes the rule exact."""
-    size, m_packed, x_packed = _class_packed(weight.m, max_vertices)
+    """The full directed quiver on the equivalence class of ``weight``
+    (module docstring).  GuardError from the class pass, before any member
+    is built, when the class has more than ``max_vertices`` members or is
+    too deep for its lanes."""
+    size, (ones, top, _), m_packed, x_packed = _class_packed(weight.m, max_vertices)
     ell = weight.ell
     null = cartan(ell).delta_coeffs
-    ones, top, _ = lanes.masks(size)
     # flat, as the move table's ``needs`` and ``drops`` index them: m_j >= d,
     # then x_j + e < n_j
     has = [lanes.bitset(lanes.at_least(col, d * ones, top), size)
@@ -374,19 +363,15 @@ def export(quiver: MaxWeightQuiver, fmt: str) -> str:
 
 @lru_cache(maxsize=RANK_CACHE_SIZE)
 def _tails(ell: int) -> defaultdict[str, dict[str, str]]:
-    """The rendered tails of rank ``ell``'s moves: per format, a move's label
-    text to its tail.  The renderers fill it as they go, a move the first
-    time it fires in that format, so it holds no tail that was not written."""
+    """The rendered tails of rank ``ell``'s moves, per format, by label text,
+    as the renderers fill it (module docstring)."""
     return defaultdict(dict)
 
 
 def _arrow_lines(quiver: MaxWeightQuiver, fmt: str, head: str, arrow: str, sep: str
                  ) -> Iterator[str]:
     """``head``, then one line per arrow,
-    ``<source><arrow><target><sep><label><sep><delta>``.
-
-    The vertex names are rendered a column at a time, and each move's tail,
-    its label and delta, once per rank and format."""
+    ``<source><arrow><target><sep><label><sep><delta>``."""
     yield head
     names = _column_terms(zip(*quiver.ms), "Λ")
     tails = _tails(quiver.ell)[fmt]
@@ -420,13 +405,7 @@ def _dot_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
 
 def _json_lines(quiver: MaxWeightQuiver) -> Iterator[str]:
     """``json.dumps(payload, indent=2, ensure_ascii=False)`` of the quiver, laid
-    out here so that the encoder sees only strings.
-
-    Each vertex block and each arrow block is one f-string, which opens with
-    the text before it: the list's opening bracket before the first block, a
-    comma before each later one.  The betas are rendered a column at a time,
-    and each move's label, delta and witness once per rank, as the tail of
-    its arrow blocks."""
+    out here so that the encoder sees only strings (module docstring)."""
     def ints(values: Iterable[int], indent: str = "      ") -> str:
         # every list of ints here, a vector or a witness, has an entry
         body = f",\n{indent}  ".join(map(str, values))

@@ -61,6 +61,10 @@ the package:
   expanded one residue at a time and matched unscaled, where
   ``klrc.fock.graded_hom_dim`` expands each run of equal residues as one
   divided power and scales by the quantum factorials of the runs.
+
+``tests/fock_reference.py`` keeps one more: the Fock step on Laurent
+coefficients, whose divided power takes single steps and divides by [r]!
+exactly, where ``klrc.fock`` adds each r-set of nodes at once.
 """
 
 from __future__ import annotations

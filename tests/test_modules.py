@@ -4,6 +4,8 @@ import ast
 from collections import defaultdict
 from pathlib import Path
 
+import src_lines
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "klrc"
 
 
@@ -30,3 +32,24 @@ def test_no_two_modules_define_the_same_top_level_name():
             modules[name].add(path.name)
     assert len(modules) > 100
     assert {name: sorted(files) for name, files in modules.items() if len(files) > 1} == {}
+
+
+def test_line_counts_add_up(capsys):
+    """``tests/src_lines.py`` puts every line of each module in one kind,
+    and its printed total row is the sum of the module rows."""
+    rows = src_lines.table()
+    assert set(rows) == {path.name for path in SRC.glob("*.py")}
+    for name, row in rows.items():
+        assert sum(row.values()) == len((SRC / name).read_text(encoding="utf-8").splitlines())
+        assert row["code"] and row["docstring"]
+    assert src_lines.main([]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total == ["total"] + [f"{sum(row[kind] for row in rows.values()):,}"
+                                 for kind in src_lines.KINDS]
+
+
+def test_line_kinds_by_hand():
+    """A docstring, a comment, code with a trailing comment, a standing
+    string and a blank line, each counted once by its kind."""
+    text = '"""Doc\n\nstring."""\n# comment\nx = 1  # code\n"""standing"""\n\n'
+    assert src_lines.count(text) == {"code": 2, "docstring": 3, "comment": 1, "blank": 1}

@@ -549,9 +549,10 @@ def test_build_quiver_checks_each_arrow_against_the_target(monkeypatch):
     class pass, the per-arrow check that x + d is the target's own minimal
     solution fails."""
     root = (0, 0, 2, 0, 0)
-    size, m_packed, x_packed = _class_packed(root)
+    size, masks, m_packed, x_packed = _class_packed(root)
     x_packed[0] += lanes.pack([0, 0, 0, 0, 1] + [0] * (size - 5))
-    monkeypatch.setattr(klrc.quiver, "_class_packed", lambda *_: (size, m_packed, x_packed))
+    monkeypatch.setattr(klrc.quiver, "_class_packed",
+                        lambda *_: (size, masks, m_packed, x_packed))
     with pytest.raises(AssertionError, match="not the target's minimal solution"):
         build_quiver(DominantWeight(root))
 
@@ -567,8 +568,9 @@ def test_vertex_bitsets_match_the_flag_columns():
 
     for root in CAP_ROOTS:
         null = cartan(len(root) - 1).delta_coeffs
-        size, m_packed, x_packed = _class_packed(root)
-        ones, top, _ = lanes.masks(size)
+        size, masks, m_packed, x_packed = _class_packed(root)
+        assert masks == lanes.masks(size)
+        ones, top, _ = masks
         m_cols = [lanes.unpack(col, size) for col in m_packed]
         x_cols = [lanes.unpack(col, size) for col in x_packed]
         for d in (1, 2):
