@@ -4,6 +4,10 @@ The index set is I = {0, 1, ..., ell} with ell >= 2.  Roots and weights are
 held as exact integer coefficient vectors over I; the symmetrizing vector is
 d = (2, 1, ..., 1, 2) and the null root has coefficients (1, 2, ..., 2, 1).
 All values are immutable, so everything here is safe to share across threads.
+
+Each value kind has one validator on plain tuples, which the value objects,
+the public engines and the command line all call: ``_multiplicities``,
+``_charges_to_m`` and ``_coefficients``.
 """
 
 from __future__ import annotations
@@ -121,6 +125,42 @@ def weight_text(m: Sequence[int]) -> str:
     return _sum_text(m, "Λ")
 
 
+def _multiplicities(m: Iterable[int]) -> tuple[int, ...]:
+    """``m`` as a tuple of ints, the fundamental multiplicities of a weight;
+    ValueError unless it has at least three entries, none negative."""
+    m = tuple([int(v) for v in m])
+    if len(m) < 3:
+        raise ValueError("rank must be at least 2")
+    if min(m) < 0:
+        raise ValueError("fundamental multiplicities must be nonnegative")
+    return m
+
+
+def _charges_to_m(charges: Iterable[int], ell: int) -> tuple[int, ...]:
+    """The multiplicities of the weight at rank ``ell`` whose charges, one
+    fundamental index per unit of level, are ``charges``; ValueError unless
+    each lies in 0..ell."""
+    m = [0] * (ell + 1)
+    for c in charges:
+        if not 0 <= c <= ell:
+            raise ValueError(f"charge {c} out of range for rank {ell}")
+        m[c] += 1
+    return tuple(m)
+
+
+def _coefficients(x: Iterable[int], size: int, name: str = "beta", *,
+                  cone: bool = True) -> tuple[int, ...]:
+    """``x`` as a tuple of ints, the coefficients of the root ``name`` at rank
+    ``size - 1``; ValueError unless it has ``size`` entries and, with
+    ``cone``, none is negative."""
+    x = tuple([int(c) for c in x])
+    if len(x) != size:
+        raise ValueError(f"{name} needs {size} entries")
+    if cone and min(x) < 0:
+        raise ValueError(f"{name} must have nonnegative entries")
+    return x
+
+
 @dataclass(frozen=True)
 class RootVector:
     """An element of the root lattice, as coefficients of the simple roots."""
@@ -202,20 +242,11 @@ class DominantWeight:
 
         A method of its own, as in a dataclass, so that the benchmark's tracer
         counts constructions by wrapping it."""
-        m = tuple([int(v) for v in self.m])
-        if len(m) < 3:
-            raise ValueError("rank must be at least 2")
-        if any(v < 0 for v in m):
-            raise ValueError("fundamental multiplicities must be nonnegative")
+        m = _multiplicities(self.m)
         order = None  # the default order
         if self._order:
             order = tuple([int(c) for c in self._order])
-            counts = [0] * len(m)
-            for c in order:
-                if not 0 <= c < len(m):
-                    raise ValueError(f"charge {c} out of range")
-                counts[c] += 1
-            if tuple(counts) != m:
+            if _charges_to_m(order, len(m) - 1) != m:
                 raise ValueError("charges do not realize the weight")
             if all(a <= b for a, b in zip(order, order[1:])):
                 order = None
@@ -250,12 +281,7 @@ class DominantWeight:
 
     @classmethod
     def from_charges(cls, charges: Sequence[int], ell: int) -> "DominantWeight":
-        m = [0] * (ell + 1)
-        for c in charges:
-            if not 0 <= c <= ell:
-                raise ValueError(f"charge {c} out of range for rank {ell}")
-            m[c] += 1
-        return cls(tuple(m), tuple(charges))
+        return cls(_charges_to_m(charges, ell), tuple(charges))
 
     @property
     def ell(self) -> int:

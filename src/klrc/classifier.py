@@ -3,8 +3,10 @@
 The decision pipeline straightens the root into the dominant chamber, splits
 off null-root multiples, dispatches level one to its complete trichotomy, and
 at higher level matches the reduced pair against the finite and tame case
-tables; anything unmatched is wild.  Past its checks, ``classify`` runs on
-plain tuples (``maxweights._straighten``, ``_reduce``, ``apply_matrix``).
+tables; anything unmatched is wild.  The pipeline is ``_classify(m, x, p)``
+on plain tuples (``maxweights._straighten``, ``_reduce``, ``apply_matrix``):
+``classify`` checks beta with ``cartan._coefficients`` and calls it, and the
+``classify`` subcommand calls it on the tuples it has checked once.
 The case list is generated once per rank (``_generate_cases``) straight into
 ``_case_index``, its cases grouped by beta in list order; the flat table the
 tests read lives in ``tests/reference.py``.
@@ -19,7 +21,7 @@ from math import isqrt
 from operator import sub
 from typing import Iterator, Sequence
 
-from .cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, cartan
+from .cartan import RANK_CACHE_SIZE, DominantWeight, RootVector, _coefficients, cartan
 from .laurent import LaurentPolynomial
 from .maxweights import _reduce, _straighten
 
@@ -203,34 +205,35 @@ def classify(weight: DominantWeight, beta: RootVector, characteristic: int = 0) 
     ``MAX_CHARACTERISTIC``, else ValueError.  Only the distinctions 2, 3 and
     "other" matter.
     """
-    p = characteristic
+    return _classify(weight.m, _coefficients(beta.coeffs, len(weight.m)), characteristic)
+
+
+def _classify(m: tuple[int, ...], x: tuple[int, ...], p: int) -> Verdict:
+    """``classify`` on plain tuples of equal length, x in the positive cone:
+    ValueError when ``p`` is not 0 or a prime below ``MAX_CHARACTERISTIC``,
+    or when the level is 0."""
     prime = 1 < p < MAX_CHARACTERISTIC and all(p % d for d in range(2, isqrt(p) + 1))
     if p != 0 and not prime:
         raise ValueError(f"characteristic {p} is not 0 or a prime below 2^32")
-    ell = weight.ell
-    if weight.level < 1:
-        raise ValueError("level must be at least 1")
-    if not beta.in_positive_cone():
-        raise ValueError("beta must lie in the positive cone")
-
-    straightened = _straighten(weight.m, beta.coeffs)[0]
+    straightened = _straighten(m, x)[0]  # refuses level 0
     if straightened is None:
         return Verdict(RepType.ZERO, "zero")
+    ell = len(m) - 1
     core, null_multiple = _reduce(straightened, cartan(ell).delta_coeffs)
 
-    if weight.level == 1:
-        return _classify_level_one(weight.m, core, null_multiple)
+    if sum(m) == 1:
+        return _classify_level_one(m, core, null_multiple)
 
     if null_multiple >= 1:
         return Verdict(RepType.WILD, "non-maximal-wild")
     if not any(core):
         return Verdict(RepType.FINITE, "trivial")
 
-    case = match_case(weight.m, core, ell)
+    case = match_case(m, core, ell)
     if case is None:
         return Verdict(RepType.WILD, "wild-otherwise")
     if case.char_ne is not None:
-        if characteristic == case.char_ne:
+        if p == case.char_ne:
             return Verdict(RepType.WILD, case.tag)
         return Verdict(case.rep_type, case.tag, f"char≠{case.char_ne}")
     return Verdict(case.rep_type, case.tag)

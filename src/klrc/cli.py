@@ -8,6 +8,14 @@ Each subcommand's options are declared once, in ``COMMANDS``.  A query of
 exact ``--name value`` pairs is read straight from that table; argparse,
 built from the same table, reads every other argv and writes all usage,
 help and error text.
+
+Each query is validated once: ``_read_weight`` and ``_read_beta`` read the
+weight and --beta into plain tuples through the validators of
+``klrc.cartan``.  ``classify``, ``simples`` and ``defect`` hand those tuples
+straight to the plain-tuple kernels (``klrc.classifier._classify``,
+``klrc.multiplicity._multiplicity``, ``klrc.maxweights._defect``) and build
+no value object; the other subcommands wrap them in value objects
+(``_parse_weight``, ``_parse_beta``).
 """
 
 from __future__ import annotations
@@ -21,12 +29,13 @@ from functools import lru_cache
 from itertools import islice
 from types import SimpleNamespace
 
-from .cartan import DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, _column_terms
-from .classifier import classify
+from .cartan import (DEFAULT_MAX_RANK, DominantWeight, GuardError, RootVector, _charges_to_m,
+                     _coefficients, _column_terms, _multiplicities)
+from .classifier import _classify
 from .fock import DEFAULT_MAX_BOXES, FWord, expand, graded_hom_dim, hom_dim, parse_word
 from .laurent import polynomial_text
-from .maxweights import DEFAULT_MAX_VERTICES, _class_columns, _defects, defect
-from .multiplicity import DEFAULT_MAX_HEIGHT, weight_multiplicity
+from .maxweights import DEFAULT_MAX_VERTICES, _class_columns, _defect, _defects
+from .multiplicity import DEFAULT_MAX_HEIGHT, _multiplicity
 from .quiver import FORMATS, build_quiver, render
 
 EXIT_VALIDATION = 2
@@ -74,9 +83,10 @@ def _word(text: str) -> FWord:
     return parse_word(text)
 
 
-def _parse_weight(args) -> DominantWeight:
-    """The weight of --m or --weight, not both.  Only the rank is capped here:
-    a weight stores its multiplicities alone, so a level of millions costs a
+def _read_weight(args) -> tuple[tuple[int, ...], list[int]]:
+    """The multiplicities of the weight of --m or --weight, not both, with the
+    charges of --weight (empty for --m).  Only the rank is capped here: a
+    weight stores its multiplicities alone, so a level of millions costs a
     few bytes, and each level-dependent cap is raised by the library call it
     guards."""
     if args.weight is not None and args.m is not None:
@@ -87,28 +97,35 @@ def _parse_weight(args) -> DominantWeight:
     if ell > args.max_rank:
         raise GuardError(f"rank {ell} exceeds the cap of {args.max_rank}")
     if args.m:
-        m = tuple(_ints(args.m, "--m"))
+        m = _ints(args.m, "--m")
         if len(m) != ell + 1:
             raise ValueError(f"--m needs {ell + 1} entries")
-        return DominantWeight(m)
+        return _multiplicities(m), []
     if not args.weight:
         raise ValueError("a weight is required (--weight or --m)")
-    return DominantWeight.from_charges(_ints(args.weight, "--weight"), ell)
+    charges = _ints(args.weight, "--weight")
+    return _charges_to_m(charges, ell), charges
+
+
+def _read_beta(args) -> tuple[int, ...]:
+    """The coefficients of --beta, ell + 1 of them and none negative."""
+    return _coefficients(_ints(args.beta, "--beta"), args.ell + 1, "--beta")
+
+
+def _parse_weight(args) -> DominantWeight:
+    """``_read_weight`` as a ``DominantWeight``, in the charge order of --weight."""
+    return DominantWeight(*_read_weight(args))
 
 
 def _parse_beta(args) -> RootVector:
-    coeffs = _ints(args.beta, "--beta")
-    if len(coeffs) != args.ell + 1:
-        raise ValueError(f"--beta needs {args.ell + 1} entries")
-    beta = RootVector(tuple(coeffs))
-    if not beta.in_positive_cone():
-        raise ValueError("--beta must have nonnegative entries")
-    return beta
+    """``_read_beta`` as a ``RootVector``."""
+    return RootVector(_read_beta(args))
 
 
 def _cmd_classify(args) -> str:
-    weight = _parse_weight(args)
-    verdict = classify(weight, _parse_beta(args), args.char)
+    """``classifier._classify`` of the tuples ``_read_weight`` and
+    ``_read_beta`` check once."""
+    verdict = _classify(_read_weight(args)[0], _read_beta(args), args.char)
     if args.format == "json":
         return json.dumps({
             "type": str(verdict.rep_type),
@@ -180,16 +197,18 @@ def _cmd_fock(args) -> str:
 
 
 def _cmd_simples(args) -> str:
-    weight = _parse_weight(args)
-    count = weight_multiplicity(weight, _parse_beta(args), max_height=args.max_n)
+    """``multiplicity._multiplicity`` of the tuples ``_read_weight`` and
+    ``_read_beta`` check once."""
+    count = _multiplicity(_read_weight(args)[0], _read_beta(args), args.max_n)
     if args.format == "json":
         return json.dumps({"simples": count})
     return str(count)
 
 
 def _cmd_defect(args) -> str:
-    weight = _parse_weight(args)
-    value = defect(weight, _parse_beta(args))
+    """``maxweights._defect`` of the tuples ``_read_weight`` and
+    ``_read_beta`` check once."""
+    value = _defect(_read_weight(args)[0], _read_beta(args))
     if args.format == "json":
         return json.dumps({"defect": value})
     return str(value)

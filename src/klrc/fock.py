@@ -114,7 +114,7 @@ from itertools import combinations, groupby, repeat
 from math import factorial, prod
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .cartan import DominantWeight, GuardError, RootVector, cartan, fold_residue
+from .cartan import DominantWeight, GuardError, RootVector, _coefficients, cartan, fold_residue
 from .laurent import ZERO, LaurentPolynomial, _wrap, polynomial_text
 
 DEFAULT_MAX_BOXES = 12
@@ -678,12 +678,11 @@ def graded_hom_dim(weight: DominantWeight, beta: RootVector,
     Sums K(nu, shape) * K(nu', shape) over all multipartitions of |beta| with
     one component per charge, as the Hom dimension of the Fock expansions of
     nu and nu', each expanded by its runs (module docstring).  nu' defaults
-    to nu, and equal sequences are checked and expanded once.  Checks beta,
-    then the caps (GuardError), then the content of nu and of nu' on their
-    runs, before the first expansion.
+    to nu, and equal sequences are checked and expanded once.  Checks beta
+    with ``cartan._coefficients``, then the caps (GuardError), then the
+    content of nu and of nu' on their runs, before the first expansion.
     """
-    if not beta.in_positive_cone():
-        raise ValueError("beta must lie in the positive cone")
+    _coefficients(beta.coeffs, len(weight.m))
     _check_size(weight, beta.height, max_n)
     runs = _runs(weight.ell, beta, nu, "nu")
     same = nu_prime is None or tuple(nu_prime) == tuple(nu)  # a list may equal a tuple

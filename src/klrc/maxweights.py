@@ -51,9 +51,11 @@ The defect (Lambda, beta) - (beta, beta)/2 has one identity in the same two
 forms.  With (Lambda, alpha_j) = d_j m_j, (alpha_i, alpha_j) = d_i a_ij and
 the hub h = m - A.x of Lambda - beta, twice the defect is
 sum_j d_j x_j (2 m_j - (A.x)_j) = sum_j d_j x_j (m_j + h_j).  ``_defect`` is
-its single-vector form, which ``defect`` runs, with h read from the band of
-A.  ``_defects`` is its class form, which the ``maxweights`` subcommand
-runs: on every member m' of the class of the root Lambda, with x its
+its single-vector form on plain tuples, with h read from the band of A:
+``defect`` checks beta's rank with ``cartan._coefficients`` and runs it, and
+the ``defect`` subcommand runs it on the tuples it has checked once.
+``_defects`` is its class form, which the ``maxweights`` subcommand runs:
+on every member m' of the class of the root Lambda, with x its
 minimal solution, A.x = m - m', so the hub is m' itself and the sum is
 sum_j d_j x_j (m_j + m'_j), taken a column at a time over the columns of
 ``_class_columns`` with no product by A.  The tests check both forms
@@ -71,7 +73,7 @@ from operator import add, and_, eq, floordiv, mod, mul, neg, sub
 from typing import Iterable, Sequence
 
 from . import _lanes as lanes
-from .cartan import DominantWeight, GuardError, RootVector, cartan
+from .cartan import DominantWeight, GuardError, RootVector, _coefficients, cartan
 
 DEFAULT_MAX_VERTICES = 5000
 
@@ -246,9 +248,9 @@ def beta_of(weight: DominantWeight, other: DominantWeight) -> MaximalWeightDatum
 
 def _defect(m: tuple[int, ...], x: tuple[int, ...]) -> int:
     """``defect`` on plain tuples, from the multiplicities m of Lambda and the
-    coefficients x of beta: half of sum_j d_j x_j (m_j + h_j), with the hub
-    entry h_j = m_j - (A.x)_j read from row j of the band of A (the module
-    docstring's identity)."""
+    coefficients x of beta, of equal length: half of sum_j d_j x_j (m_j + h_j),
+    with the hub entry h_j = m_j - (A.x)_j read from row j of the band of A
+    (the module docstring's identity)."""
     datum = cartan(len(m) - 1)
     p = (0, *x, 0)  # x_j at p[j + 1], with 0 past either end
     twice = sum([d * p[j + 1] * (mj + (mj - a * p[j] - b * p[j + 1] - c * p[j + 2]))
@@ -272,10 +274,8 @@ def _defects(root: tuple[int, ...], m_cols: Sequence[Sequence[int]],
 
 
 def defect(weight: DominantWeight, beta: RootVector) -> int:
-    """(Lambda, beta) - (beta, beta)/2."""
-    if weight.ell != beta.ell:
-        raise ValueError("rank mismatch")
-    return _defect(weight.m, beta.coeffs)
+    """(Lambda, beta) - (beta, beta)/2, for any root-lattice beta."""
+    return _defect(weight.m, _coefficients(beta.coeffs, len(weight.m), cone=False))
 
 
 def delta_decompose(x: RootVector) -> tuple[RootVector, int]:

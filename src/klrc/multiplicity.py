@@ -10,9 +10,12 @@ Positive real roots of the affine system are the first-layer roots of
 ``cartan._first_layer`` shifted by multiples of the null root; imaginary
 multiples of the null root carry multiplicity equal to the finite rank.
 
-``weight_multiplicity`` validates its value objects, and the kernel runs on
-plain tuples, with every pairing a dot product: (Lambda - x, alpha) =
-sum alpha_i d_i hub(x)_i, hub(x) = m - A.x.  Because A.delta = 0,
+The kernel is ``_multiplicity(m, x, max_height)`` on plain tuples, which
+checks the height cap and straightens beta: ``weight_multiplicity`` checks
+beta with ``cartan._coefficients`` and calls it, and the ``simples``
+subcommand calls it on the tuples it has checked once.  Every pairing is a
+dot product: (Lambda - x, alpha) = sum alpha_i d_i hub(x)_i,
+hub(x) = m - A.x.  Because A.delta = 0,
 (x, alpha + t*delta) = (x, alpha) and hub(x - j*(alpha + t*delta)) =
 hub(x) + j*A.alpha for every root-lattice x, so one A.alpha per real root
 alpha below delta serves its whole delta-string alpha, alpha + delta, ...
@@ -57,7 +60,8 @@ from functools import lru_cache
 from math import factorial
 from operator import add, mul, sub
 
-from .cartan import RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, _first_layer, cartan
+from .cartan import (RANK_CACHE_SIZE, DominantWeight, GuardError, RootVector, _coefficients,
+                     _first_layer, cartan)
 from .maxweights import _straighten
 
 DEFAULT_MAX_HEIGHT = 14
@@ -122,20 +126,18 @@ def positive_roots_within(ell: int, bound: tuple[int, ...]) -> list[tuple[RootVe
 def weight_multiplicity(weight: DominantWeight, beta: RootVector, *,
                         max_height: int = DEFAULT_MAX_HEIGHT) -> int:
     """dim of the weight space Lambda - beta, i.e. the number of simple modules at beta."""
-    if weight.ell != beta.ell:
-        raise ValueError("rank mismatch")
-    if not beta.in_positive_cone():
-        raise ValueError("beta must lie in the positive cone")
-    if beta.height > max_height:
-        raise GuardError(f"height {beta.height} exceeds the cap of {max_height}")
-    return _multiplicity(weight.m, beta.coeffs)
+    return _multiplicity(weight.m, _coefficients(beta.coeffs, len(weight.m)), max_height)
 
 
-def _multiplicity(m: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
-    """``weight_multiplicity`` on plain tuples: 0 when straightening leaves
-    the weight system, 1 at the highest weight, else the sum at the
-    straightened key."""
-    beta = _straighten(m, coeffs)[0]
+def _multiplicity(m: tuple[int, ...], x: tuple[int, ...],
+                  max_height: int = DEFAULT_MAX_HEIGHT) -> int:
+    """``weight_multiplicity`` on plain tuples of equal length, x in the
+    positive cone: GuardError when the height of x exceeds ``max_height``,
+    ValueError at level 0; else 0 when straightening leaves the weight
+    system, 1 at the highest weight, and the sum at the straightened key."""
+    if sum(x) > max_height:
+        raise GuardError(f"height {sum(x)} exceeds the cap of {max_height}")
+    beta = _straighten(m, x)[0]
     if beta is None:
         return 0
     if not any(beta):

@@ -299,6 +299,11 @@ MUTANTS = (
            MULT_TESTS),
     Mutant("mult-worklist-highest-key-first", MULTIPLICITY,
            "sorted(sums, key=sum)", "sorted(sums, key=sum, reverse=True)", MULT_TESTS),
+    # the one validator of root coefficients, which the command line and the
+    # public engines share
+    Mutant("root-validator-no-cone-check", "klrc/cartan.py",
+           "    if cone and min(x) < 0:\n", "    if False:\n",
+           ("tests/test_cli.py::test_blocks_queries_answer_as_the_value_object_route",)),
     # the command line
     Mutant("cli-no-subcommand-dispatch", "klrc/cli.py",
            "args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])",

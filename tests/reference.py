@@ -57,6 +57,12 @@ the package:
 * ``case_table``, the flat list of case instances at a rank, which
   ``klrc.classifier._case_index`` holds only grouped by beta;
 * ``minimal_weight`` of a case instance, and ``residue_word``;
+* ``blocks_query``, a ``classify``, ``simples`` or ``defect`` argv answered
+  through ``DominantWeight`` and ``RootVector`` and the public
+  ``klrc.classifier.classify``, ``klrc.multiplicity.weight_multiplicity``
+  and ``klrc.maxweights.defect``, with its own check of beta's length and
+  cone, where ``klrc.cli`` validates the plain tuples once and calls the
+  kernels;
 * ``graded_hom_dim_by_single_steps``, the graded dimension with ν and ν′
   expanded one residue at a time and matched unscaled, where
   ``klrc.fock.graded_hom_dim`` expands each run of equal residues as one
@@ -69,18 +75,23 @@ exactly, where ``klrc.fock`` adds each r-set of nodes at once.
 
 from __future__ import annotations
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement, product
 from operator import add, lt, neg, sub
 from typing import Iterable, Iterator, Sequence
 
+from klrc import cli
 from klrc.cartan import DominantWeight, GuardError, RootVector, cartan, fold_residue
-from klrc.classifier import CaseInstance, _generate_cases, _holds
+from klrc.classifier import CaseInstance, _generate_cases, _holds, classify
 from klrc.fock import Multipartition, Node, _expand, _hom, residue
 from klrc.laurent import LaurentPolynomial, _wrap
 from klrc.maxweights import (DEFAULT_MAX_VERTICES, MaximalWeightDatum, _class_columns,
-                             _class_size, _solve)
+                             _class_size, _solve, defect)
+from klrc.multiplicity import weight_multiplicity
 from klrc.quiver import (KIND_DOWN, KIND_DOWN_DOWN, KIND_DOWN_UP, KIND_UP, KIND_UP_UP,
                          MaxWeightQuiver, MoveLabel, _Move, _move_table, _witness)
 from klrc.tableaux import node_degree
@@ -631,6 +642,65 @@ def defect_model(m: Sequence[int], x: Sequence[int]) -> int:
     twice = sum(c * c for c in lam) - sum(c * c for c in nu) + 4 * k * x[0]
     assert twice % 2 == 0
     return twice // 2
+
+
+# -- a blocks query through the value objects ---------------------------
+
+
+def blocks_query(argv: list[str]) -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of a ``classify``, ``simples`` or
+    ``defect`` argv, read as ``cli.main`` reads it and answered through the
+    value objects: the weight and beta parsed into ``DominantWeight`` and
+    ``RootVector``, beta's length and cone checked here, and the public
+    ``classify``, ``weight_multiplicity`` and ``defect`` called on them.  An
+    argparse error is its SystemExit status and message."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = cli._read_args(argv) or \
+                cli.build_parser().subcommands[argv[0]].parse_args(argv[1:])
+            text = _blocks_answer(argv[0], args)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+        except GuardError as exc:
+            return 3, "", f"guard exceeded: {exc}\n"
+        except (ValueError, KeyError) as exc:
+            return 2, "", f"error: {exc}\n"
+    return 0, text + "\n", ""
+
+
+def _blocks_answer(command: str, args) -> str:
+    if args.weight is not None and args.m is not None:
+        raise ValueError("give --weight or --m, not both")
+    ell = args.ell
+    if ell < 2:
+        raise ValueError("--ell must be at least 2")
+    if ell > args.max_rank:
+        raise GuardError(f"rank {ell} exceeds the cap of {args.max_rank}")
+    if args.m:
+        m = tuple(cli._ints(args.m, "--m"))
+        if len(m) != ell + 1:
+            raise ValueError(f"--m needs {ell + 1} entries")
+        weight = DominantWeight(m)
+    elif not args.weight:
+        raise ValueError("a weight is required (--weight or --m)")
+    else:
+        weight = DominantWeight.from_charges(cli._ints(args.weight, "--weight"), ell)
+    coeffs = cli._ints(args.beta, "--beta")
+    if len(coeffs) != ell + 1:
+        raise ValueError(f"--beta needs {ell + 1} entries")
+    beta = RootVector(tuple(coeffs))
+    if not beta.in_positive_cone():
+        raise ValueError("--beta must have nonnegative entries")
+    if command == "classify":
+        verdict = classify(weight, beta, args.char)
+        if args.format == "json":
+            return json.dumps({"type": str(verdict.rep_type), "tag": verdict.tag,
+                               "char_assumption": verdict.char_assumption}, ensure_ascii=False)
+        return str(verdict)
+    key, value = (("simples", weight_multiplicity(weight, beta, max_height=args.max_n))
+                  if command == "simples" else ("defect", defect(weight, beta)))
+    return json.dumps({key: value}) if args.format == "json" else str(value)
 
 
 # -- other helpers -------------------------------------------------------

@@ -15,13 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import klrc.maxweights
 from klrc import cli
-from klrc.cartan import DominantWeight
+from klrc.cartan import DominantWeight, RootVector
 from klrc.cli import main
 from klrc.fock import DEFAULT_MAX_BOXES
 from klrc.maxweights import DEFAULT_MAX_VERTICES, beta_of, class_members, defect
 from klrc.multiplicity import DEFAULT_MAX_HEIGHT
 from klrc.quiver import FORMATS, build_quiver, export, render
-from test_golden_replay import replayed_queries
+import reference
+from test_golden_replay import replayed_queries, run_captured
 
 
 def run(argv, capsys):
@@ -871,8 +872,9 @@ HOSTILE_INT = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.integers(-6, 40)).m
 
 
 @st.composite
-def hostile_argv(draw):
-    """A subcommand with a rank in -1..20, charges or multiplicities and its
+def hostile_argv(draw, commands=("quiver", "maxweights", "classify", "simples", "defect",
+                                 "dims", "fock")):
+    """One of ``commands`` with a rank in -1..20, charges or multiplicities and its
     own flags, each usually well formed and otherwise hostile or missing: a
     rank or field that is out of range, empty or not an integer; for
     ``quiver`` and ``maxweights`` a --max-vertices that is zero or negative (an
@@ -887,8 +889,7 @@ def hostile_argv(draw):
         return draw(hostile) if not draw(st.integers(0, 4)) else value
 
     ell = draw(st.integers(-1, 20))
-    command = draw(st.sampled_from(["quiver", "maxweights", "classify", "simples", "defect",
-                                    "dims", "fock"]))
+    command = draw(st.sampled_from(commands))
     argv = [command, "--ell", sometimes(str(ell), st.one_of(FIELD, st.just(None)))]
     # well formed: one to five small charges, or ell+1 small multiplicities
     source = draw(st.sampled_from(["--weight", "--m"]))
@@ -941,3 +942,45 @@ def test_cli_exit_contract(argv):
             code = exc.code
     assert code in (0, 2, 3), argv
     assert time.perf_counter() - start < EXIT_BUDGET_S, argv
+
+
+BLOCKS = ("classify", "simples", "defect")
+
+
+# one argv at each refusal of the shared validators, the cone check first, so
+# that the recorded mutant dropping the cone check is killed on every run
+@settings(max_examples=300, deadline=None, database=None)
+@given(hostile_argv(BLOCKS))
+@example(["classify", "--ell", "2", "--m", "1,0,0", "--beta", "0,-1,0"])  # cone
+@example(["simples", "--ell", "2", "--m", "1,0,0", "--beta", "0,-1,0"])
+@example(["defect", "--ell", "2", "--m", "1,0,0", "--beta", "0,-1,0"])
+@example(["simples", "--ell", "2", "--m", "1,-1,0", "--beta", "0,1,0"])  # nonnegative m
+@example(["defect", "--ell", "2", "--weight", "0,3", "--beta", "0,1,0"])  # charge range
+@example(["classify", "--ell", "2", "--m", "1,0,0", "--beta", "0,1"])  # beta length
+def test_blocks_queries_answer_as_the_value_object_route(argv):
+    """A ``classify``, ``simples`` or ``defect`` argv, well formed or hostile,
+    gives the exit status, stdout and stderr of ``reference.blocks_query``,
+    which parses through the value objects and calls the public engines."""
+    assert reference.blocks_query(argv) == run_captured(argv), argv
+
+
+def test_blocks_queries_build_no_value_object(monkeypatch, capsys):
+    """Each ``classify``, ``simples`` and ``defect`` query of the blocks pool
+    goes from argv to the plain-tuple kernels and builds no ``DominantWeight``
+    or ``RootVector``; a ``dims`` query still builds its ``DominantWeight``.
+    Both ``__post_init__`` methods are wrapped, as the benchmark's tracer
+    wraps them."""
+    built = []
+    for cls in (DominantWeight, RootVector):
+        def counted(self, post_init=cls.__post_init__):
+            built.append(type(self).__name__)
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    queries = pool_queries("blocks")
+    assert {argv[0] for argv in queries} == set(BLOCKS)
+    for argv in queries:
+        assert main(argv) == 0, argv
+    assert built == []
+    assert run(["dims", "--ell", "2", "--weight", "0,1", "--beta", "1,2,1",
+                "--nu", "0-1-2-1"], capsys)[0] == 0
+    assert built.count("DominantWeight") == 1
